@@ -37,7 +37,6 @@ from .hitting import (
     HittingSet,
     HSVerdict,
     find_small_witness,
-    g_map,
     largeness_holds,
     nonrange_is_hitting,
     search_hitting_set,

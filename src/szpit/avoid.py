@@ -15,6 +15,7 @@ hitting sets runs five stages:
 
                         A_x(z) = prod_i sum_j (z_j - sum_k h(x;i,j,k) 2^(k-1))^2,
 
+                    (one shared template, with h(x)'s bits as its params),
                     which vanishes exactly on the r points whose binary
                     coordinates are spelled by h(x), yet is positive at the
                     all-2q point;
@@ -48,7 +49,7 @@ from .boolfunc import (
     int_to_bits,
     str_to_bits,
 )
-from .circuit import Circuit, Gate, circuit, representation_size
+from .circuit import Circuit, Gate, circuit
 from .config import DEFAULT_EXHAUSTION_CAP, DEFAULT_SEARCH_BUDGET, DEFAULT_WITNESS_BUDGET
 from .errors import (
     CapExceededError,
@@ -221,22 +222,18 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
         raise DimensionMismatchError(f"g must stretch by one bit, has {g.in_bits}->{g.out_bits}")
     m = g.in_bits
 
+    # One round maps the head's value to (next head's value, fresh bit).
+    step = [(bits_to_int(out[:m]), out[m]) for out in g.table]
+
     def h_fn(x: Bits) -> Bits:
-        state = x
+        # O(t): carry the m-bit head, collect the fresh bits, newest first.
+        head, fresh = bits_to_int(x), []
         for _ in range(t):
-            state = g(state[:m]) + state[m:]
-        return state
+            head, bit = step[head]
+            fresh.append(bit)
+        return int_to_bits(head, m) + tuple(reversed(fresh))
 
     return boolfunc_from_callable(h_fn, m, m + t)
-
-
-def amplify_steps(g: BoolFunc, x: Bits, t: int) -> List[Bits]:
-    """[h_0(x), h_1(x), ..., h_t(x)] for the step-claim tests."""
-    m = g.in_bits
-    states = [x]
-    for _ in range(t):
-        states.append(g(states[-1][:m]) + states[-1][m:])
-    return states
 
 
 # -- inversion -------------------------------------------------------------
@@ -436,12 +433,13 @@ def paper_schedule(m: int) -> AvoidSchedule:
 
 # -- the compression class ---------------------------------------------------
 
-def _member_gates(bits: Bits, sched: AvoidSchedule) -> Circuit:
-    """The circuit prod_i sum_j (z_j - sum_k bit(i,j,k) * 2^(k-1))^2.
+def _member_gates(sched: AvoidSchedule) -> Circuit:
+    """The class template prod_i sum_j (z_j - sum_k p_e * 2^(k-1))^2.
 
-    Subtraction is Add(z_j, Mul(-1, inner)); squaring reuses one gate for
-    both factors; the powers of two form one shared Const(2) chain.  The
-    gate layout is identical for every member, only const values differ.
+    Param p_e, e = triple_encode(i, j, k), takes bit e of h(x): member x is
+    ``(template, h(x)[:r*n*w])``.  Subtraction is Add(z_j, Mul(-1, inner));
+    squaring reuses one gate for both factors; the powers of two form one
+    shared Const(2) chain.
     """
     n, r, w = sched.n, sched.r, sched.w
     gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
@@ -462,8 +460,7 @@ def _member_gates(bits: Bits, sched: AvoidSchedule) -> Circuit:
         for j in range(1, n + 1):
             inner = -1
             for k in range(1, w + 1):
-                bit = bits[triple_encode(i, j, k, r, n, w) - 1]
-                bgate = push(Gate.const(bit))
+                bgate = push(Gate.param(triple_encode(i, j, k, r, n, w)))
                 term = push(Gate.mul(bgate, pow_idx[k - 1]))
                 inner = term if inner < 0 else push(Gate.add(inner, term))
             neg = push(Gate.mul(neg1, inner))
@@ -480,18 +477,19 @@ def build_avoid_class(h: BoolFunc, sched: AvoidSchedule, e: object = None) -> De
     sched.check()
     if h.in_bits != sched.m:
         raise DimensionMismatchError(f"h has {h.in_bits} input bits, want {sched.m}")
-    if h.out_bits < sched.r * sched.n * sched.w:
-        raise PreconditionError(
-            f"t' >= r*n*|q| fails: {h.out_bits} < {sched.r * sched.n * sched.w}"
-        )
+    width = sched.r * sched.n * sched.w
+    if h.out_bits < width:
+        raise PreconditionError(f"t' >= r*n*|q| fails: {h.out_bits} < {width}")
 
-    def decoder(x: str) -> Circuit:
-        return _member_gates(h(str_to_bits(x)), sched)
+    def params_of(x: str) -> Bits:
+        return h(str_to_bits(x))[:width]
 
-    probe = _member_gates((0,) * h.out_bits, sched)
-    s = representation_size(probe)
-    assert len(probe.gates) <= s  # representation size dominates gate count
-    return DefinableClass(decoder=decoder, n=sched.n, d=sched.d, s=s, m=sched.m, e=e)
+    cls = DefinableClass(
+        decoder=None, template=_member_gates(sched), params_of=params_of,
+        n=sched.n, d=sched.d, s=0, m=sched.m, e=e,
+    )
+    assert len(cls.template.gates) <= cls.s  # representation size dominates gate count
+    return cls
 
 
 def encode_hitting_set_bits(h_set: HittingSet, sched: AvoidSchedule, width: int) -> Bits:

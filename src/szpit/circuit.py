@@ -90,6 +90,8 @@ class Circuit:
     n_vars: int
     n_params: int
     plugged: Tuple[Tuple[int, int], ...] = ()  # sorted (param name, value) pairs
+    # Filled by the first analyze_degrees call on this object.
+    _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate(self)
@@ -105,12 +107,6 @@ class Circuit:
     @property
     def fully_plugged(self) -> bool:
         return len(self.plugged) == self.n_params
-
-    def constants(self) -> Tuple[int, ...]:
-        """All integers plugged into the circuit (const gates and plugged params)."""
-        vals = [g.value for g in self.gates if g.op == CONST]
-        vals.extend(v for _, v in self.plugged)
-        return tuple(vals)
 
 
 def circuit(gates: Iterable[Gate], plugged: Optional[Mapping[int, int]] = None) -> Circuit:
@@ -172,10 +168,6 @@ class DegreeReport:
     individual: Dict[str, int] = field(hash=False)
     max_individual: int
 
-    def var_max(self) -> int:
-        """Max individual degree over the variables only."""
-        return max((d for u, d in self.individual.items() if u.startswith("x")), default=0)
-
 
 def _input_key(i: int, g: Gate) -> Optional[str]:
     if g.op == VAR:
@@ -214,6 +206,14 @@ def individual_degree(c: Circuit, key: str) -> int:
 
 
 def analyze_degrees(c: Circuit) -> DegreeReport:
+    """The degree report, computed once per Circuit object and kept on it
+    (so a class template is analysed once); callers must not mutate it."""
+    if c._degrees is None:
+        object.__setattr__(c, "_degrees", _degree_pass(c))
+    return c._degrees
+
+
+def _degree_pass(c: Circuit) -> DegreeReport:
     """Apply the inductive degree rules bottom-up in one pass.
 
     input -> 1, add -> max, mul -> sum, per input and in total.  Sparse
@@ -323,7 +323,13 @@ def _first_mismatch_col(line: str) -> int:
 
 
 def serialize_circuit(c: Circuit) -> str:
-    """Canonical text: gates in index order, single spaces, final output line."""
+    """Canonical text: gates in index order, single spaces, final output line.
+
+    Plugged parameters are written as const lines carrying their values (the
+    remaining parameters are renumbered), so the text, and with it
+    :func:`representation_size`, accounts for every plugged integer.
+    """
+    c = resolve_plugged(c)
     lines = []
     for i, g in enumerate(c.gates):
         if g.op == VAR:
@@ -355,21 +361,6 @@ def plug_params(c: Circuit, values: Mapping[int, int]) -> Circuit:
         Gate.const(plugged[g.name]) if g.op == PARAM else g for g in c.gates
     ]
     return circuit(gates)
-
-
-def constants_to_params(c: Circuit) -> Circuit:
-    """Turn const gates into param gates with their values plugged."""
-    gates = []
-    plugged = c.plugged_map
-    next_param = c.n_params
-    for g in c.gates:
-        if g.op == CONST:
-            next_param += 1
-            plugged[next_param] = g.value
-            gates.append(Gate.param(next_param))
-        else:
-            gates.append(g)
-    return circuit(gates, plugged)
 
 
 def resolve_plugged(c: Circuit) -> Circuit:

@@ -10,15 +10,17 @@ These are the stock decoders used by the CLI and the test suites:
                 descriptions that fail to decode, or decode outside the
                 slice, fall back to the constant-0 circuit.
 
+The first three are template classes: one circuit with a param gate per
+coefficient, whose k-th description bit (from 1) is the value of pk.
 Decoder surjectivity onto an intended class is a trust assumption; nothing
 here can verify it for the all-circuits encoding.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from .circuit import Circuit, Gate, circuit, representation_size
+from .circuit import Circuit, Gate, circuit
 from .errors import CircuitValidationError
 from .hitting import DefinableClass, zero_circuit
 
@@ -31,65 +33,56 @@ def _sum_chain(gates: List[Gate], terms: List[int]) -> int:
     return acc
 
 
+def _bits(x: str) -> Tuple[int, ...]:
+    return tuple(int(ch) for ch in x)
+
+
 def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:
     """All 2^(2^n) multilinear 0/1-coefficient polynomials in n variables."""
     m = 1 << n
-
-    def decoder(x: str) -> Circuit:
-        gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
-        terms = []
-        for mask in range(m):
-            gates.append(Gate.const(int(x[mask])))
-            acc = len(gates) - 1
-            for j in range(n):
-                if mask >> j & 1:
-                    gates.append(Gate.mul(acc, j))
-                    acc = len(gates) - 1
-            terms.append(acc)
-        _sum_chain(gates, terms)
-        return circuit(gates)
-
-    probe = decoder("0" * m)
+    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
+    terms = []
+    for mask in range(m):
+        gates.append(Gate.param(mask + 1))
+        acc = len(gates) - 1
+        for j in range(n):
+            if mask >> j & 1:
+                gates.append(Gate.mul(acc, j))
+                acc = len(gates) - 1
+        terms.append(acc)
+    _sum_chain(gates, terms)
     return DefinableClass(
-        decoder=decoder, n=n, d=max(d, 1), s=s or representation_size(probe), m=m,
-        e="multilinear",
+        decoder=None, template=circuit(gates), params_of=_bits,
+        n=n, d=max(d, 1), s=s, m=m, e="multilinear",
     )
 
 
 def linear_class(n: int, s: int = 0) -> DefinableClass:
     """The 2^n sums of a subset of the variables (degree 1)."""
-
-    def decoder(x: str) -> Circuit:
-        gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
-        terms = []
-        for j in range(n):
-            gates.append(Gate.const(int(x[j])))
-            gates.append(Gate.mul(len(gates) - 1, j))
-            terms.append(len(gates) - 1)
-        _sum_chain(gates, terms)
-        return circuit(gates)
-
-    probe = decoder("0" * n)
+    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
+    terms = []
+    for j in range(n):
+        gates.append(Gate.param(j + 1))
+        gates.append(Gate.mul(len(gates) - 1, j))
+        terms.append(len(gates) - 1)
+    _sum_chain(gates, terms)
     return DefinableClass(
-        decoder=decoder, n=n, d=1, s=s or representation_size(probe), m=n, e="linear"
+        decoder=None, template=circuit(gates), params_of=_bits,
+        n=n, d=1, s=s, m=n, e="linear",
     )
 
 
 def monomial_class(n: int, s: int = 0) -> DefinableClass:
     """{0, z_1 * z_2 * ... * z_n}, description length 1."""
-
-    def decoder(x: str) -> Circuit:
-        gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
-        gates.append(Gate.const(int(x)))
+    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
+    gates.append(Gate.param(1))
+    acc = len(gates) - 1
+    for j in range(n):
+        gates.append(Gate.mul(acc, j))
         acc = len(gates) - 1
-        for j in range(n):
-            gates.append(Gate.mul(acc, j))
-            acc = len(gates) - 1
-        return circuit(gates)
-
-    probe = decoder("0")
     return DefinableClass(
-        decoder=decoder, n=n, d=1, s=s or representation_size(probe), m=1, e="monomial"
+        decoder=None, template=circuit(gates), params_of=_bits,
+        n=n, d=1, s=s, m=1, e="monomial",
     )
 
 

@@ -13,7 +13,7 @@ evaluation is exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .circuit import ADD, MUL, PARAM, VAR, Circuit, syntactic_total_degree
 from .config import DEFAULT_BITLEN_GUARD
@@ -50,6 +50,9 @@ def eval_gates(
 
     Callers are expected to have validated the degree bound once; the hot
     loops (cube scans, hitting-set verification) go through here.
+    ``params[k - 1]`` is the value of parameter pk unless ``c`` has pk
+    plugged; a class member ``(template, params)`` is evaluated as
+    ``eval_gates(template, point, params)``.
     """
     plugged = c.plugged_map
     values = [0] * len(c.gates)
@@ -85,20 +88,3 @@ def eval_arithmetic(
     if total > degree_bound:
         raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
     return eval_gates(c, asg.vars, asg.params, bitlen_guard)
-
-
-def eval_many(
-    c: Circuit,
-    points: Iterable[Tuple[int, ...]],
-    degree_bound: int | None = None,
-    bitlen_guard: int = DEFAULT_BITLEN_GUARD,
-):
-    """Yield evaluations at many variable assignments, checking degree once."""
-    if degree_bound is not None:
-        total = syntactic_total_degree(c)
-        if total > degree_bound:
-            raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
-    for p in points:
-        if len(p) != c.n_vars:
-            raise DimensionMismatchError(f"point {p!r} for dimension {c.n_vars}")
-        yield eval_gates(c, p, (), bitlen_guard)

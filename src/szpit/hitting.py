@@ -1,7 +1,8 @@
 """Hitting sets for definable classes of algebraic circuits.
 
-A class is given by a decoding function: bitstrings of length m map to
-circuits with at most n variables, maximum individual syntactic degree at
+A class is given by a decoding function, or by one template circuit and
+a map to its parameter values: bitstrings of length m map to circuits
+with at most n variables, maximum individual syntactic degree at
 most d, and representation size at most s.  Decoder outputs violating that
 contract are silently replaced by the trivial constant-0 circuit, which
 keeps every description meaningful.
@@ -19,12 +20,15 @@ necessarily a hitting set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from operator import mul
+from typing import Callable, Iterator, Optional, Tuple
 
-from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, representation_size
-from .codec import SZContext, RootCode, all_codes, decode_code
+from .circuit import PARAM, Circuit, Gate, analyze_degrees, circuit, pad_vars, plug_params
+from .circuit import representation_size
+from .codec import SZContext, all_codes, decode_code
 from .config import (
     DEFAULT_BITLEN_GUARD,
     DEFAULT_CLASS_CAP,
@@ -96,17 +100,26 @@ def zero_circuit(n: int = 0) -> Circuit:
     return pad_vars(circuit([Gate.const(0)]), n)
 
 
+Params = Tuple[int, ...]
+
+
 @dataclass
 class DefinableClass:
     """A decoder-presented class of at most 2^m algebraic circuits.
 
-    ``decoder`` maps a description bitstring of length m to a circuit.
-    Outputs outside Ckt(n, d, s) are replaced by the constant-0 circuit;
-    surjectivity of caller-supplied decoders onto their intended class is a
-    trust assumption that cannot be verified here.
+    :meth:`decode` gives the member at description x as ``(template,
+    params)``, evaluated by ``eval_gates(template, point, params)``.  A
+    template class gives ``template`` and ``params_of`` (x -> values of
+    p1, p2, ...): its members share one gate layout, so variable count and
+    degree are checked once per class and each member's size in O(#params);
+    ``s = 0`` means the size of the all-zero member.  A decoder class gives
+    ``decoder`` (x -> circuit); its members are ``(circuit, ())``, each
+    fully checked.  Members outside Ckt(n, d, s) are replaced by the
+    constant-0 circuit; surjectivity of caller-supplied decoders onto their
+    intended class is a trust assumption that cannot be verified here.
     """
 
-    decoder: Callable[[str], Circuit]
+    decoder: Optional[Callable[[str], Circuit]]
     n: int
     d: int
     s: int
@@ -115,31 +128,56 @@ class DefinableClass:
     # Membership sampler for classes too large to enumerate: maps an Rng to
     # a description.  Verification then degrades to seeded spot-checking.
     sampler: Optional[Callable[["Rng"], str]] = None
-    _cache: Dict[str, Circuit] = field(default_factory=dict, repr=False)
+    template: Optional[Circuit] = None
+    params_of: Optional[Callable[[str], Params]] = None
 
     def __post_init__(self):
+        if (self.decoder is None) == (self.template is None):
+            raise PreconditionError("a class needs exactly one of decoder and template")
+        if self.template is not None:
+            self._init_template()
         if self.n < 1 or self.d < 1 or self.s < 1 or self.m < 0:
             raise PreconditionError("class parameters must satisfy n,d,s >= 1 and m >= 0")
+        self._zero = zero_circuit(self.n)
+
+    def _init_template(self) -> None:
+        if self.template.plugged:
+            raise PreconditionError("a class template must not carry plugged values")
+        fits = self.template.n_vars <= self.n
+        t = self.template = pad_vars(self.template, self.n) if fits else self.template
+        self._template_fits = fits and analyze_degrees(t).max_individual <= self.d
+        uses = Counter(g.name for g in t.gates if g.op == PARAM)
+        self._size_uses = [uses[k] for k in range(1, t.n_params + 1)]
+        zero_size = representation_size(plug_params(t, dict.fromkeys(uses, 0)))
+        # Each use of a param writes its value where the zero wrote one digit.
+        self._size_fixed = zero_size - 8 * sum(self._size_uses)
+        self.s = self.s or zero_size
+
+    def member_size(self, params: Params) -> int:
+        """representation_size of the template with these params plugged."""
+        return self._size_fixed + 8 * sum(map(mul, self._size_uses, map(len, map(str, params))))
 
     def descriptions(self) -> Iterator[str]:
         for bits in product("01", repeat=self.m):
             yield "".join(bits)
 
-    def decode(self, x: str) -> Circuit:
+    def decode(self, x: str) -> Tuple[Circuit, Params]:
+        """The member at description x, as ``(template, params)``."""
         if len(x) != self.m or any(ch not in "01" for ch in x):
             raise PreconditionError(f"description {x!r} is not a bitstring of length {self.m}")
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
+        if self.template is not None:
+            params = tuple(self.params_of(x))
+            fits = self._template_fits and len(params) == self.template.n_params
+            if fits and self.member_size(params) <= self.s:
+                return self.template, params
+            return self._zero, ()
         try:
-            raw = self.decoder(x)
-            member = pad_vars(raw, self.n)
-            if not self._in_ckt(member):
-                member = zero_circuit(self.n)
+            member = pad_vars(self.decoder(x), self.n)
+            if self._in_ckt(member):
+                return member, ()
         except SzpitError:
-            member = zero_circuit(self.n)
-        self._cache[x] = member
-        return member
+            pass
+        return self._zero, ()
 
     def _in_ckt(self, c: Circuit) -> bool:
         if c.n_vars > self.n or not c.fully_plugged:
@@ -148,9 +186,14 @@ class DefinableClass:
             return False
         return analyze_degrees(c).max_individual <= self.d
 
+    def member(self, x: str) -> Circuit:
+        """The member at description x as one circuit, params plugged."""
+        ckt, params = self.decode(x)
+        return plug_params(ckt, dict(enumerate(params, 1))) if params else ckt
+
     def members(self) -> Iterator[Tuple[str, Circuit]]:
         for x in self.descriptions():
-            yield x, self.decode(x)
+            yield x, self.member(x)
 
 
 @dataclass(frozen=True)
@@ -179,8 +222,10 @@ def find_small_witness(
     rng: Optional[Rng] = None,
     cap: int = DEFAULT_EXHAUSTION_CAP,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
+    params: Params = (),
 ) -> Tuple[int, ...]:
-    """Find a point of S_q^n where the circuit is nonzero.
+    """Find a point of S_q^n where the member ``(ckt, params)``, as given by
+    :meth:`DefinableClass.decode`, evaluates nonzero.
 
     Requires q >= 2dn, which guarantees that a non-vanishing circuit is
     nonzero on at least half the cube, so seeded uniform sampling finds a
@@ -198,16 +243,16 @@ def find_small_witness(
     if hint is not None:
         if len(hint) != n:
             raise DimensionMismatchError("hint has the wrong dimension")
-        if eval_gates(ckt, tuple(hint), (), bitlen_guard) == 0:
+        if eval_gates(ckt, tuple(hint), params, bitlen_guard) == 0:
             raise PreconditionError("hint is not a non-root")
     rng = rng or Rng(0, "witness")
     for _ in range(budget):
         w = rng.point(n, q)
-        if eval_gates(ckt, w, (), bitlen_guard) != 0:
+        if eval_gates(ckt, w, params, bitlen_guard) != 0:
             return w
     if q**n <= cap:
         for w in product(range(q), repeat=n):
-            if eval_gates(ckt, w, (), bitlen_guard) != 0:
+            if eval_gates(ckt, w, params, bitlen_guard) != 0:
                 return w
         if hint is not None:
             raise SzpitError(
@@ -216,23 +261,6 @@ def find_small_witness(
             )
         raise ZeroOnCubeError(trials=budget, points=q**n)
     raise WitnessBudgetError(trials=budget)
-
-
-def g_map(
-    cls: DefinableClass,
-    x: str,
-    a: Tuple[int, ...],
-    codes: Iterable[RootCode],
-    q: int,
-) -> Tuple[Tuple[int, ...], ...]:
-    """Batch-decode candidate root codes against member x at reference a.
-
-    When the member vanishes at a, every component decodes to the all-zero
-    point, so the output is the all-zero tuple (the don't-care value).
-    """
-    member = cls.decode(x)
-    ctx = SZContext(member, cls.n, cls.d, q, a)
-    return tuple(decode_code(ctx, code) for code in codes)
 
 
 def verify_hitting_set(
@@ -268,15 +296,15 @@ def verify_hitting_set(
             "class supplies no membership sampler"
         )
     for idx, x in enumerate(descriptions):
-        member = cls.decode(x)
+        ckt, params = cls.decode(x)
         try:
             witness = find_small_witness(
-                member, cls.n, cls.d, h.q,
-                budget=witness_budget, rng=rng.split(f"{idx}:{x}"), cap=cap,
+                ckt, cls.n, cls.d, h.q,
+                budget=witness_budget, rng=rng.split(f"{idx}:{x}"), cap=cap, params=params,
             )
         except ZeroOnCubeError:
             continue  # vanishing member: hit vacuously
-        if all(eval_gates(member, p) == 0 for p in h.points):
+        if all(eval_gates(ckt, p, params) == 0 for p in h.points):
             return HSVerdict(hits=False, x=x, witness=witness, exhaustive=exhaustive)
     return HSVerdict(hits=True, exhaustive=exhaustive)
 
@@ -337,7 +365,7 @@ def nonrange_is_hitting(
     codes = tuple(all_codes(n, d, q))
     target = h.points
     for x in cls.descriptions():
-        member = cls.decode(x)
+        member = cls.member(x)
         for a in product(range(q), repeat=n):
             ctx = SZContext(member, n, d, q, a)
             decoded = {code: decode_code(ctx, code) for code in codes}

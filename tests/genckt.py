@@ -10,6 +10,8 @@ from typing import Optional
 from szpit.circuit import Circuit, Gate, analyze_degrees, circuit
 from szpit.rng import Rng
 
+from helpers import var_max
+
 
 def random_circuit(
     rng: Rng,
@@ -60,7 +62,7 @@ def random_circuit_bounded(
         rep = analyze_degrees(c)
         if rep.max_individual > max_individual:
             continue
-        if require_nonzero_degree and rep.var_max() < 1:
+        if require_nonzero_degree and var_max(rep) < 1:
             continue
         return c
     return None

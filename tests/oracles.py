@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
+from szpit.boolfunc import BoolFunc, Bits
 from szpit.circuit import ADD, CONST, PARAM, VAR, Circuit
 
 
@@ -143,3 +144,13 @@ def eval_expansion(m: Monomials, point: Tuple[int, ...]) -> int:
 def brute_roots(c: Circuit, n: int, q: int):
     """Exhaustive root scan via the naive evaluator."""
     return [p for p in product(range(q), repeat=n) if naive_eval(c, p) == 0]
+
+
+def amplify_steps(g: BoolFunc, x: Bits, t: int) -> List[Bits]:
+    """[h_0(x), h_1(x), ..., h_t(x)], each round spelled out by its
+    definition h_j(x) = g(h_{j-1}(x)[first m]) : h_{j-1}(x)[rest]."""
+    m = g.in_bits
+    states = [x]
+    for _ in range(t):
+        states.append(g(states[-1][:m]) + states[-1][m:])
+    return states

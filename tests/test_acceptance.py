@@ -11,7 +11,6 @@ from itertools import product
 from szpit.avoid import (
     AvoidInstance,
     amplify,
-    amplify_steps,
     avoid_via_hitting,
     build_avoid_class,
     desk_schedule,
@@ -38,6 +37,7 @@ from szpit.rng import Rng
 from szpit.unipoly import UniPoly, enumerate_roots, eval_unipoly, extract_unipoly
 
 from genckt import random_circuit_bounded
+from oracles import amplify_steps
 
 
 def _report(number: int, label: str, started: float, budget: float) -> None:

@@ -8,7 +8,6 @@ from szpit.avoid import (
     AvoidInstance,
     ExhaustiveOracle,
     amplify,
-    amplify_steps,
     avoid_via_hitting,
     build_avoid_class,
     desk_schedule,
@@ -34,6 +33,8 @@ from szpit.errors import (
 from szpit.evaluator import eval_gates
 from szpit.hitting import bitlen, search_hitting_set
 from szpit.rng import Rng
+
+from oracles import amplify_steps
 
 
 def random_instance(rng, a, b=None):
@@ -436,3 +437,18 @@ def test_avoid_with_large_codomain():
     result = avoid_via_hitting(inst, seed=2)
     assert 1 <= result.value <= 18
     assert result.value in solution_set(inst)
+
+
+def test_amplify_matches_the_round_by_round_definition():
+    # Criterion-8 sizes: every x for m <= 3, stretches up to 5 rounds.
+    rng = Rng(419, "amplify-steps")
+    for m in (1, 2, 3):
+        for trial in range(4):
+            r = rng.split(f"{m}:{trial}")
+            g = BoolFunc(m, m + 1, tuple(
+                int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
+            ))
+            for t in range(1, 6):
+                h = amplify(g, t)
+                for x in g.inputs():
+                    assert h(x) == amplify_steps(g, x, t)[-1]

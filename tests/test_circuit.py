@@ -7,7 +7,6 @@ from szpit.circuit import (
     Gate,
     analyze_degrees,
     circuit,
-    constants_to_params,
     parse_circuit,
     plug_params,
     representation_size,
@@ -20,7 +19,8 @@ from szpit.errors import CircuitSyntaxError, CircuitValidationError
 from szpit.rng import Rng
 
 from genckt import random_circuit
-from oracles import degree_oracle
+from helpers import constants_to_params, count_degree_passes
+from oracles import degree_oracle, naive_eval
 
 PRODUCT_TEXT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
 
@@ -171,3 +171,37 @@ def test_representation_size_dominates_gate_count():
 
 def test_validate_is_idempotent_on_good_circuit():
     validate(product_circuit())
+
+
+def test_serialize_writes_plugged_params_as_consts():
+    c = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)], {1: 5})
+    text = serialize_circuit(c)
+    assert "param" not in text and "g1 = const 5" in text
+    back = parse_circuit(text)
+    for x in range(-3, 4):
+        assert naive_eval(back, (x,)) == naive_eval(c, (x,)) == 5 * x
+
+
+def test_serialize_renumbers_the_unplugged_params():
+    c = circuit([Gate.param(1), Gate.param(2), Gate.mul(0, 1)], {1: -7})
+    back = parse_circuit(serialize_circuit(c))
+    assert back.n_params == 1
+    assert naive_eval(back, (), (3,)) == naive_eval(c, (), (0, 3)) == -21
+
+
+def test_representation_size_counts_plugged_digits():
+    gates = [Gate.var(1), Gate.param(1), Gate.mul(0, 1)]
+    small = representation_size(circuit(gates, {1: 5}))
+    huge = representation_size(circuit(gates, {1: 10**100}))
+    assert huge - small == 8 * 100
+    assert small == representation_size(plug_params(circuit(gates), {1: 5}))
+
+
+def test_analyze_degrees_runs_once_per_circuit_object(monkeypatch):
+    calls = count_degree_passes(monkeypatch)
+    c = product_circuit()
+    assert analyze_degrees(c) is analyze_degrees(c)
+    assert len(calls) == 1
+    # Equal circuits are still distinct objects with reports of their own.
+    assert analyze_degrees(product_circuit()) == analyze_degrees(c)
+    assert len(calls) == 2

@@ -27,11 +27,13 @@ def test_multilinear_members_evaluate_like_their_bits():
 def test_linear_and_monomial_shapes():
     lin = linear_class(3)
     assert lin.m == 3
-    member = lin.decode("101")
-    assert eval_gates(member, (5, 7, 11)) == 5 + 11
+    member, params = lin.decode("101")
+    assert eval_gates(member, (5, 7, 11), params) == 5 + 11
     mono = monomial_class(3)
-    assert eval_gates(mono.decode("1"), (2, 3, 4)) == 24
-    assert eval_gates(mono.decode("0"), (2, 3, 4)) == 0
+    member, params = mono.decode("1")
+    assert eval_gates(member, (2, 3, 4), params) == 24
+    member, params = mono.decode("0")
+    assert eval_gates(member, (2, 3, 4), params) == 0
 
 
 def test_all_circuits_decoder_is_total():

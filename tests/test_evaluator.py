@@ -4,10 +4,11 @@ import pytest
 
 from szpit.circuit import Gate, circuit, syntactic_total_degree
 from szpit.errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
-from szpit.evaluator import Assignment, eval_arithmetic, eval_gates, eval_many
+from szpit.evaluator import Assignment, eval_arithmetic, eval_gates
 from szpit.rng import Rng
 
 from genckt import random_circuit
+from helpers import constants, eval_many
 from oracles import naive_eval
 
 
@@ -74,7 +75,7 @@ def test_output_bitlength_bound():
         t = len(c.gates)
         s = max(
             [abs(v).bit_length() for v in point]
-            + [abs(v).bit_length() for v in c.constants()]
+            + [abs(v).bit_length() for v in constants(c)]
             + [1]
         )
         assert abs(value).bit_length() <= d * (s + t) + 1

@@ -1,11 +1,15 @@
-"""Golden files: the text formats are bit-exact and diff-able."""
+"""Golden files: the text formats are bit-exact and diff-able, and the
+avoid pipeline's outputs and traces are pinned by digest."""
 
+import hashlib
 import json
 import pathlib
 
+from szpit.avoid import AvoidInstance, avoid_via_hitting
 from szpit.boolfunc import parse_bool_circuit, serialize_bool_circuit
 from szpit.circuit import analyze_degrees, parse_circuit, serialize_circuit
 from szpit.cli import main
+from szpit.rng import Rng
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -45,3 +49,21 @@ def test_cli_json_golden(capsys, tmp_path):
         "max_individual": 2,
         "individual": {"g3": 1, "g7": 1, "p1": 1, "x1": 2, "x2": 1},
     }
+
+
+# sha256 over repr((value, sorted(trace.items()))) of the 50 acceptance
+# criterion-9 instances, in order.  Speed-ups must leave it unchanged.
+CRITERION_9_DIGEST = "b2877dd0305dec994bd1efeaa59262e475424873bab5ab67d08227993de6d609"
+
+
+def test_criterion_9_values_and_traces_are_pinned():
+    rng = Rng(1009, "c9")
+    digest = hashlib.sha256()
+    for trial in range(50):
+        r = rng.split(str(trial))
+        a = r.randint(1, 16)
+        b = 2 * a + r.randint(0, 8)
+        inst = AvoidInstance(a, b, tuple(r.randint(1, b) for _ in range(a)))
+        result = avoid_via_hitting(inst, seed=trial)
+        digest.update(repr((result.value, sorted(result.trace.items()))).encode())
+    assert digest.hexdigest() == CRITERION_9_DIGEST

@@ -12,7 +12,6 @@ from szpit.hitting import (
     HittingSet,
     bitlen,
     find_small_witness,
-    g_map,
     largeness_holds,
     nonrange_is_hitting,
     parse_hitting_set,
@@ -22,6 +21,8 @@ from szpit.hitting import (
     zero_circuit,
 )
 from szpit.rng import Rng
+
+from helpers import g_map
 
 
 def product_circuit():
@@ -96,8 +97,8 @@ def test_class_decoder_fallback_to_zero():
     # Decoder output outside Ckt(n, d, s) is replaced by the zero circuit.
     big = circuit([Gate.var(1), Gate.mul(0, 0), Gate.mul(1, 1)])  # degree 4
     cls = DefinableClass(decoder=lambda x: big, n=1, d=2, s=4096, m=1)
-    member = cls.decode("0")
-    assert all(eval_gates(member, (u,)) == 0 for u in range(4))
+    member, params = cls.decode("0")
+    assert all(eval_gates(member, (u,), params) == 0 for u in range(4))
 
 
 def test_search_finds_verified_hitting_set():

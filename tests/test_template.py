@@ -1,0 +1,145 @@
+"""Template classes: one shared circuit per class, members as parameter vectors."""
+
+from itertools import product
+
+import pytest
+
+from szpit.avoid import AvoidInstance, amplify, build_avoid_class, desk_schedule, normalize
+from szpit.circuit import Gate, circuit, plug_params, representation_size
+from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
+from szpit.errors import PreconditionError
+from szpit.evaluator import eval_gates
+from szpit.hitting import DefinableClass, HittingSet, search_hitting_set, verify_hitting_set
+from szpit.rng import Rng
+
+from helpers import count_degree_passes
+from oracles import naive_eval
+
+
+def avoid_parts(a, seed=7):
+    rng = Rng(seed, f"template:{a}")
+    b = 2 * a + rng.randint(0, 8)
+    inst = AvoidInstance(a, b, tuple(rng.randint(1, b) for _ in range(a)))
+    g, _ = normalize(inst)
+    sched = desk_schedule(g.in_bits)
+    return amplify(g, sched.t_prime - g.in_bits), sched
+
+
+def avoid_class(a):
+    return build_avoid_class(*avoid_parts(a))
+
+
+def digits_class():
+    # p1 * x1 with p1 = 10^x: the members with 4 or more digits are too big.
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    s = representation_size(plug_params(template, {1: 100}))
+    return DefinableClass(
+        decoder=None, template=template, params_of=lambda x: (10 ** int(x, 2),),
+        n=1, d=1, s=s, m=2,
+    )
+
+
+def high_degree_class():
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 0), Gate.mul(2, 1)])
+    return DefinableClass(
+        decoder=None, template=template, params_of=lambda x: (int(x),), n=1, d=1, s=0, m=1,
+    )
+
+
+def wide_class():
+    template = circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.mul(0, 2)])
+    return DefinableClass(
+        decoder=None, template=template, params_of=lambda x: (int(x),), n=1, d=1, s=4096, m=1,
+    )
+
+
+CLASSES = {
+    "avoid-m1": lambda: avoid_class(2),
+    "avoid-m2": lambda: avoid_class(4),
+    "avoid-m3": lambda: avoid_class(8),
+    "multilinear": lambda: multilinear_class(2, d=2),
+    "linear": lambda: linear_class(3),
+    "monomial": lambda: monomial_class(3),
+    "digits": digits_class,
+    "high-degree": high_degree_class,
+    "wide": wide_class,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_template_members_match_plugged_members(name):
+    cls = CLASSES[name]()
+    rng = Rng(421, f"template-diff:{name}")
+    zero_point = (0,) * cls.n
+    fitting = 0
+    for x in cls.descriptions():
+        params = tuple(cls.params_of(x))
+        member = plug_params(cls.template, dict(enumerate(params, 1)))
+        assert cls.member_size(params) == representation_size(member)
+        in_slice = cls._in_ckt(member)
+        ckt, got = cls.decode(x)
+        if in_slice:
+            fitting += 1
+            assert ckt is cls.template and got == params
+            assert cls.member(x) == member
+        else:
+            assert got == () and eval_gates(ckt, zero_point) == 0
+        for _ in range(3):
+            point = tuple(rng.randint(-20, 20) for _ in range(cls.n))
+            want = naive_eval(member, point) if in_slice else 0
+            assert eval_gates(ckt, point, got) == want
+    if name in ("high-degree", "wide"):
+        assert fitting == 0
+    elif name == "digits":
+        assert fitting == 3
+    else:
+        assert fitting == 2**cls.m
+
+
+def test_verifying_an_avoid_class_analyses_its_template_once(monkeypatch):
+    h, sched = avoid_parts(16)
+    h_set = search_hitting_set(build_avoid_class(h, sched), sched.q, sched.r, seed=5)
+    calls = count_degree_passes(monkeypatch)
+    cls = build_avoid_class(h, sched)
+    assert cls.m == 4
+    assert verify_hitting_set(cls, h_set).hits  # all 16 members checked
+    assert calls == [cls.template]
+
+
+def test_avoid_class_size_matches_the_all_zero_member():
+    cls = avoid_class(4)
+    zero_member = plug_params(cls.template, {k: 0 for k in range(1, cls.template.n_params + 1)})
+    assert cls.s == representation_size(zero_member)
+
+
+def test_decoder_classes_present_members_without_params():
+    cls = all_circuits_class(n=2, d=2, s=2048, m=4)
+    for x in cls.descriptions():
+        ckt, params = cls.decode(x)
+        assert params == () and cls.member(x) == ckt
+
+
+def test_a_class_needs_exactly_one_presentation():
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    with pytest.raises(PreconditionError):
+        DefinableClass(decoder=lambda x: template, template=template,
+                       params_of=lambda x: (1,), n=1, d=1, s=4096, m=1)
+    with pytest.raises(PreconditionError):
+        DefinableClass(decoder=None, n=1, d=1, s=4096, m=1)
+
+
+def test_template_class_rejects_plugged_template():
+    plugged = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)], {1: 3})
+    with pytest.raises(PreconditionError):
+        DefinableClass(decoder=None, template=plugged, params_of=lambda x: (),
+                       n=1, d=1, s=4096, m=1)
+
+
+def test_template_hitting_set_verdicts_match_plugged_members():
+    # The same class as a template and as a decoder of plugged members
+    # gives the same verdict and miss on every single-point H.
+    tmpl = multilinear_class(2, d=2)
+    plain = DefinableClass(decoder=tmpl.member, n=2, d=2, s=tmpl.s, m=tmpl.m)
+    for point in product(range(8), repeat=2):
+        h = HittingSet((point,), 2, 8)
+        assert verify_hitting_set(tmpl, h, seed=3) == verify_hitting_set(plain, h, seed=3)
