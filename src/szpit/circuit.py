@@ -2,10 +2,12 @@
 
 A circuit is a straight-line program: an ordered sequence of gates
 ``g0, g1, ..., gt`` where each gate is a variable input, a parameter input,
-a plugged integer constant, or an addition/multiplication of two strictly
-earlier gates.  The last gate is the output.  There is no division,
-subtraction, or power gate; subtraction is expressed with ``const -1`` and
-``mul``.
+an integer constant, or an addition/multiplication of two strictly earlier
+gates.  The last gate is the output.  There is no division, subtraction, or
+power gate; subtraction is expressed with ``const -1`` and ``mul``.  A
+parameter gets its value in one of two ways: per evaluation
+(``eval_gates(c, x, params)``), or for good through :func:`plug_params`,
+which replaces each parameter gate by a const gate.
 
 Text format (one statement per line, ``#`` starts a comment, gate ids must
 be 0, 1, 2, ... in order, files use extension ``.ac``)::
@@ -20,9 +22,8 @@ be 0, 1, 2, ... in order, files use extension ``.ac``)::
 Degree analysis is syntactic: variable, parameter and constant inputs all
 contribute degree 1, addition takes the max of its operands, multiplication
 the sum.  Individual degrees are tracked per input; constant gates count as
-anonymous inputs keyed by their gate id (a constant gate is a parameter
-gate with its value plugged).  Degrees are plain Python integers because a
-t-gate circuit can reach degree 2^t.
+anonymous inputs keyed by their gate id.  Degrees are plain Python
+integers because a t-gate circuit can reach degree 2^t.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -34,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import CircuitSyntaxError, CircuitValidationError
+from .errors import CircuitSyntaxError, CircuitValidationError, PreconditionError
 
 VAR = "var"
 PARAM = "param"
@@ -89,7 +90,6 @@ class Circuit:
     gates: Tuple[Gate, ...]
     n_vars: int
     n_params: int
-    plugged: Tuple[Tuple[int, int], ...] = ()  # sorted (param name, value) pairs
     # Filled by the first analyze_degrees call on this object.
     _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
 
@@ -100,22 +100,13 @@ class Circuit:
     def output(self) -> int:
         return len(self.gates) - 1
 
-    @property
-    def plugged_map(self) -> Dict[int, int]:
-        return dict(self.plugged)
 
-    @property
-    def fully_plugged(self) -> bool:
-        return len(self.plugged) == self.n_params
-
-
-def circuit(gates: Iterable[Gate], plugged: Optional[Mapping[int, int]] = None) -> Circuit:
+def circuit(gates: Iterable[Gate]) -> Circuit:
     """Build a circuit, inferring dimensions from the gate list."""
     gates = tuple(gates)
     n_vars = max((g.name for g in gates if g.op == VAR), default=0)
     n_params = max((g.name for g in gates if g.op == PARAM), default=0)
-    pairs = tuple(sorted((plugged or {}).items()))
-    return Circuit(gates, n_vars, n_params, pairs)
+    return Circuit(gates, n_vars, n_params)
 
 
 def validate(c: Circuit) -> None:
@@ -151,9 +142,6 @@ def validate(c: Circuit) -> None:
         raise CircuitValidationError(
             f"gap in parameter naming: saw {sorted(param_names)}, n_params={c.n_params}"
         )
-    for name, _ in c.plugged:
-        if name not in param_names:
-            raise CircuitValidationError(f"plugged value for unknown parameter p{name}")
 
 
 @dataclass(frozen=True)
@@ -323,13 +311,7 @@ def _first_mismatch_col(line: str) -> int:
 
 
 def serialize_circuit(c: Circuit) -> str:
-    """Canonical text: gates in index order, single spaces, final output line.
-
-    Plugged parameters are written as const lines carrying their values (the
-    remaining parameters are renumbered), so the text, and with it
-    :func:`representation_size`, accounts for every plugged integer.
-    """
-    c = resolve_plugged(c)
+    """Canonical text: gates in index order, single spaces, final output line."""
     lines = []
     for i, g in enumerate(c.gates):
         if g.op == VAR:
@@ -353,37 +335,21 @@ def representation_size(c: Circuit) -> int:
 
 def plug_params(c: Circuit, values: Mapping[int, int]) -> Circuit:
     """Replace parameter gates with const gates carrying the given values."""
-    missing = set(range(1, c.n_params + 1)) - set(values) - {k for k, _ in c.plugged}
+    missing = set(range(1, c.n_params + 1)) - set(values)
     if missing:
         raise CircuitValidationError(f"no value for parameters {sorted(missing)}")
-    plugged = {**c.plugged_map, **dict(values)}
     gates = [
-        Gate.const(plugged[g.name]) if g.op == PARAM else g for g in c.gates
+        Gate.const(values[g.name]) if g.op == PARAM else g for g in c.gates
     ]
     return circuit(gates)
 
 
-def resolve_plugged(c: Circuit) -> Circuit:
-    """Replace every plugged parameter gate by a const gate.
-
-    Parameters that remain unplugged keep their gates; when all parameters
-    are plugged the result is parameter-free.
-    """
-    if not c.plugged:
-        return c
-    plugged = c.plugged_map
-    gates = []
-    name_map: Dict[int, int] = {}
-    for g in c.gates:
-        if g.op == PARAM and g.name in plugged:
-            gates.append(Gate.const(plugged[g.name]))
-        elif g.op == PARAM:
-            if g.name not in name_map:
-                name_map[g.name] = len(name_map) + 1
-            gates.append(Gate.param(name_map[g.name]))
-        else:
-            gates.append(g)
-    return circuit(gates)
+def require_parameter_free(c: Circuit, what: str) -> None:
+    """Refuse c if it has parameter gates; ``what`` names the consumer."""
+    if c.n_params:
+        raise PreconditionError(
+            f"{what} needs a parameter-free circuit; plug_params supplies values"
+        )
 
 
 def pad_vars(c: Circuit, n: int) -> Circuit:
@@ -401,4 +367,4 @@ def pad_vars(c: Circuit, n: int) -> Circuit:
             shifted.append(Gate(g.op, lhs=g.lhs + offset, rhs=g.rhs + offset))
         else:
             shifted.append(g)
-    return circuit(extra + tuple(shifted), c.plugged_map or None)
+    return circuit(extra + tuple(shifted))

@@ -35,7 +35,7 @@ from .circuit import (
     Gate,
     analyze_degrees,
     circuit,
-    resolve_plugged,
+    require_parameter_free,
 )
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP, DEFAULT_Q_CAP
 from .errors import (
@@ -99,9 +99,7 @@ class SZContext:
         q_cap: int = DEFAULT_Q_CAP,
         bitlen_guard: int = DEFAULT_BITLEN_GUARD,
     ):
-        ckt = resolve_plugged(ckt)
-        if ckt.n_params:
-            raise PreconditionError("context circuit must have all parameters plugged")
+        require_parameter_free(ckt, "the codec")
         if n < 1:
             raise PreconditionError("the codec needs dimension n >= 1")
         if n != ckt.n_vars:
@@ -166,8 +164,7 @@ def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
     never rise under restriction, so the result stays within the same
     degree budget as c.
     """
-    if c.n_params:
-        raise PreconditionError("restriction needs a fully plugged circuit")
+    require_parameter_free(c, "restriction")
     if len(fixed) != c.n_vars - 1:
         raise DimensionMismatchError(
             f"{len(fixed)} fixed values for {c.n_vars} variables"
@@ -282,7 +279,7 @@ def count_roots_brute(
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
     """|{b in S_q^n : P(b) = 0}| by exhaustive evaluation."""
-    ckt = resolve_plugged(ckt)
+    require_parameter_free(ckt, "root counting")
     if n != ckt.n_vars:
         raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
     if q**n > cap:
@@ -301,7 +298,7 @@ def cube_roots(
     cap: int = DEFAULT_EXHAUSTION_CAP,
 ) -> List[Tuple[int, ...]]:
     """The full root set Z_{P,q} in lexicographic order (test-scale only)."""
-    ckt = resolve_plugged(ckt)
+    require_parameter_free(ckt, "root listing")
     if q**n > cap:
         raise CapExceededError(f"q^n = {q ** n} exceeds the cap {cap}")
     return [p for p in product(range(q), repeat=n) if eval_gates(ckt, p) == 0]

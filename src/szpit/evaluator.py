@@ -33,8 +33,7 @@ def _check_dims(c: Circuit, asg: Assignment) -> None:
         raise DimensionMismatchError(
             f"{len(asg.vars)} variable values for dimension {c.n_vars}"
         )
-    # An empty params vector is accepted when every parameter is plugged.
-    if len(asg.params) != c.n_params and not (not asg.params and c.fully_plugged):
+    if len(asg.params) != c.n_params:
         raise DimensionMismatchError(
             f"{len(asg.params)} parameter values for parametric dimension {c.n_params}"
         )
@@ -50,11 +49,9 @@ def eval_gates(
 
     Callers are expected to have validated the degree bound once; the hot
     loops (cube scans, hitting-set verification) go through here.
-    ``params[k - 1]`` is the value of parameter pk unless ``c`` has pk
-    plugged; a class member ``(template, params)`` is evaluated as
-    ``eval_gates(template, point, params)``.
+    ``params[k - 1]`` is the value of parameter pk; a class member
+    ``(template, params)`` is evaluated as ``eval_gates(template, point, params)``.
     """
-    plugged = c.plugged_map
     values = [0] * len(c.gates)
     for i, g in enumerate(c.gates):
         op = g.op
@@ -69,7 +66,7 @@ def eval_gates(
         elif op == VAR:
             v = vars[g.name - 1]
         elif op == PARAM:
-            v = plugged[g.name] if g.name in plugged else params[g.name - 1]
+            v = params[g.name - 1]
         else:  # CONST
             v = g.value
         values[i] = v

@@ -141,8 +141,6 @@ class DefinableClass:
         self._zero = zero_circuit(self.n)
 
     def _init_template(self) -> None:
-        if self.template.plugged:
-            raise PreconditionError("a class template must not carry plugged values")
         fits = self.template.n_vars <= self.n
         t = self.template = pad_vars(self.template, self.n) if fits else self.template
         self._template_fits = fits and analyze_degrees(t).max_individual <= self.d
@@ -180,7 +178,7 @@ class DefinableClass:
         return self._zero, ()
 
     def _in_ckt(self, c: Circuit) -> bool:
-        if c.n_vars > self.n or not c.fully_plugged:
+        if c.n_vars > self.n or c.n_params:
             return False
         if representation_size(c) > self.s:
             return False

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Tuple
 
-from .circuit import Circuit, Gate, analyze_degrees, circuit, resolve_plugged
+from .circuit import Circuit, Gate, analyze_degrees, circuit, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from .errors import CapExceededError, DimensionMismatchError, PreconditionError
 from .evaluator import eval_gates
@@ -56,10 +56,8 @@ class PitVerdict:
 
 
 def _prepare(ckt: Circuit, d: Optional[int]) -> Tuple[Circuit, int, int, int]:
-    """Resolve plugging, fix (n, d, q) with q = 2nd (at least 1)."""
-    ckt = resolve_plugged(ckt)
-    if ckt.n_params:
-        raise PreconditionError("identity testing needs all parameters plugged")
+    """Check ckt is parameter-free, fix (n, d, q) with q = 2nd (at least 1)."""
+    require_parameter_free(ckt, "identity testing")
     n = ckt.n_vars
     true_d = analyze_degrees(ckt).max_individual
     if d is None:
@@ -111,9 +109,7 @@ def pit_with_hitting_set(
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> PitVerdict:
     """Scan H in order; zero verdicts carry hitting-set provenance."""
-    ckt = resolve_plugged(ckt)
-    if ckt.n_params:
-        raise PreconditionError("identity testing needs all parameters plugged")
+    require_parameter_free(ckt, "identity testing")
     if h.n != ckt.n_vars:
         raise DimensionMismatchError(
             f"hitting set dimension {h.n} != circuit dimension {ckt.n_vars}"
@@ -126,10 +122,8 @@ def pit_with_hitting_set(
 
 def difference_circuit(f: Circuit, g: Circuit) -> Circuit:
     """The circuit f + (-1) * g over the shared variables."""
-    f = resolve_plugged(f)
-    g = resolve_plugged(g)
-    if f.n_params or g.n_params:
-        raise PreconditionError("difference needs all parameters plugged")
+    require_parameter_free(f, "difference")
+    require_parameter_free(g, "difference")
     if f.n_vars != g.n_vars:
         raise DimensionMismatchError(
             f"cannot compare {f.n_vars}-variable and {g.n_vars}-variable circuits"
@@ -162,8 +156,8 @@ def equiv_test(
     max of the two circuits' maximum individual degrees."""
     diff = difference_circuit(f, g)
     d = max(
-        analyze_degrees(resolve_plugged(f)).max_individual,
-        analyze_degrees(resolve_plugged(g)).max_individual,
+        analyze_degrees(f).max_individual,
+        analyze_degrees(g).max_individual,
         1,
     )
     if method == "cube":

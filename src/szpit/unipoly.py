@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .circuit import ADD, CONST, PARAM, VAR, Circuit, individual_degree
+from .circuit import ADD, CONST, VAR, Circuit, individual_degree, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_Q_CAP
 from .errors import (
     BitLengthGuardError,
@@ -103,21 +103,19 @@ def eval_unipoly(p: UniPoly, u: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -
 def extract_unipoly(c: Circuit, d: int) -> UniPoly:
     """Coefficients of the univariate polynomial computed by circuit c.
 
-    Requires at most one variable, all parameters plugged, and individual
+    Requires at most one variable, no parameter gates, and individual
     syntactic degree at most d in that variable (the degree of the
     polynomial the circuit computes).  The result P satisfies
     P(u) = c(u) for every integer u.
     """
     if c.n_vars > 1:
         raise DimensionMismatchError(f"extraction needs at most 1 variable, got {c.n_vars}")
-    if not c.fully_plugged:
-        raise PreconditionError("extraction needs every parameter plugged")
+    require_parameter_free(c, "extraction")
     if d < 0:
         raise PreconditionError("degree bound must be non-negative")
     x_degree = individual_degree(c, "x1")
     if x_degree > d:
         raise DegreeBoundError(f"syntactic degree {x_degree} in x > bound {d}")
-    plugged = c.plugged_map
     width = d + 1
     table: List[List[int]] = [[]] * len(c.gates)
     for i, g in enumerate(c.gates):
@@ -128,10 +126,9 @@ def extract_unipoly(c: Circuit, d: int) -> UniPoly:
             # d == 0: the degree check already ruled out reachable var gates,
             # so a zero row for an unreachable one is harmless.
             table[i] = row
-        elif g.op == CONST or g.op == PARAM:
-            value = g.value if g.op == CONST else plugged[g.name]
+        elif g.op == CONST:
             row = [0] * width
-            row[0] = value
+            row[0] = g.value
             table[i] = row
         elif g.op == ADD:
             a, b = table[g.lhs], table[g.rhs]

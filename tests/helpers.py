@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 from typing import Iterable, List, Tuple
 
-from szpit.circuit import CONST, Circuit, DegreeReport, Gate, circuit, syntactic_total_degree
+from szpit.circuit import CONST, Circuit, DegreeReport, syntactic_total_degree
 from szpit.codec import RootCode, SZContext, decode_code
 from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import DegreeBoundError, DimensionMismatchError
@@ -69,23 +69,6 @@ def var_max(rep: DegreeReport) -> int:
     return max((d for u, d in rep.individual.items() if u.startswith("x")), default=0)
 
 
-def constants_to_params(c: Circuit) -> Circuit:
-    """Turn const gates into param gates with their values plugged."""
-    gates = []
-    plugged = c.plugged_map
-    next_param = c.n_params
-    for g in c.gates:
-        if g.op == CONST:
-            next_param += 1
-            plugged[next_param] = g.value
-            gates.append(Gate.param(next_param))
-        else:
-            gates.append(g)
-    return circuit(gates, plugged)
-
-
 def constants(c: Circuit) -> Tuple[int, ...]:
-    """All integers plugged into the circuit (const gates and plugged params)."""
-    vals = [g.value for g in c.gates if g.op == CONST]
-    vals.extend(v for _, v in c.plugged)
-    return tuple(vals)
+    """The values of the circuit's const gates."""
+    return tuple(g.value for g in c.gates if g.op == CONST)

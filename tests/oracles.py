@@ -18,7 +18,6 @@ from szpit.circuit import ADD, CONST, PARAM, VAR, Circuit
 
 def naive_eval(c: Circuit, vars: Tuple[int, ...], params: Tuple[int, ...] = ()) -> int:
     """Recursive evaluation from the output gate with memoization."""
-    plugged = c.plugged_map
 
     @lru_cache(maxsize=None)
     def go(i: int) -> int:
@@ -26,7 +25,7 @@ def naive_eval(c: Circuit, vars: Tuple[int, ...], params: Tuple[int, ...] = ()) 
         if g.op == VAR:
             return vars[g.name - 1]
         if g.op == PARAM:
-            return plugged[g.name] if g.name in plugged else params[g.name - 1]
+            return params[g.name - 1]
         if g.op == CONST:
             return g.value
         if g.op == ADD:
@@ -83,10 +82,11 @@ def sparse_expand(c: Circuit) -> Monomials:
     """The polynomial computed by c as {exponent vector: coefficient}.
 
     Exponential in the worst case; used only on circuits with few gates.
-    Parameters must be plugged.
+    The circuit must be parameter-free; plug_params supplies values.
     """
+    if c.n_params:
+        raise ValueError("sparse_expand needs a parameter-free circuit")
     n = c.n_vars
-    plugged = c.plugged_map
     zero_exp = tuple([0] * n)
 
     def mono(value: int) -> Monomials:
@@ -99,8 +99,6 @@ def sparse_expand(c: Circuit) -> Monomials:
             e = [0] * n
             e[g.name - 1] = 1
             return ((tuple(e), 1),)
-        if g.op == PARAM:
-            return tuple(mono(plugged[g.name]).items())
         if g.op == CONST:
             return tuple(mono(g.value).items())
         left, right = dict(go(g.lhs)), dict(go(g.rhs))

@@ -10,7 +10,6 @@ from szpit.circuit import (
     parse_circuit,
     plug_params,
     representation_size,
-    resolve_plugged,
     serialize_circuit,
     syntactic_total_degree,
     validate,
@@ -19,7 +18,7 @@ from szpit.errors import CircuitSyntaxError, CircuitValidationError
 from szpit.rng import Rng
 
 from genckt import random_circuit
-from helpers import constants_to_params, count_degree_passes
+from helpers import count_degree_passes
 from oracles import degree_oracle, naive_eval
 
 PRODUCT_TEXT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
@@ -158,10 +157,16 @@ def test_formula_degree_bounded_by_gate_count():
 def test_plug_and_unplug_roundtrip():
     c = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
     plugged = plug_params(c, {1: -7})
-    assert plugged.gates[1] == Gate.const(-7)
-    back = constants_to_params(plugged)
-    assert back.n_params == 1 and back.plugged_map == {1: -7}
-    assert resolve_plugged(back) == plugged
+    assert plugged.gates[1] == Gate.const(-7) and plugged.n_params == 0
+    back = circuit(Gate.param(1) if g.op == "const" else g for g in plugged.gates)
+    assert back == c
+    assert plug_params(back, {1: -7}) == plugged
+
+
+def test_plug_params_refuses_a_partial_mapping():
+    c = circuit([Gate.param(1), Gate.param(2), Gate.param(3), Gate.mul(0, 1), Gate.mul(3, 2)])
+    with pytest.raises(CircuitValidationError, match=r"no value for parameters \[1, 3\]"):
+        plug_params(c, {2: 5})
 
 
 def test_representation_size_dominates_gate_count():
@@ -174,7 +179,7 @@ def test_validate_is_idempotent_on_good_circuit():
 
 
 def test_serialize_writes_plugged_params_as_consts():
-    c = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)], {1: 5})
+    c = plug_params(circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)]), {1: 5})
     text = serialize_circuit(c)
     assert "param" not in text and "g1 = const 5" in text
     back = parse_circuit(text)
@@ -182,19 +187,13 @@ def test_serialize_writes_plugged_params_as_consts():
         assert naive_eval(back, (x,)) == naive_eval(c, (x,)) == 5 * x
 
 
-def test_serialize_renumbers_the_unplugged_params():
-    c = circuit([Gate.param(1), Gate.param(2), Gate.mul(0, 1)], {1: -7})
-    back = parse_circuit(serialize_circuit(c))
-    assert back.n_params == 1
-    assert naive_eval(back, (), (3,)) == naive_eval(c, (), (0, 3)) == -21
-
-
 def test_representation_size_counts_plugged_digits():
-    gates = [Gate.var(1), Gate.param(1), Gate.mul(0, 1)]
-    small = representation_size(circuit(gates, {1: 5}))
-    huge = representation_size(circuit(gates, {1: 10**100}))
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    small = representation_size(plug_params(template, {1: 5}))
+    huge = representation_size(plug_params(template, {1: 10**100}))
     assert huge - small == 8 * 100
-    assert small == representation_size(plug_params(circuit(gates), {1: 5}))
+    text = "g0 = var x1\ng1 = const 5\ng2 = mul g0 g1\noutput g2\n"
+    assert small == 8 * len(text)
 
 
 def test_analyze_degrees_runs_once_per_circuit_object(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from szpit.circuit import Gate, analyze_degrees, circuit
+from szpit.circuit import Gate, analyze_degrees, circuit, plug_params
 from szpit.codec import (
     RootCode,
     SZContext,
@@ -254,13 +254,21 @@ def test_restriction_with_duplicate_var_gates():
         assert decode_code(ctx, encode_root(ctx, b)) == b
 
 
+def test_brute_root_counters_refuse_parameter_gates():
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    for scan in (count_roots_brute, cube_roots):
+        with pytest.raises(PreconditionError, match="plug_params"):
+            scan(template, 1, 3)
+    assert cube_roots(plug_params(template, {1: 2}), 1, 3) == [(0,)]
+
+
 def test_context_resolves_plugged_parameters():
     # P = x1*x2 - p1 with p1 plugged to 4: roots on S_5^2 are the factor
     # pairs of 4.
-    c = circuit(
-        [Gate.var(1), Gate.var(2), Gate.param(1), Gate.const(-1),
-         Gate.mul(2, 3), Gate.mul(0, 1), Gate.add(5, 4)],
-        plugged={1: 4},
+    c = plug_params(
+        circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.const(-1),
+                 Gate.mul(2, 3), Gate.mul(0, 1), Gate.add(5, 4)]),
+        {1: 4},
     )
     ctx = SZContext(c, 2, 1, 5, (0, 0))  # P(0,0) = -4, a genuine non-root
     assert ctx.nonroot_ok

@@ -2,7 +2,7 @@
 
 import pytest
 
-from szpit.circuit import Gate, circuit, syntactic_total_degree
+from szpit.circuit import Gate, circuit, plug_params, syntactic_total_degree
 from szpit.errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
 from szpit.evaluator import Assignment, eval_arithmetic, eval_gates
 from szpit.rng import Rng
@@ -43,10 +43,13 @@ def test_dimension_mismatch():
 def test_param_evaluation_and_plugging():
     c = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
     assert eval_arithmetic(c, Assignment((3,), (4,)), 2) == 12
-    plugged = circuit(c.gates, {1: 4})
+    plugged = plug_params(c, {1: 4})
     assert eval_arithmetic(plugged, Assignment((3,)), 2) == 12
-    # With every parameter plugged the params vector may be empty.
-    assert eval_arithmetic(plugged, Assignment((3,), ()), 2) == 12
+    # A template needs its params vector; a plugged circuit takes none.
+    with pytest.raises(DimensionMismatchError):
+        eval_arithmetic(c, Assignment((3,)), 2)
+    with pytest.raises(DimensionMismatchError):
+        eval_arithmetic(plugged, Assignment((3,), (4,)), 2)
 
 
 def test_matches_naive_recursive_evaluator():

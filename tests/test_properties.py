@@ -1,0 +1,66 @@
+"""Property tests: the text format and evaluation on circuits with var, param
+and const gates, checked against the recursive oracle."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from szpit.circuit import Gate, circuit, parse_circuit, plug_params, serialize_circuit
+from szpit.evaluator import eval_gates
+
+from oracles import naive_eval
+
+# Derandomized and without an example database, so every run draws the
+# same examples and leaves no files behind.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+SMALL = st.integers(-20, 20)
+
+
+@st.composite
+def circuits(draw):
+    """A circuit whose var, param and const inputs sit anywhere in the gate
+    order, with up to six add/mul gates over strictly earlier gates."""
+    n_vars = draw(st.integers(0, 3))
+    n_params = draw(st.integers(0, 3))
+    n_consts = draw(st.integers(0 if n_vars + n_params else 1, 3))
+    inputs = [Gate.var(j) for j in range(1, n_vars + 1)]
+    inputs += [Gate.param(k) for k in range(1, n_params + 1)]
+    inputs += [Gate.const(draw(st.integers(-10**30, 10**30))) for _ in range(n_consts)]
+    inputs = draw(st.permutations(inputs))
+    order = draw(st.permutations(["in"] * (len(inputs) - 1) + ["op"] * draw(st.integers(0, 6))))
+    gates = [inputs[0]]
+    pending = iter(inputs[1:])
+    for slot in order:
+        if slot == "in":
+            gates.append(next(pending))
+        else:
+            lhs = draw(st.integers(0, len(gates) - 1))
+            rhs = draw(st.integers(0, len(gates) - 1))
+            gates.append(Gate.mul(lhs, rhs) if draw(st.booleans()) else Gate.add(lhs, rhs))
+    return circuit(gates)
+
+
+@st.composite
+def circuits_with_inputs(draw):
+    c = draw(circuits())
+    x = tuple(draw(SMALL) for _ in range(c.n_vars))
+    p = tuple(draw(SMALL) for _ in range(c.n_params))
+    return c, x, p
+
+
+@PROPERTY
+@given(circuits())
+def test_text_format_roundtrips(c):
+    assert parse_circuit(serialize_circuit(c)) == c
+
+
+@PROPERTY
+@given(circuits_with_inputs())
+def test_params_per_evaluation_equal_plugged_params(case):
+    c, x, p = case
+    plugged = plug_params(c, dict(enumerate(p, 1)))
+    assert plugged.n_params == 0
+    assert eval_gates(c, x, p) == naive_eval(c, x, p) == eval_gates(plugged, x)

@@ -128,13 +128,6 @@ def test_a_class_needs_exactly_one_presentation():
         DefinableClass(decoder=None, n=1, d=1, s=4096, m=1)
 
 
-def test_template_class_rejects_plugged_template():
-    plugged = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)], {1: 3})
-    with pytest.raises(PreconditionError):
-        DefinableClass(decoder=None, template=plugged, params_of=lambda x: (),
-                       n=1, d=1, s=4096, m=1)
-
-
 def test_template_hitting_set_verdicts_match_plugged_members():
     # The same class as a template and as a decoder of plugged members
     # gives the same verdict and miss on every single-point H.
