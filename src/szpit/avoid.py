@@ -34,6 +34,7 @@ brute-force range scan before it is returned.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -433,6 +434,7 @@ def paper_schedule(m: int) -> AvoidSchedule:
 
 # -- the compression class ---------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def _member_gates(sched: AvoidSchedule) -> Circuit:
     """The class template prod_i sum_j (z_j - sum_k p_e * 2^(k-1))^2.
 
@@ -440,6 +442,10 @@ def _member_gates(sched: AvoidSchedule) -> Circuit:
     ``(template, h(x)[:r*n*w])``.  Subtraction is Add(z_j, Mul(-1, inner));
     squaring reuses one gate for both factors; the powers of two form one
     shared Const(2) chain.
+
+    The template depends on the schedule alone, so it is cached: solves
+    with the same schedule share one immutable circuit, together with the
+    degree report and slot program kept on it.
     """
     n, r, w = sched.n, sched.r, sched.w
     gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]

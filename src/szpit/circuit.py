@@ -47,7 +47,7 @@ _INPUT_KINDS = (VAR, PARAM, CONST)
 _BINARY_KINDS = (ADD, MUL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One straight-line-program gate.
 
@@ -92,6 +92,9 @@ class Circuit:
     n_params: int
     # Filled by the first analyze_degrees call on this object.
     _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
+    # eval_gates's memo: None before the first call, False after it, then
+    # the slot program built by the second call.
+    _program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate(self)
@@ -334,10 +337,15 @@ def representation_size(c: Circuit) -> int:
 # -- conversions ---------------------------------------------------------
 
 def plug_params(c: Circuit, values: Mapping[int, int]) -> Circuit:
-    """Replace parameter gates with const gates carrying the given values."""
-    missing = set(range(1, c.n_params + 1)) - set(values)
+    """Replace parameter gates with const gates carrying the given values;
+    ``values`` must name exactly the parameters 1..n_params."""
+    names = set(range(1, c.n_params + 1))
+    missing = names - set(values)
     if missing:
         raise CircuitValidationError(f"no value for parameters {sorted(missing)}")
+    extra = set(values) - names
+    if extra:
+        raise CircuitValidationError(f"no parameters {sorted(extra)} in the circuit")
     gates = [
         Gate.const(values[g.name]) if g.op == PARAM else g for g in c.gates
     ]

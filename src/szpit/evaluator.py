@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .circuit import ADD, MUL, PARAM, VAR, Circuit, syntactic_total_degree
+from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, syntactic_total_degree
 from .config import DEFAULT_BITLEN_GUARD
 from .errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
 
@@ -51,7 +51,35 @@ def eval_gates(
     loops (cube scans, hitting-set verification) go through here.
     ``params[k - 1]`` is the value of parameter pk; a class member
     ``(template, params)`` is evaluated as ``eval_gates(template, point, params)``.
+
+    The first call on a circuit object interprets it.  The second prepares
+    a :class:`SlotProgram` and keeps it on the object; from then on a call
+    whose inputs have the circuit's dimensions, and whose input widths
+    keep every mul gate provably under the guard, runs that program with
+    no per-gate checks.  Every other call interprets, so results and
+    errors are those of the interpreter.
     """
+    prog = c._program
+    if prog is None:  # one-shot circuits never pay for preparation
+        object.__setattr__(c, "_program", False)
+    else:
+        if prog is False:
+            prog = _prepare(c)
+            object.__setattr__(c, "_program", prog)
+        if len(vars) == c.n_vars and len(params) == c.n_params:
+            inputs = (*vars, *params)
+            w = max(max(inputs).bit_length(), min(inputs).bit_length()) if inputs else 0
+            if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
+                values = [*inputs, *prog.consts]
+                append = values.append
+                for lhs, rhs, is_mul in zip(prog.lhs, prog.rhs, prog.is_mul):
+                    append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
+                return values[prog.out]
+    return _interpret(c, vars, params, bitlen_guard)
+
+
+def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
+    """The reference evaluator: one pass over the gates, guard on each mul."""
     values = [0] * len(c.gates)
     for i, g in enumerate(c.gates):
         op = g.op
@@ -71,6 +99,69 @@ def eval_gates(
             v = g.value
         values[i] = v
     return values[-1]
+
+
+@dataclass(frozen=True)
+class SlotProgram:
+    """A circuit as straight-line code over one value list.
+
+    The list starts as ``[*vars, *params, *consts]``; binary gate j (in
+    gate order) appends its result from slots ``lhs[j]`` and ``rhs[j]``,
+    multiplying when ``is_mul[j]``.  Three flat tuples need about half
+    the memory of one tuple per gate.
+
+    Static bit bound: with every input at most w bits wide, every mul
+    gate's value has at most ``mul_degree * w + mul_bits`` bits.  An input
+    has degree 1 and 0 bits, a const degree 0 and its own bit length; add
+    takes the max of each plus one bit, as bl(a + b) <= max(bl a, bl b) + 1;
+    mul takes the sums, as bl(ab) <= bl a + bl b.
+    """
+
+    consts: Tuple[int, ...]
+    lhs: Tuple[int, ...]
+    rhs: Tuple[int, ...]
+    is_mul: Tuple[bool, ...]
+    out: int
+    mul_degree: int
+    mul_bits: int
+
+
+def _prepare(c: Circuit) -> SlotProgram:
+    """Build c's slot program and static bit bound in one pass over the gates."""
+    consts = tuple(g.value for g in c.gates if g.op == CONST)
+    n_inputs = c.n_vars + c.n_params
+    deg = [1] * n_inputs + [0] * len(consts)
+    bits = [0] * n_inputs + [v.bit_length() for v in consts]
+    slot = [0] * len(c.gates)  # gate index -> slot
+    lhs_slots, rhs_slots, muls = [], [], []
+    mul_degree = mul_bits = 0
+    n_const = 0
+    for i, g in enumerate(c.gates):
+        op = g.op
+        if op == VAR:
+            slot[i] = g.name - 1
+        elif op == PARAM:
+            slot[i] = c.n_vars + g.name - 1
+        elif op == CONST:
+            slot[i] = n_inputs + n_const
+            n_const += 1
+        else:
+            lhs, rhs = slot[g.lhs], slot[g.rhs]
+            is_mul = op == MUL
+            if is_mul:
+                d, b = deg[lhs] + deg[rhs], bits[lhs] + bits[rhs]
+                mul_degree, mul_bits = max(mul_degree, d), max(mul_bits, b)
+            else:
+                d, b = max(deg[lhs], deg[rhs]), max(bits[lhs], bits[rhs]) + 1
+            slot[i] = len(deg)
+            deg.append(d)
+            bits.append(b)
+            lhs_slots.append(lhs)
+            rhs_slots.append(rhs)
+            muls.append(is_mul)
+    return SlotProgram(
+        consts, tuple(lhs_slots), tuple(rhs_slots), tuple(muls), slot[-1], mul_degree, mul_bits
+    )
 
 
 def eval_arithmetic(

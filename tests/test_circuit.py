@@ -169,6 +169,12 @@ def test_plug_params_refuses_a_partial_mapping():
         plug_params(c, {2: 5})
 
 
+def test_plug_params_refuses_unknown_parameters():
+    c = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    with pytest.raises(CircuitValidationError, match=r"no parameters \[0, 2\] in the circuit"):
+        plug_params(c, {1: 3, 2: 9, 0: 5})
+
+
 def test_representation_size_dominates_gate_count():
     c = product_circuit()
     assert representation_size(c) >= len(c.gates)

@@ -4,7 +4,7 @@ import pytest
 
 from szpit.circuit import Gate, circuit, plug_params, syntactic_total_degree
 from szpit.errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
-from szpit.evaluator import Assignment, eval_arithmetic, eval_gates
+from szpit.evaluator import Assignment, SlotProgram, eval_arithmetic, eval_gates
 from szpit.rng import Rng
 
 from genckt import random_circuit
@@ -101,6 +101,62 @@ def test_bitlen_guard_trips():
     c = circuit(gates)
     with pytest.raises(BitLengthGuardError):
         eval_arithmetic(c, Assignment((2,)), 1 << 13, bitlen_guard=1 << 10)
+
+
+def outcome(c, vars, params=(), bitlen_guard=1 << 20):
+    """The value of one eval_gates call, or the type and text of its error."""
+    try:
+        return eval_gates(c, vars, params, bitlen_guard)
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return type(e), str(e)
+
+
+def test_prepared_calls_match_the_first_call_at_every_guard():
+    # Guards from 1 to 64 bits put these circuits on both sides of the
+    # static bound and of the runtime guard.
+    rng = Rng(47, "prepared")
+    values = errors = unchecked = 0
+    for guard in range(1, 65):
+        for i in range(12):
+            r = rng.split(f"{guard}:{i}")
+            n = r.randint(1, 3)
+            c = random_circuit(r, n_vars=n, extra_gates=r.randint(1, 12), const_bits=12)
+            point = tuple(r.randint(-(2**6), 2**6) for _ in range(n))
+            first = outcome(c, point, (), guard)
+            assert outcome(c, point, (), guard) == first
+            prog = c._program
+            assert isinstance(prog, SlotProgram)
+            assert outcome(c, point, (), guard) == first
+            w = max(abs(v).bit_length() for v in point)
+            unchecked += prog.mul_degree * w + prog.mul_bits <= guard
+            if isinstance(first, int):
+                values += 1
+            else:
+                assert first[0] is BitLengthGuardError
+                errors += 1
+    assert values > 100 and errors > 100
+    assert 100 < unchecked < values  # the static bound both holds and fails
+
+
+def test_guard_error_is_the_same_on_every_call():
+    gates = [Gate.var(1)]
+    for i in range(12):
+        gates.append(Gate.mul(i, i))
+    c = circuit(gates)
+    seen = {outcome(c, (3,), (), 1 << 10) for _ in range(4)}
+    assert seen == {(BitLengthGuardError, "gate 10: value exceeds 1024-bit guard")}
+
+
+def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():
+    def template():
+        return circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.mul(0, 2), Gate.add(3, 1)])
+
+    prepared = template()
+    for _ in range(2):
+        assert eval_gates(prepared, (2, 3), (5,)) == 13
+    assert isinstance(prepared._program, SlotProgram)
+    for vars, params in [((2,), (5,)), ((2, 3, 4), (5,)), ((2, 3), ()), ((2, 3), (5, 6)), ((), ())]:
+        assert outcome(prepared, vars, params) == outcome(template(), vars, params)
 
 
 def test_eval_many_checks_degree_once():

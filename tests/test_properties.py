@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from szpit.circuit import Gate, circuit, parse_circuit, plug_params, serialize_circuit
-from szpit.evaluator import eval_gates
+from szpit.evaluator import SlotProgram, eval_gates
 
 from oracles import naive_eval
 
@@ -64,3 +64,16 @@ def test_params_per_evaluation_equal_plugged_params(case):
     plugged = plug_params(c, dict(enumerate(p, 1)))
     assert plugged.n_params == 0
     assert eval_gates(c, x, p) == naive_eval(c, x, p) == eval_gates(plugged, x)
+
+
+@PROPERTY
+@given(circuits_with_inputs(), st.data())
+def test_repeated_evaluation_matches_the_oracle(case, data):
+    # The first call interprets; the second prepares the slot program,
+    # which the later calls run.
+    c, x, p = case
+    for _ in range(3):
+        assert eval_gates(c, x, p) == naive_eval(c, x, p)
+        x = tuple(data.draw(SMALL) for _ in x)
+        p = tuple(data.draw(SMALL) for _ in p)
+    assert isinstance(c._program, SlotProgram)

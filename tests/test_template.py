@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from szpit import avoid
 from szpit.avoid import AvoidInstance, amplify, build_avoid_class, desk_schedule, normalize
 from szpit.circuit import Gate, circuit, plug_params, representation_size
 from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
@@ -98,11 +99,24 @@ def test_template_members_match_plugged_members(name):
 
 def test_verifying_an_avoid_class_analyses_its_template_once(monkeypatch):
     h, sched = avoid_parts(16)
-    h_set = search_hitting_set(build_avoid_class(h, sched), sched.q, sched.r, seed=5)
+    first = build_avoid_class(h, sched)
+    h_set = search_hitting_set(first, sched.q, sched.r, seed=5)
     calls = count_degree_passes(monkeypatch)
     cls = build_avoid_class(h, sched)
     assert cls.m == 4
     assert verify_hitting_set(cls, h_set).hits  # all 16 members checked
+    # The schedule's template, and the analysis kept on it, are cached.
+    assert calls == []
+    assert cls.template is first.template
+
+
+def test_first_avoid_class_after_a_cache_clear_analyses_once(monkeypatch):
+    h, sched = avoid_parts(16)
+    avoid._member_gates.cache_clear()
+    calls = count_degree_passes(monkeypatch)
+    cls = build_avoid_class(h, sched)
+    assert calls == [cls.template]
+    assert build_avoid_class(h, sched).template is cls.template
     assert calls == [cls.template]
 
 
