@@ -56,8 +56,9 @@ def eval_gates(
     a :class:`SlotProgram` and keeps it on the object; from then on a call
     whose inputs have the circuit's dimensions, and whose input widths
     keep every mul gate provably under the guard, runs that program with
-    no per-gate checks.  Every other call interprets, so results and
-    errors are those of the interpreter.
+    no per-gate checks; its stage A, the gates that read no variable,
+    runs once per parameter vector.  Every other call interprets, so
+    results and errors are those of the interpreter.
     """
     prog = c._program
     if prog is None:  # one-shot circuits never pay for preparation
@@ -67,15 +68,31 @@ def eval_gates(
             prog = _prepare(c)
             object.__setattr__(c, "_program", prog)
         if len(vars) == c.n_vars and len(params) == c.n_params:
-            inputs = (*vars, *params)
-            w = max(max(inputs).bit_length(), min(inputs).bit_length()) if inputs else 0
+            key, params_width, stage_a = prog.memo
+            if params is not key and params != key:
+                params_width, stage_a = _width(params), None
+            w = (
+                max(max(vars).bit_length(), min(vars).bit_length(), params_width)
+                if vars else params_width
+            )
             if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
-                values = [*inputs, *prog.consts]
+                if stage_a is None:
+                    stage_a = prog.run_stage_a(params)
+                    # One assignment: no reader sees a key with another
+                    # vector's values.  A list argument never hits, as a
+                    # list never equals the stored tuple.
+                    prog.memo = (tuple(params), params_width, stage_a)
+                values = [*vars, *stage_a]
                 append = values.append
-                for lhs, rhs, is_mul in zip(prog.lhs, prog.rhs, prog.is_mul):
+                for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
                     append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
                 return values[prog.out]
     return _interpret(c, vars, params, bitlen_guard)
+
+
+def _width(values) -> int:
+    """The largest bit length among the values (0 for none)."""
+    return max(max(values).bit_length(), min(values).bit_length()) if values else 0
 
 
 def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
@@ -101,14 +118,22 @@ def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
     return values[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotProgram:
-    """A circuit as straight-line code over one value list.
+    """A circuit as straight-line code in two stages.
 
-    The list starts as ``[*vars, *params, *consts]``; binary gate j (in
-    gate order) appends its result from slots ``lhs[j]`` and ``rhs[j]``,
-    multiplying when ``is_mul[j]``.  Three flat tuples need about half
-    the memory of one tuple per gate.
+    Stage A holds the binary gates that read only params, consts and
+    other stage-A results; its list is ``[*params, *consts, *A results]``
+    and depends on the parameter vector alone.  Stage B holds every
+    binary gate that reads a variable, directly or through another gate;
+    a call runs it on ``[*vars, *stage-A list]``, appending one result
+    per step.  Step j of a stage reads slots ``lhs[j]`` and ``rhs[j]``
+    of its list and multiplies when ``is_mul[j]``.  Three flat tuples
+    per stage need about half the memory of one tuple per gate.
+
+    ``memo`` is ``(params, params width, stage-A list)`` for the last
+    parameter vector that ran (``(None, 0, None)`` before the first), so
+    a class member evaluated at many points runs stage A once.
 
     Static bit bound: with every input at most w bits wide, every mul
     gate's value has at most ``mul_degree * w + mul_bits`` bits.  An input
@@ -118,16 +143,30 @@ class SlotProgram:
     """
 
     consts: Tuple[int, ...]
-    lhs: Tuple[int, ...]
-    rhs: Tuple[int, ...]
-    is_mul: Tuple[bool, ...]
+    a_lhs: Tuple[int, ...]
+    a_rhs: Tuple[int, ...]
+    a_mul: Tuple[bool, ...]
+    b_lhs: Tuple[int, ...]
+    b_rhs: Tuple[int, ...]
+    b_mul: Tuple[bool, ...]
     out: int
     mul_degree: int
     mul_bits: int
+    memo: tuple = (None, 0, None)
+
+    def run_stage_a(self, params) -> list:
+        """The stage-A list for this parameter vector."""
+        values = [*params, *self.consts]
+        append = values.append
+        for lhs, rhs, is_mul in zip(self.a_lhs, self.a_rhs, self.a_mul):
+            append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
+        return values
 
 
 def _prepare(c: Circuit) -> SlotProgram:
-    """Build c's slot program and static bit bound in one pass over the gates."""
+    """Build c's slot program and static bit bound in one pass over the
+    gates, numbering slots ``[*vars, *params, *consts, *step results]``,
+    then sort the steps into the two stages."""
     consts = tuple(g.value for g in c.gates if g.op == CONST)
     n_inputs = c.n_vars + c.n_params
     deg = [1] * n_inputs + [0] * len(consts)
@@ -159,9 +198,46 @@ def _prepare(c: Circuit) -> SlotProgram:
             lhs_slots.append(lhs)
             rhs_slots.append(rhs)
             muls.append(is_mul)
+    steps = (lhs_slots, rhs_slots, muls)
+    stage_a, stage_b, out = _split_stages(c.n_vars, len(deg) - len(muls), steps, slot[-1])
     return SlotProgram(
-        consts, tuple(lhs_slots), tuple(rhs_slots), tuple(muls), slot[-1], mul_degree, mul_bits
+        consts, *map(tuple, stage_a), *map(tuple, stage_b), out, mul_degree, mul_bits
     )
+
+
+def _split_stages(n_vars: int, first: int, steps, out: int):
+    """Sort steps into stage A (reads no variable) and stage B.
+
+    Slots below ``first`` (vars, params, consts) keep their order; step
+    results move to ``[*A results, *B results]`` after them.  ``place``
+    gives a var or stage-B slot's index in the full list and any other
+    slot's index in the stage-A list, which starts after the vars; each
+    index is made once per slot, so the step tuples share them.
+    """
+    reads_var = [True] * n_vars + [False] * (first - n_vars)
+    for lhs, rhs in zip(steps[0], steps[1]):
+        reads_var.append(reads_var[lhs] or reads_var[rhs])
+    n_a = reads_var.count(False) - (first - n_vars)  # variable-free steps
+    if not n_a:  # every step is in stage B, already in its place
+        return ((), (), ()), steps, out
+    b_start = first + n_a
+    place = list(range(n_vars)) + list(range(first - n_vars))
+
+    def in_full_list(k: int) -> int:
+        return place[k] if reads_var[k] else place[k] + n_vars
+
+    stage_a, stage_b = ([], [], []), ([], [], [])
+    for j, (lhs, rhs, is_mul) in enumerate(zip(*steps), first):
+        if reads_var[j]:
+            place.append(b_start + len(stage_b[2]))
+            stage, lhs, rhs = stage_b, in_full_list(lhs), in_full_list(rhs)
+        else:
+            place.append(first - n_vars + len(stage_a[2]))
+            stage, lhs, rhs = stage_a, place[lhs], place[rhs]
+        stage[0].append(lhs)
+        stage[1].append(rhs)
+        stage[2].append(is_mul)
+    return stage_a, stage_b, in_full_list(out)
 
 
 def eval_arithmetic(

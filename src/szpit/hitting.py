@@ -146,13 +146,19 @@ class DefinableClass:
         self._template_fits = fits and analyze_degrees(t).max_individual <= self.d
         uses = Counter(g.name for g in t.gates if g.op == PARAM)
         self._size_uses = [uses[k] for k in range(1, t.n_params + 1)]
-        zero_size = representation_size(plug_params(t, dict.fromkeys(uses, 0)))
+        # The all-zero member writes "const 0" where t writes "param p<k>",
+        # len(str(k)) characters shorter at each use.
+        self._zero_size = representation_size(t) - 8 * sum(
+            n * len(str(k)) for k, n in uses.items()
+        )
         # Each use of a param writes its value where the zero wrote one digit.
-        self._size_fixed = zero_size - 8 * sum(self._size_uses)
-        self.s = self.s or zero_size
+        self._size_fixed = self._zero_size - 8 * sum(self._size_uses)
+        self.s = self.s or self._zero_size
 
     def member_size(self, params: Params) -> int:
         """representation_size of the template with these params plugged."""
+        if not params or (min(params) >= 0 and max(params) <= 9):
+            return self._zero_size  # one digit per value, as in the zero member
         return self._size_fixed + 8 * sum(map(mul, self._size_uses, map(len, map(str, params))))
 
     def descriptions(self) -> Iterator[str]:

@@ -77,3 +77,59 @@ def test_repeated_evaluation_matches_the_oracle(case, data):
         x = tuple(data.draw(SMALL) for _ in x)
         p = tuple(data.draw(SMALL) for _ in p)
     assert isinstance(c._program, SlotProgram)
+
+
+def outcome(call, *args, **kw):
+    """The value of one call, or the type and text of its error."""
+    try:
+        return call(*args, **kw)
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return type(e), str(e)
+
+
+# Small values keep every mul under the static bound; 40-bit values under
+# a small guard put it out of reach, so those calls interpret.
+VALUES = st.one_of(SMALL, st.integers(-(2**40), 2**40))
+GUARDS = st.sampled_from([8, 64, 1 << 20])
+
+
+@st.composite
+def call_sequences(draw):
+    """A circuit and the calls to make on it: ``(x, how, p, slot, guard)``,
+    where ``how`` reuses the last params object ("same"), passes the new
+    tuple p ("new"), an equal copy of the last vector ("copy"), or the one
+    params list after adding 1 to its entry ``slot`` in place ("in place")."""
+    c = draw(circuits())
+    hows = st.sampled_from(["same", "new", "copy", "in place"])
+    calls = []
+    for _ in range(draw(st.integers(2, 8))):
+        x = tuple(draw(VALUES) for _ in range(c.n_vars))
+        p = tuple(draw(VALUES) for _ in range(c.n_params))
+        slot = draw(st.integers(0, max(0, c.n_params - 1)))
+        calls.append((x, draw(hows), p, slot, draw(GUARDS)))
+    return c, calls
+
+
+@PROPERTY
+@given(call_sequences())
+def test_staged_evaluation_over_a_call_sequence(case):
+    # Stage A runs once per parameter vector and is kept for the next call;
+    # every call must still give the interpreter's value or error, which a
+    # fresh copy of the circuit yields on its first call.
+    c, calls = case
+    params = tuple(calls[0][2])
+    as_list = list(params)
+    for x, how, p, slot, guard in calls:
+        if how == "new":
+            params = p
+        elif how == "copy":
+            params = tuple(list(params))
+        elif how == "in place":
+            if as_list:
+                as_list[slot] += 1
+            params = as_list
+        want = outcome(eval_gates, circuit(c.gates), x, params, guard)
+        assert outcome(eval_gates, c, x, params, guard) == want
+        if isinstance(want, int):
+            assert want == naive_eval(c, x, tuple(params))
+

@@ -126,6 +126,52 @@ def test_avoid_class_size_matches_the_all_zero_member():
     assert cls.s == representation_size(zero_member)
 
 
+def many_params_template():
+    """x1 * (p1 + ... + p12 + p3 + p10 + p12): two-digit parameter names,
+    and three params written twice."""
+    names = list(range(1, 13)) + [3, 10, 12]
+    gates = [Gate.var(1)] + [Gate.param(k) for k in names]
+    total = 1
+    for i in range(2, len(names) + 1):
+        gates.append(Gate.add(total, i))
+        total = len(gates) - 1
+    gates.append(Gate.mul(0, total))
+    return circuit(gates)
+
+
+def many_params_class(s):
+    return DefinableClass(
+        decoder=None, template=many_params_template(), params_of=lambda x: (0,) * 12,
+        n=1, d=1, s=s, m=1,
+    )
+
+
+def test_zero_member_size_is_read_from_the_template_text():
+    cls = many_params_class(s=0)
+    zero_member = plug_params(cls.template, dict.fromkeys(range(1, 13), 0))
+    assert cls.s == representation_size(zero_member)
+    free = circuit([Gate.var(1), Gate.mul(0, 0)])
+    no_params = DefinableClass(
+        decoder=None, template=free, params_of=lambda x: (), n=1, d=2, s=0, m=1,
+    )
+    assert no_params.s == no_params.member_size(()) == representation_size(free)
+
+
+@pytest.mark.parametrize("edge", [0, 9, 10, -1, 10**20])
+def test_member_size_at_the_one_digit_edges(edge):
+    cls = many_params_class(s=1 << 16)
+    vectors = [
+        (edge,) * 12,
+        (9,) * 11 + (edge,),  # p12 is written twice
+        (0,) * 2 + (edge,) + (9,) * 9,  # so is p3
+        (1,) * 9 + (edge,) + (0,) * 2,  # and p10
+        (edge,) + (0,) * 11,
+    ]
+    for params in vectors:
+        member = plug_params(cls.template, dict(enumerate(params, 1)))
+        assert cls.member_size(params) == representation_size(member)
+
+
 def test_decoder_classes_present_members_without_params():
     cls = all_circuits_class(n=2, d=2, s=2048, m=4)
     for x in cls.descriptions():
