@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .boolfunc import (
@@ -152,25 +153,6 @@ def num_onto(a: int, bits: Bits) -> int:
     return (bits_to_int(bits) % a) + 1
 
 
-def num_onto_inv(a: int, y: int) -> Bits:
-    """A right inverse of num_onto: num_onto(a, num_onto_inv(a, y)) = y on [a]."""
-    if not 1 <= y <= a:
-        raise PreconditionError(f"{y} outside [1..{a}]")
-    return int_to_bits(y - 1, bitlen(a - 1))
-
-
-def bin_rep(a2: int, y: int) -> Bits:
-    """The canonical representative string of y in [2a] (width bitlen(2a-1))."""
-    if not 1 <= y <= a2:
-        raise PreconditionError(f"{y} outside [1..{a2}]")
-    return int_to_bits(y - 1, bitlen(a2 - 1))
-
-
-def bin_rep_inv(a2: int, bits: Bits) -> int:
-    """Wrap a string back into [2a]; inverts bin_rep on representative strings."""
-    return (bits_to_int(bits) % a2) + 1
-
-
 def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[Bits], int]]:
     """Reduce f : [a] -> [b] to a stretch-by-one-bit function plus a backmap.
 
@@ -254,9 +236,8 @@ class ExhaustiveOracle:
         self.last_walk: Optional[Tuple[int, List[Bits], List[Bits]]] = None
 
     def preimage(self, g: BoolFunc, target: Bits) -> Optional[Bits]:
-        for x in g.inputs():
-            if g(x) == target:
-                return x
+        if target in g.table:
+            return int_to_bits(g.table.index(target), g.in_bits)
         return None
 
     def longest_walk(
@@ -270,8 +251,8 @@ class ExhaustiveOracle:
         """
         m = g.in_bits
         index: Dict[Bits, List[Bits]] = {}
-        for x in g.inputs():
-            index.setdefault(g(x), []).append(x)
+        for v, out in enumerate(g.table):
+            index.setdefault(out, []).append(int_to_bits(v, m))
         y0 = tuple(y[: m + 1])
         levels: List[Dict[Bits, Optional[Tuple[Bits, Bits]]]] = [{y0: None}]
         for j in range(t - 1):
@@ -427,9 +408,7 @@ def paper_schedule(m: int) -> AvoidSchedule:
         raise PreconditionError("paper schedule needs m >= 1")
     n, d, q, r = m, m * m, 2 * m**3, 4 * m * bitlen(m)
     sched = AvoidSchedule("paper", m, n, d, q, r, bitlen(q), t_prime=m**3)
-    return AvoidSchedule(
-        "paper", m, n, d, q, r, bitlen(q), m**3, violations=_schedule_violations(sched)
-    )
+    return replace(sched, violations=_schedule_violations(sched))
 
 
 # -- the compression class ---------------------------------------------------
@@ -500,18 +479,17 @@ def build_avoid_class(h: BoolFunc, sched: AvoidSchedule, e: object = None) -> De
 
 def encode_hitting_set_bits(h_set: HittingSet, sched: AvoidSchedule, width: int) -> Bits:
     """Spell H into a bit string: position e(i,j,k) carries bit k of the
-    j-th coordinate of the i-th point; every other position is zero."""
+    j-th coordinate of the i-th point; every other position is zero.
+
+    In (i, j, k) order that is each coordinate in w bits, least
+    significant first, followed by zeros up to ``width``.
+    """
     if h_set.r != sched.r or h_set.n != sched.n or h_set.q != sched.q:
         raise DimensionMismatchError("hitting set does not match the schedule")
-    bits = [0] * width
-    for i in range(1, sched.r + 1):
-        for j in range(1, sched.n + 1):
-            coord = h_set.points[i - 1][j - 1]
-            for k in range(1, sched.w + 1):
-                bits[triple_encode(i, j, k, sched.r, sched.n, sched.w) - 1] = (
-                    coord >> (k - 1)
-                ) & 1
-    return tuple(bits)
+    if width < sched.r * sched.n * sched.w:
+        raise DimensionMismatchError(f"width {width} < r*n*w = {sched.r * sched.n * sched.w}")
+    bits = [(coord >> k) & 1 for point in h_set.points for coord in point for k in range(sched.w)]
+    return tuple(bits) + (0,) * (width - len(bits))
 
 
 # -- the full reduction ------------------------------------------------------
@@ -522,10 +500,18 @@ class AvoidResult:
     trace: dict
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure in the block as a StageError naming the stage."""
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - provenance wrapper
+        raise StageError(name, exc) from exc
+
+
 def avoid_via_hitting(
     inst: AvoidInstance,
     hs_solver=None,
-    oracle: Optional[ExhaustiveOracle] = None,
     seed: int = 0,
     schedule: str = "auto",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
@@ -535,88 +521,74 @@ def avoid_via_hitting(
     audit trace; every stage error carries its stage name."""
     trace: dict = {"a": inst.a, "b": inst.b, "blob": inst.blob}
 
-    def stage(name: str, fn):
-        try:
-            return fn()
-        except Exception as exc:  # noqa: BLE001 - provenance wrapper
-            raise StageError(name, exc) from exc
-
-    g, backmap = stage("normalize", lambda: normalize(inst))
+    with _stage("normalize"):
+        g, backmap = normalize(inst)
     m = g.in_bits
     trace["m"] = m
     trace["g_digest"] = hashlib.sha256(
         "".join(bits_to_str(row) for row in g.table).encode()
     ).hexdigest()
 
-    def pick_schedule():
+    with _stage("schedule"):
         if schedule in ("auto", "desk"):
-            return desk_schedule(m)
-        if schedule == "paper":
+            sched = desk_schedule(m)
+        elif schedule == "paper":
             sched = paper_schedule(m)
             sched.check()  # reports the violated inequalities at small m
-            return sched
-        raise PreconditionError(f"unknown schedule {schedule!r}")
-
-    sched = stage("schedule", pick_schedule)
+        else:
+            raise PreconditionError(f"unknown schedule {schedule!r}")
     trace["schedule"] = sched.to_json()
     trace["class_size"] = 1 << m
 
     t = sched.t_prime - m
-    if t < 1:
-        raise StageError("amplify", PreconditionError("t' <= m leaves nothing to stretch"))
-    h = stage("amplify", lambda: amplify(g, t))
+    with _stage("amplify"):
+        if t < 1:
+            raise PreconditionError("t' <= m leaves nothing to stretch")
+        h = amplify(g, t)
 
-    cls = stage("build-class", lambda: build_avoid_class(h, sched, e=inst.blob))
+    with _stage("build-class"):
+        cls = build_avoid_class(h, sched, e=inst.blob)
     trace["member_size_bits"] = cls.s
 
-    solver = hs_solver or (
-        lambda c: search_hitting_set(
-            c, sched.q, sched.r, seed=seed, budget=search_budget,
-            witness_budget=witness_budget,
-        )
-    )
-    h_set = stage("hitting-set", lambda: solver(cls))
+    with _stage("hitting-set"):
+        if hs_solver is None:
+            h_set = search_hitting_set(
+                cls, sched.q, sched.r, seed=seed, budget=search_budget,
+                witness_budget=witness_budget,
+            )
+        else:
+            h_set = hs_solver(cls)
     trace["hitting_set"] = [list(p) for p in h_set.points]
 
-    y = stage("encode", lambda: encode_hitting_set_bits(h_set, sched, h.out_bits))
+    with _stage("encode"):
+        y = encode_hitting_set_bits(h_set, sched, h.out_bits)
     trace["y"] = bits_to_str(y)
 
-    def check_compressed():
-        for x in h.inputs():
-            if h(x) == y:
-                raise AssertionError(
-                    "hitting-set encoding landed in range(h); "
-                    "the compression argument forbids this"
-                )
-        return True
+    with _stage("compression-check"):
+        if y in h.table:
+            raise AssertionError(
+                "hitting-set encoding landed in range(h); "
+                "the compression argument forbids this"
+            )
 
-    stage("compression-check", check_compressed)
-
-    orc = oracle or ExhaustiveOracle()
-    y0 = stage("invert", lambda: invert_amplified(g, t, y, orc))
+    oracle = ExhaustiveOracle()
+    with _stage("invert"):
+        y0 = invert_amplified(g, t, y, oracle)
     trace["inversion_output"] = bits_to_str(y0)
-    walk = getattr(orc, "last_walk", None)
-    if walk is not None:
-        k, ys, _ = walk
-        trace["inversion_walk"] = {"k": k, "chain": [bits_to_str(v) for v in ys]}
+    k, ys, _ = oracle.last_walk
+    trace["inversion_walk"] = {"k": k, "chain": [bits_to_str(v) for v in ys]}
 
-    def check_outside_g():
-        for x in g.inputs():
-            if g(x) == y0:
-                raise AssertionError("inversion output is in range(g)")
-        return True
+    with _stage("inversion-check"):
+        if y0 in g.table:
+            raise AssertionError("inversion output is in range(g)")
 
-    stage("inversion-check", check_outside_g)
-
-    value = stage("backmap", lambda: backmap(y0))
+    with _stage("backmap"):
+        value = backmap(y0)
     trace["value"] = value
 
-    def check_value():
+    with _stage("final-check"):
         if not 1 <= value <= 2 * inst.a:
             raise AssertionError(f"value {value} outside [2a]")
         if value in inst.range_set():
             raise AssertionError(f"value {value} is in range(f)")
-        return True
-
-    stage("final-check", check_value)
     return AvoidResult(value=value, trace=trace)

@@ -27,12 +27,7 @@ from .boolfunc import parse_bool_circuit
 from .circuit import analyze_degrees, parse_circuit, serialize_circuit
 from .codec import SZContext, decode_code, encode_root, parse_code, serialize_code
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
-from .errors import (
-    BitLengthGuardError,
-    CircuitSyntaxError,
-    StageError,
-    SzpitError,
-)
+from .errors import BitLengthGuardError, StageError, SzpitError
 from .evaluator import Assignment, eval_arithmetic
 from .hitting import (
     parse_hitting_set,
@@ -332,24 +327,17 @@ def main(argv: Optional[list] = None) -> int:
         return EX_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CircuitSyntaxError, FileNotFoundError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if args.command == "pit" else EX_DATAERR
-    except BitLengthGuardError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if args.command == "pit" else EX_SOFTWARE
-    except StageError as e:
+    except (SzpitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         if args.command == "pit":
             return 2
-        # Failed internal re-verification is our bug, not the user's input.
-        return EX_SOFTWARE if isinstance(e.cause, AssertionError) else EX_DATAERR
-    except SzpitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if args.command == "pit" else EX_DATAERR
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if args.command == "pit" else EX_DATAERR
+        # A guard trip or a failed internal re-verification is our bug,
+        # not the user's input.
+        if isinstance(e, BitLengthGuardError) or (
+            isinstance(e, StageError) and isinstance(e.cause, AssertionError)
+        ):
+            return EX_SOFTWARE
+        return EX_DATAERR
 
 
 if __name__ == "__main__":

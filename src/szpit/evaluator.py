@@ -164,80 +164,78 @@ class SlotProgram:
 
 
 def _prepare(c: Circuit) -> SlotProgram:
-    """Build c's slot program and static bit bound in one pass over the
-    gates, numbering slots ``[*vars, *params, *consts, *step results]``,
-    then sort the steps into the two stages."""
-    consts = tuple(g.value for g in c.gates if g.op == CONST)
-    n_inputs = c.n_vars + c.n_params
-    deg = [1] * n_inputs + [0] * len(consts)
-    bits = [0] * n_inputs + [v.bit_length() for v in consts]
-    slot = [0] * len(c.gates)  # gate index -> slot
-    lhs_slots, rhs_slots, muls = [], [], []
-    mul_degree = mul_bits = 0
-    n_const = 0
-    for i, g in enumerate(c.gates):
+    """Build c's slot program and static bit bound in two passes over the
+    gates.
+
+    The first pass marks the gates that read a variable, directly or
+    through another gate, and counts the binary gates that read none: the
+    stage-A steps.  The second gives each slot its final index: a var or a
+    stage-B result its index in the full list, a param, a const or a
+    stage-A result its index in the stage-A list.  That list follows the
+    vars in the full list, so a stage-B step reads a stage-A slot
+    ``n_vars`` further on.
+    """
+    gates = c.gates
+    n_vars = c.n_vars
+    reads_var = [False] * len(gates)
+    n_a = 0
+    for i, g in enumerate(gates):
         op = g.op
-        if op == VAR:
+        if op == ADD or op == MUL:
+            if reads_var[g.lhs] or reads_var[g.rhs]:
+                reads_var[i] = True
+            else:
+                n_a += 1
+        elif op == VAR:
+            reads_var[i] = True
+    consts = tuple(g.value for g in gates if g.op == CONST)
+    next_const = c.n_params
+    next_a = next_const + len(consts)
+    next_b = n_vars + next_a + n_a
+    slot = [0] * len(gates)  # gate index -> slot
+    deg = [0] * len(gates)
+    bits = [0] * len(gates)
+    a_lhs, a_rhs, a_mul, b_lhs, b_rhs, b_mul = [], [], [], [], [], []
+    mul_degree = mul_bits = 0
+    for i, g in enumerate(gates):
+        op = g.op
+        if op == VAR or op == PARAM:
             slot[i] = g.name - 1
-        elif op == PARAM:
-            slot[i] = c.n_vars + g.name - 1
+            deg[i] = 1
         elif op == CONST:
-            slot[i] = n_inputs + n_const
-            n_const += 1
+            slot[i] = next_const
+            next_const += 1
+            bits[i] = g.value.bit_length()
         else:
-            lhs, rhs = slot[g.lhs], slot[g.rhs]
+            lhs, rhs = g.lhs, g.rhs
             is_mul = op == MUL
             if is_mul:
                 d, b = deg[lhs] + deg[rhs], bits[lhs] + bits[rhs]
-                mul_degree, mul_bits = max(mul_degree, d), max(mul_bits, b)
+                if d > mul_degree:
+                    mul_degree = d
+                if b > mul_bits:
+                    mul_bits = b
             else:
                 d, b = max(deg[lhs], deg[rhs]), max(bits[lhs], bits[rhs]) + 1
-            slot[i] = len(deg)
-            deg.append(d)
-            bits.append(b)
-            lhs_slots.append(lhs)
-            rhs_slots.append(rhs)
-            muls.append(is_mul)
-    steps = (lhs_slots, rhs_slots, muls)
-    stage_a, stage_b, out = _split_stages(c.n_vars, len(deg) - len(muls), steps, slot[-1])
+            deg[i] = d
+            bits[i] = b
+            if reads_var[i]:
+                slot[i] = next_b
+                next_b += 1
+                b_lhs.append(slot[lhs] if reads_var[lhs] else slot[lhs] + n_vars)
+                b_rhs.append(slot[rhs] if reads_var[rhs] else slot[rhs] + n_vars)
+                b_mul.append(is_mul)
+            else:
+                slot[i] = next_a
+                next_a += 1
+                a_lhs.append(slot[lhs])
+                a_rhs.append(slot[rhs])
+                a_mul.append(is_mul)
+    out = slot[-1] if reads_var[-1] else slot[-1] + n_vars
     return SlotProgram(
-        consts, *map(tuple, stage_a), *map(tuple, stage_b), out, mul_degree, mul_bits
+        consts, tuple(a_lhs), tuple(a_rhs), tuple(a_mul),
+        tuple(b_lhs), tuple(b_rhs), tuple(b_mul), out, mul_degree, mul_bits,
     )
-
-
-def _split_stages(n_vars: int, first: int, steps, out: int):
-    """Sort steps into stage A (reads no variable) and stage B.
-
-    Slots below ``first`` (vars, params, consts) keep their order; step
-    results move to ``[*A results, *B results]`` after them.  ``place``
-    gives a var or stage-B slot's index in the full list and any other
-    slot's index in the stage-A list, which starts after the vars; each
-    index is made once per slot, so the step tuples share them.
-    """
-    reads_var = [True] * n_vars + [False] * (first - n_vars)
-    for lhs, rhs in zip(steps[0], steps[1]):
-        reads_var.append(reads_var[lhs] or reads_var[rhs])
-    n_a = reads_var.count(False) - (first - n_vars)  # variable-free steps
-    if not n_a:  # every step is in stage B, already in its place
-        return ((), (), ()), steps, out
-    b_start = first + n_a
-    place = list(range(n_vars)) + list(range(first - n_vars))
-
-    def in_full_list(k: int) -> int:
-        return place[k] if reads_var[k] else place[k] + n_vars
-
-    stage_a, stage_b = ([], [], []), ([], [], [])
-    for j, (lhs, rhs, is_mul) in enumerate(zip(*steps), first):
-        if reads_var[j]:
-            place.append(b_start + len(stage_b[2]))
-            stage, lhs, rhs = stage_b, in_full_list(lhs), in_full_list(rhs)
-        else:
-            place.append(first - n_vars + len(stage_a[2]))
-            stage, lhs, rhs = stage_a, place[lhs], place[rhs]
-        stage[0].append(lhs)
-        stage[1].append(rhs)
-        stage[2].append(is_mul)
-    return stage_a, stage_b, in_full_list(out)
 
 
 def eval_arithmetic(

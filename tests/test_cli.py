@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from szpit.cli import EX_DATAERR, EX_USAGE, main
+from szpit.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
+from szpit.errors import BitLengthGuardError, OracleError, StageError
 
 PRODUCT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
 CONST0 = "g0 = const 0\noutput g0\n"
@@ -204,3 +205,36 @@ def test_internal_guard_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "--bitlen-guard", "1024", "eval", str(path))
     assert code == 70
     assert "guard" in err
+
+
+def _raises(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+AVOID = ["avoid", "--instance", "{tsv}", "--b", "4", "--seed", "3"]
+
+
+# The guard trip outside pit, a syntax error and a library error are covered
+# by the tests above.
+@pytest.mark.parametrize("argv, patch, code", [
+    # pit exits 2 on every error.
+    (["pit", "--method", "cube", "{prod}"], ("pit_cube_brute", BitLengthGuardError("guard")), 2),
+    # A failed internal re-verification is our bug: 70.
+    (AVOID, ("avoid_via_hitting", StageError("final-check", AssertionError("in range"))),
+     EX_SOFTWARE),
+    # Anything else is bad input: 65.
+    (AVOID, ("avoid_via_hitting", StageError("invert", OracleError("bad walk"))), EX_DATAERR),
+    (["parse", "{missing}"], None, EX_DATAERR),
+    (["eval", "{prod}", "--vars", "three,5"], None, EX_DATAERR),
+], ids=["pit-guard", "stage-assertion", "stage-other", "missing-file", "value-error"])
+def test_error_exit_codes(capsys, tmp_path, monkeypatch, prod_ac, argv, patch, code):
+    tsv = tmp_path / "f.tsv"
+    tsv.write_text("1\t3\n2\t3\n")
+    paths = {"prod": prod_ac, "tsv": str(tsv), "missing": str(tmp_path / "missing.ac")}
+    if patch is not None:
+        monkeypatch.setattr(f"szpit.cli.{patch[0]}", _raises(patch[1]))
+    got, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert got == code
+    assert err.startswith("error: ")

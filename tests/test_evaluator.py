@@ -147,6 +147,43 @@ def test_guard_error_is_the_same_on_every_call():
     assert seen == {(BitLengthGuardError, "gate 10: value exceeds 1024-bit guard")}
 
 
+def test_slot_program_layout():
+    # Stage-A steps (A) read no variable; stage-B steps (B) do.  The
+    # stage-A list is [p1, p2, 3, -5, g3, g8, g10, g12] and the full list
+    # [x1, x2, *stage-A list, g4, g9, g11], so a B step reads stage-A
+    # slot s at s + 2.  The output, g12, reads no variable.
+    c = circuit([
+        Gate.param(1),     # g0: stage-A slot 0
+        Gate.var(1),       # g1: full slot 0
+        Gate.const(3),     # g2: stage-A slot 2
+        Gate.mul(0, 2),    # g3 A: stage-A slot 4
+        Gate.add(1, 3),    # g4 B: full slot 10
+        Gate.param(2),     # g5: stage-A slot 1
+        Gate.var(2),       # g6: full slot 1
+        Gate.const(-5),    # g7: stage-A slot 3
+        Gate.add(5, 7),    # g8 A: stage-A slot 5
+        Gate.mul(4, 6),    # g9 B: full slot 11
+        Gate.add(8, 3),    # g10 A: stage-A slot 6
+        Gate.mul(9, 10),   # g11 B: full slot 12
+        Gate.mul(10, 10),  # g12 A: stage-A slot 7, full slot 9
+    ])
+    params = (2, 7)
+    assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params) == 64
+    assert c._program is False
+    assert eval_gates(c, (4, -3), params) == 64
+    assert c._program == SlotProgram(
+        consts=(3, -5),
+        a_lhs=(0, 1, 5, 6), a_rhs=(2, 3, 4, 6), a_mul=(True, False, False, True),
+        b_lhs=(0, 10, 11), b_rhs=(6, 1, 8), b_mul=(False, True, True),
+        out=9,
+        # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
+        # (3, 8) and (2, 10).
+        mul_degree=3, mul_bits=10,
+        memo=(params, 3, [2, 7, 3, -5, 6, 2, 8, 64]),
+    )
+    assert eval_gates(c, (-1, 5), params) == naive_eval(c, (-1, 5), params)
+
+
 def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():
     def template():
         return circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.mul(0, 2), Gate.add(3, 1)])

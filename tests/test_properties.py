@@ -1,15 +1,28 @@
 """Property tests: the text format and evaluation on circuits with var, param
-and const gates, checked against the recursive oracle."""
+and const gates, checked against the recursive oracle; univariate extraction
+against evaluation; and the root codec's round trip and surjectivity."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from szpit.circuit import Gate, circuit, parse_circuit, plug_params, serialize_circuit
+from szpit.circuit import (
+    Gate,
+    analyze_degrees,
+    circuit,
+    individual_degree,
+    parse_circuit,
+    plug_params,
+    serialize_circuit,
+)
+from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root
 from szpit.evaluator import SlotProgram, eval_gates
+from szpit.rng import Rng
+from szpit.unipoly import eval_unipoly, extract_unipoly
 
+from genckt import random_circuit_bounded
 from oracles import naive_eval
 
 # Derandomized and without an example database, so every run draws the
@@ -133,3 +146,48 @@ def test_staged_evaluation_over_a_call_sequence(case):
         if isinstance(want, int):
             assert want == naive_eval(c, x, tuple(params))
 
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(0, 2), SMALL)
+def test_extraction_agrees_with_evaluation(seed, slack, u):
+    # Any degree bound at or above the syntactic degree in x1 is exact.
+    c = random_circuit_bounded(Rng(seed, "unipoly"), n_vars=1, max_individual=8, extra_gates=10)
+    assume(c is not None)
+    p = extract_unipoly(c, individual_degree(c, "x1") + slack)
+    assert eval_unipoly(p, u) == eval_gates(c, (u,))
+
+
+def times_line_factors(c, j, roots):
+    """c * prod_r (x_j - r) for a circuit whose gate j-1 is var x_j, as
+    genckt builds them: each line along x_j then meets every r."""
+    gates = list(c.gates)
+    out = len(gates) - 1
+    for r in roots:
+        gates += [Gate.const(-r), Gate.add(j - 1, len(gates))]
+        gates.append(Gate.mul(out, len(gates) - 1))
+        out = len(gates) - 1
+    return circuit(gates)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.data())
+def test_codec_roundtrip_and_surjectivity(seed, n, data):
+    # With a genuine non-root, decode inverts encode on the cube's roots and
+    # the image of the whole code space covers them; without one, both
+    # maps fall back to their defaults.  Random circuits seldom have two
+    # roots on one line, so the line factors add codes of rank 2 and up.
+    c = random_circuit_bounded(Rng(seed, "codec"), n_vars=n, max_individual=3, extra_gates=6)
+    assume(c is not None)
+    q = data.draw(st.integers(2, 8 if n < 3 else 6))
+    line_roots = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3, unique=True))
+    c = times_line_factors(c, data.draw(st.integers(1, n)), line_roots)
+    d = max(1, analyze_degrees(c).max_individual)
+    ctx = SZContext(c, n, d, q, tuple(data.draw(st.integers(-3, q + 3)) for _ in range(n)))
+    roots = cube_roots(c, n, q)
+    image = {decode_code(ctx, code) for code in all_codes(n, d, q)}
+    if ctx.nonroot_ok:
+        assert all(decode_code(ctx, encode_root(ctx, b)) == b for b in roots)
+        assert set(roots) <= image
+    else:
+        assert image == {ctx.default_point()}
+        assert {encode_root(ctx, b) for b in roots} <= {ctx.default_code()}
