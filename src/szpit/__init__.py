@@ -18,7 +18,6 @@ from .circuit import (
     parse_circuit,
     plug_params,
     serialize_circuit,
-    syntactic_total_degree,
     validate,
 )
 from .codec import (

@@ -43,7 +43,6 @@ CONST = "const"
 ADD = "add"
 MUL = "mul"
 
-_INPUT_KINDS = (VAR, PARAM, CONST)
 _BINARY_KINDS = (ADD, MUL)
 
 
@@ -98,10 +97,6 @@ class Circuit:
 
     def __post_init__(self):
         validate(self)
-
-    @property
-    def output(self) -> int:
-        return len(self.gates) - 1
 
 
 def circuit(gates: Iterable[Gate]) -> Circuit:
@@ -160,45 +155,10 @@ class DegreeReport:
     max_individual: int
 
 
-def _input_key(i: int, g: Gate) -> Optional[str]:
-    if g.op == VAR:
-        return f"x{g.name}"
-    if g.op == PARAM:
-        return f"p{g.name}"
-    if g.op == CONST:
-        return f"g{i}"
-    return None
-
-
-def syntactic_total_degree(c: Circuit) -> int:
-    """Total syntactic degree of the output gate (single cheap pass)."""
-    deg = [0] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        if g.op in _INPUT_KINDS:
-            deg[i] = 1
-        elif g.op == ADD:
-            deg[i] = max(deg[g.lhs], deg[g.rhs])
-        else:
-            deg[i] = deg[g.lhs] + deg[g.rhs]
-    return deg[-1]
-
-
-def individual_degree(c: Circuit, key: str) -> int:
-    """Individual syntactic degree of a single named input (cheap pass)."""
-    deg = [0] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        if g.op in _INPUT_KINDS:
-            deg[i] = 1 if _input_key(i, g) == key else 0
-        elif g.op == ADD:
-            deg[i] = max(deg[g.lhs], deg[g.rhs])
-        else:
-            deg[i] = deg[g.lhs] + deg[g.rhs]
-    return deg[-1]
-
-
 def analyze_degrees(c: Circuit) -> DegreeReport:
-    """The degree report, computed once per Circuit object and kept on it
-    (so a class template is analysed once); callers must not mutate it."""
+    """The library's one degree analysis, computed once per Circuit object
+    and kept on it (so a class template is analysed once); callers must not
+    mutate the report."""
     if c._degrees is None:
         object.__setattr__(c, "_degrees", _degree_pass(c))
     return c._degrees
@@ -207,34 +167,42 @@ def analyze_degrees(c: Circuit) -> DegreeReport:
 def _degree_pass(c: Circuit) -> DegreeReport:
     """Apply the inductive degree rules bottom-up in one pass.
 
-    input -> 1, add -> max, mul -> sum, per input and in total.  Sparse
-    dicts keep this near-linear for circuits whose gates each depend on few
-    inputs.
+    input -> 1, add -> max, mul -> sum, per input and in total.  Each gate
+    merges its smaller operand's sparse dict into its larger one's.  When
+    the gate is the larger operand's only use, it merges into that dict in
+    place, so a chain runs in linear time; otherwise it merges into a copy.
     """
-    totals = [0] * len(c.gates)
-    per_input: list = [None] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        if g.op in _INPUT_KINDS:
-            totals[i] = 1
-            per_input[i] = {_input_key(i, g): 1}
-        elif g.op == ADD:
-            totals[i] = max(totals[g.lhs], totals[g.rhs])
-            a, b = per_input[g.lhs], per_input[g.rhs]
-            if len(a) < len(b):
-                a, b = b, a
-            merged = dict(a)
-            for u, d in b.items():
-                if d > merged.get(u, 0):
-                    merged[u] = d
-            per_input[i] = merged
+    gates = c.gates
+    uses = [0] * len(gates)
+    for g in gates:
+        if g.op in _BINARY_KINDS:
+            uses[g.lhs] += 1
+            uses[g.rhs] += 1
+    totals = [1] * len(gates)
+    per_input: list = [None] * len(gates)
+    for i, g in enumerate(gates):
+        op = g.op
+        if op == VAR:
+            per_input[i] = {f"x{g.name}": 1}
+        elif op == PARAM:
+            per_input[i] = {f"p{g.name}": 1}
+        elif op == CONST:
+            per_input[i] = {f"g{i}": 1}
         else:
-            totals[i] = totals[g.lhs] + totals[g.rhs]
-            a, b = per_input[g.lhs], per_input[g.rhs]
+            big, small = g.lhs, g.rhs
+            a, b = per_input[big], per_input[small]
             if len(a) < len(b):
-                a, b = b, a
-            merged = dict(a)
-            for u, d in b.items():
-                merged[u] = merged.get(u, 0) + d
+                big, small, a, b = small, big, b, a
+            merged = a if uses[big] == 1 else dict(a)
+            if op == ADD:
+                totals[i] = max(totals[big], totals[small])
+                for u, d in b.items():
+                    if d > merged.get(u, 0):
+                        merged[u] = d
+            else:
+                totals[i] = totals[big] + totals[small]
+                for u, d in b.items():
+                    merged[u] = merged.get(u, 0) + d
             per_input[i] = merged
     individual = per_input[-1]
     return DegreeReport(
@@ -366,13 +334,15 @@ def pad_vars(c: Circuit, n: int) -> Circuit:
         raise CircuitValidationError(f"circuit has {c.n_vars} > {n} variables")
     if c.n_vars == n:
         return c
-    extra = tuple(Gate.var(j) for j in range(c.n_vars + 1, n + 1))
+    extra = [Gate.var(j) for j in range(c.n_vars + 1, n + 1)]
     # Extra inputs go before the existing program so the output gate stays last.
-    offset = len(extra)
-    shifted = []
-    for g in c.gates:
-        if g.op in _BINARY_KINDS:
-            shifted.append(Gate(g.op, lhs=g.lhs + offset, rhs=g.rhs + offset))
-        else:
-            shifted.append(g)
-    return circuit(extra + tuple(shifted))
+    return circuit(extra + shifted(c.gates, len(extra)))
+
+
+def shifted(gates: Iterable[Gate], offset: int) -> list:
+    """The gates with every add/mul operand index moved up by offset, for
+    placing them after ``offset`` other gates."""
+    return [
+        Gate(g.op, lhs=g.lhs + offset, rhs=g.rhs + offset) if g.op in _BINARY_KINDS else g
+        for g in gates
+    ]

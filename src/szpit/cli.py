@@ -69,7 +69,10 @@ def _load_class(args):
     spec = args.cls
     if spec.startswith("plugin:"):
         module_name, _, func_name = spec[len("plugin:"):].partition(":")
-        factory = getattr(importlib.import_module(module_name), func_name)
+        try:
+            factory = getattr(importlib.import_module(module_name), func_name)
+        except (ImportError, AttributeError) as e:
+            raise SzpitError(f"cannot load class {spec!r}: {e}") from e
     else:
         name = spec[len("builtin:"):] if spec.startswith("builtin:") else spec
         if name not in builtin_classes.BUILTIN_CLASSES:
@@ -103,9 +106,7 @@ def _cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
     bound = args.degree_bound
     if bound is None:
-        from .circuit import syntactic_total_degree
-
-        bound = syntactic_total_degree(c)
+        bound = analyze_degrees(c).total
     value = eval_arithmetic(
         c, Assignment(_ints(args.vars), _ints(args.params)), bound,
         bitlen_guard=args.bitlen_guard,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, syntactic_total_degree
+from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees
 from .config import DEFAULT_BITLEN_GUARD
 from .errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
 
@@ -246,7 +246,7 @@ def eval_arithmetic(
 ) -> int:
     """Evaluate c at asg, refusing circuits of syntactic total degree > bound."""
     _check_dims(c, asg)
-    total = syntactic_total_degree(c)
+    total = analyze_degrees(c).total
     if total > degree_bound:
         raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
     return eval_gates(c, asg.vars, asg.params, bitlen_guard)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Tuple
 
-from .circuit import Circuit, Gate, analyze_degrees, circuit, require_parameter_free
+from .circuit import Circuit, Gate, analyze_degrees, circuit, require_parameter_free, shifted
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from .errors import CapExceededError, DimensionMismatchError, PreconditionError
 from .evaluator import eval_gates
@@ -128,14 +128,8 @@ def difference_circuit(f: Circuit, g: Circuit) -> Circuit:
         raise DimensionMismatchError(
             f"cannot compare {f.n_vars}-variable and {g.n_vars}-variable circuits"
         )
-    gates = list(f.gates)
-    offset = len(gates)
-    for gate in g.gates:
-        if gate.op in ("add", "mul"):
-            gates.append(Gate(gate.op, lhs=gate.lhs + offset, rhs=gate.rhs + offset))
-        else:
-            gates.append(gate)
-    f_out = offset - 1
+    gates = [*f.gates, *shifted(g.gates, len(f.gates))]
+    f_out = len(f.gates) - 1
     g_out = len(gates) - 1
     gates.append(Gate.const(-1))
     gates.append(Gate.mul(len(gates) - 1, g_out))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .circuit import ADD, CONST, VAR, Circuit, individual_degree, require_parameter_free
+from .circuit import ADD, CONST, VAR, Circuit, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_Q_CAP
 from .errors import (
     BitLengthGuardError,
@@ -113,36 +113,45 @@ def extract_unipoly(c: Circuit, d: int) -> UniPoly:
     require_parameter_free(c, "extraction")
     if d < 0:
         raise PreconditionError("degree bound must be non-negative")
-    x_degree = individual_degree(c, "x1")
-    if x_degree > d:
-        raise DegreeBoundError(f"syntactic degree {x_degree} in x > bound {d}")
+    # Beside each gate's coefficient row sits its syntactic degree in x:
+    # var 1, const 0, add max, mul sum.  A gate above d gets no row, as every
+    # gate reading it is above d too; so each row is exact, and the output's
+    # degree decides whether the bound holds.
     width = d + 1
+    deg = [0] * len(c.gates)
     table: List[List[int]] = [[]] * len(c.gates)
     for i, g in enumerate(c.gates):
-        if g.op == VAR:
-            row = [0] * width
-            if d >= 1:
-                row[1] = 1
-            # d == 0: the degree check already ruled out reachable var gates,
-            # so a zero row for an unreachable one is harmless.
-            table[i] = row
-        elif g.op == CONST:
+        op = g.op
+        if op == CONST:
             row = [0] * width
             row[0] = g.value
-            table[i] = row
-        elif g.op == ADD:
-            a, b = table[g.lhs], table[g.rhs]
-            table[i] = [a[k] + b[k] for k in range(width)]
-        else:  # MUL: truncated convolution; exact for every gate reachable
-            a, b = table[g.lhs], table[g.rhs]  # from the output, whose degree <= d
+        elif op == VAR:
+            deg[i] = 1
+            if d < 1:
+                continue
             row = [0] * width
-            for t, at in enumerate(a):
-                if at:
-                    for k in range(t, width):
-                        bk = b[k - t]
-                        if bk:
-                            row[k] += at * bk
-            table[i] = row
+            row[1] = 1
+        else:
+            a, b = table[g.lhs], table[g.rhs]
+            if op == ADD:
+                deg[i] = max(deg[g.lhs], deg[g.rhs])
+                if deg[i] > d:
+                    continue
+                row = [a[k] + b[k] for k in range(width)]
+            else:  # MUL: convolution, exact as both operands are within d
+                deg[i] = deg[g.lhs] + deg[g.rhs]
+                if deg[i] > d:
+                    continue
+                row = [0] * width
+                for t, at in enumerate(a):
+                    if at:
+                        for k in range(t, width):
+                            bk = b[k - t]
+                            if bk:
+                                row[k] += at * bk
+        table[i] = row
+    if deg[-1] > d:
+        raise DegreeBoundError(f"syntactic degree {deg[-1]} in x > bound {d}")
     return UniPoly(tuple(table[-1]))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 from typing import Iterable, List, Tuple
 
-from szpit.circuit import CONST, Circuit, DegreeReport, syntactic_total_degree
+from szpit.circuit import CONST, Circuit, DegreeReport, analyze_degrees
 from szpit.codec import RootCode, SZContext, decode_code
 from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import DegreeBoundError, DimensionMismatchError
@@ -39,7 +39,7 @@ def eval_many(
 ):
     """Yield evaluations at many variable assignments, checking degree once."""
     if degree_bound is not None:
-        total = syntactic_total_degree(c)
+        total = analyze_degrees(c).total
         if total > degree_bound:
             raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
     for p in points:

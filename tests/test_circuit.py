@@ -1,5 +1,7 @@
 """Circuit IR: text format, validation, degree analysis."""
 
+import time
+
 import pytest
 
 from szpit.circuit import (
@@ -11,7 +13,6 @@ from szpit.circuit import (
     plug_params,
     representation_size,
     serialize_circuit,
-    syntactic_total_degree,
     validate,
 )
 from szpit.errors import CircuitSyntaxError, CircuitValidationError
@@ -121,7 +122,7 @@ def test_degree_report_internal_consistency():
         rep = analyze_degrees(c)
         assert rep.max_individual <= rep.total <= sum(rep.individual.values())
         assert rep.total <= 2 ** len(c.gates)
-        assert rep.total == syntactic_total_degree(c)
+        assert rep.total == degree_oracle(c)[0]
 
 
 def test_degrees_match_recursive_oracle():
@@ -132,6 +133,21 @@ def test_degrees_match_recursive_oracle():
         rep = analyze_degrees(c)
         assert rep.total == total
         assert rep.individual == {u: d for u, d in individual.items() if d > 0}
+
+
+def test_degrees_of_a_long_add_chain_in_linear_time():
+    # const, add, const, add, ...: each add is its left operand's only use,
+    # so the pass merges in place.  Copying the growing dict at every gate
+    # instead makes this quadratic, several seconds at this length.
+    gates = [Gate.const(0)]
+    for k in range(1, 20_000):
+        gates += [Gate.const(k), Gate.add(len(gates) - 1, len(gates))]
+    c = circuit(gates)
+    start = time.perf_counter()
+    rep = analyze_degrees(c)
+    assert time.perf_counter() - start < 1.0
+    assert (rep.total, rep.max_individual) == (1, 1)
+    assert len(rep.individual) == 20_000
 
 
 def test_formula_degree_bounded_by_gate_count():

@@ -214,6 +214,7 @@ def _raises(exc):
 
 
 AVOID = ["avoid", "--instance", "{tsv}", "--b", "4", "--seed", "3"]
+HS_SEARCH = ["hs-search", "--n", "2", "--d", "2", "--q", "8", "--r", "3", "--seed", "1", "--class"]
 
 
 # The guard trip outside pit, a syntax error and a library error are covered
@@ -228,7 +229,12 @@ AVOID = ["avoid", "--instance", "{tsv}", "--b", "4", "--seed", "3"]
     (AVOID, ("avoid_via_hitting", StageError("invert", OracleError("bad walk"))), EX_DATAERR),
     (["parse", "{missing}"], None, EX_DATAERR),
     (["eval", "{prod}", "--vars", "three,5"], None, EX_DATAERR),
-], ids=["pit-guard", "stage-assertion", "stage-other", "missing-file", "value-error"])
+    # A plugin spec naming no module, no factory, or an empty factory.
+    (HS_SEARCH + ["plugin:no_such_module:f"], None, EX_DATAERR),
+    (HS_SEARCH + ["plugin:json:nosuch"], None, EX_DATAERR),
+    (HS_SEARCH + ["plugin:json"], None, EX_DATAERR),
+], ids=["pit-guard", "stage-assertion", "stage-other", "missing-file", "value-error",
+        "plugin-no-module", "plugin-no-factory", "plugin-empty-factory"])
 def test_error_exit_codes(capsys, tmp_path, monkeypatch, prod_ac, argv, patch, code):
     tsv = tmp_path / "f.tsv"
     tsv.write_text("1\t3\n2\t3\n")

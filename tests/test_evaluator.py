@@ -2,14 +2,14 @@
 
 import pytest
 
-from szpit.circuit import Gate, circuit, plug_params, syntactic_total_degree
+from szpit.circuit import Gate, circuit, plug_params
 from szpit.errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
 from szpit.evaluator import Assignment, SlotProgram, eval_arithmetic, eval_gates
 from szpit.rng import Rng
 
 from genckt import random_circuit
 from helpers import constants, eval_many
-from oracles import naive_eval
+from oracles import degree_oracle, naive_eval
 
 
 def test_product_at_point():
@@ -59,7 +59,7 @@ def test_matches_naive_recursive_evaluator():
         n = r.randint(1, 3)
         c = random_circuit(r, n_vars=n, extra_gates=r.randint(1, 8))
         point = tuple(r.randint(-9, 9) for _ in range(n))
-        d = syntactic_total_degree(c)
+        d, _ = degree_oracle(c)
         assert eval_arithmetic(c, Assignment(point), d) == naive_eval(c, point)
 
 
@@ -74,7 +74,7 @@ def test_output_bitlength_bound():
         c = random_circuit(r, n_vars=n, extra_gates=r.randint(1, 10), const_bits=16)
         point = tuple(r.randint(-(2**16) + 1, 2**16 - 1) for _ in range(n))
         value = eval_gates(c, point)
-        d = syntactic_total_degree(c)
+        d, _ = degree_oracle(c)
         t = len(c.gates)
         s = max(
             [abs(v).bit_length() for v in point]

@@ -1,10 +1,13 @@
-"""Property tests: the text format and evaluation on circuits with var, param
-and const gates, checked against the recursive oracle; univariate extraction
-against evaluation; and the root codec's round trip and surjectivity."""
+"""Property tests: degree analysis, the text format and evaluation on
+circuits with var, param and const gates, checked against the recursive
+oracles; univariate extraction against evaluation; the root codec's round
+trip and surjectivity; and the agreement of the three PIT testers."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
+
+from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,18 +15,27 @@ from szpit.circuit import (
     Gate,
     analyze_degrees,
     circuit,
-    individual_degree,
     parse_circuit,
     plug_params,
     serialize_circuit,
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root
+from szpit.errors import DegreeBoundError
 from szpit.evaluator import SlotProgram, eval_gates
+from szpit.hitting import HittingSet
+from szpit.pit import (
+    NONZERO,
+    ZERO_ON_CUBE,
+    difference_circuit,
+    pit_cube_brute,
+    pit_random,
+    pit_with_hitting_set,
+)
 from szpit.rng import Rng
 from szpit.unipoly import eval_unipoly, extract_unipoly
 
 from genckt import random_circuit_bounded
-from oracles import naive_eval
+from oracles import degree_oracle, expansion_is_zero, naive_eval
 
 # Derandomized and without an example database, so every run draws the
 # same examples and leaves no files behind.
@@ -62,6 +74,16 @@ def circuits_with_inputs(draw):
     x = tuple(draw(SMALL) for _ in range(c.n_vars))
     p = tuple(draw(SMALL) for _ in range(c.n_params))
     return c, x, p
+
+
+@PROPERTY
+@given(circuits())
+def test_degrees_match_the_oracle(c):
+    total, individual = degree_oracle(c)
+    rep = analyze_degrees(c)
+    assert rep.total == total
+    assert rep.individual == {u: d for u, d in individual.items() if d > 0}
+    assert rep.max_individual == max(rep.individual.values())
 
 
 @PROPERTY
@@ -150,11 +172,15 @@ def test_staged_evaluation_over_a_call_sequence(case):
 @PROPERTY
 @given(st.integers(0, 2**32), st.integers(0, 2), SMALL)
 def test_extraction_agrees_with_evaluation(seed, slack, u):
-    # Any degree bound at or above the syntactic degree in x1 is exact.
+    # Any degree bound at or above the syntactic degree in x1 is exact; one
+    # below it is refused.
     c = random_circuit_bounded(Rng(seed, "unipoly"), n_vars=1, max_individual=8, extra_gates=10)
     assume(c is not None)
-    p = extract_unipoly(c, individual_degree(c, "x1") + slack)
+    x_degree = degree_oracle(c)[1]["x1"]
+    p = extract_unipoly(c, x_degree + slack)
     assert eval_unipoly(p, u) == eval_gates(c, (u,))
+    with pytest.raises(DegreeBoundError, match=f"syntactic degree {x_degree} in x > bound"):
+        extract_unipoly(c, x_degree - 1)
 
 
 def times_line_factors(c, j, roots):
@@ -191,3 +217,29 @@ def test_codec_roundtrip_and_surjectivity(seed, n, data):
     else:
         assert image == {ctx.default_point()}
         assert {encode_root(ctx, b) for b in roots} <= {ctx.default_code()}
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 2), st.booleans(), st.integers(0, 2**16))
+def test_pit_testers_agree(seed, n, zero, pit_seed):
+    # The cube scan and a hitting set holding the whole cube, in the same
+    # order, give the same verdict and first witness, and both match the
+    # expansion; random sampling never calls a zero NonZero.  The zeros are
+    # differences of a circuit with itself.
+    c = random_circuit_bounded(Rng(seed, "pit"), n_vars=n, max_individual=3, extra_gates=8)
+    assume(c is not None)
+    if zero:
+        c = difference_circuit(c, c)
+    q = max(1, 2 * n * analyze_degrees(c).max_individual)
+    cube = HittingSet(tuple(product(range(q), repeat=n)), n, q)
+    brute = pit_cube_brute(c)
+    scanned = pit_with_hitting_set(c, cube)
+    sampled = pit_random(c, trials=40, seed=pit_seed)
+    assert (brute.kind, brute.witness) == (scanned.kind, scanned.witness)
+    assert (brute.kind == ZERO_ON_CUBE) == expansion_is_zero(c)
+    if zero:
+        assert brute.kind == ZERO_ON_CUBE and sampled.kind != NONZERO
+    for verdict in (brute, scanned, sampled):
+        if verdict.kind == NONZERO:
+            assert all(0 <= v < q for v in verdict.witness)
+            assert naive_eval(c, verdict.witness) != 0
