@@ -192,12 +192,21 @@ def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[Bits], int]]:
 
 # -- amplification ---------------------------------------------------------
 
+# Maps the characters '0' and '1' to the bit values 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def amplify(g: BoolFunc, t: int) -> BoolFunc:
     """Iterate the one-bit stretch t times into an m -> m+t function.
 
     Round j feeds the first m bits of the previous value back through g and
     keeps the tail verbatim, so each round preserves the tail and prepends
     one fresh stretch bit:  h_j(x) = g(h_{j-1}(x)[first m]) : h_{j-1}(x)[rest].
+
+    By doubling: jump table k maps a head's value to the head after 2^k
+    rounds and those rounds' fresh bits, packed newest first into one int
+    (LSB first, as ``bits_to_int``).  A row combines the tables along t's
+    binary digits, so it costs O(log t) steps instead of t.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1")
@@ -205,16 +214,24 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
         raise DimensionMismatchError(f"g must stretch by one bit, has {g.in_bits}->{g.out_bits}")
     m = g.in_bits
 
-    # One round maps the head's value to (next head's value, fresh bit).
-    step = [(bits_to_int(out[:m]), out[m]) for out in g.table]
+    heads = [bits_to_int(out[:m]) for out in g.table]
+    fresh = [out[m] for out in g.table]
+    jumps = [(heads, fresh)]  # jumps[k]: 2^k rounds
+    for k in range(1, t.bit_length()):
+        span = 1 << (k - 1)
+        fresh = [fresh[nxt] | fresh[h] << span for h, nxt in enumerate(heads)]
+        heads = [heads[nxt] for nxt in heads]
+        jumps.append((heads, fresh))
+    width = f"0{m + t}b"
 
     def h_fn(x: Bits) -> Bits:
-        # O(t): carry the m-bit head, collect the fresh bits, newest first.
-        head, fresh = bits_to_int(x), []
-        for _ in range(t):
-            head, bit = step[head]
-            fresh.append(bit)
-        return int_to_bits(head, m) + tuple(reversed(fresh))
+        head, tail = bits_to_int(x), 0
+        for k, (heads, fresh) in enumerate(jumps):
+            if t >> k & 1:
+                tail = fresh[head] | tail << (1 << k)
+                head = heads[head]
+        # All m + t bits, LSB first, from the reversed binary digits.
+        return tuple(format(tail << m | head, width)[::-1].encode().translate(_BIT_VALUES))
 
     return boolfunc_from_callable(h_fn, m, m + t)
 

@@ -117,7 +117,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     c = parse_circuit(_read(args.file))
-    p = extract_unipoly(c, args.d)
+    p = extract_unipoly(c, args.d, bitlen_guard=args.bitlen_guard)
     _emit(args, {"coeffs": [str(v) for v in p.coeffs]}, serialize_unipoly(p))
     return 0
 

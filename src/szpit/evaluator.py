@@ -13,7 +13,8 @@ evaluation is exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from operator import itemgetter, mul
+from typing import Optional, Tuple
 
 from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees
 from .config import DEFAULT_BITLEN_GUARD
@@ -68,21 +69,21 @@ def eval_gates(
             prog = _prepare(c)
             object.__setattr__(c, "_program", prog)
         if len(vars) == c.n_vars and len(params) == c.n_params:
-            key, params_width, stage_a = prog.memo
+            key, params_width, live = prog.memo
             if params is not key and params != key:
-                params_width, stage_a = _width(params), None
+                params_width, live = _width(params), None
             w = (
                 max(max(vars).bit_length(), min(vars).bit_length(), params_width)
                 if vars else params_width
             )
             if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
-                if stage_a is None:
-                    stage_a = prog.run_stage_a(params)
+                if live is None:
+                    live = prog.run_stage_a(params)
                     # One assignment: no reader sees a key with another
                     # vector's values.  A list argument never hits, as a
                     # list never equals the stored tuple.
-                    prog.memo = (tuple(params), params_width, stage_a)
-                values = [*vars, *stage_a]
+                    prog.memo = (tuple(params), params_width, live)
+                values = [*vars, *live]
                 append = values.append
                 for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
                     append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
@@ -118,6 +119,12 @@ def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
     return values[-1]
 
 
+# Affine forms may hold at most this many coefficients per gate in all;
+# past it (a long param add-chain builds quadratically many) stage A keeps
+# its step loop.
+_FORM_CAP = 8
+
+
 @dataclass(slots=True)
 class SlotProgram:
     """A circuit as straight-line code in two stages.
@@ -125,13 +132,23 @@ class SlotProgram:
     Stage A holds the binary gates that read only params, consts and
     other stage-A results; its list is ``[*params, *consts, *A results]``
     and depends on the parameter vector alone.  Stage B holds every
-    binary gate that reads a variable, directly or through another gate;
-    a call runs it on ``[*vars, *stage-A list]``, appending one result
-    per step.  Step j of a stage reads slots ``lhs[j]`` and ``rhs[j]``
-    of its list and multiplies when ``is_mul[j]``.  Three flat tuples
-    per stage need about half the memory of one tuple per gate.
+    binary gate that reads a variable, directly or through another gate.
+    Its live-outs are the stage-A slots ``live`` that some stage-B step
+    reads, plus the output when it reads no variable; a call runs stage B
+    on ``[*vars, *live-out values]``, appending one result per step.  Step
+    j of a stage reads slots ``lhs[j]`` and ``rhs[j]`` of its list and
+    multiplies when ``is_mul[j]``.  Three flat tuples per stage need about
+    half the memory of one tuple per gate.
 
-    ``memo`` is ``(params, params width, stage-A list)`` for the last
+    ``forms``, when not None, gives each live-out as an affine form in the
+    params, ``(c, coeffs, getter)`` with value
+    ``c + sum(coeffs[j] * getter(params)[j])``; stage A then runs no
+    steps.  It is None for a parameter-free circuit, whose stage A runs
+    once, and when a stage-A step multiplies two param forms or the forms
+    outgrow ``_FORM_CAP`` entries per gate; stage A then runs its steps
+    and picks out the live-outs.
+
+    ``memo`` is ``(params, params width, live-out values)`` for the last
     parameter vector that ran (``(None, 0, None)`` before the first), so
     a class member evaluated at many points runs stage A once.
 
@@ -146,6 +163,8 @@ class SlotProgram:
     a_lhs: Tuple[int, ...]
     a_rhs: Tuple[int, ...]
     a_mul: Tuple[bool, ...]
+    live: Tuple[int, ...]
+    forms: Optional[tuple]
     b_lhs: Tuple[int, ...]
     b_rhs: Tuple[int, ...]
     b_mul: Tuple[bool, ...]
@@ -155,12 +174,39 @@ class SlotProgram:
     memo: tuple = (None, 0, None)
 
     def run_stage_a(self, params) -> list:
-        """The stage-A list for this parameter vector."""
+        """The live-out values for this parameter vector."""
+        if self.forms is not None:
+            return [c + sum(map(mul, coeffs, get(params))) for c, coeffs, get in self.forms]
         values = [*params, *self.consts]
         append = values.append
         for lhs, rhs, is_mul in zip(self.a_lhs, self.a_rhs, self.a_mul):
             append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
-        return values
+        return [values[s] for s in self.live]
+
+
+def _combine(f, g, is_mul: bool):
+    """The affine form of f + g or f * g, or None for a product of two
+    param forms.  A form is ``(constant, {param slot: coefficient})``."""
+    (a, fa), (b, fb) = f, g
+    if not is_mul:
+        coeffs = dict(fa)
+        for k, v in fb.items():
+            coeffs[k] = coeffs.get(k, 0) + v
+        return a + b, coeffs
+    if fa and fb:
+        return None
+    scale, coeffs = (a, fb) if fb else (b, fa)
+    return a * b, {k: scale * v for k, v in coeffs.items()}
+
+
+def _getter(idx: Tuple[int, ...]):
+    """A function from params to the tuple of their entries at idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        k = idx[0]
+        return lambda params: (params[k],)
+    return lambda params: ()
 
 
 def _prepare(c: Circuit) -> SlotProgram:
@@ -168,44 +214,58 @@ def _prepare(c: Circuit) -> SlotProgram:
     gates.
 
     The first pass marks the gates that read a variable, directly or
-    through another gate, and counts the binary gates that read none: the
-    stage-A steps.  The second gives each slot its final index: a var or a
-    stage-B result its index in the full list, a param, a const or a
-    stage-A result its index in the stage-A list.  That list follows the
-    vars in the full list, so a stage-B step reads a stage-A slot
-    ``n_vars`` further on.
+    through another gate, and the live-outs.  The second gives each slot
+    its final index: a param, a const or a stage-A result its index in the
+    stage-A list; a var, a live-out or a stage-B result its index in
+    stage B's list ``[*vars, *live-outs, *B results]``.  When c has params
+    it also builds each stage-A slot's affine form as it places it.
     """
     gates = c.gates
     n_vars = c.n_vars
     reads_var = [False] * len(gates)
-    n_a = 0
+    is_live = [False] * len(gates)
     for i, g in enumerate(gates):
         op = g.op
         if op == ADD or op == MUL:
-            if reads_var[g.lhs] or reads_var[g.rhs]:
+            lhs, rhs = g.lhs, g.rhs
+            if reads_var[lhs] or reads_var[rhs]:
                 reads_var[i] = True
-            else:
-                n_a += 1
+                if not reads_var[lhs]:
+                    is_live[lhs] = True
+                if not reads_var[rhs]:
+                    is_live[rhs] = True
         elif op == VAR:
             reads_var[i] = True
+    if not reads_var[-1]:
+        is_live[-1] = True
     consts = tuple(g.value for g in gates if g.op == CONST)
     next_const = c.n_params
     next_a = next_const + len(consts)
-    next_b = n_vars + next_a + n_a
-    slot = [0] * len(gates)  # gate index -> slot
+    next_b = n_vars + sum(is_live)
+    slot = [0] * len(gates)  # gate index -> stage-A slot
+    full = [0] * len(gates)  # gate index -> slot in stage B's list
     deg = [0] * len(gates)
     bits = [0] * len(gates)
-    a_lhs, a_rhs, a_mul, b_lhs, b_rhs, b_mul = [], [], [], [], [], []
+    forms = [None] * len(gates) if c.n_params else None
+    budget = _FORM_CAP * len(gates)
+    a_lhs, a_rhs, a_mul, b_lhs, b_rhs, b_mul, live = [], [], [], [], [], [], []
     mul_degree = mul_bits = 0
     for i, g in enumerate(gates):
         op = g.op
-        if op == VAR or op == PARAM:
+        if op == VAR:
+            full[i] = g.name - 1
+            deg[i] = 1
+        elif op == PARAM:
             slot[i] = g.name - 1
             deg[i] = 1
+            if forms is not None:
+                forms[i] = (0, {slot[i]: 1})
         elif op == CONST:
             slot[i] = next_const
             next_const += 1
             bits[i] = g.value.bit_length()
+            if forms is not None:
+                forms[i] = (g.value, {})
         else:
             lhs, rhs = g.lhs, g.rhs
             is_mul = op == MUL
@@ -220,21 +280,36 @@ def _prepare(c: Circuit) -> SlotProgram:
             deg[i] = d
             bits[i] = b
             if reads_var[i]:
-                slot[i] = next_b
+                full[i] = next_b
                 next_b += 1
-                b_lhs.append(slot[lhs] if reads_var[lhs] else slot[lhs] + n_vars)
-                b_rhs.append(slot[rhs] if reads_var[rhs] else slot[rhs] + n_vars)
+                b_lhs.append(full[lhs])
+                b_rhs.append(full[rhs])
                 b_mul.append(is_mul)
-            else:
-                slot[i] = next_a
-                next_a += 1
-                a_lhs.append(slot[lhs])
-                a_rhs.append(slot[rhs])
-                a_mul.append(is_mul)
-    out = slot[-1] if reads_var[-1] else slot[-1] + n_vars
+                continue
+            slot[i] = next_a
+            next_a += 1
+            a_lhs.append(slot[lhs])
+            a_rhs.append(slot[rhs])
+            a_mul.append(is_mul)
+            if forms is not None:
+                form = _combine(forms[lhs], forms[rhs], is_mul)
+                if form is None or len(form[1]) > budget:
+                    forms = None  # stage A keeps its step loop
+                else:
+                    budget -= len(form[1])
+                    forms[i] = form
+        if is_live[i]:
+            full[i] = n_vars + len(live)
+            live.append(i)
+    if forms is not None:
+        forms = tuple(
+            (const, tuple(coeffs.values()), _getter(tuple(coeffs)))
+            for const, coeffs in map(forms.__getitem__, live)
+        )
     return SlotProgram(
         consts, tuple(a_lhs), tuple(a_rhs), tuple(a_mul),
-        tuple(b_lhs), tuple(b_rhs), tuple(b_mul), out, mul_degree, mul_bits,
+        tuple(slot[i] for i in live), forms,
+        tuple(b_lhs), tuple(b_rhs), tuple(b_mul), full[-1], mul_degree, mul_bits,
     )
 
 

@@ -13,26 +13,45 @@ import hashlib
 import random
 
 
+def _path_hash(seed: int, labels):
+    """The SHA-256 state after a root seed and a label path."""
+    h = hashlib.sha256(str(seed).encode())
+    for label in labels:
+        h.update(b"/" + label.encode())
+    return h
+
+
+def _seed_of(path_hash) -> int:
+    return int.from_bytes(path_hash.digest()[:8], "big")
+
+
 def derive_seed(seed: int, *labels: str) -> int:
     """Derive a 64-bit child seed from a root seed and a label path."""
-    h = hashlib.sha256()
-    h.update(str(seed).encode())
-    for label in labels:
-        h.update(b"/")
-        h.update(label.encode())
-    return int.from_bytes(h.digest()[:8], "big")
+    return _seed_of(_path_hash(seed, labels))
 
 
 class Rng:
-    """A seedable stream that can split off independent child streams."""
+    """A seedable stream that can split off independent child streams.
+
+    It keeps the hash state of its path, so a split hashes only its own
+    label.
+    """
 
     def __init__(self, seed: int, *labels: str):
+        self._start(seed, labels, _path_hash(seed, labels))
+
+    def _start(self, seed: int, labels, path_hash) -> None:
         self.seed = seed
         self.labels = labels
-        self._random = random.Random(derive_seed(seed, *labels))
+        self._path_hash = path_hash
+        self._random = random.Random(_seed_of(path_hash))
 
     def split(self, label: str) -> "Rng":
-        return Rng(self.seed, *self.labels, label)
+        path_hash = self._path_hash.copy()
+        path_hash.update(b"/" + label.encode())
+        child = Rng.__new__(Rng)
+        child._start(self.seed, (*self.labels, label), path_hash)
+        return child
 
     def randrange(self, stop: int) -> int:
         return self._random.randrange(stop)

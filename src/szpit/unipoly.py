@@ -100,13 +100,14 @@ def eval_unipoly(p: UniPoly, u: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -
     return acc
 
 
-def extract_unipoly(c: Circuit, d: int) -> UniPoly:
+def extract_unipoly(c: Circuit, d: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> UniPoly:
     """Coefficients of the univariate polynomial computed by circuit c.
 
     Requires at most one variable, no parameter gates, and individual
     syntactic degree at most d in that variable (the degree of the
     polynomial the circuit computes).  The result P satisfies
-    P(u) = c(u) for every integer u.
+    P(u) = c(u) for every integer u.  A mul gate with a coefficient
+    wider than the bit-length guard raises, as evaluation does.
     """
     if c.n_vars > 1:
         raise DimensionMismatchError(f"extraction needs at most 1 variable, got {c.n_vars}")
@@ -117,7 +118,13 @@ def extract_unipoly(c: Circuit, d: int) -> UniPoly:
     # var 1, const 0, add max, mul sum.  A gate above d gets no row, as every
     # gate reading it is above d too; so each row is exact, and the output's
     # degree decides whether the bound holds.
+    # ``top`` bounds every coefficient's bit length so far: a const brings
+    # its own, an add one bit more, a mul twice as many plus the carries of
+    # a width-term sum.  A mul row is checked against the guard only once
+    # the bound passes it.
     width = d + 1
+    carries = width.bit_length()
+    top = 1
     deg = [0] * len(c.gates)
     table: List[List[int]] = [[]] * len(c.gates)
     for i, g in enumerate(c.gates):
@@ -125,6 +132,8 @@ def extract_unipoly(c: Circuit, d: int) -> UniPoly:
         if op == CONST:
             row = [0] * width
             row[0] = g.value
+            if row[0].bit_length() > top:
+                top = row[0].bit_length()
         elif op == VAR:
             deg[i] = 1
             if d < 1:
@@ -134,6 +143,7 @@ def extract_unipoly(c: Circuit, d: int) -> UniPoly:
         else:
             a, b = table[g.lhs], table[g.rhs]
             if op == ADD:
+                top += 1
                 deg[i] = max(deg[g.lhs], deg[g.rhs])
                 if deg[i] > d:
                     continue
@@ -149,6 +159,13 @@ def extract_unipoly(c: Circuit, d: int) -> UniPoly:
                             bk = b[k - t]
                             if bk:
                                 row[k] += at * bk
+                top = 2 * top + carries
+                if top > bitlen_guard and (
+                    max(max(row).bit_length(), min(row).bit_length()) > bitlen_guard
+                ):
+                    raise BitLengthGuardError(
+                        f"gate {i}: value exceeds {bitlen_guard}-bit guard"
+                    )
         table[i] = row
     if deg[-1] > d:
         raise DegreeBoundError(f"syntactic degree {deg[-1]} in x > bound {d}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 from typing import Iterable, List, Tuple
 
-from szpit.circuit import CONST, Circuit, DegreeReport, analyze_degrees
+from szpit.circuit import CONST, Circuit, DegreeReport, Gate, analyze_degrees, circuit
 from szpit.codec import RootCode, SZContext, decode_code
 from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import DegreeBoundError, DimensionMismatchError
@@ -72,3 +72,15 @@ def var_max(rep: DegreeReport) -> int:
 def constants(c: Circuit) -> Tuple[int, ...]:
     """The values of the circuit's const gates."""
     return tuple(g.value for g in c.gates if g.op == CONST)
+
+
+def times_line_factors(c, j, roots):
+    """c * prod_r (x_j - r) for a circuit whose gate j-1 is var x_j, as
+    genckt builds them: each line along x_j then meets every r."""
+    gates = list(c.gates)
+    out = len(gates) - 1
+    for r in roots:
+        gates += [Gate.const(-r), Gate.add(j - 1, len(gates))]
+        gates.append(Gate.mul(out, len(gates) - 1))
+        out = len(gates) - 1
+    return circuit(gates)

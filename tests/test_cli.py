@@ -207,6 +207,17 @@ def test_internal_guard_exit_code(capsys, tmp_path):
     assert "guard" in err
 
 
+def test_coeffs_guard_exit_code(capsys, tmp_path):
+    # Squarings of a const outside the output's cone have x-degree 0, so
+    # only the bit-length guard stops them: exit 70.
+    path = tmp_path / "blow.ac"
+    gates = ["g0 = var x1", "g1 = const 3"] + [f"g{i} = mul g{i-1} g{i-1}" for i in range(2, 25)]
+    path.write_text("\n".join(gates + ["g25 = const 2", "g26 = mul g0 g25"]) + "\noutput g26\n")
+    code, _, err = run(capsys, "--bitlen-guard", "1024", "coeffs", str(path), "--d", "1")
+    assert code == 70
+    assert "gate 11: value exceeds 1024-bit guard" in err
+
+
 def _raises(exc):
     def fn(*args, **kwargs):
         raise exc

@@ -23,6 +23,7 @@ from szpit.hitting import find_small_witness
 from szpit.rng import Rng
 
 from genckt import random_circuit_bounded
+from helpers import times_line_factors
 from oracles import brute_roots
 
 
@@ -85,8 +86,11 @@ def test_nonroot_entries_may_be_large():
 
 
 def test_roundtrip_and_surjectivity_exhaustive():
+    # Random circuits seldom have two roots on one line, so each is
+    # multiplied by line factors (x_j - r); some roots then have rank 2
+    # or more, and decoding must pick the right root on its line.
     rng = Rng(83, "codec")
-    checked = 0
+    checked = max_rank = 0
     for attempt in range(600):
         if checked >= 60:
             break
@@ -95,8 +99,10 @@ def test_roundtrip_and_surjectivity_exhaustive():
         c = random_circuit_bounded(r, n_vars=n, max_individual=3, extra_gates=6)
         if c is None:
             continue
-        d = max(1, analyze_degrees(c).max_individual)
         q = r.randint(2, 8 if n < 3 else 6)
+        line_roots = sorted({r.randrange(q) for _ in range(r.randint(1, 3))})
+        c = times_line_factors(c, r.randint(1, n), line_roots)
+        d = max(1, analyze_degrees(c).max_individual)
         try:
             a = find_small_witness(c, n, d, max(q, 2 * d * n), rng=r.split("w"))
         except Exception:
@@ -106,10 +112,13 @@ def test_roundtrip_and_surjectivity_exhaustive():
         roots = set(cube_roots(c, n, q))
         assert roots == set(brute_roots(c, n, q))
         for b in roots:
-            assert decode_code(ctx, encode_root(ctx, b)) == b
+            code = encode_root(ctx, b)
+            max_rank = max(max_rank, code.i)
+            assert decode_code(ctx, code) == b
         image = {decode_code(ctx, code) for code in all_codes(n, d, q)}
         assert roots <= image
     assert checked == 60
+    assert max_rank >= 2
 
 
 def test_counting_corollary():

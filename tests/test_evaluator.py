@@ -149,23 +149,24 @@ def test_guard_error_is_the_same_on_every_call():
 
 def test_slot_program_layout():
     # Stage-A steps (A) read no variable; stage-B steps (B) do.  The
-    # stage-A list is [p1, p2, 3, -5, g3, g8, g10, g12] and the full list
-    # [x1, x2, *stage-A list, g4, g9, g11], so a B step reads stage-A
-    # slot s at s + 2.  The output, g12, reads no variable.
+    # stage-A list is [p1, p2, 3, -5, g3, g8, g10, g12].  Its live-outs are
+    # g3 and g10, which B steps read, and the output g12, which reads no
+    # variable; stage B's list is [x1, x2, g3, g10, g12, g4, g9, g11].
+    # g12 squares a param form, so stage A keeps its step loop.
     c = circuit([
         Gate.param(1),     # g0: stage-A slot 0
-        Gate.var(1),       # g1: full slot 0
+        Gate.var(1),       # g1: B slot 0
         Gate.const(3),     # g2: stage-A slot 2
-        Gate.mul(0, 2),    # g3 A: stage-A slot 4
-        Gate.add(1, 3),    # g4 B: full slot 10
+        Gate.mul(0, 2),    # g3 A: stage-A slot 4, B slot 2
+        Gate.add(1, 3),    # g4 B: B slot 5
         Gate.param(2),     # g5: stage-A slot 1
-        Gate.var(2),       # g6: full slot 1
+        Gate.var(2),       # g6: B slot 1
         Gate.const(-5),    # g7: stage-A slot 3
         Gate.add(5, 7),    # g8 A: stage-A slot 5
-        Gate.mul(4, 6),    # g9 B: full slot 11
-        Gate.add(8, 3),    # g10 A: stage-A slot 6
-        Gate.mul(9, 10),   # g11 B: full slot 12
-        Gate.mul(10, 10),  # g12 A: stage-A slot 7, full slot 9
+        Gate.mul(4, 6),    # g9 B: B slot 6
+        Gate.add(8, 3),    # g10 A: stage-A slot 6, B slot 3
+        Gate.mul(9, 10),   # g11 B: B slot 7
+        Gate.mul(10, 10),  # g12 A: stage-A slot 7, B slot 4
     ])
     params = (2, 7)
     assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params) == 64
@@ -174,14 +175,39 @@ def test_slot_program_layout():
     assert c._program == SlotProgram(
         consts=(3, -5),
         a_lhs=(0, 1, 5, 6), a_rhs=(2, 3, 4, 6), a_mul=(True, False, False, True),
-        b_lhs=(0, 10, 11), b_rhs=(6, 1, 8), b_mul=(False, True, True),
-        out=9,
+        live=(4, 6, 7), forms=None,
+        b_lhs=(0, 5, 6), b_rhs=(2, 1, 3), b_mul=(False, True, True),
+        out=4,
         # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
         # (3, 8) and (2, 10).
         mul_degree=3, mul_bits=10,
-        memo=(params, 3, [2, 7, 3, -5, 6, 2, 8, 64]),
+        memo=(params, 3, [6, 8, 64]),
     )
     assert eval_gates(c, (-1, 5), params) == naive_eval(c, (-1, 5), params)
+
+
+def test_affine_stage_a_forms():
+    # The same circuit with g12 = g10 * 3: every stage-A slot is then an
+    # affine form in the params, and the live-outs are computed from them.
+    # g3 = 3 p1, g10 = p2 - 5 + 3 p1 and g12 = 3 p2 - 15 + 9 p1.
+    c = circuit([
+        Gate.param(1), Gate.var(1), Gate.const(3), Gate.mul(0, 2), Gate.add(1, 3),
+        Gate.param(2), Gate.var(2), Gate.const(-5), Gate.add(5, 7), Gate.mul(4, 6),
+        Gate.add(8, 3), Gate.mul(9, 10), Gate.mul(10, 2),
+    ])
+    for params in [(2, 7), (2, 7), (-4, 11)]:
+        assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params)
+    prog = c._program
+    assert prog.live == (4, 6, 7)
+    assert [(k, coeffs, get((10, 20))) for k, coeffs, get in prog.forms] == [
+        (0, (3,), (10,)), (-5, (1, 3), (20, 10)), (-15, (3, 9), (20, 10)),
+    ]
+    assert prog.memo == ((-4, 11), 4, [-12, -6, -18])
+    # A param-free circuit builds no forms: its stage A runs once.
+    plugged = plug_params(c, {1: -4, 2: 11})
+    for _ in range(2):
+        assert eval_gates(plugged, (4, -3)) == eval_gates(c, (4, -3), (-4, 11))
+    assert plugged._program.forms is None
 
 
 def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():

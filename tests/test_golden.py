@@ -67,3 +67,18 @@ def test_criterion_9_values_and_traces_are_pinned():
         result = avoid_via_hitting(inst, seed=trial)
         digest.update(repr((result.value, sorted(result.trace.items()))).encode())
     assert digest.hexdigest() == CRITERION_9_DIGEST
+
+
+# The same digest for one a = 2^12 instance: 4,096 class members, each
+# verified, and a stretch of about 1,000 bits.
+A_4096_VALUE = 3766
+A_4096_DIGEST = "72238a9212ca77612f41c34708badb61347811a3efd46285ff886bd8ff399fe2"
+
+
+def test_a_4096_value_and_trace_are_pinned():
+    r = Rng(1013, "a4096")
+    a = 1 << 12
+    inst = AvoidInstance(a, 2 * a, tuple(r.randint(1, 2 * a) for _ in range(a)))
+    result = avoid_via_hitting(inst, seed=12)
+    digest = hashlib.sha256(repr((result.value, sorted(result.trace.items()))).encode())
+    assert (result.value, digest.hexdigest()) == (A_4096_VALUE, A_4096_DIGEST)

@@ -1,16 +1,20 @@
 """Property tests: degree analysis, the text format and evaluation on
 circuits with var, param and const gates, checked against the recursive
 oracles; univariate extraction against evaluation; the root codec's round
-trip and surjectivity; and the agreement of the three PIT testers."""
+trip and surjectivity; the agreement of the three PIT testers; amplify
+against its round-by-round definition; and the seeds of split streams."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
+import random
 from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
+from szpit.avoid import amplify
+from szpit.boolfunc import BoolFunc, int_to_bits
 from szpit.circuit import (
     Gate,
     analyze_degrees,
@@ -31,11 +35,12 @@ from szpit.pit import (
     pit_random,
     pit_with_hitting_set,
 )
-from szpit.rng import Rng
+from szpit.rng import Rng, derive_seed
 from szpit.unipoly import eval_unipoly, extract_unipoly
 
 from genckt import random_circuit_bounded
-from oracles import degree_oracle, expansion_is_zero, naive_eval
+from helpers import times_line_factors
+from oracles import amplify_steps, degree_oracle, expansion_is_zero, naive_eval
 
 # Derandomized and without an example database, so every run draws the
 # same examples and leaves no files behind.
@@ -129,12 +134,51 @@ GUARDS = st.sampled_from([8, 64, 1 << 20])
 
 
 @st.composite
+def templates(draw):
+    """``(kind, circuit)``: a random circuit ("random"); a template whose
+    stage A, the gates that read no variable, is affine in its params
+    ("affine"); one whose stage A also multiplies two params ("product");
+    or a long add-chain of distinct params, whose affine forms outgrow
+    the cap ("chain")."""
+    kind = draw(st.sampled_from(["random", "affine", "product", "chain"]))
+    if kind == "random":
+        return kind, draw(circuits())
+    if kind == "chain":
+        n = draw(st.integers(36, 40))
+        gates = [Gate.param(k) for k in range(1, n + 1)] + [Gate.add(0, 1)]
+        gates += [Gate.add(n + k - 2, k) for k in range(2, n)]
+        gates += [Gate.var(1), Gate.mul(len(gates) - 1, len(gates))]
+        return kind, circuit(gates)
+    n_params = draw(st.integers(1, 3))
+    gates = [Gate.param(k) for k in range(1, n_params + 1)]
+    gates += [Gate.const(draw(SMALL)) for _ in range(draw(st.integers(1, 2)))]
+    has_param = [g.op == "param" for g in gates]
+    if kind == "product":
+        gates.append(Gate.mul(draw(st.integers(0, n_params - 1)), draw(st.integers(0, n_params - 1))))
+        has_param.append(True)
+    for _ in range(draw(st.integers(1, 6))):
+        lhs = draw(st.integers(0, len(gates) - 1))
+        rhs = draw(st.integers(0, len(gates) - 1))
+        affine = not (has_param[lhs] and has_param[rhs])
+        gates.append(Gate.mul(lhs, rhs) if affine and draw(st.booleans()) else Gate.add(lhs, rhs))
+        has_param.append(has_param[lhs] or has_param[rhs])
+    first_var = len(gates)
+    gates += [Gate.var(j) for j in range(1, draw(st.integers(1, 2)) + 1)]
+    for _ in range(draw(st.integers(1, 4))):  # each reads a variable
+        lhs = draw(st.integers(first_var, len(gates) - 1))
+        rhs = draw(st.integers(0, len(gates) - 1))
+        gates.append(Gate.mul(lhs, rhs) if draw(st.booleans()) else Gate.add(lhs, rhs))
+    return kind, circuit(gates)
+
+
+@st.composite
 def call_sequences(draw):
-    """A circuit and the calls to make on it: ``(x, how, p, slot, guard)``,
-    where ``how`` reuses the last params object ("same"), passes the new
-    tuple p ("new"), an equal copy of the last vector ("copy"), or the one
-    params list after adding 1 to its entry ``slot`` in place ("in place")."""
-    c = draw(circuits())
+    """A template's kind, the circuit and the calls to make on it:
+    ``(x, how, p, slot, guard)``, where ``how`` reuses the last params
+    object ("same"), passes the new tuple p ("new"), an equal copy of the
+    last vector ("copy"), or the one params list after adding 1 to its
+    entry ``slot`` in place ("in place")."""
+    kind, c = draw(templates())
     hows = st.sampled_from(["same", "new", "copy", "in place"])
     calls = []
     for _ in range(draw(st.integers(2, 8))):
@@ -142,7 +186,7 @@ def call_sequences(draw):
         p = tuple(draw(VALUES) for _ in range(c.n_params))
         slot = draw(st.integers(0, max(0, c.n_params - 1)))
         calls.append((x, draw(hows), p, slot, draw(GUARDS)))
-    return c, calls
+    return kind, c, calls
 
 
 @PROPERTY
@@ -150,8 +194,10 @@ def call_sequences(draw):
 def test_staged_evaluation_over_a_call_sequence(case):
     # Stage A runs once per parameter vector and is kept for the next call;
     # every call must still give the interpreter's value or error, which a
-    # fresh copy of the circuit yields on its first call.
-    c, calls = case
+    # fresh copy of the circuit yields on its first call.  An affine stage
+    # A computes its live-outs from affine forms; a product of two params
+    # or a chain past the form cap keeps the step loop.
+    kind, c, calls = case
     params = tuple(calls[0][2])
     as_list = list(params)
     for x, how, p, slot, guard in calls:
@@ -167,6 +213,8 @@ def test_staged_evaluation_over_a_call_sequence(case):
         assert outcome(eval_gates, c, x, params, guard) == want
         if isinstance(want, int):
             assert want == naive_eval(c, x, tuple(params))
+    if kind != "random":
+        assert (c._program.forms is not None) == (kind == "affine")
 
 
 @PROPERTY
@@ -181,18 +229,6 @@ def test_extraction_agrees_with_evaluation(seed, slack, u):
     assert eval_unipoly(p, u) == eval_gates(c, (u,))
     with pytest.raises(DegreeBoundError, match=f"syntactic degree {x_degree} in x > bound"):
         extract_unipoly(c, x_degree - 1)
-
-
-def times_line_factors(c, j, roots):
-    """c * prod_r (x_j - r) for a circuit whose gate j-1 is var x_j, as
-    genckt builds them: each line along x_j then meets every r."""
-    gates = list(c.gates)
-    out = len(gates) - 1
-    for r in roots:
-        gates += [Gate.const(-r), Gate.add(j - 1, len(gates))]
-        gates.append(Gate.mul(out, len(gates) - 1))
-        out = len(gates) - 1
-    return circuit(gates)
 
 
 @settings(PROPERTY, max_examples=100)
@@ -243,3 +279,43 @@ def test_pit_testers_agree(seed, n, zero, pit_seed):
         if verdict.kind == NONZERO:
             assert all(0 <= v < q for v in verdict.witness)
             assert naive_eval(c, verdict.witness) != 0
+
+
+@PROPERTY
+@given(
+    st.integers(-(2**70), 2**70),
+    st.lists(st.text(max_size=6), max_size=4),
+    st.lists(st.text(max_size=6), min_size=1, max_size=3),
+)
+def test_split_seeds_its_stream_by_the_whole_path(seed, path, splits):
+    # A split extends its parent's hash state by one label; its stream
+    # must be the one seeded by hashing the whole path from scratch.
+    rng = Rng(seed, *path)
+    for label in splits:
+        rng = rng.split(label)
+        path.append(label)
+        want = random.Random(derive_seed(seed, *path))
+        assert rng.labels == tuple(path)
+        assert [rng.randrange(1 << 64) for _ in range(3)] == [want.randrange(1 << 64) for _ in range(3)]
+
+
+# Stretch lengths up to the avoid schedules' (about 1,100), with the powers
+# of two and the lengths one below them, where the doubling tables change.
+STRETCHES = st.one_of(
+    st.integers(1, 1100),
+    st.integers(0, 10).map(lambda k: 1 << k),
+    st.integers(1, 10).map(lambda k: (1 << k) - 1),
+)
+
+
+@PROPERTY
+@given(st.integers(0, 6), STRETCHES, st.data())
+def test_amplify_matches_the_round_by_round_oracle(m, t, data):
+    # amplify_steps is O(t^2) per input, so a few inputs per g are checked.
+    g = BoolFunc(m, m + 1, tuple(
+        int_to_bits(data.draw(st.integers(0, (1 << (m + 1)) - 1)), m + 1) for _ in range(1 << m)
+    ))
+    h = amplify(g, t)
+    for v in data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4)):
+        x = int_to_bits(v, m)
+        assert h(x) == amplify_steps(g, x, t)[-1]

@@ -3,8 +3,8 @@
 import pytest
 
 from szpit.circuit import Gate, analyze_degrees, circuit
-from szpit.errors import CapExceededError, DegreeBoundError, PreconditionError
-from szpit.evaluator import Assignment, eval_arithmetic
+from szpit.errors import BitLengthGuardError, CapExceededError, DegreeBoundError, PreconditionError
+from szpit.evaluator import Assignment, eval_arithmetic, eval_gates
 from szpit.hitting import bitlen
 from szpit.rng import Rng
 from szpit.unipoly import (
@@ -75,6 +75,31 @@ def test_extract_difference_of_squares():
 def test_extract_constant_and_identity():
     assert extract_unipoly(circuit([Gate.const(7)]), 0).coeffs == (7,)
     assert extract_unipoly(circuit([Gate.var(1)]), 3).coeffs == (0, 1, 0, 0)
+
+
+def test_extract_bitlen_guard():
+    # x * 1 beside a chain of squarings of 3 that the output never reads:
+    # gate i holds 3^(2^(i-1)), and gate 11, 3^1024, is the first wider
+    # than 1024 bits.  Extraction stops there, as evaluation does.
+    c = circuit(
+        [Gate.var(1), Gate.const(3)] + [Gate.mul(i, i) for i in range(1, 12)]
+        + [Gate.const(1), Gate.mul(0, 13)]
+    )
+    with pytest.raises(BitLengthGuardError, match="^gate 11: value exceeds 1024-bit guard$"):
+        extract_unipoly(c, 1, bitlen_guard=1024)
+    with pytest.raises(BitLengthGuardError, match="^gate 11: value exceeds 1024-bit guard$"):
+        eval_gates(c, (5,), (), 1024)
+    assert extract_unipoly(c, 1).coeffs == (0, 1)
+    # Forty doublings of 1 by add gates, then a square: 2^80 passes a
+    # 64-bit guard only through the bits the adds gained.
+    c = circuit(
+        [Gate.var(1), Gate.const(1)] + [Gate.add(i, i) for i in range(1, 41)]
+        + [Gate.mul(41, 41), Gate.mul(0, 42)]
+    )
+    with pytest.raises(BitLengthGuardError, match="^gate 42: value exceeds 64-bit guard$"):
+        extract_unipoly(c, 1, bitlen_guard=64)
+    with pytest.raises(BitLengthGuardError, match="^gate 42: value exceeds 64-bit guard$"):
+        eval_gates(c, (5,), (), 64)
 
 
 def test_extract_rejects_multivariate_and_overdegree():
