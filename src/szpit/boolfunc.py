@@ -76,10 +76,6 @@ class BoolFunc:
     def range_set(self) -> set:
         return set(self.table)
 
-    def inputs(self):
-        for v in range(1 << self.in_bits):
-            yield int_to_bits(v, self.in_bits)
-
 
 def boolfunc_from_callable(fn: Callable[[Bits], Bits], in_bits: int, out_bits: int) -> BoolFunc:
     table = tuple(tuple(fn(int_to_bits(v, in_bits))) for v in range(1 << in_bits))
@@ -216,7 +212,3 @@ def eval_bool_circuit(c: BoolCircuit, bits: Bits) -> Bits:
         else:
             values[i] = 1 - values[g.lhs]
     return tuple(values[o] for o in c.outputs)
-
-
-def boolfunc_from_circuit(c: BoolCircuit) -> BoolFunc:
-    return boolfunc_from_callable(lambda bits: eval_bool_circuit(c, bits), c.n_vars, len(c.outputs))

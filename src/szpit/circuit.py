@@ -35,7 +35,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import CircuitSyntaxError, CircuitValidationError, PreconditionError
+from .config import DEFAULT_EXHAUSTION_CAP
+from .errors import CapExceededError, CircuitSyntaxError, CircuitValidationError, PreconditionError
 
 VAR = "var"
 PARAM = "param"
@@ -171,6 +172,9 @@ def _degree_pass(c: Circuit) -> DegreeReport:
     merges its smaller operand's sparse dict into its larger one's.  When
     the gate is the larger operand's only use, it merges into that dict in
     place, so a chain runs in linear time; otherwise it merges into a copy.
+    Heavy sharing can still make the copies quadratic, so past
+    ``DEFAULT_EXHAUSTION_CAP`` dict entries copied or merged in all the
+    pass raises :class:`CapExceededError`.
     """
     gates = c.gates
     uses = [0] * len(gates)
@@ -180,6 +184,7 @@ def _degree_pass(c: Circuit) -> DegreeReport:
             uses[g.rhs] += 1
     totals = [1] * len(gates)
     per_input: list = [None] * len(gates)
+    work = 0
     for i, g in enumerate(gates):
         op = g.op
         if op == VAR:
@@ -193,7 +198,17 @@ def _degree_pass(c: Circuit) -> DegreeReport:
             a, b = per_input[big], per_input[small]
             if len(a) < len(b):
                 big, small, a, b = small, big, b, a
-            merged = a if uses[big] == 1 else dict(a)
+            if uses[big] == 1:
+                merged = a
+                work += len(b)
+            else:
+                merged = dict(a)
+                work += len(a) + len(b)
+            if work > DEFAULT_EXHAUSTION_CAP:
+                raise CapExceededError(
+                    f"gate {i}: degree analysis exceeds the cap of "
+                    f"{DEFAULT_EXHAUSTION_CAP} dict entries"
+                )
             if op == ADD:
                 totals[i] = max(totals[big], totals[small])
                 for u, d in b.items():

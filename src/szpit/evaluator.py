@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter, mul
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees
 from .config import DEFAULT_BITLEN_GUARD
@@ -57,9 +57,9 @@ def eval_gates(
     a :class:`SlotProgram` and keeps it on the object; from then on a call
     whose inputs have the circuit's dimensions, and whose input widths
     keep every mul gate provably under the guard, runs that program with
-    no per-gate checks; its stage A, the gates that read no variable,
-    runs once per parameter vector.  Every other call interprets, so
-    results and errors are those of the interpreter.
+    no per-gate checks; its stage A, the gates that are affine in the
+    params, runs once per parameter vector.  Every other call interprets,
+    so results and errors are those of the interpreter.
     """
     prog = c._program
     if prog is None:  # one-shot circuits never pay for preparation
@@ -120,37 +120,38 @@ def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
 
 
 # Affine forms may hold at most this many coefficients per gate in all;
-# past it (a long param add-chain builds quadratically many) stage A keeps
-# its step loop.
+# past it (a long param add-chain builds quadratically many) the gates run
+# as stage-B steps.
 _FORM_CAP = 8
+
+# The coefficients of every constant form; never mutated.
+_NO_COEFFS: dict = {}
 
 
 @dataclass(slots=True)
 class SlotProgram:
     """A circuit as straight-line code in two stages.
 
-    Stage A holds the binary gates that read only params, consts and
-    other stage-A results; its list is ``[*params, *consts, *A results]``
-    and depends on the parameter vector alone.  Stage B holds every
-    binary gate that reads a variable, directly or through another gate.
-    Its live-outs are the stage-A slots ``live`` that some stage-B step
-    reads, plus the output when it reads no variable; a call runs stage B
-    on ``[*vars, *live-out values]``, appending one result per step.  Step
-    j of a stage reads slots ``lhs[j]`` and ``rhs[j]`` of its list and
-    multiplies when ``is_mul[j]``.  Three flat tuples per stage need about
-    half the memory of one tuple per gate.
+    Stage A is the gates with an affine form in the params: params, consts
+    (so a parameter-free circuit's consts are constant forms), and each
+    binary gate whose operands have forms, whose own form is affine (not a
+    product of two param forms), fits in what is left of ``_FORM_CAP``
+    coefficients per gate, and whose static bit bound is at most
+    ``DEFAULT_BITLEN_GUARD``.  Stage B is every other binary gate: those
+    that read a variable and those that break one of these rules.  Its
+    live-outs are the stage-A gates that a stage-B step reads, and the
+    output when it is in stage A.  A call runs stage B on
+    ``[*vars, *live-out values]``, appending one result per step; step j
+    reads slots ``b_lhs[j]`` and ``b_rhs[j]`` of that list and multiplies
+    when ``b_mul[j]``.  Three flat tuples need about half the memory of
+    one tuple per gate.
 
-    ``forms``, when not None, gives each live-out as an affine form in the
-    params, ``(c, coeffs, getter)`` with value
-    ``c + sum(coeffs[j] * getter(params)[j])``; stage A then runs no
-    steps.  It is None for a parameter-free circuit, whose stage A runs
-    once, and when a stage-A step multiplies two param forms or the forms
-    outgrow ``_FORM_CAP`` entries per gate; stage A then runs its steps
-    and picks out the live-outs.
-
-    ``memo`` is ``(params, params width, live-out values)`` for the last
-    parameter vector that ran (``(None, 0, None)`` before the first), so
-    a class member evaluated at many points runs stage A once.
+    ``forms`` gives each live-out as ``(c, coeffs, getter)``, with value
+    ``c + sum(coeffs[j] * getter(params)[j])``; a constant has no
+    coefficients and no getter.  ``memo`` is
+    ``(params, params width, live-out values)`` for the last parameter
+    vector that ran (``(None, 0, None)`` before the first), so a class
+    member evaluated at many points computes its live-outs once.
 
     Static bit bound: with every input at most w bits wide, every mul
     gate's value has at most ``mul_degree * w + mul_bits`` bits.  An input
@@ -159,12 +160,7 @@ class SlotProgram:
     mul takes the sums, as bl(ab) <= bl a + bl b.
     """
 
-    consts: Tuple[int, ...]
-    a_lhs: Tuple[int, ...]
-    a_rhs: Tuple[int, ...]
-    a_mul: Tuple[bool, ...]
-    live: Tuple[int, ...]
-    forms: Optional[tuple]
+    forms: tuple
     b_lhs: Tuple[int, ...]
     b_rhs: Tuple[int, ...]
     b_mul: Tuple[bool, ...]
@@ -175,20 +171,25 @@ class SlotProgram:
 
     def run_stage_a(self, params) -> list:
         """The live-out values for this parameter vector."""
-        if self.forms is not None:
-            return [c + sum(map(mul, coeffs, get(params))) for c, coeffs, get in self.forms]
-        values = [*params, *self.consts]
-        append = values.append
-        for lhs, rhs, is_mul in zip(self.a_lhs, self.a_rhs, self.a_mul):
-            append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
-        return [values[s] for s in self.live]
+        return [
+            c + sum(map(mul, coeffs, get(params))) if coeffs else c
+            for c, coeffs, get in self.forms
+        ]
 
 
-def _combine(f, g, is_mul: bool):
+def _combine(f, g, is_mul: bool, budget: int):
     """The affine form of f + g or f * g, or None for a product of two
-    param forms.  A form is ``(constant, {param slot: coefficient})``."""
+    param forms or operands holding more than ``budget`` coefficients.
+    A form is ``(constant, {param index: coefficient})``; the result may
+    share an operand's dict, so none is ever changed."""
     (a, fa), (b, fb) = f, g
+    if len(fa) + len(fb) > budget:
+        return None
     if not is_mul:
+        if not fb or not fa:
+            return a + b, fa or fb
+        if len(fa) < len(fb):
+            fa, fb = fb, fa
         coeffs = dict(fa)
         for k, v in fb.items():
             coeffs[k] = coeffs.get(k, 0) + v
@@ -203,69 +204,36 @@ def _getter(idx: Tuple[int, ...]):
     """A function from params to the tuple of their entries at idx."""
     if len(idx) > 1:
         return itemgetter(*idx)
-    if idx:
-        k = idx[0]
-        return lambda params: (params[k],)
-    return lambda params: ()
+    k = idx[0]
+    return lambda params: (params[k],)
 
 
 def _prepare(c: Circuit) -> SlotProgram:
     """Build c's slot program and static bit bound in two passes over the
     gates.
 
-    The first pass marks the gates that read a variable, directly or
-    through another gate, and the live-outs.  The second gives each slot
-    its final index: a param, a const or a stage-A result its index in the
-    stage-A list; a var, a live-out or a stage-B result its index in
-    stage B's list ``[*vars, *live-outs, *B results]``.  When c has params
-    it also builds each stage-A slot's affine form as it places it.
+    The first pass computes each gate's degree, bit bound and affine form,
+    which decides its stage, and marks the live-outs.  The second gives
+    each var, live-out and stage-B result its index in stage B's list
+    ``[*vars, *live-outs, *B results]``.
     """
     gates = c.gates
-    n_vars = c.n_vars
-    reads_var = [False] * len(gates)
-    is_live = [False] * len(gates)
-    for i, g in enumerate(gates):
-        op = g.op
-        if op == ADD or op == MUL:
-            lhs, rhs = g.lhs, g.rhs
-            if reads_var[lhs] or reads_var[rhs]:
-                reads_var[i] = True
-                if not reads_var[lhs]:
-                    is_live[lhs] = True
-                if not reads_var[rhs]:
-                    is_live[rhs] = True
-        elif op == VAR:
-            reads_var[i] = True
-    if not reads_var[-1]:
-        is_live[-1] = True
-    consts = tuple(g.value for g in gates if g.op == CONST)
-    next_const = c.n_params
-    next_a = next_const + len(consts)
-    next_b = n_vars + sum(is_live)
-    slot = [0] * len(gates)  # gate index -> stage-A slot
-    full = [0] * len(gates)  # gate index -> slot in stage B's list
     deg = [0] * len(gates)
     bits = [0] * len(gates)
-    forms = [None] * len(gates) if c.n_params else None
+    forms: list = [None] * len(gates)  # None: a var or a stage-B step
+    is_live = [False] * len(gates)
     budget = _FORM_CAP * len(gates)
-    a_lhs, a_rhs, a_mul, b_lhs, b_rhs, b_mul, live = [], [], [], [], [], [], []
     mul_degree = mul_bits = 0
     for i, g in enumerate(gates):
         op = g.op
-        if op == VAR:
-            full[i] = g.name - 1
-            deg[i] = 1
-        elif op == PARAM:
-            slot[i] = g.name - 1
-            deg[i] = 1
-            if forms is not None:
-                forms[i] = (0, {slot[i]: 1})
-        elif op == CONST:
-            slot[i] = next_const
-            next_const += 1
+        if op == CONST:
             bits[i] = g.value.bit_length()
-            if forms is not None:
-                forms[i] = (g.value, {})
+            forms[i] = (g.value, _NO_COEFFS)
+        elif op == PARAM:
+            deg[i] = 1
+            forms[i] = (0, {g.name - 1: 1})
+        elif op == VAR:
+            deg[i] = 1
         else:
             lhs, rhs = g.lhs, g.rhs
             is_mul = op == MUL
@@ -279,37 +247,44 @@ def _prepare(c: Circuit) -> SlotProgram:
                 d, b = max(deg[lhs], deg[rhs]), max(bits[lhs], bits[rhs]) + 1
             deg[i] = d
             bits[i] = b
-            if reads_var[i]:
-                full[i] = next_b
-                next_b += 1
-                b_lhs.append(full[lhs])
-                b_rhs.append(full[rhs])
-                b_mul.append(is_mul)
-                continue
-            slot[i] = next_a
-            next_a += 1
-            a_lhs.append(slot[lhs])
-            a_rhs.append(slot[rhs])
-            a_mul.append(is_mul)
-            if forms is not None:
-                form = _combine(forms[lhs], forms[rhs], is_mul)
-                if form is None or len(form[1]) > budget:
-                    forms = None  # stage A keeps its step loop
-                else:
+            f, h = forms[lhs], forms[rhs]
+            if f is not None and h is not None and b <= DEFAULT_BITLEN_GUARD:
+                form = _combine(f, h, is_mul, budget)
+                if form is not None:
                     budget -= len(form[1])
                     forms[i] = form
-        if is_live[i]:
-            full[i] = n_vars + len(live)
-            live.append(i)
-    if forms is not None:
-        forms = tuple(
-            (const, tuple(coeffs.values()), _getter(tuple(coeffs)))
-            for const, coeffs in map(forms.__getitem__, live)
-        )
+                    continue
+            if f is not None:
+                is_live[lhs] = True
+            if h is not None:
+                is_live[rhs] = True
+    if forms[-1] is not None:
+        is_live[-1] = True
+    n_vars = c.n_vars
+    next_b = n_vars + sum(is_live)
+    full = []  # gate index -> slot in stage B's list
+    live, b_lhs, b_rhs, b_mul = [], [], [], []
+    for g, form, is_out in zip(gates, forms, is_live):
+        if is_out:
+            full.append(n_vars + len(live))
+            const, coeffs = form
+            live.append(
+                (const, tuple(coeffs.values()), _getter(tuple(coeffs)))
+                if coeffs else (const, (), None)
+            )
+        elif form is not None:
+            full.append(-1)
+        elif g.op == VAR:
+            full.append(g.name - 1)
+        else:
+            full.append(next_b)
+            next_b += 1
+            b_lhs.append(full[g.lhs])
+            b_rhs.append(full[g.rhs])
+            b_mul.append(g.op == MUL)
     return SlotProgram(
-        consts, tuple(a_lhs), tuple(a_rhs), tuple(a_mul),
-        tuple(slot[i] for i in live), forms,
-        tuple(b_lhs), tuple(b_rhs), tuple(b_mul), full[-1], mul_degree, mul_bits,
+        tuple(live), tuple(b_lhs), tuple(b_rhs), tuple(b_mul), full[-1],
+        mul_degree, mul_bits,
     )
 
 

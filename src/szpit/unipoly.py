@@ -56,11 +56,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 
-    @property
-    def bit_complexity(self) -> int:
-        """Maximum coefficient bit length (0 for the zero polynomial)."""
-        return max((abs(v).bit_length() for v in self.coeffs), default=0)
-
     def padded(self, d: int) -> "UniPoly":
         """The same polynomial under degree bound d >= current bound."""
         if d < self.degree_bound:

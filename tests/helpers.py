@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import importlib
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
+from szpit.boolfunc import (
+    BoolCircuit,
+    BoolFunc,
+    Bits,
+    boolfunc_from_callable,
+    eval_bool_circuit,
+    int_to_bits,
+)
 from szpit.circuit import CONST, Circuit, DegreeReport, Gate, analyze_degrees, circuit
 from szpit.codec import RootCode, SZContext, decode_code
 from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import DegreeBoundError, DimensionMismatchError
 from szpit.evaluator import eval_gates
 from szpit.hitting import DefinableClass
+from szpit.unipoly import UniPoly
 
 
 def count_degree_passes(monkeypatch) -> List[Circuit]:
@@ -84,3 +93,19 @@ def times_line_factors(c, j, roots):
         gates.append(Gate.mul(out, len(gates) - 1))
         out = len(gates) - 1
     return circuit(gates)
+
+
+def inputs(f: BoolFunc) -> Iterator[Bits]:
+    """Every input of f, in table order."""
+    for v in range(1 << f.in_bits):
+        yield int_to_bits(v, f.in_bits)
+
+
+def boolfunc_from_circuit(c: BoolCircuit) -> BoolFunc:
+    """The function a Boolean circuit computes, tabulated."""
+    return boolfunc_from_callable(lambda bits: eval_bool_circuit(c, bits), c.n_vars, len(c.outputs))
+
+
+def bit_complexity(p: UniPoly) -> int:
+    """Maximum coefficient bit length (0 for the zero polynomial)."""
+    return max((abs(v).bit_length() for v in p.coeffs), default=0)

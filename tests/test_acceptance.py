@@ -37,6 +37,7 @@ from szpit.rng import Rng
 from szpit.unipoly import UniPoly, enumerate_roots, eval_unipoly, extract_unipoly
 
 from genckt import random_circuit_bounded
+from helpers import bit_complexity, inputs
 from oracles import amplify_steps
 
 
@@ -150,7 +151,7 @@ def test_criterion_4_extraction_soundness_and_bits():
         # growth recurrence runs over the total syntactic degree, in which
         # constant inputs count.
         d_u = analyze_degrees(c).total
-        assert p.bit_complexity <= (s_cap + bitlen(d_cap + 1)) * (2 * max(d_u, 1) - 1)
+        assert bit_complexity(p) <= (s_cap + bitlen(d_cap + 1)) * (2 * max(d_u, 1) - 1)
     assert checked >= 500
     _report(4, f"coefficient extraction on {checked} univariate circuits", started, 10)
 
@@ -246,7 +247,7 @@ def test_criterion_8_appendix_pipeline():
             g = BoolFunc(m, m + 1, tuple(
                 int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
             ))
-            for z in g.inputs():
+            for z in inputs(g):
                 states = amplify_steps(g, z, 4)
                 for i in range(4):
                     y, v = states[i][:m], states[i][m:]
@@ -287,7 +288,7 @@ def test_criterion_9_end_to_end_reduction():
         sched = desk_schedule(g.in_bits)
         h = amplify(g, sched.t_prime - g.in_bits)
         y = tuple(int(ch) for ch in result.trace["y"])
-        assert all(h(x) != y for x in h.inputs())
+        assert all(h(x) != y for x in inputs(h))
     _report(9, "hitting-set reduction solves 50 random instances", started, 300)
 
 

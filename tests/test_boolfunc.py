@@ -5,13 +5,14 @@ import pytest
 from szpit.boolfunc import (
     BoolFunc,
     bits_to_int,
-    boolfunc_from_circuit,
     eval_bool_circuit,
     int_to_bits,
     parse_bool_circuit,
     serialize_bool_circuit,
 )
 from szpit.errors import CircuitSyntaxError, DimensionMismatchError
+
+from helpers import boolfunc_from_circuit
 
 XOR_NOT_TEXT = """\
 g0 = var x1

@@ -15,7 +15,8 @@ from szpit.circuit import (
     serialize_circuit,
     validate,
 )
-from szpit.errors import CircuitSyntaxError, CircuitValidationError
+from szpit.config import DEFAULT_EXHAUSTION_CAP
+from szpit.errors import CapExceededError, CircuitSyntaxError, CircuitValidationError
 from szpit.rng import Rng
 
 from genckt import random_circuit
@@ -148,6 +149,30 @@ def test_degrees_of_a_long_add_chain_in_linear_time():
     assert time.perf_counter() - start < 1.0
     assert (rep.total, rep.max_individual) == (1, 1)
     assert len(rep.individual) == 20_000
+
+
+def test_degree_pass_work_cap_on_shared_gates():
+    # x_{k+1} = x_k + (k + 1) with a side gate x_k * x_k: every link has
+    # three uses, so the pass copies its growing dict at each of them and
+    # merges it into the side gate's copy, quadratic work that the cap
+    # stops (8k links copy or merge about 96 M entries).
+    gates = [Gate.var(1)]
+    for k in range(8_000):
+        x = len(gates) - 1
+        gates += [Gate.mul(x, x), Gate.const(k + 1), Gate.add(x, len(gates) + 1)]
+    # A sum of 20k consts that 400 gates read: each copies its 20k-entry
+    # dict and merges one entry, so the copies alone pass the cap.
+    wide = [Gate.const(0)]
+    for k in range(1, 20_000):
+        wide += [Gate.const(k), Gate.add(len(wide) - 1, len(wide))]
+    total = len(wide) - 1
+    for k in range(400):
+        wide += [Gate.const(k), Gate.add(total, len(wide))]
+    for c in (circuit(gates), circuit(wide)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"cap of {DEFAULT_EXHAUSTION_CAP} dict entries"):
+            analyze_degrees(c)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_formula_degree_bounded_by_gate_count():

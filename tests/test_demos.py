@@ -1,4 +1,6 @@
-"""Every script under demos/ runs to completion against the library in src/."""
+"""Every script under demos/ runs to completion against the library in src/,
+with every warning an error (the subprocess does not inherit pytest's
+``filterwarnings``)."""
 
 import os
 import subprocess
@@ -15,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Degree-bounded evaluation."""
 
+import time
+
 import pytest
 
 from szpit.circuit import Gate, circuit, plug_params
@@ -148,47 +150,47 @@ def test_guard_error_is_the_same_on_every_call():
 
 
 def test_slot_program_layout():
-    # Stage-A steps (A) read no variable; stage-B steps (B) do.  The
-    # stage-A list is [p1, p2, 3, -5, g3, g8, g10, g12].  Its live-outs are
-    # g3 and g10, which B steps read, and the output g12, which reads no
-    # variable; stage B's list is [x1, x2, g3, g10, g12, g4, g9, g11].
-    # g12 squares a param form, so stage A keeps its step loop.
+    # Stage A holds the gates with an affine form in the params: p1, p2, 3,
+    # -5, g3 = 3 p1, g8 = p2 - 5 and g10 = p2 - 5 + 3 p1.  g12 = g10 * g10
+    # multiplies two param forms, so it is a stage-B step like every gate
+    # that reads a variable (B).  The live-outs are g3 and g10, which B
+    # steps read; stage B's list is [x1, x2, g3, g10, g4, g9, g11, g12].
     c = circuit([
-        Gate.param(1),     # g0: stage-A slot 0
+        Gate.param(1),     # g0
         Gate.var(1),       # g1: B slot 0
-        Gate.const(3),     # g2: stage-A slot 2
-        Gate.mul(0, 2),    # g3 A: stage-A slot 4, B slot 2
-        Gate.add(1, 3),    # g4 B: B slot 5
-        Gate.param(2),     # g5: stage-A slot 1
+        Gate.const(3),     # g2
+        Gate.mul(0, 2),    # g3: B slot 2
+        Gate.add(1, 3),    # g4 B: B slot 4
+        Gate.param(2),     # g5
         Gate.var(2),       # g6: B slot 1
-        Gate.const(-5),    # g7: stage-A slot 3
-        Gate.add(5, 7),    # g8 A: stage-A slot 5
-        Gate.mul(4, 6),    # g9 B: B slot 6
-        Gate.add(8, 3),    # g10 A: stage-A slot 6, B slot 3
-        Gate.mul(9, 10),   # g11 B: B slot 7
-        Gate.mul(10, 10),  # g12 A: stage-A slot 7, B slot 4
+        Gate.const(-5),    # g7
+        Gate.add(5, 7),    # g8
+        Gate.mul(4, 6),    # g9 B: B slot 5
+        Gate.add(8, 3),    # g10: B slot 3
+        Gate.mul(9, 10),   # g11 B: B slot 6
+        Gate.mul(10, 10),  # g12 B: B slot 7
     ])
     params = (2, 7)
     assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params) == 64
     assert c._program is False
     assert eval_gates(c, (4, -3), params) == 64
-    assert c._program == SlotProgram(
-        consts=(3, -5),
-        a_lhs=(0, 1, 5, 6), a_rhs=(2, 3, 4, 6), a_mul=(True, False, False, True),
-        live=(4, 6, 7), forms=None,
-        b_lhs=(0, 5, 6), b_rhs=(2, 1, 3), b_mul=(False, True, True),
-        out=4,
-        # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
-        # (3, 8) and (2, 10).
-        mul_degree=3, mul_bits=10,
-        memo=(params, 3, [6, 8, 64]),
+    prog = c._program
+    assert [(k, coeffs, get((10, 20))) for k, coeffs, get in prog.forms] == [
+        (0, (3,), (10,)), (-5, (1, 3), (20, 10)),
+    ]
+    assert (prog.b_lhs, prog.b_rhs, prog.b_mul, prog.out) == (
+        (0, 4, 5, 3), (2, 1, 3, 3), (False, True, True, True), 7,
     )
+    # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
+    # (3, 8) and (2, 10).
+    assert (prog.mul_degree, prog.mul_bits) == (3, 10)
+    assert prog.memo == (params, 3, [6, 8])
     assert eval_gates(c, (-1, 5), params) == naive_eval(c, (-1, 5), params)
 
 
 def test_affine_stage_a_forms():
-    # The same circuit with g12 = g10 * 3: every stage-A slot is then an
-    # affine form in the params, and the live-outs are computed from them.
+    # The same circuit with g12 = g10 * 3: every gate that reads no
+    # variable is then in stage A, and the output g12 is a live-out.
     # g3 = 3 p1, g10 = p2 - 5 + 3 p1 and g12 = 3 p2 - 15 + 9 p1.
     c = circuit([
         Gate.param(1), Gate.var(1), Gate.const(3), Gate.mul(0, 2), Gate.add(1, 3),
@@ -198,16 +200,34 @@ def test_affine_stage_a_forms():
     for params in [(2, 7), (2, 7), (-4, 11)]:
         assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params)
     prog = c._program
-    assert prog.live == (4, 6, 7)
     assert [(k, coeffs, get((10, 20))) for k, coeffs, get in prog.forms] == [
         (0, (3,), (10,)), (-5, (1, 3), (20, 10)), (-15, (3, 9), (20, 10)),
     ]
+    assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 5, 6), (2, 1, 3), 4)
     assert prog.memo == ((-4, 11), 4, [-12, -6, -18])
-    # A param-free circuit builds no forms: its stage A runs once.
+    # A param-free circuit's live-outs are constant forms.
     plugged = plug_params(c, {1: -4, 2: 11})
     for _ in range(2):
         assert eval_gates(plugged, (4, -3)) == eval_gates(c, (4, -3), (-4, 11))
-    assert plugged._program.forms is None
+    assert plugged._program.forms == ((-12, (), None), (-6, (), None), (-18, (), None))
+
+
+def test_prepare_folds_no_constant_past_the_default_guard():
+    # x1 + p1 next to 24 squarings of 3: the k-th square has 2^(k+1) bits
+    # by the static bound, so squares 20 to 24 run as stage-B steps
+    # instead of being folded at prepare time (3^(2^24) has 26 M bits).
+    # Every call interprets under the 2^16-bit guard and raises there.
+    gates = [Gate.var(1), Gate.param(1), Gate.const(3)]
+    gates += [Gate.mul(k, k) for k in range(2, 26)]
+    gates += [Gate.add(0, 1), Gate.mul(27, 26)]
+    c = circuit(gates)
+    want = outcome(circuit(gates), (1,), (2,), 1 << 16)
+    assert want == (BitLengthGuardError, "gate 18: value exceeds 65536-bit guard")
+    start = time.perf_counter()
+    for _ in range(3):
+        assert outcome(c, (1,), (2,), 1 << 16) == want
+    assert time.perf_counter() - start < 1.0
+    assert len(c._program.b_mul) == 5 + 2  # and the two gates that read x1
 
 
 def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():

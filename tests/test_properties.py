@@ -136,10 +136,9 @@ GUARDS = st.sampled_from([8, 64, 1 << 20])
 @st.composite
 def templates(draw):
     """``(kind, circuit)``: a random circuit ("random"); a template whose
-    stage A, the gates that read no variable, is affine in its params
-    ("affine"); one whose stage A also multiplies two params ("product");
-    or a long add-chain of distinct params, whose affine forms outgrow
-    the cap ("chain")."""
+    gates that read no variable are all affine in its params ("affine");
+    one that also multiplies two params ("product"); or a long add-chain
+    of distinct params, whose affine forms outgrow the cap ("chain")."""
     kind = draw(st.sampled_from(["random", "affine", "product", "chain"]))
     if kind == "random":
         return kind, draw(circuits())
@@ -194,9 +193,10 @@ def call_sequences(draw):
 def test_staged_evaluation_over_a_call_sequence(case):
     # Stage A runs once per parameter vector and is kept for the next call;
     # every call must still give the interpreter's value or error, which a
-    # fresh copy of the circuit yields on its first call.  An affine stage
-    # A computes its live-outs from affine forms; a product of two params
-    # or a chain past the form cap keeps the step loop.
+    # fresh copy of the circuit yields on its first call.  In an affine
+    # template every gate that reads no variable has a form, so stage B
+    # runs just the gates that read one; a product of two params, or a
+    # chain past the form cap, runs in stage B as well.
     kind, c, calls = case
     params = tuple(calls[0][2])
     as_list = list(params)
@@ -214,7 +214,12 @@ def test_staged_evaluation_over_a_call_sequence(case):
         if isinstance(want, int):
             assert want == naive_eval(c, x, tuple(params))
     if kind != "random":
-        assert (c._program.forms is not None) == (kind == "affine")
+        reads_var = []
+        for g in c.gates:
+            binary = g.op in ("add", "mul")
+            reads_var.append(g.op == "var" or binary and (reads_var[g.lhs] or reads_var[g.rhs]))
+        var_steps = sum(r and g.op != "var" for g, r in zip(c.gates, reads_var))
+        assert (len(c._program.b_mul) == var_steps) == (kind == "affine")
 
 
 @PROPERTY
