@@ -64,23 +64,43 @@ class Gate:
 
     @staticmethod
     def var(name: int) -> "Gate":
-        return Gate(VAR, name=name)
+        return _gate(VAR, name, 0, -1, -1)
 
     @staticmethod
     def param(name: int) -> "Gate":
-        return Gate(PARAM, name=name)
+        return _gate(PARAM, name, 0, -1, -1)
 
     @staticmethod
     def const(value: int) -> "Gate":
-        return Gate(CONST, value=value)
+        return _gate(CONST, 0, value, -1, -1)
 
     @staticmethod
     def add(lhs: int, rhs: int) -> "Gate":
-        return Gate(ADD, lhs=lhs, rhs=rhs)
+        return _gate(ADD, 0, 0, lhs, rhs)
 
     @staticmethod
     def mul(lhs: int, rhs: int) -> "Gate":
-        return Gate(MUL, lhs=lhs, rhs=rhs)
+        return _gate(MUL, 0, 0, lhs, rhs)
+
+
+_new = object.__new__
+_set_op, _set_name, _set_value, _set_lhs, _set_rhs = (
+    Gate.__dict__[f].__set__ for f in ("op", "name", "value", "lhs", "rhs")
+)
+
+
+def _gate(op: str, name: int, value: int, lhs: int, rhs: int) -> Gate:
+    """``Gate(op, name, value, lhs, rhs)`` in about a third of the time: the
+    frozen ``__init__`` assigns through ``object.__setattr__``, while this
+    fills the five slots through their descriptors.  Every constructor in
+    the library goes through here."""
+    g = _new(Gate)
+    _set_op(g, op)
+    _set_name(g, name)
+    _set_value(g, value)
+    _set_lhs(g, lhs)
+    _set_rhs(g, rhs)
+    return g
 
 
 @dataclass(frozen=True)
@@ -156,25 +176,27 @@ class DegreeReport:
     max_individual: int
 
 
-def analyze_degrees(c: Circuit) -> DegreeReport:
+def analyze_degrees(c: Circuit, cap: int = DEFAULT_EXHAUSTION_CAP) -> DegreeReport:
     """The library's one degree analysis, computed once per Circuit object
     and kept on it (so a class template is analysed once); callers must not
-    mutate the report."""
+    mutate the report.  ``cap`` bounds the work of that first computation
+    (see :func:`_degree_pass`); a report already kept is returned whatever
+    the cap."""
     if c._degrees is None:
-        object.__setattr__(c, "_degrees", _degree_pass(c))
+        object.__setattr__(c, "_degrees", _degree_pass(c, cap))
     return c._degrees
 
 
-def _degree_pass(c: Circuit) -> DegreeReport:
+def _degree_pass(c: Circuit, cap: int) -> DegreeReport:
     """Apply the inductive degree rules bottom-up in one pass.
 
     input -> 1, add -> max, mul -> sum, per input and in total.  Each gate
     merges its smaller operand's sparse dict into its larger one's.  When
     the gate is the larger operand's only use, it merges into that dict in
     place, so a chain runs in linear time; otherwise it merges into a copy.
-    Heavy sharing can still make the copies quadratic, so past
-    ``DEFAULT_EXHAUSTION_CAP`` dict entries copied or merged in all the
-    pass raises :class:`CapExceededError`.
+    Heavy sharing can still make the copies quadratic, so past ``cap``
+    dict entries copied or merged in all the pass raises
+    :class:`CapExceededError`.
     """
     gates = c.gates
     uses = [0] * len(gates)
@@ -204,10 +226,9 @@ def _degree_pass(c: Circuit) -> DegreeReport:
             else:
                 merged = dict(a)
                 work += len(a) + len(b)
-            if work > DEFAULT_EXHAUSTION_CAP:
+            if work > cap:
                 raise CapExceededError(
-                    f"gate {i}: degree analysis exceeds the cap of "
-                    f"{DEFAULT_EXHAUSTION_CAP} dict entries"
+                    f"gate {i}: degree analysis exceeds the cap of {cap} dict entries"
                 )
             if op == ADD:
                 totals[i] = max(totals[big], totals[small])
@@ -240,8 +261,83 @@ _GATE_RE = re.compile(
 _OUTPUT_RE = re.compile(r"^output g(?P<id>\d+)$")
 
 
+# The canonical form of the whole text: every line a gate, "\n"-terminated,
+# single spaces, ASCII digits, then one output line.
+_CANONICAL_ROW_RE = re.compile(
+    r"^g([0-9]+) = (?:"
+    r"var x([0-9]+)"
+    r"|param p([0-9]+)"
+    r"|const (-?[0-9]+)"
+    r"|(add|mul) g([0-9]+) g([0-9]+)"
+    r")\n",
+    re.MULTILINE,
+)
+
+
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line format; the left inverse of :func:`serialize_circuit`."""
+    """Parse the line format; the left inverse of :func:`serialize_circuit`.
+
+    Canonical text (what :func:`serialize_circuit` writes) is read in one
+    pass by :func:`_canonical_gates`; any other text, and every error, goes
+    to the line parser :func:`_line_gates`, which is the reference for both
+    the circuit and each :class:`CircuitSyntaxError`.
+    """
+    gates = _canonical_gates(text)
+    if gates is None:
+        gates = _line_gates(text)
+    try:
+        return circuit(gates)
+    except CircuitValidationError as e:
+        raise CircuitSyntaxError(str(e), 0, 0) from e
+
+
+def _canonical_gates(text: str) -> Optional[list]:
+    """The gate list of text laid out as :func:`serialize_circuit` writes
+    it (numbers may have leading zeros), or None for any other text and
+    for text in error.
+
+    Every line but the last must be a gate row and the last must be
+    ``output g<last>``; the ids must run 0, 1, 2, ... and every operand
+    must point backward.  Const and var gates are immutable, so one object
+    serves every gate with the same text.
+    """
+    rows = _CANONICAL_ROW_RE.findall(text)
+    n = len(rows)
+    if not n or text.count("\n") != n + 1 or not text.endswith(f"\noutput g{n - 1}\n"):
+        return None
+    gates: list = []
+    append = gates.append
+    consts: dict = {}
+    variables: dict = {}
+    for i, (gate_id, var, param, const, op, lhs, rhs) in enumerate(rows):
+        if int(gate_id) != i:
+            return None
+        if op:
+            lhs, rhs = int(lhs), int(rhs)
+            if lhs >= i or rhs >= i:
+                return None
+            # The library's own op strings, not the regex's copies: gate
+            # loops compare ops, and equal strings compare fastest when
+            # they are the same object.
+            append(_gate(ADD if op == ADD else MUL, 0, 0, lhs, rhs))
+        elif const:
+            g = consts.get(const)
+            if g is None:
+                g = consts[const] = _gate(CONST, 0, int(const), -1, -1)
+            append(g)
+        elif var:
+            g = variables.get(var)
+            if g is None:
+                g = variables[var] = _gate(VAR, int(var), 0, -1, -1)
+            append(g)
+        else:
+            append(_gate(PARAM, int(param), 0, -1, -1))
+    return gates
+
+
+def _line_gates(text: str) -> list:
+    """The reference line parser: comments, blank lines and surrounding
+    whitespace allowed, every syntax error located by line and column."""
     gates: list = []
     output_id: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -284,10 +380,7 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitSyntaxError(
             f"output must name the final gate g{len(gates) - 1}, got g{output_id}", 0, 0
         )
-    try:
-        return circuit(gates)
-    except CircuitValidationError as e:
-        raise CircuitSyntaxError(str(e), 0, 0) from e
+    return gates
 
 
 def _first_mismatch_col(line: str) -> int:
@@ -358,6 +451,6 @@ def shifted(gates: Iterable[Gate], offset: int) -> list:
     """The gates with every add/mul operand index moved up by offset, for
     placing them after ``offset`` other gates."""
     return [
-        Gate(g.op, lhs=g.lhs + offset, rhs=g.rhs + offset) if g.op in _BINARY_KINDS else g
+        _gate(g.op, 0, 0, g.lhs + offset, g.rhs + offset) if g.op in _BINARY_KINDS else g
         for g in gates
     ]

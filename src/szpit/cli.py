@@ -93,7 +93,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_degrees(args) -> int:
     c = parse_circuit(_read(args.file))
-    rep = analyze_degrees(c)
+    rep = analyze_degrees(c, args.exhaustion_cap)
     plain = f"total={rep.total} max_individual={rep.max_individual} " + " ".join(
         f"{u}={d}" for u, d in sorted(rep.individual.items())
     )
@@ -104,9 +104,9 @@ def _cmd_degrees(args) -> int:
 
 def _cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
-    bound = args.degree_bound
-    if bound is None:
-        bound = analyze_degrees(c).total
+    # Kept on c, so eval_arithmetic reuses this report under the same cap.
+    total = analyze_degrees(c, args.exhaustion_cap).total
+    bound = total if args.degree_bound is None else args.degree_bound
     value = eval_arithmetic(
         c, Assignment(_ints(args.vars), _ints(args.params)), bound,
         bitlen_guard=args.bitlen_guard,

@@ -28,14 +28,13 @@ from itertools import product
 from typing import Iterable, List, Tuple
 
 from .circuit import (
-    ADD,
-    MUL,
     VAR,
     Circuit,
     Gate,
     analyze_degrees,
     circuit,
     require_parameter_free,
+    shifted,
 )
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP, DEFAULT_Q_CAP
 from .errors import (
@@ -45,6 +44,10 @@ from .errors import (
 )
 from .evaluator import eval_gates
 from .unipoly import extract_unipoly, roots_in_cube
+
+# Restrictions kept per context, oldest evicted first.  A context needs at
+# most n * q^(n-1) of them, so small codecs never evict.
+_ROOTS_CACHE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,8 @@ class SZContext:
         restricted = restrict(self.circuit, k, fixed)
         poly = extract_unipoly(restricted, self.d)
         roots = roots_in_cube(poly, self.q, q_cap=self.q)
+        if len(self._roots_cache) >= _ROOTS_CACHE_ENTRIES:
+            del self._roots_cache[next(iter(self._roots_cache))]  # the oldest
         self._roots_cache[key] = roots
         return roots
 
@@ -169,21 +174,15 @@ def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
         raise DimensionMismatchError(
             f"{len(fixed)} fixed values for {c.n_vars} variables"
         )
-    values = list(fixed[: k - 1]) + [None] + list(fixed[k - 1 :])
-    # If x_k never occurs, prepend an unused var gate so the result still has
+    x1 = Gate.var(1)
+    values = (*fixed[: k - 1], None, *fixed[k - 1 :])
+    subst = {j: x1 if v is None else Gate.const(v) for j, v in enumerate(values, 1)}
+    gates = [subst[g.name] if g.op == VAR else g for g in c.gates]
+    if any(g.op == VAR and g.name == k for g in c.gates):
+        return circuit(gates)
+    # x_k never occurs: prepend an unused var gate so the result still has
     # dimension exactly 1 (the output gate must stay last).
-    uses_xk = any(g.op == VAR and g.name == k for g in c.gates)
-    offset = 0 if uses_xk else 1
-    gates: List[Gate] = [] if uses_xk else [Gate.var(1)]
-    for g in c.gates:
-        if g.op == VAR:
-            v = values[g.name - 1]
-            gates.append(Gate.var(1) if v is None else Gate.const(v))
-        elif g.op in (ADD, MUL):
-            gates.append(Gate(g.op, lhs=g.lhs + offset, rhs=g.rhs + offset))
-        else:
-            gates.append(g)
-    return circuit(gates)
+    return circuit([x1, *shifted(gates, 1)])
 
 
 def encode_root(ctx: SZContext, b: Iterable[int]) -> RootCode:

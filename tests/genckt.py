@@ -20,13 +20,17 @@ def random_circuit(
     const_bits: int = 8,
     p_mul: float = 0.4,
     p_const: float = 0.15,
+    n_params: int = 0,
 ) -> Circuit:
-    """A random straight-line program over n_vars variables.
+    """A random straight-line program over n_vars variables and n_params
+    parameters.
 
-    Starts from one var gate per variable (so the naming has no gaps) and
-    appends ``extra_gates`` random gates; the last gate is the output.
+    Starts from one var gate per variable and one param gate per parameter
+    (so the naming has no gaps) and appends ``extra_gates`` random gates;
+    the last gate is the output.
     """
     gates = [Gate.var(j) for j in range(1, n_vars + 1)]
+    gates += [Gate.param(k) for k in range(1, n_params + 1)]
     for _ in range(max(1, extra_gates)):
         roll = rng.randrange(100)
         if roll < int(p_const * 100):

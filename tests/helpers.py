@@ -32,9 +32,9 @@ def count_degree_passes(monkeypatch) -> List[Circuit]:
     calls: List[Circuit] = []
     real = circuit_mod._degree_pass
 
-    def counting(c: Circuit) -> DegreeReport:
+    def counting(c: Circuit, cap: int) -> DegreeReport:
         calls.append(c)
-        return real(c)
+        return real(c, cap)
 
     monkeypatch.setattr(circuit_mod, "_degree_pass", counting)
     return calls

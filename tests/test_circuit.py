@@ -1,6 +1,7 @@
 """Circuit IR: text format, validation, degree analysis."""
 
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -66,6 +67,29 @@ def test_parse_unknown_kind_and_position():
 def test_parse_output_must_be_last_gate():
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("g0 = var x1\ng1 = var x2\noutput g0")
+
+
+def test_gates_stay_frozen_slotted_dataclasses():
+    # The library builds gates by filling their slots; they must equal,
+    # hash and print as the dataclass's own, and stay immutable.
+    built = [Gate.var(2), Gate.param(1), Gate.const(-7), Gate.add(0, 1), Gate.mul(1, 0),
+             *parse_circuit("g0 = var x1\ng1 = const -7\ng2 = mul g1 g0\noutput g2\n").gates]
+    direct = [Gate("var", name=2), Gate("param", name=1), Gate("const", value=-7),
+              Gate("add", lhs=0, rhs=1), Gate("mul", lhs=1, rhs=0),
+              Gate("var", name=1), Gate("const", value=-7), Gate("mul", lhs=1, rhs=0)]
+    for g, h in zip(built, direct, strict=True):
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            g.lhs = 5
+    assert Gate.add(0, 1) != Gate.mul(0, 1) and Gate.var(1) != Gate.param(1)
+
+
+def test_parse_shares_equal_const_and_var_gates():
+    c = parse_circuit("g0 = var x1\ng1 = const 2\ng2 = mul g0 g1\ng3 = const 2\n"
+                      "g4 = var x1\ng5 = mul g3 g4\ng6 = add g2 g5\noutput g6\n")
+    assert c.gates[1] is c.gates[3] and c.gates[0] is c.gates[4]
+    assert c.gates[2] is not c.gates[5]
 
 
 def test_serialize_product():

@@ -207,6 +207,27 @@ def test_internal_guard_exit_code(capsys, tmp_path):
     assert "guard" in err
 
 
+def test_exhaustion_cap_reaches_the_degree_pass(capsys, tmp_path):
+    # x_{k+1} = x_k + (k + 1) with a side gate x_k * x_k: over 100 links
+    # the degree pass copies or merges about 15k dict entries.
+    lines = ["g0 = var x1"]
+    x = 0
+    for k in range(100):
+        i = len(lines)
+        lines += [f"g{i} = mul g{x} g{x}", f"g{i + 1} = const {k + 1}", f"g{i + 2} = add g{x} g{i + 1}"]
+        x = i + 2
+    path = tmp_path / "chain.ac"
+    path.write_text("\n".join(lines) + f"\noutput g{x}\n")
+    for argv in (["degrees", str(path)], ["eval", str(path), "--vars", "2"]):
+        code, _, err = run(capsys, "--exhaustion-cap", "1000", *argv)
+        assert code == EX_DATAERR
+        assert "degree analysis exceeds the cap of 1000 dict entries" in err
+    code, out, _ = run(capsys, "degrees", str(path))
+    assert code == 0 and out.startswith("total=1 max_individual=1 ")
+    code, out, _ = run(capsys, "eval", str(path), "--vars", "2")
+    assert code == 0 and out.strip() == str(2 + 100 * 101 // 2)
+
+
 def test_coeffs_guard_exit_code(capsys, tmp_path):
     # Squarings of a const outside the output's cone have x-degree 0, so
     # only the bit-length guard stops them: exit 70.

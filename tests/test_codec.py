@@ -1,5 +1,7 @@
 """Root encoding/decoding: round-trip, surjectivity, counting."""
 
+import importlib
+
 import pytest
 
 from szpit.circuit import Gate, analyze_degrees, circuit, plug_params
@@ -25,6 +27,8 @@ from szpit.rng import Rng
 from genckt import random_circuit_bounded
 from helpers import times_line_factors
 from oracles import brute_roots
+
+codec_mod = importlib.import_module("szpit.codec")
 
 
 def product_circuit():
@@ -119,6 +123,29 @@ def test_roundtrip_and_surjectivity_exhaustive():
         assert roots <= image
     assert checked == 60
     assert max_rank >= 2
+
+
+def test_restriction_cache_keeps_a_bounded_number_of_entries(monkeypatch):
+    # x1 * x2 * (x1 - 1) * (x1 - 3) on S_5^2 has 17 roots spread over the
+    # 10 restrictions a context can need; with room for 4 the cache
+    # evicts, and every root must still round-trip.
+    monkeypatch.setattr(codec_mod, "_ROOTS_CACHE_ENTRIES", 4)
+    c = times_line_factors(product_circuit(), 1, [1, 3])
+    ctx = SZContext(c, 2, 3, 5, (2, 1))
+    roots = cube_roots(c, 2, 5)
+    assert len(roots) == 17
+    seen = set()
+
+    def cached(result):
+        assert len(ctx._roots_cache) <= 4
+        seen.update(ctx._roots_cache)
+        return result
+
+    for b in roots:
+        assert cached(decode_code(ctx, cached(encode_root(ctx, b)))) == b
+    image = {cached(decode_code(ctx, code)) for code in all_codes(2, 3, 5)}
+    assert set(roots) <= image
+    assert len(seen) > 4
 
 
 def test_counting_corollary():

@@ -1,6 +1,7 @@
 """Property tests: degree analysis, the text format and evaluation on
 circuits with var, param and const gates, checked against the recursive
-oracles; univariate extraction against evaluation; the root codec's round
+oracles; the parser's one-pass read against its line parser on edited
+texts; univariate extraction against evaluation; the root codec's round
 trip and surjectivity; the agreement of the three PIT testers; amplify
 against its round-by-round definition; and the seeds of split streams."""
 
@@ -8,8 +9,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+import importlib
 import random
+import re
 from itertools import product
+from pathlib import Path
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -24,7 +29,7 @@ from szpit.circuit import (
     serialize_circuit,
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root
-from szpit.errors import DegreeBoundError
+from szpit.errors import CircuitSyntaxError, DegreeBoundError
 from szpit.evaluator import SlotProgram, eval_gates
 from szpit.hitting import HittingSet
 from szpit.pit import (
@@ -38,7 +43,7 @@ from szpit.pit import (
 from szpit.rng import Rng, derive_seed
 from szpit.unipoly import eval_unipoly, extract_unipoly
 
-from genckt import random_circuit_bounded
+from genckt import random_circuit, random_circuit_bounded
 from helpers import times_line_factors
 from oracles import amplify_steps, degree_oracle, expansion_is_zero, naive_eval
 
@@ -95,6 +100,202 @@ def test_degrees_match_the_oracle(c):
 @given(circuits())
 def test_text_format_roundtrips(c):
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+circuit_mod = importlib.import_module("szpit.circuit")
+
+
+def line_parse(text):
+    """parse_circuit with its one-pass read switched off: the line parser."""
+    with mock.patch.object(circuit_mod, "_canonical_gates", lambda text: None):
+        return parse_circuit(text)
+
+
+def parsed(parse, text):
+    """The circuit, or the message, line and column of the syntax error."""
+    try:
+        return parse(text)
+    except CircuitSyntaxError as e:
+        return str(e), e.line, e.col
+
+
+# Edits of a text's lines (the output line last).  Each takes the draw
+# function and the lines and returns new lines.
+def _at(draw, lines, extra=0):
+    return draw(st.integers(0, max(0, len(lines) - 1 + extra)))
+
+
+def _comment(draw, lines):
+    i = _at(draw, lines, 1)
+    kind = draw(st.sampled_from(["line", "after", "out"]))
+    if kind == "line" or i == len(lines):
+        return lines[:i] + [draw(st.sampled_from(["# note", "  #", "#output g0"]))] + lines[i:]
+    if kind == "after":
+        return lines[:i] + [lines[i] + draw(st.sampled_from([" # note", "#", "\t#g1 = var x1"]))] + lines[i + 1:]
+    return lines[:i] + ["# " + lines[i]] + lines[i + 1:]
+
+
+def _blank(draw, lines):
+    i = _at(draw, lines, 1)
+    return lines[:i] + [draw(st.sampled_from(["", " ", "\t \t"]))] + lines[i:]
+
+
+def _pad(draw, lines):
+    i = _at(draw, lines)
+    pads = st.sampled_from(["", " ", "\t", "  "])
+    return lines[:i] + [draw(pads) + lines[i] + draw(pads)] + lines[i + 1:]
+
+
+def _double_space(draw, lines):
+    i = _at(draw, lines)
+    spaces = [m.start() for m in re.finditer(" ", lines[i])]
+    if not spaces:
+        return lines
+    j = draw(st.sampled_from(spaces))
+    return lines[:i] + [lines[i][:j] + draw(st.sampled_from(["  ", " \t"])) + lines[i][j:]] + lines[i + 1:]
+
+
+# Arabic-Indic, Devanagari and fullwidth digits: int() reads them, and so
+# does the line parser's \d.
+DIGIT_SETS = ("\u0660", "\u0966", "\uff10")
+
+
+def _unicode_digit(draw, lines):
+    i = _at(draw, lines)
+    digits = [m.start() for m in re.finditer("[0-9]", lines[i])]
+    if not digits:
+        return lines
+    j = draw(st.sampled_from(digits))
+    digit = chr(ord(draw(st.sampled_from(DIGIT_SETS))) + int(lines[i][j]))
+    return lines[:i] + [lines[i][:j] + digit + lines[i][j + 1:]] + lines[i + 1:]
+
+
+def _leading_zero(draw, lines):
+    i = _at(draw, lines)
+    spots = [m.end() for m in re.finditer("[gxp-]", lines[i])]
+    if not spots:
+        return lines
+    j = draw(st.sampled_from(spots))
+    return lines[:i] + [lines[i][:j] + "0" + lines[i][j:]] + lines[i + 1:]
+
+
+def _swap(draw, lines):
+    i, j = _at(draw, lines), _at(draw, lines)
+    lines = list(lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _renumber(draw, lines):
+    gate_lines = [i for i, line in enumerate(lines) if re.match(r"g\d+ =", line)]
+    if not gate_lines:
+        return lines
+    i = draw(st.sampled_from(gate_lines))
+    m = re.match(r"g(\d+) =", lines[i])
+    gid = int(m.group(1)) + draw(st.sampled_from([-1, 1, 2]))
+    return lines[:i] + [f"g{gid}" + lines[i][m.end(1):]] + lines[i + 1:]
+
+
+def _duplicate(draw, lines):
+    i, j = _at(draw, lines), _at(draw, lines, 1)
+    return lines[:j] + [lines[i]] + lines[j:]
+
+
+BINARY_LINE = re.compile(r"g(\d+) = (add|mul) g(\d+) g(\d+)$")
+
+
+def _bad_operand(draw, lines):
+    # Point an add/mul operand at its own gate or a later one.
+    binary = [i for i, line in enumerate(lines) if BINARY_LINE.match(line)]
+    if not binary:
+        return lines
+    i = draw(st.sampled_from(binary))
+    gid, op, lhs, rhs = BINARY_LINE.match(lines[i]).groups()
+    bad = str(int(gid) + draw(st.integers(0, 2)))
+    lhs, rhs = (bad, rhs) if draw(st.booleans()) else (lhs, bad)
+    return lines[:i] + [f"g{gid} = {op} g{lhs} g{rhs}"] + lines[i + 1:]
+
+
+def _output(draw, lines):
+    last = len([line for line in lines if line.startswith("g")]) - 1
+    kind = draw(st.sampled_from(["missing", "extra", "wrong", "trailing", "after"]))
+    out = [i for i, line in enumerate(lines) if line.startswith("output")]
+    if kind == "missing":
+        return [line for i, line in enumerate(lines) if i not in out]
+    if kind == "extra":
+        return lines + [f"output g{last}"]
+    if kind == "after":
+        return lines + [f"g{last + 1} = var x1"]
+    if not out:
+        return lines
+    i = out[-1]
+    line = f"output g{draw(st.integers(0, last + 2))}" if kind == "wrong" else lines[i] + " g0"
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+def _junk(draw, lines):
+    i = _at(draw, lines, 1)
+    return lines[:i] + [draw(st.sampled_from(["junk", "g = var x1", "g0 var x1"]))] + lines[i:]
+
+
+# Every splitlines separator but "\n" ends a line for the line parser only.
+SEPARATORS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
+
+
+def _separator(draw, lines):
+    # Joins a line to the next by another separator than "\n".
+    i = _at(draw, lines)
+    if i + 1 >= len(lines):
+        return lines
+    return lines[:i] + [lines[i] + draw(st.sampled_from(SEPARATORS)) + lines[i + 1]] + lines[i + 2:]
+
+
+def _crlf(draw, lines):
+    return [line + "\r" for line in lines]
+
+
+LINE_EDITS = (
+    _comment, _blank, _pad, _double_space, _unicode_digit, _leading_zero, _swap,
+    _renumber, _duplicate, _bad_operand, _output, _junk, _separator, _crlf,
+)
+
+
+@st.composite
+def circuit_texts(draw):
+    """A genckt circuit with params, its canonical text, and that text
+    after up to three edits; one text in ten also loses its final newline."""
+    c = random_circuit(
+        Rng(draw(st.integers(0, 2**32)), "parser"),
+        n_vars=draw(st.integers(1, 3)),
+        extra_gates=draw(st.integers(1, 8)),
+        p_const=0.3,
+        n_params=draw(st.integers(0, 2)),
+    )
+    canonical = serialize_circuit(c)
+    lines = canonical.split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        lines = draw(st.sampled_from(LINE_EDITS))(draw, lines)
+    text = "\n".join(lines)
+    return c, canonical, text if draw(st.integers(0, 9)) == 0 else text + "\n"
+
+
+@settings(PROPERTY, max_examples=400)
+@given(circuit_texts())
+def test_parser_fast_path_matches_the_line_parser(case):
+    # The one-pass read must accept every canonical text, so it cannot
+    # silently leave everything to the line parser; on any text its result
+    # must be the line parser's circuit or syntax error, located alike.
+    c, canonical, text = case
+    assert circuit_mod._canonical_gates(canonical) == list(c.gates)
+    assert parse_circuit(canonical) == c
+    assert parsed(parse_circuit, text) == parsed(line_parse, text)
+
+
+def test_parser_fast_path_reads_the_golden_canonical_text():
+    text = (Path(__file__).parent / "golden" / "lattice.canonical.ac").read_text()
+    gates = circuit_mod._canonical_gates(text)
+    assert gates is not None
+    assert circuit(gates) == line_parse(text)
 
 
 @PROPERTY
