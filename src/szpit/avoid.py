@@ -473,7 +473,7 @@ def _member_gates(sched: AvoidSchedule) -> Circuit:
     return circuit(gates)
 
 
-def build_avoid_class(h: BoolFunc, sched: AvoidSchedule, e: object = None) -> DefinableClass:
+def build_avoid_class(h: BoolFunc, sched: AvoidSchedule) -> DefinableClass:
     """The definable class whose member at description x vanishes exactly
     on the r points spelled by the bits of h(x)."""
     sched.check()
@@ -488,7 +488,7 @@ def build_avoid_class(h: BoolFunc, sched: AvoidSchedule, e: object = None) -> De
 
     cls = DefinableClass(
         decoder=None, template=_member_gates(sched), params_of=params_of,
-        n=sched.n, d=sched.d, s=0, m=sched.m, e=e,
+        n=sched.n, d=sched.d, s=0, m=sched.m,
     )
     assert len(cls.template.gates) <= cls.s  # representation size dominates gate count
     return cls
@@ -564,7 +564,7 @@ def avoid_via_hitting(
         h = amplify(g, t)
 
     with _stage("build-class"):
-        cls = build_avoid_class(h, sched, e=inst.blob)
+        cls = build_avoid_class(h, sched)
     trace["member_size_bits"] = cls.s
 
     with _stage("hitting-set"):

@@ -294,7 +294,7 @@ def parse_circuit(text: str) -> Circuit:
 def _canonical_gates(text: str) -> Optional[list]:
     """The gate list of text laid out as :func:`serialize_circuit` writes
     it (numbers may have leading zeros), or None for any other text and
-    for text in error.
+    for text in error, a number past the int/str digit limit included.
 
     Every line but the last must be a gate row and the last must be
     ``output g<last>``; the ids must run 0, 1, 2, ... and every operand
@@ -309,29 +309,32 @@ def _canonical_gates(text: str) -> Optional[list]:
     append = gates.append
     consts: dict = {}
     variables: dict = {}
-    for i, (gate_id, var, param, const, op, lhs, rhs) in enumerate(rows):
-        if int(gate_id) != i:
-            return None
-        if op:
-            lhs, rhs = int(lhs), int(rhs)
-            if lhs >= i or rhs >= i:
+    try:
+        for i, (gate_id, var, param, const, op, lhs, rhs) in enumerate(rows):
+            if int(gate_id) != i:
                 return None
-            # The library's own op strings, not the regex's copies: gate
-            # loops compare ops, and equal strings compare fastest when
-            # they are the same object.
-            append(_gate(ADD if op == ADD else MUL, 0, 0, lhs, rhs))
-        elif const:
-            g = consts.get(const)
-            if g is None:
-                g = consts[const] = _gate(CONST, 0, int(const), -1, -1)
-            append(g)
-        elif var:
-            g = variables.get(var)
-            if g is None:
-                g = variables[var] = _gate(VAR, int(var), 0, -1, -1)
-            append(g)
-        else:
-            append(_gate(PARAM, int(param), 0, -1, -1))
+            if op:
+                lhs, rhs = int(lhs), int(rhs)
+                if lhs >= i or rhs >= i:
+                    return None
+                # The library's own op strings, not the regex's copies: gate
+                # loops compare ops, and equal strings compare fastest when
+                # they are the same object.
+                append(_gate(ADD if op == ADD else MUL, 0, 0, lhs, rhs))
+            elif const:
+                g = consts.get(const)
+                if g is None:
+                    g = consts[const] = _gate(CONST, 0, int(const), -1, -1)
+                append(g)
+            elif var:
+                g = variables.get(var)
+                if g is None:
+                    g = variables[var] = _gate(VAR, int(var), 0, -1, -1)
+                append(g)
+            else:
+                append(_gate(PARAM, int(param), 0, -1, -1))
+    except ValueError:
+        return None
     return gates
 
 
@@ -348,24 +351,24 @@ def _line_gates(text: str) -> list:
             raise CircuitSyntaxError("statement after output line", lineno, 1)
         m = _OUTPUT_RE.match(line)
         if m:
-            output_id = int(m.group("id"))
+            output_id = _literal(m, "id", lineno)
             continue
         m = _GATE_RE.match(line)
         if m is None:
             col = _first_mismatch_col(line)
             raise CircuitSyntaxError(f"cannot parse statement {line!r}", lineno, col)
-        gate_id = int(m.group("id"))
+        gate_id = _literal(m, "id", lineno)
         if gate_id != len(gates):
             kind = "duplicate" if gate_id < len(gates) else "out-of-order"
             raise CircuitSyntaxError(f"{kind} gate id g{gate_id}", lineno, 2)
         if m.group("var") is not None:
-            gates.append(Gate.var(int(m.group("var"))))
+            gates.append(Gate.var(_literal(m, "var", lineno)))
         elif m.group("param") is not None:
-            gates.append(Gate.param(int(m.group("param"))))
+            gates.append(Gate.param(_literal(m, "param", lineno)))
         elif m.group("const") is not None:
-            gates.append(Gate.const(int(m.group("const"))))
+            gates.append(Gate.const(_literal(m, "const", lineno)))
         else:
-            lhs, rhs = int(m.group("lhs")), int(m.group("rhs"))
+            lhs, rhs = _literal(m, "lhs", lineno), _literal(m, "rhs", lineno)
             if lhs >= gate_id or rhs >= gate_id:
                 raise CircuitSyntaxError(
                     f"forward or self reference in g{gate_id}", lineno, 1
@@ -381,6 +384,16 @@ def _line_gates(text: str) -> list:
             f"output must name the final gate g{len(gates) - 1}, got g{output_id}", 0, 0
         )
     return gates
+
+
+def _literal(m: re.Match, group: str, lineno: int) -> int:
+    """The integer in m's group; one past Python's int/str digit limit is a
+    syntax error at its column."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        msg = "integer past Python's int conversion limit"
+        raise CircuitSyntaxError(msg, lineno, m.start(group) + 1) from None
 
 
 def _first_mismatch_col(line: str) -> int:

@@ -53,7 +53,7 @@ def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:
     _sum_chain(gates, terms)
     return DefinableClass(
         decoder=None, template=circuit(gates), params_of=_bits,
-        n=n, d=max(d, 1), s=s, m=m, e="multilinear",
+        n=n, d=max(d, 1), s=s, m=m,
     )
 
 
@@ -68,7 +68,7 @@ def linear_class(n: int, s: int = 0) -> DefinableClass:
     _sum_chain(gates, terms)
     return DefinableClass(
         decoder=None, template=circuit(gates), params_of=_bits,
-        n=n, d=1, s=s, m=n, e="linear",
+        n=n, d=1, s=s, m=n,
     )
 
 
@@ -82,7 +82,7 @@ def monomial_class(n: int, s: int = 0) -> DefinableClass:
         acc = len(gates) - 1
     return DefinableClass(
         decoder=None, template=circuit(gates), params_of=_bits,
-        n=n, d=1, s=s, m=1, e="monomial",
+        n=n, d=1, s=s, m=1,
     )
 
 
@@ -154,7 +154,7 @@ def all_circuits_class(n: int, d: int, s: int, m: int) -> DefinableClass:
         except CircuitValidationError:
             return zero_circuit(n)
 
-    return DefinableClass(decoder=decoder, n=n, d=d, s=s, m=m, e="all-circuits")
+    return DefinableClass(decoder=decoder, n=n, d=d, s=s, m=m)
 
 
 BUILTIN_CLASSES = {

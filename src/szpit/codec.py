@@ -117,15 +117,13 @@ class SZContext:
                 f"d={d} below the maximum individual syntactic degree {report.max_individual}"
             )
         nonroot = tuple(nonroot)
-        if len(nonroot) != n:
-            raise DimensionMismatchError(f"nonroot has length {len(nonroot)}, want {n}")
         self.circuit = ckt
         self.n = n
         self.d = d
         self.q = q
         self.nonroot = nonroot
         self.bitlen_guard = bitlen_guard
-        self.nonroot_ok = self._eval(nonroot) != 0
+        self.nonroot_ok = self._eval(nonroot) != 0  # eval_gates checks its length
         self._roots_cache: dict = {}
 
     def _eval(self, point: Tuple[int, ...]) -> int:
@@ -278,16 +276,7 @@ def count_roots_brute(
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
     """|{b in S_q^n : P(b) = 0}| by exhaustive evaluation."""
-    require_parameter_free(ckt, "root counting")
-    if n != ckt.n_vars:
-        raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
-    if q**n > cap:
-        raise CapExceededError(f"q^n = {q ** n} exceeds the cap {cap}")
-    count = 0
-    for point in product(range(q), repeat=n):
-        if eval_gates(ckt, point, (), bitlen_guard) == 0:
-            count += 1
-    return count
+    return sum(1 for _ in _scan_roots(ckt, n, q, cap, bitlen_guard, "root counting"))
 
 
 def cube_roots(
@@ -297,7 +286,16 @@ def cube_roots(
     cap: int = DEFAULT_EXHAUSTION_CAP,
 ) -> List[Tuple[int, ...]]:
     """The full root set Z_{P,q} in lexicographic order (test-scale only)."""
-    require_parameter_free(ckt, "root listing")
+    return list(_scan_roots(ckt, n, q, cap, DEFAULT_BITLEN_GUARD, "root listing"))
+
+
+def _scan_roots(ckt: Circuit, n: int, q: int, cap: int, bitlen_guard: int, what: str):
+    """The roots on S_q^n in lexicographic order, as a lazy scan whose
+    preconditions are checked before it is returned."""
+    require_parameter_free(ckt, what)
+    if n != ckt.n_vars:
+        raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
     if q**n > cap:
         raise CapExceededError(f"q^n = {q ** n} exceeds the cap {cap}")
-    return [p for p in product(range(q), repeat=n) if eval_gates(ckt, p) == 0]
+    points = product(range(q), repeat=n)
+    return (p for p in points if eval_gates(ckt, p, (), bitlen_guard) == 0)

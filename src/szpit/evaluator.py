@@ -29,17 +29,6 @@ class Assignment:
     params: Tuple[int, ...] = ()
 
 
-def _check_dims(c: Circuit, asg: Assignment) -> None:
-    if len(asg.vars) != c.n_vars:
-        raise DimensionMismatchError(
-            f"{len(asg.vars)} variable values for dimension {c.n_vars}"
-        )
-    if len(asg.params) != c.n_params:
-        raise DimensionMismatchError(
-            f"{len(asg.params)} parameter values for parametric dimension {c.n_params}"
-        )
-
-
 def eval_gates(
     c: Circuit,
     vars: Tuple[int, ...],
@@ -52,15 +41,22 @@ def eval_gates(
     loops (cube scans, hitting-set verification) go through here.
     ``params[k - 1]`` is the value of parameter pk; a class member
     ``(template, params)`` is evaluated as ``eval_gates(template, point, params)``.
+    Inputs of other lengths than the circuit's dimensions raise
+    :class:`DimensionMismatchError`, whichever path the call takes.
 
     The first call on a circuit object interprets it.  The second prepares
     a :class:`SlotProgram` and keeps it on the object; from then on a call
-    whose inputs have the circuit's dimensions, and whose input widths
-    keep every mul gate provably under the guard, runs that program with
-    no per-gate checks; its stage A, the gates that are affine in the
-    params, runs once per parameter vector.  Every other call interprets,
-    so results and errors are those of the interpreter.
+    whose input widths keep every mul gate provably under the guard runs
+    that program with no per-gate checks; its stage A, the gates that are
+    affine in the params, runs once per parameter vector.  Every other call
+    interprets, so results and errors are those of the interpreter.
     """
+    if len(vars) != c.n_vars:
+        raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
+    if len(params) != c.n_params:
+        raise DimensionMismatchError(
+            f"{len(params)} parameter values for parametric dimension {c.n_params}"
+        )
     prog = c._program
     if prog is None:  # one-shot circuits never pay for preparation
         object.__setattr__(c, "_program", False)
@@ -68,26 +64,25 @@ def eval_gates(
         if prog is False:
             prog = _prepare(c)
             object.__setattr__(c, "_program", prog)
-        if len(vars) == c.n_vars and len(params) == c.n_params:
-            key, params_width, live = prog.memo
-            if params is not key and params != key:
-                params_width, live = _width(params), None
-            w = (
-                max(max(vars).bit_length(), min(vars).bit_length(), params_width)
-                if vars else params_width
-            )
-            if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
-                if live is None:
-                    live = prog.run_stage_a(params)
-                    # One assignment: no reader sees a key with another
-                    # vector's values.  A list argument never hits, as a
-                    # list never equals the stored tuple.
-                    prog.memo = (tuple(params), params_width, live)
-                values = [*vars, *live]
-                append = values.append
-                for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
-                    append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
-                return values[prog.out]
+        key, params_width, live = prog.memo
+        if params is not key and params != key:
+            params_width, live = _width(params), None
+        w = (
+            max(max(vars).bit_length(), min(vars).bit_length(), params_width)
+            if vars else params_width
+        )
+        if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
+            if live is None:
+                live = prog.run_stage_a(params)
+                # One assignment: no reader sees a key with another
+                # vector's values.  A list argument never hits, as a
+                # list never equals the stored tuple.
+                prog.memo = (tuple(params), params_width, live)
+            values = [*vars, *live]
+            append = values.append
+            for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
+                append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
+            return values[prog.out]
     return _interpret(c, vars, params, bitlen_guard)
 
 
@@ -295,7 +290,6 @@ def eval_arithmetic(
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
     """Evaluate c at asg, refusing circuits of syntactic total degree > bound."""
-    _check_dims(c, asg)
     total = analyze_degrees(c).total
     if total > degree_bound:
         raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")

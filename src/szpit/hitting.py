@@ -124,7 +124,6 @@ class DefinableClass:
     d: int
     s: int
     m: int
-    e: object = None  # opaque parameter blob, reported verbatim in traces
     # Membership sampler for classes too large to enumerate: maps an Rng to
     # a description.  Verification then degrades to seeded spot-checking.
     sampler: Optional[Callable[["Rng"], str]] = None
@@ -244,11 +243,9 @@ def find_small_witness(
         raise PreconditionError(f"declared degree {d} below actual {true_d}")
     if q < 2 * d * n:
         raise PreconditionError(f"q={q} < 2dn = {2 * d * n}")
-    if hint is not None:
-        if len(hint) != n:
-            raise DimensionMismatchError("hint has the wrong dimension")
-        if eval_gates(ckt, tuple(hint), params, bitlen_guard) == 0:
-            raise PreconditionError("hint is not a non-root")
+    # eval_gates refuses a hint of the wrong dimension.
+    if hint is not None and eval_gates(ckt, tuple(hint), params, bitlen_guard) == 0:
+        raise PreconditionError("hint is not a non-root")
     rng = rng or Rng(0, "witness")
     for _ in range(budget):
         w = rng.point(n, q)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .circuit import Circuit, Gate, analyze_degrees, circuit, require_parameter_free, shifted
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
@@ -55,17 +55,26 @@ class PitVerdict:
         return out
 
 
-def _prepare(ckt: Circuit, d: Optional[int]) -> Tuple[Circuit, int, int, int]:
-    """Check ckt is parameter-free, fix (n, d, q) with q = 2nd (at least 1)."""
+def _prepare(ckt: Circuit, d: Optional[int]) -> Tuple[int, int, int]:
+    """Check ckt is parameter-free and fix (n, d, q), q = 2nd (at least 1),
+    with d from ckt's own degree pass unless a larger d is declared."""
     require_parameter_free(ckt, "identity testing")
-    n = ckt.n_vars
     true_d = analyze_degrees(ckt).max_individual
     if d is None:
         d = true_d
     elif d < true_d:
         raise PreconditionError(f"declared degree {d} below actual {true_d}")
-    q = max(1, 2 * n * d)
-    return ckt, n, d, q
+    return ckt.n_vars, d, max(1, 2 * ckt.n_vars * d)
+
+
+def _scan(ckt: Circuit, points: Iterable, bitlen_guard: int, provenance: str, trials=None):
+    """The first point where ckt is nonzero is the witness; with none, the
+    verdict is zero on the cube, or probably zero after ``trials`` samples."""
+    for point in points:
+        if eval_gates(ckt, point, (), bitlen_guard) != 0:
+            return PitVerdict(NONZERO, witness=point, provenance=provenance)
+    kind = PROBABLY_ZERO if trials else ZERO_ON_CUBE
+    return PitVerdict(kind, trials=trials, provenance=provenance)
 
 
 def pit_cube_brute(
@@ -75,13 +84,10 @@ def pit_cube_brute(
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> PitVerdict:
     """Scan the whole cube; the first lexicographic non-root wins."""
-    ckt, n, d, q = _prepare(ckt, d)
+    n, _, q = _prepare(ckt, d)
     if q**n > cap:
         raise CapExceededError(f"cube size {q ** n} exceeds the cap {cap}")
-    for point in product(range(q), repeat=n):
-        if eval_gates(ckt, point, (), bitlen_guard) != 0:
-            return PitVerdict(NONZERO, witness=point, provenance="cube")
-    return PitVerdict(ZERO_ON_CUBE, provenance="cube")
+    return _scan(ckt, product(range(q), repeat=n), bitlen_guard, "cube")
 
 
 def pit_random(
@@ -94,13 +100,10 @@ def pit_random(
     """Sample the cube uniformly; NonZero answers are never wrong."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    ckt, n, d, q = _prepare(ckt, d)
+    n, _, q = _prepare(ckt, d)
     rng = Rng(seed, "pit")
-    for _ in range(trials):
-        point = rng.point(n, q)
-        if eval_gates(ckt, point, (), bitlen_guard) != 0:
-            return PitVerdict(NONZERO, witness=point, provenance="random")
-    return PitVerdict(PROBABLY_ZERO, trials=trials, provenance="random")
+    points = (rng.point(n, q) for _ in range(trials))
+    return _scan(ckt, points, bitlen_guard, "random", trials)
 
 
 def pit_with_hitting_set(
@@ -114,10 +117,7 @@ def pit_with_hitting_set(
         raise DimensionMismatchError(
             f"hitting set dimension {h.n} != circuit dimension {ckt.n_vars}"
         )
-    for point in h.points:
-        if eval_gates(ckt, point, (), bitlen_guard) != 0:
-            return PitVerdict(NONZERO, witness=point, provenance="hitting-set")
-    return PitVerdict(ZERO_ON_CUBE, provenance="hitting-set")
+    return _scan(ckt, h.points, bitlen_guard, "hitting-set")
 
 
 def difference_circuit(f: Circuit, g: Circuit) -> Circuit:
@@ -146,18 +146,14 @@ def equiv_test(
     hitting_set: Optional[HittingSet] = None,
     cap: int = DEFAULT_EXHAUSTION_CAP,
 ) -> PitVerdict:
-    """PIT on the difference circuit, with the degree bound taken as the
-    max of the two circuits' maximum individual degrees."""
+    """PIT on the difference circuit f - g, bounded by its one degree pass
+    (method "hs" needs no bound).  Its maximum individual degree is max(f's,
+    g's, 1): the halves' constant keys are disjoint, and ``const -1`` adds one."""
     diff = difference_circuit(f, g)
-    d = max(
-        analyze_degrees(f).max_individual,
-        analyze_degrees(g).max_individual,
-        1,
-    )
     if method == "cube":
-        return pit_cube_brute(diff, d=d, cap=cap)
+        return pit_cube_brute(diff, cap=cap)
     if method == "random":
-        return pit_random(diff, trials=trials, seed=seed, d=d)
+        return pit_random(diff, trials=trials, seed=seed)
     if method == "hs":
         if hitting_set is None:
             raise PreconditionError("method 'hs' needs a hitting set")

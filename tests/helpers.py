@@ -16,7 +16,7 @@ from szpit.boolfunc import (
 from szpit.circuit import CONST, Circuit, DegreeReport, Gate, analyze_degrees, circuit
 from szpit.codec import RootCode, SZContext, decode_code
 from szpit.config import DEFAULT_BITLEN_GUARD
-from szpit.errors import DegreeBoundError, DimensionMismatchError
+from szpit.errors import DegreeBoundError
 from szpit.evaluator import eval_gates
 from szpit.hitting import DefinableClass
 from szpit.unipoly import UniPoly
@@ -46,14 +46,13 @@ def eval_many(
     degree_bound: int | None = None,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ):
-    """Yield evaluations at many variable assignments, checking degree once."""
+    """Yield evaluations at many variable assignments, checking degree once
+    (eval_gates checks each point's dimension)."""
     if degree_bound is not None:
         total = analyze_degrees(c).total
         if total > degree_bound:
             raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
     for p in points:
-        if len(p) != c.n_vars:
-            raise DimensionMismatchError(f"point {p!r} for dimension {c.n_vars}")
         yield eval_gates(c, p, (), bitlen_guard)
 
 

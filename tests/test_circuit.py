@@ -1,5 +1,6 @@
 """Circuit IR: text format, validation, degree analysis."""
 
+import sys
 import time
 from dataclasses import FrozenInstanceError
 
@@ -62,6 +63,25 @@ def test_parse_unknown_kind_and_position():
     with pytest.raises(CircuitSyntaxError) as exc:
         parse_circuit("g0 = frob x1\noutput g0")
     assert exc.value.line == 1
+
+
+# One digit past the interpreter's int/str conversion limit.
+TOO_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("commented", [False, True])
+@pytest.mark.parametrize("row, col", [
+    (f"g1 = const -{TOO_LONG}", len("g1 = const ") + 1),
+    (f"g1 = var x{TOO_LONG}", len("g1 = var x") + 1),
+    (f"g{TOO_LONG} = var x1", 2),
+], ids=["const", "var-index", "gate-id"])
+def test_parse_integer_past_the_digit_limit_is_located(row, col, commented):
+    lines = ["g0 = var x1", row, "g2 = mul g0 g1", "output g2"]
+    if commented:
+        lines = ["# header", *lines[:1], f"{row}  # a long literal", *lines[2:]]
+    with pytest.raises(CircuitSyntaxError, match="conversion limit") as exc:
+        parse_circuit("\n".join(lines) + "\n")
+    assert (exc.value.line, exc.value.col) == (2 + commented, col)
 
 
 def test_parse_output_must_be_last_gate():

@@ -19,7 +19,7 @@ from szpit.codec import (
     serialize_code,
     unpack_code,
 )
-from szpit.errors import CapExceededError, PreconditionError
+from szpit.errors import CapExceededError, DimensionMismatchError, PreconditionError
 from szpit.evaluator import eval_gates
 from szpit.hitting import find_small_witness
 from szpit.rng import Rng
@@ -296,6 +296,19 @@ def test_brute_root_counters_refuse_parameter_gates():
         with pytest.raises(PreconditionError, match="plug_params"):
             scan(template, 1, 3)
     assert cube_roots(plug_params(template, {1: 2}), 1, 3) == [(0,)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_brute_root_scans_refuse_a_wrong_dimension(n):
+    for scan in (count_roots_brute, cube_roots):
+        with pytest.raises(DimensionMismatchError, match=f"n={n} but circuit has 2 variables"):
+            scan(product_circuit(), n, 2)
+
+
+def test_context_refuses_a_nonroot_of_the_wrong_dimension():
+    for nonroot in ((1,), (1, 1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            SZContext(product_circuit(), 2, 1, 4, nonroot)
 
 
 def test_context_resolves_plugged_parameters():

@@ -40,6 +40,26 @@ def test_dimension_mismatch():
     c = circuit([Gate.var(1), Gate.var(2), Gate.add(0, 1)])
     with pytest.raises(DimensionMismatchError):
         eval_arithmetic(c, Assignment((1,)), 1)
+    # The degree bound is checked first.
+    with pytest.raises(DegreeBoundError):
+        eval_arithmetic(c, Assignment((1,)), 0)
+
+
+@pytest.mark.parametrize("vars, params, message", [
+    ((3,), (5,), "1 variable values for dimension 2"),
+    ((3, 4, 6), (5,), "3 variable values for dimension 2"),
+    ((3, 4), (), "0 parameter values for parametric dimension 1"),
+    ((3, 4), (5, 6), "2 parameter values for parametric dimension 1"),
+])
+def test_eval_gates_refuses_wrong_dimensions_on_every_path(vars, params, message):
+    c = circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.mul(0, 1), Gate.mul(3, 2)])
+    # Before any call, after the interpreted first call, and once the
+    # second call has prepared the slot program.
+    for _ in range(3):
+        with pytest.raises(DimensionMismatchError, match=message):
+            eval_gates(c, vars, params)
+        assert eval_gates(c, (3, 4), (5,)) == 60
+    assert isinstance(c._program, SlotProgram)
 
 
 def test_param_evaluation_and_plugging():

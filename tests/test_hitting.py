@@ -5,7 +5,12 @@ import pytest
 from szpit.circuit import Gate, circuit
 from szpit.classes import linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
-from szpit.errors import PreconditionError, SearchBudgetError, ZeroOnCubeError
+from szpit.errors import (
+    DimensionMismatchError,
+    PreconditionError,
+    SearchBudgetError,
+    ZeroOnCubeError,
+)
 from szpit.evaluator import eval_gates
 from szpit.hitting import (
     DefinableClass,
@@ -57,6 +62,8 @@ def test_find_small_witness_requires_large_q():
 def test_find_small_witness_rejects_bad_hint():
     with pytest.raises(PreconditionError):
         find_small_witness(product_circuit(), 2, 1, 4, hint=(0, 5))
+    with pytest.raises(DimensionMismatchError):
+        find_small_witness(product_circuit(), 2, 1, 4, hint=(1,))
 
 
 def test_g_map_decodes_componentwise():

@@ -1,5 +1,7 @@
 """Identity testing: cube, random, hitting-set, equivalence."""
 
+from itertools import product
+
 import pytest
 
 from szpit.circuit import Gate, circuit
@@ -20,6 +22,7 @@ from szpit.pit import (
 from szpit.rng import Rng
 
 from genckt import random_circuit_bounded
+from helpers import count_degree_passes
 from oracles import expansion_is_zero
 
 
@@ -114,6 +117,14 @@ def test_equiv_reflexive():
     assert equiv_test(c, c, method="cube").kind == ZERO_ON_CUBE
 
 
+def test_equiv_cube_reaches_past_the_low_roots():
+    # x1^2 - x1 vanishes on {0, 1}.  The difference circuit's bound d = 2
+    # gives the cube side 2nd = 4, so the scan reaches the non-root 2.
+    square = circuit([Gate.var(1), Gate.mul(0, 0)])
+    verdict = equiv_test(square, circuit([Gate.var(1)]), method="cube")
+    assert (verdict.kind, verdict.witness) == (NONZERO, (2,))
+
+
 def test_equiv_dimension_check():
     with pytest.raises(DimensionMismatchError):
         difference_circuit(const_circuit(1), product_circuit())
@@ -127,6 +138,19 @@ def test_equiv_with_hitting_set():
     assert equiv_test(lhs, rhs, method="hs", hitting_set=h).kind == ZERO_ON_CUBE
     with pytest.raises(PreconditionError):
         equiv_test(lhs, rhs, method="hs")
+
+
+@pytest.mark.parametrize("method, passes", [("cube", 1), ("random", 1), ("hs", 0)])
+def test_equiv_runs_at_most_one_degree_pass_per_verdict(monkeypatch, method, passes):
+    # The bound comes from the difference circuit's own pass; the hitting
+    # set needs no bound, so that method runs no pass at all.
+    calls = count_degree_passes(monkeypatch)
+    lhs = circuit([Gate.var(1), Gate.var(2), Gate.add(0, 1), Gate.mul(2, 2)])
+    rhs = circuit([Gate.var(2), Gate.var(1), Gate.add(0, 1), Gate.mul(2, 2)])
+    cube = HittingSet(tuple(product(range(8), repeat=2)), 2, 8)
+    verdict = equiv_test(lhs, rhs, method=method, hitting_set=cube)
+    assert verdict.kind != NONZERO
+    assert len(calls) == passes
 
 
 def test_methods_agree_with_cube_and_expansion():

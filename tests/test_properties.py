@@ -36,6 +36,7 @@ from szpit.pit import (
     NONZERO,
     ZERO_ON_CUBE,
     difference_circuit,
+    equiv_test,
     pit_cube_brute,
     pit_random,
     pit_with_hitting_set,
@@ -485,6 +486,25 @@ def test_pit_testers_agree(seed, n, zero, pit_seed):
         if verdict.kind == NONZERO:
             assert all(0 <= v < q for v in verdict.witness)
             assert naive_eval(c, verdict.witness) != 0
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 2), st.booleans(), st.integers(0, 2**16))
+def test_equiv_takes_its_bound_from_the_difference_circuit(seed, n, same, pit_seed):
+    # The difference circuit's max individual degree is max(f's, g's, 1),
+    # so the pass over it alone gives the bound the testers need; equiv_test
+    # gives the verdict of each tester called with that bound.  Half the
+    # pairs are a circuit and itself, so zero verdicts are covered too.
+    rng = Rng(seed, "equiv")
+    f = random_circuit_bounded(rng, n_vars=n, max_individual=3, extra_gates=8)
+    g = f if same else random_circuit_bounded(rng, n_vars=n, max_individual=3, extra_gates=8)
+    assume(f is not None and g is not None)
+    d = max(analyze_degrees(f).max_individual, analyze_degrees(g).max_individual, 1)
+    assert analyze_degrees(difference_circuit(f, g)).max_individual == d
+    assert equiv_test(f, g, method="cube") == pit_cube_brute(difference_circuit(f, g), d=d)
+    assert equiv_test(f, g, method="random", seed=pit_seed) == pit_random(
+        difference_circuit(f, g), trials=40, seed=pit_seed, d=d
+    )
 
 
 @PROPERTY
