@@ -347,31 +347,32 @@ def _line_gates(text: str) -> list:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        at = len(raw) - len(raw.lstrip())  # columns count from the line's start
         if output_id is not None:
-            raise CircuitSyntaxError("statement after output line", lineno, 1)
+            raise CircuitSyntaxError("statement after output line", lineno, at + 1)
         m = _OUTPUT_RE.match(line)
         if m:
-            output_id = _literal(m, "id", lineno)
+            output_id = _literal(m, "id", lineno, at)
             continue
         m = _GATE_RE.match(line)
         if m is None:
-            col = _first_mismatch_col(line)
+            col = at + _first_mismatch_col(line)
             raise CircuitSyntaxError(f"cannot parse statement {line!r}", lineno, col)
-        gate_id = _literal(m, "id", lineno)
+        gate_id = _literal(m, "id", lineno, at)
         if gate_id != len(gates):
             kind = "duplicate" if gate_id < len(gates) else "out-of-order"
-            raise CircuitSyntaxError(f"{kind} gate id g{gate_id}", lineno, 2)
+            raise CircuitSyntaxError(f"{kind} gate id g{gate_id}", lineno, at + 2)
         if m.group("var") is not None:
-            gates.append(Gate.var(_literal(m, "var", lineno)))
+            gates.append(Gate.var(_literal(m, "var", lineno, at)))
         elif m.group("param") is not None:
-            gates.append(Gate.param(_literal(m, "param", lineno)))
+            gates.append(Gate.param(_literal(m, "param", lineno, at)))
         elif m.group("const") is not None:
-            gates.append(Gate.const(_literal(m, "const", lineno)))
+            gates.append(Gate.const(_literal(m, "const", lineno, at)))
         else:
-            lhs, rhs = _literal(m, "lhs", lineno), _literal(m, "rhs", lineno)
+            lhs, rhs = _literal(m, "lhs", lineno, at), _literal(m, "rhs", lineno, at)
             if lhs >= gate_id or rhs >= gate_id:
                 raise CircuitSyntaxError(
-                    f"forward or self reference in g{gate_id}", lineno, 1
+                    f"forward or self reference in g{gate_id}", lineno, at + 1
                 )
             op = m.group("binop")
             gates.append(Gate.add(lhs, rhs) if op == ADD else Gate.mul(lhs, rhs))
@@ -386,14 +387,14 @@ def _line_gates(text: str) -> list:
     return gates
 
 
-def _literal(m: re.Match, group: str, lineno: int) -> int:
-    """The integer in m's group; one past Python's int/str digit limit is a
-    syntax error at its column."""
+def _literal(m: re.Match, group: str, lineno: int, at: int) -> int:
+    """The integer in m's group of a statement at column at + 1; one past
+    Python's int/str digit limit is a syntax error at its column."""
     try:
         return int(m.group(group))
     except ValueError:
         msg = "integer past Python's int conversion limit"
-        raise CircuitSyntaxError(msg, lineno, m.start(group) + 1) from None
+        raise CircuitSyntaxError(msg, lineno, at + m.start(group) + 1) from None
 
 
 def _first_mismatch_col(line: str) -> int:

@@ -117,13 +117,15 @@ class SZContext:
                 f"d={d} below the maximum individual syntactic degree {report.max_individual}"
             )
         nonroot = tuple(nonroot)
+        if len(nonroot) != n:
+            raise DimensionMismatchError(f"nonroot has length {len(nonroot)}, want {n}")
         self.circuit = ckt
         self.n = n
         self.d = d
         self.q = q
         self.nonroot = nonroot
         self.bitlen_guard = bitlen_guard
-        self.nonroot_ok = self._eval(nonroot) != 0  # eval_gates checks its length
+        self.nonroot_ok = self._eval(nonroot) != 0
         self._roots_cache: dict = {}
 
     def _eval(self, point: Tuple[int, ...]) -> int:

@@ -67,14 +67,12 @@ def _prepare(ckt: Circuit, d: Optional[int]) -> Tuple[int, int, int]:
     return ckt.n_vars, d, max(1, 2 * ckt.n_vars * d)
 
 
-def _scan(ckt: Circuit, points: Iterable, bitlen_guard: int, provenance: str, trials=None):
-    """The first point where ckt is nonzero is the witness; with none, the
-    verdict is zero on the cube, or probably zero after ``trials`` samples."""
+def _scan(ckt: Circuit, points: Iterable, bitlen_guard: int, zero: PitVerdict) -> PitVerdict:
+    """The first point where ckt is nonzero is the witness (zero's provenance), else zero."""
     for point in points:
         if eval_gates(ckt, point, (), bitlen_guard) != 0:
-            return PitVerdict(NONZERO, witness=point, provenance=provenance)
-    kind = PROBABLY_ZERO if trials else ZERO_ON_CUBE
-    return PitVerdict(kind, trials=trials, provenance=provenance)
+            return PitVerdict(NONZERO, witness=point, provenance=zero.provenance)
+    return zero
 
 
 def pit_cube_brute(
@@ -87,7 +85,7 @@ def pit_cube_brute(
     n, _, q = _prepare(ckt, d)
     if q**n > cap:
         raise CapExceededError(f"cube size {q ** n} exceeds the cap {cap}")
-    return _scan(ckt, product(range(q), repeat=n), bitlen_guard, "cube")
+    return _scan(ckt, product(range(q), repeat=n), bitlen_guard, PitVerdict(ZERO_ON_CUBE))
 
 
 def pit_random(
@@ -102,8 +100,8 @@ def pit_random(
         raise PreconditionError("trials must be >= 1")
     n, _, q = _prepare(ckt, d)
     rng = Rng(seed, "pit")
-    points = (rng.point(n, q) for _ in range(trials))
-    return _scan(ckt, points, bitlen_guard, "random", trials)
+    zero = PitVerdict(PROBABLY_ZERO, trials=trials, provenance="random")
+    return _scan(ckt, (rng.point(n, q) for _ in range(trials)), bitlen_guard, zero)
 
 
 def pit_with_hitting_set(
@@ -117,7 +115,7 @@ def pit_with_hitting_set(
         raise DimensionMismatchError(
             f"hitting set dimension {h.n} != circuit dimension {ckt.n_vars}"
         )
-    return _scan(ckt, h.points, bitlen_guard, "hitting-set")
+    return _scan(ckt, h.points, bitlen_guard, PitVerdict(ZERO_ON_CUBE, provenance="hitting-set"))
 
 
 def difference_circuit(f: Circuit, g: Circuit) -> Circuit:

@@ -69,19 +69,40 @@ def test_parse_unknown_kind_and_position():
 TOO_LONG = "7" * (sys.get_int_max_str_digits() + 1)
 
 
+@pytest.mark.parametrize("indent", ["", " \t  "], ids=["flush", "indented"])
 @pytest.mark.parametrize("commented", [False, True])
 @pytest.mark.parametrize("row, col", [
     (f"g1 = const -{TOO_LONG}", len("g1 = const ") + 1),
     (f"g1 = var x{TOO_LONG}", len("g1 = var x") + 1),
     (f"g{TOO_LONG} = var x1", 2),
 ], ids=["const", "var-index", "gate-id"])
-def test_parse_integer_past_the_digit_limit_is_located(row, col, commented):
+def test_parse_integer_past_the_digit_limit_is_located(row, col, commented, indent):
     lines = ["g0 = var x1", row, "g2 = mul g0 g1", "output g2"]
     if commented:
         lines = ["# header", *lines[:1], f"{row}  # a long literal", *lines[2:]]
+    text = "".join(f"{indent}{line}\n" for line in lines)
     with pytest.raises(CircuitSyntaxError, match="conversion limit") as exc:
-        parse_circuit("\n".join(lines) + "\n")
-    assert (exc.value.line, exc.value.col) == (2 + commented, col)
+        parse_circuit(text)
+    assert (exc.value.line, exc.value.col) == (2 + commented, len(indent) + col)
+
+
+def located(text):
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_circuit(text)
+    return exc.value.line, exc.value.col
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("g0 = var x1\ng0 = var x1\noutput g0\n", 2, 2),
+    ("g0 = frob x1\noutput g0\n", 1, len("g0 = frob") + 1),
+    ("g0 = var x1\ng1 = add g0 g1\noutput g1\n", 2, 1),
+    ("g0 = var x1\noutput g0\ng1 = var x1\n", 3, 1),
+], ids=["duplicate-id", "unknown-kind", "forward-reference", "after-output"])
+def test_syntax_error_columns_count_the_indent(text, line, col):
+    assert located(text) == (line, col)
+    indent = "\t  "
+    indented = "".join(indent + row for row in text.splitlines(keepends=True))
+    assert located(indented) == (line, len(indent) + col)
 
 
 def test_parse_output_must_be_last_gate():

@@ -307,7 +307,7 @@ def test_brute_root_scans_refuse_a_wrong_dimension(n):
 
 def test_context_refuses_a_nonroot_of_the_wrong_dimension():
     for nonroot in ((1,), (1, 1, 1)):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=f"nonroot has length {len(nonroot)}"):
             SZContext(product_circuit(), 2, 1, 4, nonroot)
 
 
