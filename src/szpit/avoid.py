@@ -44,12 +44,12 @@ from .boolfunc import (
     Bits,
     BoolCircuit,
     BoolFunc,
+    PackedBoolFunc,
     bits_to_int,
     bits_to_str,
     boolfunc_from_callable,
     eval_bool_circuit,
     int_to_bits,
-    str_to_bits,
 )
 from .circuit import Circuit, Gate, circuit
 from .config import DEFAULT_EXHAUSTION_CAP, DEFAULT_SEARCH_BUDGET, DEFAULT_WITNESS_BUDGET
@@ -192,11 +192,7 @@ def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[Bits], int]]:
 
 # -- amplification ---------------------------------------------------------
 
-# Maps the characters '0' and '1' to the bit values 0 and 1.
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def amplify(g: BoolFunc, t: int) -> BoolFunc:
+def amplify(g: BoolFunc, t: int) -> PackedBoolFunc:
     """Iterate the one-bit stretch t times into an m -> m+t function.
 
     Round j feeds the first m bits of the previous value back through g and
@@ -205,8 +201,10 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
 
     By doubling: jump table k maps a head's value to the head after 2^k
     rounds and those rounds' fresh bits, packed newest first into one int
-    (LSB first, as ``bits_to_int``).  A row combines the tables along t's
-    binary digits, so it costs O(log t) steps instead of t.
+    (LSB first, as ``bits_to_int``).  The rows advance together along t's
+    binary digits, so each costs O(log t) steps instead of t, and only the
+    current table is kept.  Row x of h is the int ``tail << m | head`` of
+    h(x)'s bits; no row is unpacked into ``Bits``.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1")
@@ -214,26 +212,18 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
         raise DimensionMismatchError(f"g must stretch by one bit, has {g.in_bits}->{g.out_bits}")
     m = g.in_bits
 
-    heads = [bits_to_int(out[:m]) for out in g.table]
+    heads = [bits_to_int(out[:m]) for out in g.table]  # the table for 2^0 rounds
     fresh = [out[m] for out in g.table]
-    jumps = [(heads, fresh)]  # jumps[k]: 2^k rounds
-    for k in range(1, t.bit_length()):
-        span = 1 << (k - 1)
-        fresh = [fresh[nxt] | fresh[h] << span for h, nxt in enumerate(heads)]
-        heads = [heads[nxt] for nxt in heads]
-        jumps.append((heads, fresh))
-    width = f"0{m + t}b"
-
-    def h_fn(x: Bits) -> Bits:
-        head, tail = bits_to_int(x), 0
-        for k, (heads, fresh) in enumerate(jumps):
-            if t >> k & 1:
-                tail = fresh[head] | tail << (1 << k)
-                head = heads[head]
-        # All m + t bits, LSB first, from the reversed binary digits.
-        return tuple(format(tail << m | head, width)[::-1].encode().translate(_BIT_VALUES))
-
-    return boolfunc_from_callable(h_fn, m, m + t)
+    head, tail = list(range(1 << m)), [0] * (1 << m)  # every row after 0 rounds
+    for k in range(t.bit_length()):
+        if k:  # the table for 2^k rounds from the one for 2^(k-1)
+            span = 1 << (k - 1)
+            fresh = [fresh[nxt] | fresh[h] << span for h, nxt in enumerate(heads)]
+            heads = [heads[nxt] for nxt in heads]
+        if t >> k & 1:
+            tail = [fresh[hd] | tl << (1 << k) for hd, tl in zip(head, tail)]
+            head = [heads[hd] for hd in head]
+    return PackedBoolFunc(m, m + t, tuple(tl << m | hd for hd, tl in zip(head, tail)))
 
 
 # -- inversion -------------------------------------------------------------
@@ -435,9 +425,9 @@ def _member_gates(sched: AvoidSchedule) -> Circuit:
     """The class template prod_i sum_j (z_j - sum_k p_e * 2^(k-1))^2.
 
     Param p_e, e = triple_encode(i, j, k), takes bit e of h(x): member x is
-    ``(template, h(x)[:r*n*w])``.  Subtraction is Add(z_j, Mul(-1, inner));
-    squaring reuses one gate for both factors; the powers of two form one
-    shared Const(2) chain.
+    ``(template, R)``, with R the int of h(x)'s first r*n*w bits.
+    Subtraction is Add(z_j, Mul(-1, inner)); squaring reuses one gate for
+    both factors; the powers of two form one shared Const(2) chain.
 
     The template depends on the schedule alone, so it is cached: solves
     with the same schedule share one immutable circuit, together with the
@@ -473,9 +463,10 @@ def _member_gates(sched: AvoidSchedule) -> Circuit:
     return circuit(gates)
 
 
-def build_avoid_class(h: BoolFunc, sched: AvoidSchedule) -> DefinableClass:
+def build_avoid_class(h: PackedBoolFunc, sched: AvoidSchedule) -> DefinableClass:
     """The definable class whose member at description x vanishes exactly
-    on the r points spelled by the bits of h(x)."""
+    on the r points spelled by the bits of h(x).  Its params are packed:
+    member x's are h's row at x, masked to the template's r*n*w params."""
     sched.check()
     if h.in_bits != sched.m:
         raise DimensionMismatchError(f"h has {h.in_bits} input bits, want {sched.m}")
@@ -483,8 +474,10 @@ def build_avoid_class(h: BoolFunc, sched: AvoidSchedule) -> DefinableClass:
     if h.out_bits < width:
         raise PreconditionError(f"t' >= r*n*|q| fails: {h.out_bits} < {width}")
 
-    def params_of(x: str) -> Bits:
-        return h(str_to_bits(x))[:width]
+    rows, mask = h.rows, (1 << width) - 1
+
+    def params_of(x: str) -> int:
+        return rows[int(x[::-1] or "0", 2)] & mask  # x[0] is h's input bit 0
 
     cls = DefinableClass(
         decoder=None, template=_member_gates(sched), params_of=params_of,
@@ -582,7 +575,7 @@ def avoid_via_hitting(
     trace["y"] = bits_to_str(y)
 
     with _stage("compression-check"):
-        if y in h.table:
+        if bits_to_int(y) in h.rows:
             raise AssertionError(
                 "hitting-set encoding landed in range(h); "
                 "the compression argument forbids this"

@@ -3,7 +3,8 @@
 Bit vectors are tuples of 0/1; position j (0-based) carries weight 2^j, so
 ``bits_to_int`` and ``int_to_bits`` are least-significant-bit-first.  A
 ``BoolFunc`` is table-backed: all 2^in_bits rows are materialized, which is
-the right trade at desk scale and keeps amplification walks cheap.
+the right trade at desk scale and keeps amplification walks cheap.  A
+``PackedBoolFunc`` holds each row as one int instead, for wide outputs.
 
 Boolean circuits use a dedicated grammar (extension ``.bc``) so Boolean and
 algebraic semantics can never be confused::
@@ -45,10 +46,6 @@ def bits_to_str(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def str_to_bits(s: str) -> Bits:
-    return tuple(1 if ch == "1" else 0 for ch in s)
-
-
 @dataclass(frozen=True)
 class BoolFunc:
     """A total function {0,1}^in_bits -> {0,1}^out_bits, stored as a table."""
@@ -75,6 +72,37 @@ class BoolFunc:
 
     def range_set(self) -> set:
         return set(self.table)
+
+
+@dataclass(frozen=True)
+class PackedBoolFunc:
+    """A BoolFunc whose rows are ints: bit j of ``rows[v]`` is output bit j
+    at the input of value v (both as ``bits_to_int``).  An int row takes
+    about out_bits / 8 bytes where a ``Bits`` row takes 8 bytes a bit.
+
+    It answers calls and ``range_set`` as a BoolFunc does, by unpacking
+    rows on demand.
+    """
+
+    in_bits: int
+    out_bits: int
+    rows: Tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.rows) != 1 << self.in_bits:
+            raise DimensionMismatchError(
+                f"table has {len(self.rows)} rows, want {1 << self.in_bits}"
+            )
+        if min(self.rows) < 0 or max(self.rows) >> self.out_bits:
+            raise DimensionMismatchError(f"a row is outside [0, 2^{self.out_bits})")
+
+    def __call__(self, bits: Bits) -> Bits:
+        if len(bits) != self.in_bits:
+            raise DimensionMismatchError(f"input width {len(bits)} != {self.in_bits}")
+        return int_to_bits(self.rows[bits_to_int(bits)], self.out_bits)
+
+    def range_set(self) -> set:
+        return {int_to_bits(row, self.out_bits) for row in set(self.rows)}
 
 
 def boolfunc_from_callable(fn: Callable[[Bits], Bits], in_bits: int, out_bits: int) -> BoolFunc:

@@ -11,14 +11,15 @@ These are the stock decoders used by the CLI and the test suites:
                 slice, fall back to the constant-0 circuit.
 
 The first three are template classes: one circuit with a param gate per
-coefficient, whose k-th description bit (from 1) is the value of pk.
+coefficient, whose k-th description bit (from 1) is the value of pk; the
+bits reach the evaluator packed into one int.
 Decoder surjectivity onto an intended class is a trust assumption; nothing
 here can verify it for the all-circuits encoding.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .circuit import Circuit, Gate, circuit
 from .errors import CircuitValidationError
@@ -33,8 +34,9 @@ def _sum_chain(gates: List[Gate], terms: List[int]) -> int:
     return acc
 
 
-def _bits(x: str) -> Tuple[int, ...]:
-    return tuple(int(ch) for ch in x)
+def _bits(x: str) -> int:
+    """The description's bits packed into params R: bit k - 1 of R is x[k - 1]."""
+    return int(x[::-1], 2)
 
 
 def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:

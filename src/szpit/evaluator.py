@@ -14,11 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter, mul
-from typing import Tuple
+from typing import Tuple, Union
 
 from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees
 from .config import DEFAULT_BITLEN_GUARD
 from .errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
+
+# A parameter vector: one value per param, or bit-valued params packed
+# into one non-negative int R (of type int, not bool) whose bit k - 1 is pk.
+Params = Union[Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ class Assignment:
 def eval_gates(
     c: Circuit,
     vars: Tuple[int, ...],
-    params: Tuple[int, ...] = (),
+    params: Params = (),
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
     """Gate-by-gate evaluation with the bit-length guard but no degree check.
@@ -41,8 +45,11 @@ def eval_gates(
     loops (cube scans, hitting-set verification) go through here.
     ``params[k - 1]`` is the value of parameter pk; a class member
     ``(template, params)`` is evaluated as ``eval_gates(template, point, params)``.
-    Inputs of other lengths than the circuit's dimensions raise
-    :class:`DimensionMismatchError`, whichever path the call takes.
+    Bit-valued params may come packed as one int R whose bit k - 1 is pk
+    (see :func:`param_values`); R must satisfy ``0 <= R < 2**n_params``.
+    Inputs of other lengths than the circuit's dimensions, or such an R
+    out of range, raise :class:`DimensionMismatchError`, whichever path
+    the call takes.
 
     The first call on a circuit object interprets it.  The second prepares
     a :class:`SlotProgram` and keeps it on the object; from then on a call
@@ -53,7 +60,10 @@ def eval_gates(
     """
     if len(vars) != c.n_vars:
         raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
-    if len(params) != c.n_params:
+    if params.__class__ is int:
+        if params < 0 or params >> c.n_params:
+            raise DimensionMismatchError(f"packed params {params} outside [0, 2^{c.n_params})")
+    elif len(params) != c.n_params:
         raise DimensionMismatchError(
             f"{len(params)} parameter values for parametric dimension {c.n_params}"
         )
@@ -62,28 +72,41 @@ def eval_gates(
         object.__setattr__(c, "_program", False)
     else:
         if prog is False:
-            prog = _prepare(c)
+            prog = _prepare(c, bitlen_guard)
             object.__setattr__(c, "_program", prog)
         key, params_width, live = prog.memo
+        # The key is None before the first vector, so every call that
+        # runs stage A below has passed here and set ``packed``.
         if params is not key and params != key:
-            params_width, live = _width(params), None
+            packed = params.__class__ is int
+            # Packed params are bits: width 1, or 0 when all are zero.
+            params_width = min(params, 1) if packed else _width(params)
+            live = None
         w = (
             max(max(vars).bit_length(), min(vars).bit_length(), params_width)
             if vars else params_width
         )
         if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
             if live is None:
-                live = prog.run_stage_a(params)
+                live = prog.run_stage_a(params, packed)
                 # One assignment: no reader sees a key with another
                 # vector's values.  A list argument never hits, as a
                 # list never equals the stored tuple.
-                prog.memo = (tuple(params), params_width, live)
+                prog.memo = (params if packed else tuple(params), params_width, live)
             values = [*vars, *live]
             append = values.append
             for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
                 append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
             return values[prog.out]
     return _interpret(c, vars, params, bitlen_guard)
+
+
+def param_values(params: Params, n_params: int) -> Tuple[int, ...]:
+    """The params as a tuple: packed params R give their n_params bits,
+    bit k - 1 of R as pk; a tuple is returned as it is."""
+    if params.__class__ is int:
+        return tuple(params >> k & 1 for k in range(n_params))
+    return params
 
 
 def _width(values) -> int:
@@ -93,6 +116,7 @@ def _width(values) -> int:
 
 def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
     """The reference evaluator: one pass over the gates, guard on each mul."""
+    params = param_values(params, c.n_params)
     values = [0] * len(c.gates)
     for i, g in enumerate(c.gates):
         op = g.op
@@ -131,9 +155,10 @@ class SlotProgram:
     (so a parameter-free circuit's consts are constant forms), and each
     binary gate whose operands have forms, whose own form is affine (not a
     product of two param forms), fits in what is left of ``_FORM_CAP``
-    coefficients per gate, and whose static bit bound is at most
-    ``DEFAULT_BITLEN_GUARD``.  Stage B is every other binary gate: those
-    that read a variable and those that break one of these rules.  Its
+    coefficients per gate, and whose static bit bound is at most both the
+    preparing call's guard and ``DEFAULT_BITLEN_GUARD``.  Stage B is every
+    other binary gate: those that read a variable and those that break
+    one of these rules.  Its
     live-outs are the stage-A gates that a stage-B step reads, and the
     output when it is in stage A.  A call runs stage B on
     ``[*vars, *live-out values]``, appending one result per step; step j
@@ -143,7 +168,15 @@ class SlotProgram:
 
     ``forms`` gives each live-out as ``(c, coeffs, getter)``, with value
     ``c + sum(coeffs[j] * getter(params)[j])``; a constant has no
-    coefficients and no getter.  ``memo`` is
+    coefficients and no getter.  Packed params R (see :func:`eval_gates`)
+    run ``fields`` instead.  A live-out whose form is a *bit field*,
+    ``c + s * (p_(j0+1) + 2 p_(j0+2) + ... + 2^(L-1) p_(j0+L))``, is
+    ``(c, s, j0, 2^L - 1)`` there, with value ``c + s * (R >> j0 & mask)``;
+    a constant is ``(c, 0, 0, 0)``.  Any other live-out is ``(c, 0, 0, 0)``
+    there as well, plus an entry ``(live-out index, coeffs, getter)`` in
+    ``nonfields``, whose getter reads a dict of just the bits R holds at
+    the indices in ``unpack``.  A circuit without params has no fields, as
+    its live-outs are constants.  ``memo`` is
     ``(params, params width, live-out values)`` for the last parameter
     vector that ran (``(None, 0, None)`` before the first), so a class
     member evaluated at many points computes its live-outs once.
@@ -156,6 +189,9 @@ class SlotProgram:
     """
 
     forms: tuple
+    fields: tuple
+    nonfields: tuple
+    unpack: Tuple[int, ...]
     b_lhs: Tuple[int, ...]
     b_rhs: Tuple[int, ...]
     b_mul: Tuple[bool, ...]
@@ -164,12 +200,19 @@ class SlotProgram:
     mul_bits: int
     memo: tuple = (None, 0, None)
 
-    def run_stage_a(self, params) -> list:
+    def run_stage_a(self, params, packed: bool) -> list:
         """The live-out values for this parameter vector."""
-        return [
-            c + sum(map(mul, coeffs, get(params))) if coeffs else c
-            for c, coeffs, get in self.forms
-        ]
+        if not (packed and self.fields):
+            return [
+                c + sum(map(mul, coeffs, get(params))) if coeffs else c
+                for c, coeffs, get in self.forms
+            ]
+        live = [c + s * (params >> j0 & mask) for c, s, j0, mask in self.fields]
+        if self.nonfields:
+            bits = {k: params >> k & 1 for k in self.unpack}
+            for slot, coeffs, get in self.nonfields:
+                live[slot] += sum(map(mul, coeffs, get(bits)))
+        return live
 
 
 def _combine(f, g, is_mul: bool, budget: int):
@@ -203,9 +246,21 @@ def _getter(idx: Tuple[int, ...]):
     return lambda params: (params[k],)
 
 
-def _prepare(c: Circuit) -> SlotProgram:
+def _bit_field(coeffs: dict):
+    """``(s, j0, 2^L - 1)`` when the coefficients are ``s * 2^i`` on the
+    param indices ``j0 + i``, i < L, and None otherwise."""
+    j0 = min(coeffs)
+    s = coeffs[j0]
+    if all(coeffs.get(j0 + i) == s << i for i in range(1, len(coeffs))):
+        return s, j0, (1 << len(coeffs)) - 1
+    return None
+
+
+def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
     """Build c's slot program and static bit bound in two passes over the
-    gates.
+    gates.  Preparation folds no constant past the preparing call's guard
+    (nor past the default guard), so it builds no value that this call's
+    interpreter would refuse.
 
     The first pass computes each gate's degree, bit bound and affine form,
     which decides its stage, and marks the live-outs.  The second gives
@@ -218,6 +273,7 @@ def _prepare(c: Circuit) -> SlotProgram:
     forms: list = [None] * len(gates)  # None: a var or a stage-B step
     is_live = [False] * len(gates)
     budget = _FORM_CAP * len(gates)
+    fold_bits = min(bitlen_guard, DEFAULT_BITLEN_GUARD)
     mul_degree = mul_bits = 0
     for i, g in enumerate(gates):
         op = g.op
@@ -243,7 +299,7 @@ def _prepare(c: Circuit) -> SlotProgram:
             deg[i] = d
             bits[i] = b
             f, h = forms[lhs], forms[rhs]
-            if f is not None and h is not None and b <= DEFAULT_BITLEN_GUARD:
+            if f is not None and h is not None and b <= fold_bits:
                 form = _combine(f, h, is_mul, budget)
                 if form is not None:
                     budget -= len(form[1])
@@ -277,9 +333,19 @@ def _prepare(c: Circuit) -> SlotProgram:
             b_lhs.append(full[g.lhs])
             b_rhs.append(full[g.rhs])
             b_mul.append(g.op == MUL)
+    fields, nonfields, unpack = [], [], set()
+    if c.n_params:
+        live_forms = (form for form, is_out in zip(forms, is_live) if is_out)
+        for slot, (const, coeffs) in enumerate(live_forms):
+            field = _bit_field(coeffs) if coeffs else (0, 0, 0)
+            if field is None:
+                nonfields.append((slot, *live[slot][1:]))
+                unpack.update(coeffs)
+                field = (0, 0, 0)
+            fields.append((const, *field))
     return SlotProgram(
-        tuple(live), tuple(b_lhs), tuple(b_rhs), tuple(b_mul), full[-1],
-        mul_degree, mul_bits,
+        tuple(live), tuple(fields), tuple(nonfields), tuple(sorted(unpack)),
+        tuple(b_lhs), tuple(b_rhs), tuple(b_mul), full[-1], mul_degree, mul_bits,
     )
 
 

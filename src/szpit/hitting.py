@@ -45,7 +45,7 @@ from .errors import (
     WitnessBudgetError,
     ZeroOnCubeError,
 )
-from .evaluator import eval_gates
+from .evaluator import Params, eval_gates, param_values
 from .rng import Rng
 
 
@@ -100,9 +100,6 @@ def zero_circuit(n: int = 0) -> Circuit:
     return pad_vars(circuit([Gate.const(0)]), n)
 
 
-Params = Tuple[int, ...]
-
-
 @dataclass
 class DefinableClass:
     """A decoder-presented class of at most 2^m algebraic circuits.
@@ -112,7 +109,9 @@ class DefinableClass:
     template class gives ``template`` and ``params_of`` (x -> values of
     p1, p2, ...): its members share one gate layout, so variable count and
     degree are checked once per class and each member's size in O(#params);
-    ``s = 0`` means the size of the all-zero member.  A decoder class gives
+    ``s = 0`` means the size of the all-zero member.  Bit-valued params may
+    be packed into one int R, bit k - 1 as pk, as :func:`eval_gates` takes
+    them; such a member is decoded and sized in O(1).  A decoder class gives
     ``decoder`` (x -> circuit); its members are ``(circuit, ())``, each
     fully checked.  Members outside Ckt(n, d, s) are replaced by the
     constant-0 circuit; surjectivity of caller-supplied decoders onto their
@@ -156,7 +155,7 @@ class DefinableClass:
 
     def member_size(self, params: Params) -> int:
         """representation_size of the template with these params plugged."""
-        if not params or (min(params) >= 0 and max(params) <= 9):
+        if params.__class__ is int or not params or (min(params) >= 0 and max(params) <= 9):
             return self._zero_size  # one digit per value, as in the zero member
         return self._size_fixed + 8 * sum(map(mul, self._size_uses, map(len, map(str, params))))
 
@@ -169,8 +168,13 @@ class DefinableClass:
         if len(x) != self.m or any(ch not in "01" for ch in x):
             raise PreconditionError(f"description {x!r} is not a bitstring of length {self.m}")
         if self.template is not None:
-            params = tuple(self.params_of(x))
-            fits = self._template_fits and len(params) == self.template.n_params
+            params = self.params_of(x)
+            n_params = self.template.n_params
+            if params.__class__ is int:
+                fits = self._template_fits and 0 <= params and not params >> n_params
+            else:
+                params = tuple(params)
+                fits = self._template_fits and len(params) == n_params
             if fits and self.member_size(params) <= self.s:
                 return self.template, params
             return self._zero, ()
@@ -192,6 +196,7 @@ class DefinableClass:
     def member(self, x: str) -> Circuit:
         """The member at description x as one circuit, params plugged."""
         ckt, params = self.decode(x)
+        params = param_values(params, ckt.n_params)
         return plug_params(ckt, dict(enumerate(params, 1))) if params else ckt
 
     def members(self) -> Iterator[Tuple[str, Circuit]]:

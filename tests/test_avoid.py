@@ -23,7 +23,13 @@ from szpit.avoid import (
     triple_decode,
     triple_encode,
 )
-from szpit.boolfunc import BoolFunc, boolfunc_from_callable, int_to_bits, parse_bool_circuit
+from szpit.boolfunc import (
+    BoolFunc,
+    bits_to_int,
+    boolfunc_from_callable,
+    int_to_bits,
+    parse_bool_circuit,
+)
 from szpit.circuit import analyze_degrees
 from szpit.errors import (
     InversionFailedError,
@@ -31,7 +37,7 @@ from szpit.errors import (
     StageError,
 )
 from szpit.evaluator import eval_gates
-from szpit.hitting import bitlen, search_hitting_set
+from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
 from helpers import inputs
@@ -147,7 +153,7 @@ def fixed_g_m2():
 
 def test_amplify_t1_is_g():
     g = fixed_g_m2()
-    assert amplify(g, 1).table == g.table
+    assert amplify(g, 1).rows == tuple(bits_to_int(row) for row in g.table)
 
 
 def test_amplify_hand_unrolled():
@@ -301,6 +307,19 @@ def build_small_class(m=2, seed=11):
     return inst, g, sched, h, build_avoid_class(h, sched)
 
 
+def test_avoid_class_params_are_h_bits_packed():
+    # Member x's packed params are the int of h(x)'s first r*n*w bits,
+    # bit e - 1 for param p_e; h's rows are those ints in full.
+    for m in (1, 2, 3):
+        _, _, sched, h, cls = build_small_class(m=m)
+        width = sched.r * sched.n * sched.w
+        for x in inputs(h):
+            desc = "".join(map(str, x))
+            assert cls.params_of(desc) == bits_to_int(h(x)[:width])
+            assert h.rows[bits_to_int(x)] == bits_to_int(h(x))
+            assert cls.decode(desc) == (cls.template, cls.params_of(desc))
+
+
 def test_avoid_class_degree_audit():
     _, _, sched, _, cls = build_small_class(m=2)
     for x, member in cls.members():
@@ -390,6 +409,31 @@ def test_avoid_stage_provenance():
     with pytest.raises(StageError) as exc:
         avoid_via_hitting(AvoidInstance(2, 4, (1, 2)), hs_solver=broken_solver, seed=1)
     assert exc.value.stage == "hitting-set"
+
+
+def test_compression_check_refuses_an_encoding_in_range_of_h():
+    # A solver that returns the r points spelled by h(x) makes y = h(x),
+    # which the compression check must refuse before inverting.
+    inst = AvoidInstance(2, 4, (1, 2))
+    g, _ = normalize(inst)
+    sched = desk_schedule(g.in_bits)
+    h = amplify(g, sched.t_prime - g.in_bits)
+    bits = h((1,) * g.in_bits)
+    points = tuple(
+        tuple(
+            sum(
+                bits[triple_encode(i, j, k, sched.r, sched.n, sched.w) - 1] << (k - 1)
+                for k in range(1, sched.w + 1)
+            )
+            for j in range(1, sched.n + 1)
+        )
+        for i in range(1, sched.r + 1)
+    )
+    spelled = HittingSet(points, sched.n, sched.q)
+    assert encode_hitting_set_bits(spelled, sched, h.out_bits) == bits
+    with pytest.raises(StageError) as exc:
+        avoid_via_hitting(inst, hs_solver=lambda cls: spelled, seed=1)
+    assert exc.value.stage == "compression-check"
 
 
 def test_pigeonhole_always_solvable():

@@ -4,6 +4,7 @@ import pytest
 
 from szpit.boolfunc import (
     BoolFunc,
+    PackedBoolFunc,
     bits_to_int,
     eval_bool_circuit,
     int_to_bits,
@@ -66,3 +67,23 @@ def test_boolfunc_shape_checks():
     f = BoolFunc(1, 1, ((0,), (1,)))
     with pytest.raises(DimensionMismatchError):
         f((0, 1))
+
+
+def test_packed_boolfunc_answers_as_its_table():
+    table = ((1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1))
+    f = BoolFunc(2, 3, table)
+    packed = PackedBoolFunc(2, 3, tuple(bits_to_int(row) for row in table))
+    assert packed.rows == (5, 6, 3, 5)
+    assert packed.range_set() == f.range_set()
+    for v in range(4):
+        assert packed(int_to_bits(v, 2)) == f(int_to_bits(v, 2))
+    with pytest.raises(DimensionMismatchError):
+        packed((0, 1, 1))
+
+
+@pytest.mark.parametrize("rows", [(0,), (0, 1, 2), (0, -1), (0, 8)])
+def test_packed_boolfunc_shape_checks(rows):
+    # Two rows of 3 bits each: a row count other than 2, or a row outside
+    # [0, 8), is refused.
+    with pytest.raises(DimensionMismatchError):
+        PackedBoolFunc(1, 3, rows)

@@ -50,6 +50,8 @@ def test_dimension_mismatch():
     ((3, 4, 6), (5,), "3 variable values for dimension 2"),
     ((3, 4), (), "0 parameter values for parametric dimension 1"),
     ((3, 4), (5, 6), "2 parameter values for parametric dimension 1"),
+    ((3, 4), -1, "packed params -1 outside"),
+    ((3, 4), 2, "packed params 2 outside"),
 ])
 def test_eval_gates_refuses_wrong_dimensions_on_every_path(vars, params, message):
     c = circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.mul(0, 1), Gate.mul(3, 2)])
@@ -169,6 +171,17 @@ def test_guard_error_is_the_same_on_every_call():
     assert seen == {(BitLengthGuardError, "gate 10: value exceeds 1024-bit guard")}
 
 
+def test_packed_params_are_one_bit_wide():
+    # (p1 + p1)^2 + x1 at x1 = 0: the static bound is 2w + 2 bits.  R = 1
+    # is 1 bit wide, so under a 2-bit guard every call interprets and
+    # raises at the square, 4; R = 0 is 0 bits wide and runs the program.
+    c = circuit([Gate.var(1), Gate.param(1), Gate.add(1, 1), Gate.mul(2, 2), Gate.add(0, 3)])
+    for _ in range(3):
+        assert outcome(c, (0,), 1, 2) == (BitLengthGuardError, "gate 3: value exceeds 2-bit guard")
+        assert outcome(c, (0,), 0, 2) == 0
+    assert c._program.memo[:2] == (0, 0)
+
+
 def test_slot_program_layout():
     # Stage A holds the gates with an affine form in the params: p1, p2, 3,
     # -5, g3 = 3 p1, g8 = p2 - 5 and g10 = p2 - 5 + 3 p1.  g12 = g10 * g10
@@ -206,6 +219,13 @@ def test_slot_program_layout():
     assert (prog.mul_degree, prog.mul_bits) == (3, 10)
     assert prog.memo == (params, 3, [6, 8])
     assert eval_gates(c, (-1, 5), params) == naive_eval(c, (-1, 5), params)
+    # Packed params: g3 = 3 p1 is a one-bit field; g10 = p2 - 5 + 3 p1 is
+    # no field, so it reads bits 0 and 1 of R unpacked.
+    assert prog.fields == ((0, 3, 0, 1), (-5, 0, 0, 0))
+    assert [slot for slot, _, _ in prog.nonfields] == [1] and prog.unpack == (0, 1)
+    for packed, bits in [(0b10, (0, 1)), (0b01, (1, 0)), (0, (0, 0))]:
+        assert eval_gates(c, (4, -3), packed) == naive_eval(c, (4, -3), bits)
+        assert prog.memo[0] == packed and prog.memo[1] == min(packed, 1)
 
 
 def test_affine_stage_a_forms():
@@ -230,13 +250,17 @@ def test_affine_stage_a_forms():
     for _ in range(2):
         assert eval_gates(plugged, (4, -3)) == eval_gates(c, (4, -3), (-4, 11))
     assert plugged._program.forms == ((-12, (), None), (-6, (), None), (-18, (), None))
+    # Without params there are no fields: packed R = 0 reads the constants.
+    assert plugged._program.fields == ()
+    assert eval_gates(plugged, (4, -3), 0) == eval_gates(c, (4, -3), (-4, 11))
 
 
 def test_prepare_folds_no_constant_past_the_default_guard():
     # x1 + p1 next to 24 squarings of 3: the k-th square has 2^(k+1) bits
-    # by the static bound, so squares 20 to 24 run as stage-B steps
-    # instead of being folded at prepare time (3^(2^24) has 26 M bits).
-    # Every call interprets under the 2^16-bit guard and raises there.
+    # by the static bound, so squares 16 to 24 run as stage-B steps under
+    # the preparing call's 2^16-bit guard instead of being folded at
+    # prepare time (3^(2^24) has 26 M bits, past the default guard too).
+    # Every call interprets under that guard and raises there.
     gates = [Gate.var(1), Gate.param(1), Gate.const(3)]
     gates += [Gate.mul(k, k) for k in range(2, 26)]
     gates += [Gate.add(0, 1), Gate.mul(27, 26)]
@@ -247,7 +271,25 @@ def test_prepare_folds_no_constant_past_the_default_guard():
     for _ in range(3):
         assert outcome(c, (1,), (2,), 1 << 16) == want
     assert time.perf_counter() - start < 1.0
-    assert len(c._program.b_mul) == 5 + 2  # and the two gates that read x1
+    assert len(c._program.b_mul) == 9 + 2  # and the two gates that read x1
+
+
+def test_prepare_folds_no_constant_past_the_preparing_guard():
+    # The same squarings after x1 + p1: under a 2^16-bit guard the second
+    # call prepares, and it folds 3^(2^15) (51,937 bits) but not
+    # 3^(2^16), whose static bound of 2^17 bits is past that guard.  The
+    # value would be the same, as stage B computes it; only its cost
+    # differs.  Every call interprets and raises at the same gate.
+    gates = [Gate.var(1), Gate.param(1), Gate.add(0, 1), Gate.const(3)]
+    gates += [Gate.mul(k, k) for k in range(3, 27)]
+    gates.append(Gate.mul(2, 27))
+    c = circuit(gates)
+    want = (BitLengthGuardError, "gate 19: value exceeds 65536-bit guard")
+    assert outcome(c, (1,), (2,), 1 << 16) == want
+    assert outcome(c, (1,), (2,), 1 << 16) == want
+    folded = [const for const, _, _ in c._program.forms]
+    assert max(v.bit_length() for v in folded) == 51_937
+    assert outcome(c, (1,), (2,), 1 << 16) == want
 
 
 def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():

@@ -29,7 +29,7 @@ from szpit.circuit import (
     serialize_circuit,
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root
-from szpit.errors import CircuitSyntaxError, DegreeBoundError
+from szpit.errors import CircuitSyntaxError, DegreeBoundError, DimensionMismatchError
 from szpit.evaluator import SlotProgram, eval_gates
 from szpit.hitting import HittingSet
 from szpit.pit import (
@@ -396,9 +396,11 @@ def test_staged_evaluation_over_a_call_sequence(case):
     # Stage A runs once per parameter vector and is kept for the next call;
     # every call must still give the interpreter's value or error, which a
     # fresh copy of the circuit yields on its first call.  In an affine
-    # template every gate that reads no variable has a form, so stage B
-    # runs just the gates that read one; a product of two params, or a
-    # chain past the form cap, runs in stage B as well.
+    # template every gate that reads no variable has a form unless its
+    # static bit bound passes the guard of the second call, which
+    # prepares; so stage B runs just the gates that read a variable and
+    # those.  A product of two params, or a chain past the form cap, runs
+    # in stage B as well.
     kind, c, calls = case
     params = tuple(calls[0][2])
     as_list = list(params)
@@ -421,7 +423,95 @@ def test_staged_evaluation_over_a_call_sequence(case):
             binary = g.op in ("add", "mul")
             reads_var.append(g.op == "var" or binary and (reads_var[g.lhs] or reads_var[g.rhs]))
         var_steps = sum(r and g.op != "var" for g, r in zip(c.gates, reads_var))
-        assert (len(c._program.b_mul) == var_steps) == (kind == "affine")
+        # A gate's bit bound is at least its operands', so one past the
+        # preparing guard is no form and neither is any gate reading it.
+        bits = []
+        for g in c.gates:
+            if g.op in ("add", "mul"):
+                lhs, rhs = bits[g.lhs], bits[g.rhs]
+                bits.append(lhs + rhs if g.op == "mul" else max(lhs, rhs) + 1)
+            else:
+                bits.append(g.value.bit_length())
+        fold_bits = min(calls[1][4], 1 << 20)
+        over = sum(
+            not r and g.op in ("add", "mul") and b > fold_bits
+            for g, r, b in zip(c.gates, reads_var, bits)
+        )
+        if kind == "affine":
+            assert len(c._program.b_mul) == var_steps + over
+        elif not over:
+            assert len(c._program.b_mul) > var_steps
+
+
+NONZERO_SCALES = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def bit_templates(draw):
+    """``(circuit, non-field forms)``: a template over 1 to 12 bit params
+    whose live-outs are forms ``c + sum(a * p)`` built term by term, in a
+    drawn order, each read by a gate that reads x1.  A "field" is
+    ``c + s * sum(2^i * p_(j0+i))`` with s of either sign; a "gap"
+    has the same coefficients on every other param; "scales" puts equal
+    coefficients on two or more adjacent params; "const" has no params."""
+    n_params = draw(st.integers(1, 12))
+    gates = [Gate.var(1)] + [Gate.param(k) for k in range(1, n_params + 1)]
+
+    def push(g):
+        gates.append(g)
+        return len(gates) - 1
+
+    forms, nonfields = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["field", "gap", "scales", "const"]))
+        step = 2 if kind == "gap" else 1
+        longest = (n_params - 1) // step + 1
+        shortest = 2 if kind in ("gap", "scales") else 1
+        if shortest > longest:  # too few params for a gap or equal scales
+            kind, step, shortest = "field", 1, 1
+        length = 0 if kind == "const" else draw(st.integers(shortest, longest))
+        j0 = draw(st.integers(1, n_params - step * (length - 1))) if length else 1
+        s = draw(NONZERO_SCALES)
+        terms = [
+            (j0 + step * i, s if kind == "scales" else s << i) for i in range(length)
+        ]
+        nonfields += kind in ("gap", "scales")
+        acc = push(Gate.const(draw(SMALL)))
+        for k, a in draw(st.permutations(terms)):
+            acc = push(Gate.add(acc, push(Gate.mul(k, push(Gate.const(a))))))
+        forms.append(acc)
+    out = push(Gate.mul(forms[0], 0))
+    for f in forms[1:]:  # Horner in x1: every form is read by a stage-B gate
+        out = push(Gate.add(push(Gate.mul(out, 0)), f))
+    return circuit(gates), nonfields
+
+
+@PROPERTY
+@given(bit_templates(), st.data())
+def test_packed_params_evaluate_as_their_bits(case, data):
+    # Packed params R on a fresh circuit (the interpreter) and on the
+    # prepared one (stage A by shift and mask for the fields, the other
+    # forms from unpacked bits) give naive_eval's value on R's bits, as
+    # does the tuple of those bits on the same program.  R = 0 and R with
+    # every bit set, so bits past each field's mask, are always drawn.
+    c, nonfields = case
+    n = c.n_params
+    draws = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)
+    for packed in [0, (1 << n) - 1, *data.draw(draws)]:
+        x = (data.draw(SMALL),)
+        bits = tuple(packed >> k & 1 for k in range(n))
+        want = naive_eval(c, x, bits)
+        assert eval_gates(circuit(c.gates), x, packed) == want
+        assert eval_gates(c, x, packed) == want
+        assert c._program is False or c._program.memo[0] == packed
+        assert eval_gates(c, x, bits) == want
+    prog = c._program
+    assert len(prog.nonfields) == nonfields
+    assert len(prog.fields) == len(prog.forms)
+    for bad in (-1, 1 << n, -(1 << (n + 3)), 1 << (n + 3)):
+        for ckt in (circuit(c.gates), c):
+            with pytest.raises(DimensionMismatchError, match="packed params"):
+                eval_gates(ckt, (1,), bad)
 
 
 @PROPERTY

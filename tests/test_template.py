@@ -9,7 +9,7 @@ from szpit.avoid import AvoidInstance, amplify, build_avoid_class, desk_schedule
 from szpit.circuit import Gate, circuit, plug_params, representation_size
 from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
 from szpit.errors import PreconditionError
-from szpit.evaluator import eval_gates
+from szpit.evaluator import eval_gates, param_values
 from szpit.hitting import DefinableClass, HittingSet, search_hitting_set, verify_hitting_set
 from szpit.rng import Rng
 
@@ -74,8 +74,10 @@ def test_template_members_match_plugged_members(name):
     zero_point = (0,) * cls.n
     fitting = 0
     for x in cls.descriptions():
-        params = tuple(cls.params_of(x))
-        member = plug_params(cls.template, dict(enumerate(params, 1)))
+        # Bit-valued classes give packed params; plug their bits.
+        params = cls.params_of(x)
+        bits = param_values(params, cls.template.n_params)
+        member = plug_params(cls.template, dict(enumerate(bits, 1)))
         assert cls.member_size(params) == representation_size(member)
         in_slice = cls._in_ckt(member)
         ckt, got = cls.decode(x)
@@ -170,6 +172,26 @@ def test_member_size_at_the_one_digit_edges(edge):
     for params in vectors:
         member = plug_params(cls.template, dict(enumerate(params, 1)))
         assert cls.member_size(params) == representation_size(member)
+
+
+def test_packed_params_outside_the_template_give_the_zero_member():
+    # p1 * x1 with packed params: 0 and 1 are members; a negative R, or an
+    # R with a bit past p1, is no parameter vector of the template.
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    packed = {"00": 0, "01": 1, "10": -1, "11": 2}
+    cls = DefinableClass(
+        decoder=None, template=template, params_of=packed.__getitem__,
+        n=1, d=1, s=0, m=2,
+    )
+    assert cls.member_size(1) == cls.member_size(0) == cls.s
+    for x, params in packed.items():
+        ckt, got = cls.decode(x)
+        if params in (0, 1):
+            assert ckt is cls.template and got == params
+            assert cls.member(x) == plug_params(template, {1: params})
+        else:
+            assert got == () and cls.member(x) == ckt
+            assert eval_gates(ckt, (5,)) == 0
 
 
 def test_decoder_classes_present_members_without_params():
