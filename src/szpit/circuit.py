@@ -121,45 +121,68 @@ class Circuit:
 
 
 def circuit(gates: Iterable[Gate]) -> Circuit:
-    """Build a circuit, inferring dimensions from the gate list."""
+    """Build a circuit, inferring dimensions from the gate list.
+
+    The dimensions come from the pass that checks the gates, and the
+    result is built without ``__post_init__`` validating it again; the
+    errors and their order are those of ``validate`` on
+    ``Circuit(gates, max var index, max param index)``.
+    """
     gates = tuple(gates)
-    n_vars = max((g.name for g in gates if g.op == VAR), default=0)
-    n_params = max((g.name for g in gates if g.op == PARAM), default=0)
-    return Circuit(gates, n_vars, n_params)
+    var_names, param_names = _gate_names(gates)
+    n_vars = max(var_names, default=0)
+    n_params = max(param_names, default=0)
+    _check_naming(var_names, param_names, n_vars, n_params)
+    c = _new(Circuit)
+    c.__dict__.update(gates=gates, n_vars=n_vars, n_params=n_params)
+    return c
 
 
 def validate(c: Circuit) -> None:
     """Check every structural invariant; raise with the offending gate index."""
-    if not c.gates:
+    _check_naming(*_gate_names(c.gates), c.n_vars, c.n_params)
+
+
+def _gate_names(gates: Tuple[Gate, ...]) -> Tuple[set, set]:
+    """Check each gate in order; return the variable and parameter indices
+    seen."""
+    if not gates:
         raise CircuitValidationError("empty gate list")
     var_names = set()
     param_names = set()
-    for i, g in enumerate(c.gates):
-        if g.op in _BINARY_KINDS:
-            for operand in (g.lhs, g.rhs):
-                if operand >= i:
-                    raise CircuitValidationError(
-                        f"gate {i}: forward reference to g{operand}"
-                    )
-                if operand < 0:
-                    raise CircuitValidationError(f"gate {i}: negative operand index")
-        elif g.op == VAR:
+    for i, g in enumerate(gates):
+        op = g.op
+        if op in _BINARY_KINDS:
+            lhs, rhs = g.lhs, g.rhs
+            if not (0 <= lhs < i and 0 <= rhs < i):
+                for operand in (lhs, rhs):
+                    if operand >= i:
+                        raise CircuitValidationError(
+                            f"gate {i}: forward reference to g{operand}"
+                        )
+                    if operand < 0:
+                        raise CircuitValidationError(f"gate {i}: negative operand index")
+        elif op == VAR:
             if g.name < 1:
                 raise CircuitValidationError(f"gate {i}: variable index must be >= 1")
             var_names.add(g.name)
-        elif g.op == PARAM:
+        elif op == PARAM:
             if g.name < 1:
                 raise CircuitValidationError(f"gate {i}: parameter index must be >= 1")
             param_names.add(g.name)
-        elif g.op != CONST:
-            raise CircuitValidationError(f"gate {i}: unknown gate kind {g.op!r}")
-    if var_names != set(range(1, c.n_vars + 1)):
+        elif op != CONST:
+            raise CircuitValidationError(f"gate {i}: unknown gate kind {op!r}")
+    return var_names, param_names
+
+
+def _check_naming(var_names: set, param_names: set, n_vars: int, n_params: int) -> None:
+    if var_names != set(range(1, n_vars + 1)):
         raise CircuitValidationError(
-            f"gap in variable naming: saw {sorted(var_names)}, n_vars={c.n_vars}"
+            f"gap in variable naming: saw {sorted(var_names)}, n_vars={n_vars}"
         )
-    if param_names != set(range(1, c.n_params + 1)):
+    if param_names != set(range(1, n_params + 1)):
         raise CircuitValidationError(
-            f"gap in parameter naming: saw {sorted(param_names)}, n_params={c.n_params}"
+            f"gap in parameter naming: saw {sorted(param_names)}, n_params={n_params}"
         )
 
 

@@ -124,7 +124,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_roots(args) -> int:
     p = parse_unipoly(args.coeffs)
-    roots = enumerate_roots(p, args.q, q_cap=args.exhaustion_cap)
+    roots = enumerate_roots(p, args.q, q_cap=args.exhaustion_cap, bitlen_guard=args.bitlen_guard)
     text = ",".join(str(v) for v in roots)
     _emit(args, {"roots": list(roots), "marker": args.q}, text)
     return 0
@@ -132,7 +132,7 @@ def _cmd_roots(args) -> int:
 
 def _ctx_from_args(args, c) -> SZContext:
     nonroot = _ints(args.nonroot)
-    return SZContext(c, c.n_vars, args.d, args.q, nonroot)
+    return SZContext(c, c.n_vars, args.d, args.q, nonroot, bitlen_guard=args.bitlen_guard)
 
 
 def _cmd_encode(args) -> int:

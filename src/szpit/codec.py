@@ -150,8 +150,8 @@ class SZContext:
         if hit is not None:
             return hit
         restricted = restrict(self.circuit, k, fixed)
-        poly = extract_unipoly(restricted, self.d)
-        roots = roots_in_cube(poly, self.q, q_cap=self.q)
+        poly = extract_unipoly(restricted, self.d, self.bitlen_guard)
+        roots = roots_in_cube(poly, self.q, q_cap=self.q, bitlen_guard=self.bitlen_guard)
         if len(self._roots_cache) >= _ROOTS_CACHE_ENTRIES:
             del self._roots_cache[next(iter(self._roots_cache))]  # the oldest
         self._roots_cache[key] = roots
@@ -178,7 +178,9 @@ def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
     values = (*fixed[: k - 1], None, *fixed[k - 1 :])
     subst = {j: x1 if v is None else Gate.const(v) for j, v in enumerate(values, 1)}
     gates = [subst[g.name] if g.op == VAR else g for g in c.gates]
-    if any(g.op == VAR and g.name == k for g in c.gates):
+    # A valid circuit names exactly the variables 1..n_vars, so whether x_k
+    # occurs needs no pass over the gates.
+    if 1 <= k <= c.n_vars:
         return circuit(gates)
     # x_k never occurs: prepend an unused var gate so the result still has
     # dimension exactly 1 (the output gate must stay last).

@@ -25,7 +25,9 @@ The three nontrivial operations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import islice
+from operator import add
+from typing import Iterator, List, Tuple
 
 from .circuit import ADD, CONST, VAR, Circuit, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_Q_CAP
@@ -136,24 +138,36 @@ def extract_unipoly(c: Circuit, d: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD
             row = [0] * width
             row[1] = 1
         else:
-            a, b = table[g.lhs], table[g.rhs]
+            dl, dr = deg[g.lhs], deg[g.rhs]
             if op == ADD:
                 top += 1
-                deg[i] = max(deg[g.lhs], deg[g.rhs])
+                deg[i] = dl if dl > dr else dr
                 if deg[i] > d:
                     continue
-                row = [a[k] + b[k] for k in range(width)]
-            else:  # MUL: convolution, exact as both operands are within d
-                deg[i] = deg[g.lhs] + deg[g.rhs]
+                row = list(map(add, table[g.lhs], table[g.rhs]))
+            else:
+                deg[i] = dl + dr
                 if deg[i] > d:
                     continue
-                row = [0] * width
-                for t, at in enumerate(a):
-                    if at:
-                        for k in range(t, width):
-                            bk = b[k - t]
-                            if bk:
-                                row[k] += at * bk
+                a, b = table[g.lhs], table[g.rhs]
+                # An operand of degree 0 is a scalar in row[0]; otherwise
+                # convolve, exact as both operands are within d, and a row
+                # is zero past its gate's degree.
+                if dl == 0:
+                    s = a[0]
+                    row = [s * v for v in b]
+                elif dr == 0:
+                    s = b[0]
+                    row = [v * s for v in a]
+                else:
+                    row = [0] * width
+                    for t in range(dl + 1):
+                        at = a[t]
+                        if at:
+                            for k in range(dr + 1):
+                                bk = b[k]
+                                if bk:
+                                    row[t + k] += at * bk
                 top = 2 * top + carries
                 if top > bitlen_guard and (
                     max(max(row).bit_length(), min(row).bit_length()) > bitlen_guard
@@ -167,7 +181,12 @@ def extract_unipoly(c: Circuit, d: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD
     return UniPoly(tuple(table[-1]))
 
 
-def enumerate_roots(p: UniPoly, q: int, q_cap: int = DEFAULT_Q_CAP) -> Tuple[int, ...]:
+def enumerate_roots(
+    p: UniPoly,
+    q: int,
+    q_cap: int = DEFAULT_Q_CAP,
+    bitlen_guard: int = DEFAULT_BITLEN_GUARD,
+) -> Tuple[int, ...]:
     """The sorted distinct roots of p in S_q, padded to length d with marker q.
 
     For nonzero p the returned entries before the markers are all the roots
@@ -180,21 +199,61 @@ def enumerate_roots(p: UniPoly, q: int, q_cap: int = DEFAULT_Q_CAP) -> Tuple[int
         raise PreconditionError("q must be positive")
     if q > q_cap:
         raise CapExceededError(f"q={q} exceeds the cap {q_cap}")
-    roots: List[int] = []
-    for u in range(q):
-        if eval_unipoly(p, u) == 0:
-            roots.append(u)
-            if len(roots) == d:
-                break
+    roots = list(islice(_scan_roots(p, q, bitlen_guard), d))
     roots.extend([q] * (d - len(roots)))
     return tuple(roots)
 
 
-def roots_in_cube(p: UniPoly, q: int, q_cap: int = DEFAULT_Q_CAP) -> Tuple[int, ...]:
+def roots_in_cube(
+    p: UniPoly,
+    q: int,
+    q_cap: int = DEFAULT_Q_CAP,
+    bitlen_guard: int = DEFAULT_BITLEN_GUARD,
+) -> Tuple[int, ...]:
     """All distinct roots of p in S_q, ascending, without markers or padding."""
     if q > q_cap:
         raise CapExceededError(f"q={q} exceeds the cap {q_cap}")
-    return tuple(u for u in range(q) if eval_unipoly(p, u) == 0)
+    return tuple(_scan_roots(p, q, bitlen_guard))
+
+
+def _scan_roots(p: UniPoly, q: int, bitlen_guard: int) -> Iterator[int]:
+    """The u in S_q with p(u) = 0, ascending and lazily; what
+    ``eval_unipoly(p, u, bitlen_guard) == 0`` would say of each u, the
+    guard's error included.
+
+    Horner's partial sums at u in S_q are below (D+1) * 2^w * 2^(D*b) in
+    magnitude, for w the widest coefficient's bits, D the degree bound and
+    b = bitlen(q-1); so they have at most w + D*b + bitlen(D+1) bits.  When
+    that static bound fits the guard, no evaluation can trip it, so
+    the scan runs Horner without checks, and only at the u that can be
+    roots: 0 when c_0 = 0, and the u >= 1 dividing the lowest nonzero
+    coefficient c_j, as p(u) = u^j * p'(u) with p'(u) = c_j (mod u).  The
+    zero polynomial vanishes at every u.  Past the bound, every u is
+    evaluated under the guard.
+    """
+    coeffs = p.coeffs
+    d = len(coeffs) - 1
+    width = max(map(int.bit_length, coeffs))
+    if width + d * (q - 1).bit_length() + (d + 1).bit_length() > bitlen_guard:
+        yield from (u for u in range(q) if eval_unipoly(p, u, bitlen_guard) == 0)
+        return
+    j = 0
+    while j <= d and not coeffs[j]:
+        j += 1
+    if j > d:
+        yield from range(q)
+        return
+    low = coeffs[j]
+    horner = coeffs[j:][::-1]  # p' = sum of c_(j+i) x^i, highest first
+    if j and q > 0:
+        yield 0
+    for u in range(1, min(q, abs(low) + 1)):
+        if low % u == 0:
+            acc = 0
+            for c in horner:
+                acc = acc * u + c
+            if not acc:
+                yield u
 
 
 def deflate(a: UniPoly, v: int) -> UniPoly:

@@ -94,6 +94,14 @@ def times_line_factors(c, j, roots):
     return circuit(gates)
 
 
+def shifted_power_plus_x2(e):
+    """(x1 - 1)^e + x2 for e >= 2, the power a chain of e - 1 muls: gate
+    m + 2 holds (x1 - 1)^m for m = 2..e."""
+    gates = [Gate.var(1), Gate.var(2), Gate.const(-1), Gate.add(0, 2), Gate.mul(3, 3)]
+    gates += [Gate.mul(i, 3) for i in range(4, e + 2)]
+    return circuit(gates + [Gate.add(e + 2, 1)])
+
+
 def inputs(f: BoolFunc) -> Iterator[Bits]:
     """Every input of f, in table order."""
     for v in range(1 << f.in_bits):

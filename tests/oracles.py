@@ -117,6 +117,19 @@ def sparse_expand(c: Circuit) -> Monomials:
     return dict(go(len(c.gates) - 1))
 
 
+def expansion_coeffs(c: Circuit, d: int) -> Tuple[int, ...]:
+    """The coefficients, lowest degree first and d + 1 of them, of the
+    polynomial a circuit in at most one variable computes, read off its
+    monomial expansion; raises ValueError when its degree passes d."""
+    coeffs = [0] * (d + 1)
+    for e, v in sparse_expand(c).items():
+        k = sum(e)
+        if k > d:
+            raise ValueError(f"degree {k} > {d}")
+        coeffs[k] = v
+    return tuple(coeffs)
+
+
 def expansion_is_zero(c: Circuit) -> bool:
     return not sparse_expand(c)
 

@@ -154,6 +154,60 @@ def test_validate_variable_gap():
     assert "gap" in str(exc.value)
 
 
+V, P = Gate.var, Gate.param
+INVALID_GATE_LISTS = {
+    "empty": ([], "empty gate list"),
+    "forward-reference": ([V(1), Gate.add(0, 2), V(2)], "gate 1: forward reference to g2"),
+    "self-reference": ([V(1), Gate.mul(0, 1)], "gate 1: forward reference to g1"),
+    "negative-operand": ([V(1), Gate.add(0, -1)], "gate 1: negative operand index"),
+    "var-index-0": ([V(1), V(0)], "gate 1: variable index must be >= 1"),
+    "param-index-0": ([P(0), V(1)], "gate 0: parameter index must be >= 1"),
+    "unknown-op": ([V(1), Gate("sub", lhs=0, rhs=0)], "gate 1: unknown gate kind 'sub'"),
+    "var-gap": ([V(1), V(3), Gate.mul(0, 1)], "gap in variable naming: saw [1, 3], n_vars=3"),
+    "param-gap": ([P(2), V(1)], "gap in parameter naming: saw [2], n_params=2"),
+    # The gate-by-gate checks come before the naming checks.
+    "forward-reference-and-gap": ([V(2), Gate.add(0, 1), V(1)],
+                                  "gate 1: forward reference to g1"),
+}
+# parse_circuit reaches the validator only with texts its line parser
+# accepts: no empty, forward-referencing or negative-operand statements and
+# no unknown ops.
+PARSEABLE = ("var-index-0", "param-index-0", "var-gap", "param-gap")
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_GATE_LISTS))
+def test_validation_errors_agree_across_constructors(case):
+    gates, message = INVALID_GATE_LISTS[case]
+    n_vars = max((g.name for g in gates if g.op == "var"), default=0)
+    n_params = max((g.name for g in gates if g.op == "param"), default=0)
+    with pytest.raises(CircuitValidationError) as built:
+        circuit(gates)
+    with pytest.raises(CircuitValidationError) as constructed:
+        Circuit(tuple(gates), n_vars, n_params)
+    assert str(built.value) == str(constructed.value) == message
+    if case in PARSEABLE:
+        rows = [f"g{i} = {g.op} {'x' if g.op == 'var' else 'p'}{g.name}"
+                if g.op in ("var", "param") else f"g{i} = {g.op} g{g.lhs} g{g.rhs}"
+                for i, g in enumerate(gates)]
+        with pytest.raises(CircuitSyntaxError) as parsed:
+            parse_circuit("\n".join(rows) + f"\noutput g{len(gates) - 1}\n")
+        assert str(parsed.value) == message
+
+
+def test_circuit_builds_what_the_constructor_builds():
+    rng = Rng(103, "built")
+    for i in range(200):
+        c = random_circuit(rng.split(str(i)), n_vars=rng.randint(1, 4),
+                           extra_gates=rng.randint(1, 12), n_params=rng.randint(0, 2))
+        direct = Circuit(c.gates, c.n_vars, c.n_params)
+        assert type(c) is Circuit
+        assert c == direct and hash(c) == hash(direct) and repr(c) == repr(direct)
+        assert vars(c) == vars(direct)
+        with pytest.raises(FrozenInstanceError):
+            c.n_vars = 0
+        assert analyze_degrees(c) == analyze_degrees(direct)
+
+
 def test_roundtrip_random_circuits():
     rng = Rng(101, "roundtrip")
     for i in range(1000):

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from szpit.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
+from szpit.circuit import serialize_circuit
 from szpit.errors import BitLengthGuardError, OracleError, StageError
+
+from helpers import shifted_power_plus_x2
 
 PRODUCT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
 CONST0 = "g0 = const 0\noutput g0\n"
@@ -237,6 +240,27 @@ def test_coeffs_guard_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "--bitlen-guard", "1024", "coeffs", str(path), "--d", "1")
     assert code == 70
     assert "gate 11: value exceeds 1024-bit guard" in err
+
+
+def test_codec_commands_pass_the_guard(capsys, tmp_path):
+    # Decoding restricts (x1 - 1)^20 + x2 to x2 = 1, whose extraction
+    # passes a 16-bit guard at gate 21: exit 70, as the guard is ours.
+    path = tmp_path / "power.ac"
+    path.write_text(serialize_circuit(shifted_power_plus_x2(20)))
+    decode = ["decode", str(path), "--nonroot", "1,1", "--q", "80", "--d", "20",
+              "--code", "1:1:0"]
+    code, _, err = run(capsys, "--bitlen-guard", "16", *decode)
+    assert code == 70
+    assert "gate 21: value exceeds 16-bit guard" in err
+    code, out, _ = run(capsys, *decode)
+    assert code == 0 and out.strip() == "0,0"
+    # x^20 + 1 at u < 80 passes 64 bits.
+    roots = ["roots", "--q", "80", ",".join(["1"] + ["0"] * 19 + ["1"])]
+    code, _, err = run(capsys, "--bitlen-guard", "64", *roots)
+    assert code == 70
+    assert "value exceeds 64-bit guard" in err
+    code, out, _ = run(capsys, *roots)
+    assert code == 0 and out.strip() == ",".join(["80"] * 20)
 
 
 def _raises(exc):

@@ -19,13 +19,19 @@ from szpit.codec import (
     serialize_code,
     unpack_code,
 )
-from szpit.errors import CapExceededError, DimensionMismatchError, PreconditionError
+from szpit.errors import (
+    BitLengthGuardError,
+    CapExceededError,
+    DimensionMismatchError,
+    PreconditionError,
+)
 from szpit.evaluator import eval_gates
+from szpit.unipoly import extract_unipoly
 from szpit.hitting import find_small_witness
 from szpit.rng import Rng
 
 from genckt import random_circuit_bounded
-from helpers import times_line_factors
+from helpers import shifted_power_plus_x2, times_line_factors
 from oracles import brute_roots
 
 codec_mod = importlib.import_module("szpit.codec")
@@ -146,6 +152,27 @@ def test_restriction_cache_keeps_a_bounded_number_of_entries(monkeypatch):
     image = {cached(decode_code(ctx, code)) for code in all_codes(2, 3, 5)}
     assert set(roots) <= image
     assert len(seen) > 4
+
+
+def test_context_applies_its_guard_on_misses():
+    # Decoding (1, 1, (0,)) restricts (x1 - 1)^20 + x2 to x2 = 1, whose
+    # middle coefficients pass 16 bits from (x1 - 1)^19 on: extraction
+    # under the context's guard stops at that gate.
+    c = shifted_power_plus_x2(20)
+    with pytest.raises(BitLengthGuardError, match="^gate 21: value exceeds 16-bit guard$"):
+        extract_unipoly(codec_mod.restrict(c, 1, (1,)), 20, bitlen_guard=16)
+    ctx = SZContext(c, 2, 20, 80, (1, 1), bitlen_guard=16)
+    with pytest.raises(BitLengthGuardError, match="^gate 21: value exceeds 16-bit guard$"):
+        decode_code(ctx, RootCode(1, 1, (0,)))
+    assert decode_code(SZContext(c, 2, 20, 80, (1, 1)), RootCode(1, 1, (0,))) == (0, 0)
+    # x1^20 + x2 restricted to x2 = 1 has coefficients of one bit, but the
+    # root scan's values at u < 80 pass 64 bits.
+    c = circuit([Gate.var(1), Gate.var(2), Gate.mul(0, 0)]
+                + [Gate.mul(i, 0) for i in range(2, 20)] + [Gate.add(20, 1)])
+    ctx = SZContext(c, 2, 20, 80, (1, 1), bitlen_guard=64)
+    with pytest.raises(BitLengthGuardError, match="^value exceeds 64-bit guard$"):
+        decode_code(ctx, RootCode(1, 1, (0,)))
+    assert decode_code(SZContext(c, 2, 20, 80, (1, 1)), RootCode(1, 1, (0,))) == (0, 0)
 
 
 def test_counting_corollary():

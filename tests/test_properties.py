@@ -1,8 +1,9 @@
 """Property tests: degree analysis, the text format and evaluation on
 circuits with var, param and const gates, checked against the recursive
 oracles; the parser's one-pass read against its line parser on edited
-texts; univariate extraction against evaluation; the root codec's round
-trip and surjectivity; the agreement of the three PIT testers; amplify
+texts; univariate extraction against evaluation and against the monomial
+expansion; the root scans against the guarded brute scan; the root codec's
+round trip and surjectivity; the agreement of the three PIT testers; amplify
 against its round-by-round definition; and the seeds of split streams."""
 
 import pytest
@@ -28,7 +29,7 @@ from szpit.circuit import (
     plug_params,
     serialize_circuit,
 )
-from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root
+from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root, restrict
 from szpit.errors import CircuitSyntaxError, DegreeBoundError, DimensionMismatchError
 from szpit.evaluator import SlotProgram, eval_gates
 from szpit.hitting import HittingSet
@@ -42,11 +43,17 @@ from szpit.pit import (
     pit_with_hitting_set,
 )
 from szpit.rng import Rng, derive_seed
-from szpit.unipoly import eval_unipoly, extract_unipoly
+from szpit.unipoly import UniPoly, enumerate_roots, eval_unipoly, extract_unipoly, roots_in_cube
 
 from genckt import random_circuit, random_circuit_bounded
 from helpers import times_line_factors
-from oracles import amplify_steps, degree_oracle, expansion_is_zero, naive_eval
+from oracles import (
+    amplify_steps,
+    degree_oracle,
+    expansion_coeffs,
+    expansion_is_zero,
+    naive_eval,
+)
 
 # Derandomized and without an example database, so every run draws the
 # same examples and leaves no files behind.
@@ -526,6 +533,112 @@ def test_extraction_agrees_with_evaluation(seed, slack, u):
     assert eval_unipoly(p, u) == eval_gates(c, (u,))
     with pytest.raises(DegreeBoundError, match=f"syntactic degree {x_degree} in x > bound"):
         extract_unipoly(c, x_degree - 1)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(0, 2))
+def test_extraction_matches_the_monomial_expansion(seed, slack):
+    # Mul gates with a constant operand scale a row; the expansion
+    # multiplies monomials out, so a wrong scalar row shows as a wrong
+    # coefficient.
+    c = random_circuit_bounded(Rng(seed, "unipoly-rows"), n_vars=1, max_individual=8,
+                               extra_gates=10)
+    assume(c is not None)
+    d = degree_oracle(c)[1]["x1"] + slack
+    assert extract_unipoly(c, d).coeffs == expansion_coeffs(c, d)
+
+
+@st.composite
+def codec_pool_restrictions(draw):
+    """A circuit shaped like the codec benchmark's, L1 * L2 * S with
+    L1 = s(x1 - x2) + c1, L2 = t(xi + x3 - c2) and
+    S = (x1 + x2 + x3 - u)^2 + 1, restricted to a line of S_24^3."""
+    gates = [Gate.var(1), Gate.var(2), Gate.var(3)]
+
+    def put(g):
+        gates.append(g)
+        return len(gates) - 1
+
+    s, t = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    c1, c2, u = draw(st.integers(-3, 3)), draw(st.integers(2, 6)), draw(st.integers(0, 69))
+    i = draw(st.sampled_from((0, 1)))
+    neg = put(Gate.const(-1))
+    a, b = (0, 1) if s == 1 else (1, 0)
+    l1 = put(Gate.add(put(Gate.add(a, put(Gate.mul(neg, b)))), put(Gate.const(c1))))
+    l2 = put(Gate.add(put(Gate.add(i, 2)), put(Gate.const(-c2))))
+    if t == -1:
+        l2 = put(Gate.mul(put(Gate.const(-1)), l2))
+    lin = put(Gate.add(put(Gate.add(put(Gate.add(0, 1)), 2)), put(Gate.const(-u))))
+    sos = put(Gate.add(put(Gate.mul(lin, lin)), put(Gate.const(1))))
+    put(Gate.mul(put(Gate.mul(l1, l2)), sos))
+    k = draw(st.integers(1, 3))
+    fixed = (draw(st.integers(0, 23)), draw(st.integers(0, 23)))
+    return restrict(circuit(gates), k, fixed)
+
+
+@PROPERTY
+@given(codec_pool_restrictions())
+def test_codec_restrictions_extract_as_their_expansion(r):
+    p = extract_unipoly(r, 4)
+    assert p.coeffs == expansion_coeffs(r, 4)
+    assert roots_in_cube(p, 24) == tuple(u for u in range(24) if naive_eval(r, (u,)) == 0)
+
+
+@st.composite
+def root_scan_cases(draw):
+    """``(p, q, guard)``.  p is c * x^j * prod(x - r) * f under a degree
+    bound D at or above its degree: j zeros at the bottom, trailing zeros
+    at the top, roots planted in and around S_q, coefficients of either
+    sign, small or wide, and sometimes the zero polynomial.  The guard sits
+    just at, above or below the scan's static bound
+    w + D * bitlen(q - 1) + bitlen(D + 1), or well below it."""
+    q = draw(st.integers(1, 40))
+    if draw(st.integers(0, 9)) == 0:
+        coeffs = [0]
+    else:
+        coeffs = [draw(st.one_of(SMALL, st.integers(-(2**40), 2**40)).filter(bool))]
+        factors = [[0, 1]] * draw(st.integers(0, 3))
+        factors += [[-r, 1] for r in draw(st.lists(st.integers(-2, q + 2), max_size=3))]
+        factors.append(draw(st.lists(SMALL, min_size=1, max_size=3)))
+        for f in factors:
+            out = [0] * (len(coeffs) + len(f) - 1)
+            for a, x in enumerate(coeffs):
+                for b, y in enumerate(f):
+                    out[a + b] += x * y
+            coeffs = out
+    coeffs += [0] * draw(st.integers(max(0, 2 - len(coeffs)), 3))
+    p = UniPoly(tuple(coeffs))
+    d = p.degree_bound
+    bound = max(map(int.bit_length, coeffs)) + d * (q - 1).bit_length() + (d + 1).bit_length()
+    guard = draw(st.sampled_from((bound + 1, bound, bound - 1, bound // 2, bound // 4)))
+    return p, q, guard
+
+
+def scanned_roots(p, q, guard):
+    return [u for u in range(q) if eval_unipoly(p, u, guard) == 0]
+
+
+@settings(PROPERTY, max_examples=400)
+@given(root_scan_cases())
+def test_root_scans_match_the_guarded_brute_scan(case):
+    # Both scans give what evaluating every u under the guard gives, the
+    # guard's error included; enumerate_roots stops after d roots, so it
+    # evaluates no u past the d-th root.
+    p, q, guard = case
+    d = p.degree_bound
+    assert outcome(roots_in_cube, p, q, bitlen_guard=guard) == outcome(
+        lambda: tuple(scanned_roots(p, q, guard)))
+
+    def first_d():
+        roots = []
+        for u in range(q):
+            if eval_unipoly(p, u, guard) == 0:
+                roots.append(u)
+                if len(roots) == d:
+                    break
+        return tuple(roots + [q] * (d - len(roots)))
+
+    assert outcome(enumerate_roots, p, q, bitlen_guard=guard) == outcome(first_d)
 
 
 @settings(PROPERTY, max_examples=100)
