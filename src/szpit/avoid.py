@@ -44,7 +44,6 @@ from .boolfunc import (
     Bits,
     BoolCircuit,
     BoolFunc,
-    PackedBoolFunc,
     bits_to_int,
     bits_to_str,
     boolfunc_from_callable,
@@ -192,7 +191,7 @@ def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[Bits], int]]:
 
 # -- amplification ---------------------------------------------------------
 
-def amplify(g: BoolFunc, t: int) -> PackedBoolFunc:
+def amplify(g: BoolFunc, t: int) -> BoolFunc:
     """Iterate the one-bit stretch t times into an m -> m+t function.
 
     Round j feeds the first m bits of the previous value back through g and
@@ -204,7 +203,7 @@ def amplify(g: BoolFunc, t: int) -> PackedBoolFunc:
     (LSB first, as ``bits_to_int``).  The rows advance together along t's
     binary digits, so each costs O(log t) steps instead of t, and only the
     current table is kept.  Row x of h is the int ``tail << m | head`` of
-    h(x)'s bits; no row is unpacked into ``Bits``.
+    h(x)'s bits; no row of g or h is unpacked into ``Bits``.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1")
@@ -212,8 +211,9 @@ def amplify(g: BoolFunc, t: int) -> PackedBoolFunc:
         raise DimensionMismatchError(f"g must stretch by one bit, has {g.in_bits}->{g.out_bits}")
     m = g.in_bits
 
-    heads = [bits_to_int(out[:m]) for out in g.table]  # the table for 2^0 rounds
-    fresh = [out[m] for out in g.table]
+    mask = (1 << m) - 1
+    heads = [row & mask for row in g.rows]  # the table for 2^0 rounds
+    fresh = [row >> m for row in g.rows]
     head, tail = list(range(1 << m)), [0] * (1 << m)  # every row after 0 rounds
     for k in range(t.bit_length()):
         if k:  # the table for 2^k rounds from the one for 2^(k-1)
@@ -223,7 +223,7 @@ def amplify(g: BoolFunc, t: int) -> PackedBoolFunc:
         if t >> k & 1:
             tail = [fresh[hd] | tl << (1 << k) for hd, tl in zip(head, tail)]
             head = [heads[hd] for hd in head]
-    return PackedBoolFunc(m, m + t, tuple(tl << m | hd for hd, tl in zip(head, tail)))
+    return BoolFunc(m, m + t, tuple(tl << m | hd for hd, tl in zip(head, tail)))
 
 
 # -- inversion -------------------------------------------------------------
@@ -243,8 +243,10 @@ class ExhaustiveOracle:
         self.last_walk: Optional[Tuple[int, List[Bits], List[Bits]]] = None
 
     def preimage(self, g: BoolFunc, target: Bits) -> Optional[Bits]:
-        if target in g.table:
-            return int_to_bits(g.table.index(target), g.in_bits)
+        row = bits_to_int(target)
+        # The round trip refuses a target of the wrong width or with a non-bit.
+        if int_to_bits(row, g.out_bits) == tuple(target) and row in g.rows:
+            return int_to_bits(g.rows.index(row), g.in_bits)
         return None
 
     def longest_walk(
@@ -258,8 +260,8 @@ class ExhaustiveOracle:
         """
         m = g.in_bits
         index: Dict[Bits, List[Bits]] = {}
-        for v, out in enumerate(g.table):
-            index.setdefault(out, []).append(int_to_bits(v, m))
+        for v, row in enumerate(g.rows):
+            index.setdefault(int_to_bits(row, m + 1), []).append(int_to_bits(v, m))
         y0 = tuple(y[: m + 1])
         levels: List[Dict[Bits, Optional[Tuple[Bits, Bits]]]] = [{y0: None}]
         for j in range(t - 1):
@@ -463,7 +465,7 @@ def _member_gates(sched: AvoidSchedule) -> Circuit:
     return circuit(gates)
 
 
-def build_avoid_class(h: PackedBoolFunc, sched: AvoidSchedule) -> DefinableClass:
+def build_avoid_class(h: BoolFunc, sched: AvoidSchedule) -> DefinableClass:
     """The definable class whose member at description x vanishes exactly
     on the r points spelled by the bits of h(x).  Its params are packed:
     member x's are h's row at x, masked to the template's r*n*w params."""
@@ -536,7 +538,7 @@ def avoid_via_hitting(
     m = g.in_bits
     trace["m"] = m
     trace["g_digest"] = hashlib.sha256(
-        "".join(bits_to_str(row) for row in g.table).encode()
+        "".join(bits_to_str(int_to_bits(row, m + 1)) for row in g.rows).encode()
     ).hexdigest()
 
     with _stage("schedule"):
@@ -589,7 +591,7 @@ def avoid_via_hitting(
     trace["inversion_walk"] = {"k": k, "chain": [bits_to_str(v) for v in ys]}
 
     with _stage("inversion-check"):
-        if y0 in g.table:
+        if bits_to_int(y0) in g.rows:
             raise AssertionError("inversion output is in range(g)")
 
     with _stage("backmap"):

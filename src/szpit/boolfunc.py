@@ -2,9 +2,9 @@
 
 Bit vectors are tuples of 0/1; position j (0-based) carries weight 2^j, so
 ``bits_to_int`` and ``int_to_bits`` are least-significant-bit-first.  A
-``BoolFunc`` is table-backed: all 2^in_bits rows are materialized, which is
-the right trade at desk scale and keeps amplification walks cheap.  A
-``PackedBoolFunc`` holds each row as one int instead, for wide outputs.
+``BoolFunc`` is table-backed: all 2^in_bits rows are materialized, each as
+one int of out_bits bits, which is the right trade at desk scale, keeps
+amplification walks cheap and stays small for wide outputs.
 
 Boolean circuits use a dedicated grammar (extension ``.bc``) so Boolean and
 algebraic semantics can never be confused::
@@ -48,41 +48,11 @@ def bits_to_str(bits: Bits) -> str:
 
 @dataclass(frozen=True)
 class BoolFunc:
-    """A total function {0,1}^in_bits -> {0,1}^out_bits, stored as a table."""
-
-    in_bits: int
-    out_bits: int
-    table: Tuple[Bits, ...]
-
-    def __post_init__(self):
-        if len(self.table) != 1 << self.in_bits:
-            raise DimensionMismatchError(
-                f"table has {len(self.table)} rows, want {1 << self.in_bits}"
-            )
-        for row in self.table:
-            if len(row) != self.out_bits:
-                raise DimensionMismatchError(
-                    f"row {row!r} has width != {self.out_bits}"
-                )
-
-    def __call__(self, bits: Bits) -> Bits:
-        if len(bits) != self.in_bits:
-            raise DimensionMismatchError(f"input width {len(bits)} != {self.in_bits}")
-        return self.table[bits_to_int(bits)]
-
-    def range_set(self) -> set:
-        return set(self.table)
-
-
-@dataclass(frozen=True)
-class PackedBoolFunc:
-    """A BoolFunc whose rows are ints: bit j of ``rows[v]`` is output bit j
-    at the input of value v (both as ``bits_to_int``).  An int row takes
-    about out_bits / 8 bytes where a ``Bits`` row takes 8 bytes a bit.
-
-    It answers calls and ``range_set`` as a BoolFunc does, by unpacking
-    rows on demand.
-    """
+    """A total function {0,1}^in_bits -> {0,1}^out_bits, stored as a table
+    of ints: bit j of ``rows[v]`` is output bit j at the input of value v
+    (both as ``bits_to_int``).  An int row takes about out_bits / 8 bytes
+    where a ``Bits`` row would take 8 bytes a bit.  Calls and
+    ``range_set`` answer in ``Bits``, unpacking rows on demand."""
 
     in_bits: int
     out_bits: int
@@ -106,8 +76,13 @@ class PackedBoolFunc:
 
 
 def boolfunc_from_callable(fn: Callable[[Bits], Bits], in_bits: int, out_bits: int) -> BoolFunc:
-    table = tuple(tuple(fn(int_to_bits(v, in_bits))) for v in range(1 << in_bits))
-    return BoolFunc(in_bits, out_bits, table)
+    rows = []
+    for v in range(1 << in_bits):
+        row = tuple(fn(int_to_bits(v, in_bits)))
+        if len(row) != out_bits:
+            raise DimensionMismatchError(f"row {row!r} has width != {out_bits}")
+        rows.append(bits_to_int(row))
+    return BoolFunc(in_bits, out_bits, tuple(rows))
 
 
 # -- Boolean circuits ------------------------------------------------------

@@ -34,7 +34,6 @@ from .circuit import (
     analyze_degrees,
     circuit,
     require_parameter_free,
-    shifted,
 )
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP, DEFAULT_Q_CAP
 from .errors import (
@@ -170,6 +169,8 @@ def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
     degree budget as c.
     """
     require_parameter_free(c, "restriction")
+    if not 1 <= k <= c.n_vars:
+        raise PreconditionError(f"k={k} outside [1..{c.n_vars}]")
     if len(fixed) != c.n_vars - 1:
         raise DimensionMismatchError(
             f"{len(fixed)} fixed values for {c.n_vars} variables"
@@ -177,14 +178,9 @@ def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
     x1 = Gate.var(1)
     values = (*fixed[: k - 1], None, *fixed[k - 1 :])
     subst = {j: x1 if v is None else Gate.const(v) for j, v in enumerate(values, 1)}
-    gates = [subst[g.name] if g.op == VAR else g for g in c.gates]
-    # A valid circuit names exactly the variables 1..n_vars, so whether x_k
-    # occurs needs no pass over the gates.
-    if 1 <= k <= c.n_vars:
-        return circuit(gates)
-    # x_k never occurs: prepend an unused var gate so the result still has
-    # dimension exactly 1 (the output gate must stay last).
-    return circuit([x1, *shifted(gates, 1)])
+    # A valid circuit names exactly the variables 1..n_vars, so x_k occurs
+    # and the result has dimension exactly 1.
+    return circuit([subst[g.name] if g.op == VAR else g for g in c.gates])
 
 
 def encode_root(ctx: SZContext, b: Iterable[int]) -> RootCode:

@@ -13,7 +13,6 @@ evaluation is exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, mul
 from typing import Tuple, Union
 
 from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees
@@ -166,17 +165,15 @@ class SlotProgram:
     when ``b_mul[j]``.  Three flat tuples need about half the memory of
     one tuple per gate.
 
-    ``forms`` gives each live-out as ``(c, coeffs, getter)``, with value
-    ``c + sum(coeffs[j] * getter(params)[j])``; a constant has no
-    coefficients and no getter.  Packed params R (see :func:`eval_gates`)
-    run ``fields`` instead.  A live-out whose form is a *bit field*,
-    ``c + s * (p_(j0+1) + 2 p_(j0+2) + ... + 2^(L-1) p_(j0+L))``, is
-    ``(c, s, j0, 2^L - 1)`` there, with value ``c + s * (R >> j0 & mask)``;
-    a constant is ``(c, 0, 0, 0)``.  Any other live-out is ``(c, 0, 0, 0)``
-    there as well, plus an entry ``(live-out index, coeffs, getter)`` in
-    ``nonfields``, whose getter reads a dict of just the bits R holds at
-    the indices in ``unpack``.  A circuit without params has no fields, as
-    its live-outs are constants.  ``memo`` is
+    Each live-out's form ``c + sum(a_j * p_(j+1))`` is split into *runs*
+    ``(s, j0, 2^L - 1)``: coefficients ``s * 2^i`` on ``p_(j0+1+i)`` for
+    i < L, taken greedily in param order.  ``fields`` holds
+    ``(c, s, j0, mask)`` per live-out, for its first run, and ``extra``
+    holds ``(live-out index, s, j0, mask)`` for each further run; a
+    constant is ``(c, 0, 0, 0)``.  Packed params R (see :func:`eval_gates`)
+    read a run as ``R >> j0 & mask``, and a params tuple reads it as
+    ``sum(params[j0 + i] << i)``, exact for any ints; the live-out is
+    ``c`` plus s times each of its runs.  ``memo`` is
     ``(params, params width, live-out values)`` for the last parameter
     vector that ran (``(None, 0, None)`` before the first), so a class
     member evaluated at many points computes its live-outs once.
@@ -188,10 +185,8 @@ class SlotProgram:
     mul takes the sums, as bl(ab) <= bl a + bl b.
     """
 
-    forms: tuple
     fields: tuple
-    nonfields: tuple
-    unpack: Tuple[int, ...]
+    extra: tuple
     b_lhs: Tuple[int, ...]
     b_rhs: Tuple[int, ...]
     b_mul: Tuple[bool, ...]
@@ -202,17 +197,20 @@ class SlotProgram:
 
     def run_stage_a(self, params, packed: bool) -> list:
         """The live-out values for this parameter vector."""
-        if not (packed and self.fields):
-            return [
-                c + sum(map(mul, coeffs, get(params))) if coeffs else c
-                for c, coeffs, get in self.forms
-            ]
-        live = [c + s * (params >> j0 & mask) for c, s, j0, mask in self.fields]
-        if self.nonfields:
-            bits = {k: params >> k & 1 for k in self.unpack}
-            for slot, coeffs, get in self.nonfields:
-                live[slot] += sum(map(mul, coeffs, get(bits)))
+        if packed:
+            live = [c + s * (params >> j0 & mask) for c, s, j0, mask in self.fields]
+            for slot, s, j0, mask in self.extra:
+                live[slot] += s * (params >> j0 & mask)
+        else:
+            live = [c + s * _run(params, j0, mask) if s else c for c, s, j0, mask in self.fields]
+            for slot, s, j0, mask in self.extra:
+                live[slot] += s * _run(params, j0, mask)
         return live
+
+
+def _run(params: Tuple[int, ...], j0: int, mask: int) -> int:
+    """A run read from a params tuple: ``sum(params[j0 + i] << i)``, i < L."""
+    return sum(p << i for i, p in enumerate(params[j0 : j0 + mask.bit_length()]))
 
 
 def _combine(f, g, is_mul: bool, budget: int):
@@ -238,22 +236,21 @@ def _combine(f, g, is_mul: bool, budget: int):
     return a * b, {k: scale * v for k, v in coeffs.items()}
 
 
-def _getter(idx: Tuple[int, ...]):
-    """A function from params to the tuple of their entries at idx."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    k = idx[0]
-    return lambda params: (params[k],)
-
-
-def _bit_field(coeffs: dict):
-    """``(s, j0, 2^L - 1)`` when the coefficients are ``s * 2^i`` on the
-    param indices ``j0 + i``, i < L, and None otherwise."""
-    j0 = min(coeffs)
-    s = coeffs[j0]
-    if all(coeffs.get(j0 + i) == s << i for i in range(1, len(coeffs))):
-        return s, j0, (1 << len(coeffs)) - 1
-    return None
+def _runs(coeffs: dict) -> list:
+    """The coefficients split greedily, in index order, into runs
+    ``(s, j0, 2^L - 1)``: coefficient ``s * 2^i`` on param index ``j0 + i``
+    for each i < L.  A run grows while the next index continues it with
+    the next power of two times s."""
+    runs = []
+    for j in sorted(coeffs):
+        if runs:
+            s, j0, mask = runs[-1]
+            span = mask.bit_length()
+            if j == j0 + span and coeffs[j] == s << span:
+                runs[-1] = (s, j0, mask << 1 | 1)
+                continue
+        runs.append((coeffs[j], j, 1))
+    return runs
 
 
 def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
@@ -314,15 +311,18 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
     n_vars = c.n_vars
     next_b = n_vars + sum(is_live)
     full = []  # gate index -> slot in stage B's list
-    live, b_lhs, b_rhs, b_mul = [], [], [], []
+    fields, extra, b_lhs, b_rhs, b_mul = [], [], [], [], []
     for g, form, is_out in zip(gates, forms, is_live):
         if is_out:
-            full.append(n_vars + len(live))
+            slot = len(fields)
+            full.append(n_vars + slot)
             const, coeffs = form
-            live.append(
-                (const, tuple(coeffs.values()), _getter(tuple(coeffs)))
-                if coeffs else (const, (), None)
-            )
+            if coeffs:
+                first, *rest = _runs(coeffs)
+                fields.append((const, *first))
+                extra.extend((slot, *run) for run in rest)
+            else:
+                fields.append((const, 0, 0, 0))
         elif form is not None:
             full.append(-1)
         elif g.op == VAR:
@@ -333,19 +333,9 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
             b_lhs.append(full[g.lhs])
             b_rhs.append(full[g.rhs])
             b_mul.append(g.op == MUL)
-    fields, nonfields, unpack = [], [], set()
-    if c.n_params:
-        live_forms = (form for form, is_out in zip(forms, is_live) if is_out)
-        for slot, (const, coeffs) in enumerate(live_forms):
-            field = _bit_field(coeffs) if coeffs else (0, 0, 0)
-            if field is None:
-                nonfields.append((slot, *live[slot][1:]))
-                unpack.update(coeffs)
-                field = (0, 0, 0)
-            fields.append((const, *field))
     return SlotProgram(
-        tuple(live), tuple(fields), tuple(nonfields), tuple(sorted(unpack)),
-        tuple(b_lhs), tuple(b_rhs), tuple(b_mul), full[-1], mul_degree, mul_bits,
+        tuple(fields), tuple(extra), tuple(b_lhs), tuple(b_rhs), tuple(b_mul),
+        full[-1], mul_degree, mul_bits,
     )
 
 

@@ -133,8 +133,7 @@ def check_normalization() -> None:
 def check_inversion() -> None:
     rng = Rng(9, "selftest-inv")
     m, t = 2, 3
-    table = tuple(int_to_bits(rng.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m))
-    g = BoolFunc(m, m + 1, table)
+    g = BoolFunc(m, m + 1, tuple(rng.randrange(1 << (m + 1)) for _ in range(1 << m)))
     h = amplify(g, t)
     h_range = h.range_set()
     g_range = g.range_set()

@@ -58,12 +58,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 
-    def padded(self, d: int) -> "UniPoly":
-        """The same polynomial under degree bound d >= current bound."""
-        if d < self.degree_bound:
-            raise PreconditionError(f"cannot pad degree bound {self.degree_bound} down to {d}")
-        return UniPoly(self.coeffs + (0,) * (d - self.degree_bound))
-
 
 def unipoly(*coeffs: int) -> UniPoly:
     return UniPoly(tuple(coeffs))

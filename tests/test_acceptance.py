@@ -244,9 +244,7 @@ def test_criterion_8_appendix_pipeline():
     for m in (1, 2, 3):
         for trial in range(4):
             r = rng.split(f"ampl{m}:{trial}")
-            g = BoolFunc(m, m + 1, tuple(
-                int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
-            ))
+            g = BoolFunc(m, m + 1, tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m)))
             for z in inputs(g):
                 states = amplify_steps(g, z, 4)
                 for i in range(4):
@@ -257,9 +255,7 @@ def test_criterion_8_appendix_pipeline():
     for m in (1, 2, 3):
         for trial in range(3):
             r = rng.split(f"inv{m}:{trial}")
-            g = BoolFunc(m, m + 1, tuple(
-                int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
-            ))
+            g = BoolFunc(m, m + 1, tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m)))
             t = r.randint(2, 4)
             h = amplify(g, t)
             h_range = h.range_set()

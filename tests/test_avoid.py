@@ -147,13 +147,14 @@ def test_normalize_wrap_soundness_on_representative_strings():
 # -- amplification -----------------------------------------------------------
 
 def fixed_g_m2():
-    # A fixed 4-row table {0,1}^2 -> {0,1}^3 used by the hand-unrolled test.
-    return BoolFunc(2, 3, ((1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0)))
+    # A fixed 4-row table {0,1}^2 -> {0,1}^3 used by the hand-unrolled test:
+    # rows (1, 0, 1), (0, 1, 1), (1, 1, 0) and (0, 0, 0), LSB first.
+    return BoolFunc(2, 3, (5, 6, 3, 0))
 
 
 def test_amplify_t1_is_g():
     g = fixed_g_m2()
-    assert amplify(g, 1).rows == tuple(bits_to_int(row) for row in g.table)
+    assert amplify(g, 1) == g
 
 
 def test_amplify_hand_unrolled():
@@ -182,9 +183,7 @@ def test_amplify_step_claim():
     for m in (1, 2, 3):
         for trial in range(4):
             r = rng.split(f"{m}:{trial}")
-            table = tuple(
-                int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
-            )
+            table = tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m))
             g = BoolFunc(m, m + 1, table)
             for z in inputs(g):
                 states = amplify_steps(g, z, 5)
@@ -197,7 +196,7 @@ def test_amplify_shape_checks():
     g = fixed_g_m2()
     with pytest.raises(PreconditionError):
         amplify(g, 0)
-    square = BoolFunc(1, 1, ((0,), (1,)))
+    square = BoolFunc(1, 1, (0, 1))
     with pytest.raises(Exception):
         amplify(square, 2)
 
@@ -218,9 +217,7 @@ def test_invert_soundness_exhaustive():
     for m in (1, 2, 3):
         for t in (2, 3, 4):
             r = rng.split(f"{m}:{t}")
-            table = tuple(
-                int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
-            )
+            table = tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m))
             g = BoolFunc(m, m + 1, table)
             h = amplify(g, t)
             h_range = h.range_set()
@@ -257,6 +254,17 @@ def test_exhaustive_oracle_walk_is_length_maximal():
         assert k <= 2 and len(ys) == k + 1 and len(ws) == k
         for j in range(k):
             assert g(ws[j]) == ys[j]
+
+
+def test_exhaustive_oracle_preimage_checks_the_target_width():
+    # Rows 5, 6, 3, 0: (1, 0, 1) has preimage (0, 0) and (1, 1, 1) none.
+    # (0, 0) and (1, 0, 1, 0) pack to the rows 0 and 5 but have the wrong
+    # width, so they have no preimage either.
+    g, oracle = fixed_g_m2(), ExhaustiveOracle()
+    assert oracle.preimage(g, (1, 0, 1)) == (0, 0)
+    assert oracle.preimage(g, (0, 0, 0)) == (1, 1)
+    for target in [(1, 1, 1), (0, 0), (1, 0, 1, 0)]:
+        assert oracle.preimage(g, target) is None
 
 
 # -- triple index ------------------------------------------------------------
@@ -490,9 +498,7 @@ def test_amplify_matches_the_round_by_round_definition():
     for m in (1, 2, 3):
         for trial in range(4):
             r = rng.split(f"{m}:{trial}")
-            g = BoolFunc(m, m + 1, tuple(
-                int_to_bits(r.randrange(1 << (m + 1)), m + 1) for _ in range(1 << m)
-            ))
+            g = BoolFunc(m, m + 1, tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m)))
             for t in range(1, 6):
                 h = amplify(g, t)
                 for x in inputs(g):

@@ -4,8 +4,8 @@ import pytest
 
 from szpit.boolfunc import (
     BoolFunc,
-    PackedBoolFunc,
     bits_to_int,
+    boolfunc_from_callable,
     eval_bool_circuit,
     int_to_bits,
     parse_bool_circuit,
@@ -63,22 +63,22 @@ def test_boolfunc_from_circuit():
 
 def test_boolfunc_shape_checks():
     with pytest.raises(DimensionMismatchError):
-        BoolFunc(1, 1, ((0,),))  # needs 2 rows
-    f = BoolFunc(1, 1, ((0,), (1,)))
+        BoolFunc(1, 1, (0,))  # needs 2 rows
+    f = BoolFunc(1, 1, (0, 1))
     with pytest.raises(DimensionMismatchError):
         f((0, 1))
 
 
 def test_packed_boolfunc_answers_as_its_table():
+    # Rows are packed ints; calls and range_set answer in Bits.
     table = ((1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1))
-    f = BoolFunc(2, 3, table)
-    packed = PackedBoolFunc(2, 3, tuple(bits_to_int(row) for row in table))
-    assert packed.rows == (5, 6, 3, 5)
-    assert packed.range_set() == f.range_set()
+    f = BoolFunc(2, 3, tuple(bits_to_int(row) for row in table))
+    assert f.rows == (5, 6, 3, 5)
+    assert f.range_set() == set(table)
     for v in range(4):
-        assert packed(int_to_bits(v, 2)) == f(int_to_bits(v, 2))
+        assert f(int_to_bits(v, 2)) == table[v]
     with pytest.raises(DimensionMismatchError):
-        packed((0, 1, 1))
+        f((0, 1, 1))
 
 
 @pytest.mark.parametrize("rows", [(0,), (0, 1, 2), (0, -1), (0, 8)])
@@ -86,4 +86,13 @@ def test_packed_boolfunc_shape_checks(rows):
     # Two rows of 3 bits each: a row count other than 2, or a row outside
     # [0, 8), is refused.
     with pytest.raises(DimensionMismatchError):
-        PackedBoolFunc(1, 3, rows)
+        BoolFunc(1, 3, rows)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_boolfunc_from_callable_checks_row_width(width):
+    # An int row cannot show its width: unchecked, rows of 2 or 4 zero
+    # bits would both pack to 0 and pass as 3-bit rows.
+    with pytest.raises(DimensionMismatchError, match="width != 3"):
+        boolfunc_from_callable(lambda bits: (0,) * width, 1, 3)
+    assert boolfunc_from_callable(lambda bits: bits * 3, 1, 3).rows == (0, 7)

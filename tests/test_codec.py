@@ -154,6 +154,13 @@ def test_restriction_cache_keeps_a_bounded_number_of_entries(monkeypatch):
     assert len(seen) > 4
 
 
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_restrict_refuses_k_outside_the_variables(k):
+    c = circuit([Gate.var(1), Gate.var(2), Gate.mul(0, 1)])  # x1*x2
+    with pytest.raises(PreconditionError, match=rf"^k={k} outside \[1\.\.2\]$"):
+        codec_mod.restrict(c, k, (5,))
+
+
 def test_context_applies_its_guard_on_misses():
     # Decoding (1, 1, (0,)) restricts (x1 - 1)^20 + x2 to x2 = 1, whose
     # middle coefficients pass 16 bits from (x1 - 1)^19 on: extraction

@@ -208,9 +208,10 @@ def test_slot_program_layout():
     assert c._program is False
     assert eval_gates(c, (4, -3), params) == 64
     prog = c._program
-    assert [(k, coeffs, get((10, 20))) for k, coeffs, get in prog.forms] == [
-        (0, (3,), (10,)), (-5, (1, 3), (20, 10)),
-    ]
+    # Live-outs as runs: g3 = 3 p1 is one run; g10 = p2 - 5 + 3 p1 puts 1,
+    # not 2 * 3, on p2, so p2 is a second run, in ``extra``.
+    assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1))
+    assert prog.extra == ((1, 1, 1, 1),)
     assert (prog.b_lhs, prog.b_rhs, prog.b_mul, prog.out) == (
         (0, 4, 5, 3), (2, 1, 3, 3), (False, True, True, True), 7,
     )
@@ -219,10 +220,7 @@ def test_slot_program_layout():
     assert (prog.mul_degree, prog.mul_bits) == (3, 10)
     assert prog.memo == (params, 3, [6, 8])
     assert eval_gates(c, (-1, 5), params) == naive_eval(c, (-1, 5), params)
-    # Packed params: g3 = 3 p1 is a one-bit field; g10 = p2 - 5 + 3 p1 is
-    # no field, so it reads bits 0 and 1 of R unpacked.
-    assert prog.fields == ((0, 3, 0, 1), (-5, 0, 0, 0))
-    assert [slot for slot, _, _ in prog.nonfields] == [1] and prog.unpack == (0, 1)
+    # Packed params read the same runs from R by shift and mask.
     for packed, bits in [(0b10, (0, 1)), (0b01, (1, 0)), (0, (0, 0))]:
         assert eval_gates(c, (4, -3), packed) == naive_eval(c, (4, -3), bits)
         assert prog.memo[0] == packed and prog.memo[1] == min(packed, 1)
@@ -240,18 +238,17 @@ def test_affine_stage_a_forms():
     for params in [(2, 7), (2, 7), (-4, 11)]:
         assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params)
     prog = c._program
-    assert [(k, coeffs, get((10, 20))) for k, coeffs, get in prog.forms] == [
-        (0, (3,), (10,)), (-5, (1, 3), (20, 10)), (-15, (3, 9), (20, 10)),
-    ]
+    assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1), (-15, 9, 0, 1))
+    assert prog.extra == ((1, 1, 1, 1), (2, 3, 1, 1))
     assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 5, 6), (2, 1, 3), 4)
     assert prog.memo == ((-4, 11), 4, [-12, -6, -18])
     # A param-free circuit's live-outs are constant forms.
     plugged = plug_params(c, {1: -4, 2: 11})
     for _ in range(2):
         assert eval_gates(plugged, (4, -3)) == eval_gates(c, (4, -3), (-4, 11))
-    assert plugged._program.forms == ((-12, (), None), (-6, (), None), (-18, (), None))
-    # Without params there are no fields: packed R = 0 reads the constants.
-    assert plugged._program.fields == ()
+    assert plugged._program.fields == ((-12, 0, 0, 0), (-6, 0, 0, 0), (-18, 0, 0, 0))
+    assert plugged._program.extra == ()
+    # Packed R = 0 reads the same constants.
     assert eval_gates(plugged, (4, -3), 0) == eval_gates(c, (4, -3), (-4, 11))
 
 
@@ -287,7 +284,7 @@ def test_prepare_folds_no_constant_past_the_preparing_guard():
     want = (BitLengthGuardError, "gate 19: value exceeds 65536-bit guard")
     assert outcome(c, (1,), (2,), 1 << 16) == want
     assert outcome(c, (1,), (2,), 1 << 16) == want
-    folded = [const for const, _, _ in c._program.forms]
+    folded = [const for const, *_ in c._program.fields]
     assert max(v.bit_length() for v in folded) == 51_937
     assert outcome(c, (1,), (2,), 1 << 16) == want
 

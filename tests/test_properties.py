@@ -455,12 +455,13 @@ NONZERO_SCALES = st.integers(-9, 9).filter(bool)
 
 @st.composite
 def bit_templates(draw):
-    """``(circuit, non-field forms)``: a template over 1 to 12 bit params
+    """``(circuit, extra runs)``: a template over 1 to 12 bit params
     whose live-outs are forms ``c + sum(a * p)`` built term by term, in a
     drawn order, each read by a gate that reads x1.  A "field" is
-    ``c + s * sum(2^i * p_(j0+i))`` with s of either sign; a "gap"
-    has the same coefficients on every other param; "scales" puts equal
-    coefficients on two or more adjacent params; "const" has no params."""
+    ``c + s * sum(2^i * p_(j0+i))`` with s of either sign, one run; a
+    "gap" has the same coefficients on every other param; "scales" puts
+    equal coefficients on two or more adjacent params; "const" has no
+    params.  A gap or scales form of length L is L runs, so L - 1 extra."""
     n_params = draw(st.integers(1, 12))
     gates = [Gate.var(1)] + [Gate.param(k) for k in range(1, n_params + 1)]
 
@@ -468,7 +469,7 @@ def bit_templates(draw):
         gates.append(g)
         return len(gates) - 1
 
-    forms, nonfields = [], 0
+    forms, extra = [], 0
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(["field", "gap", "scales", "const"]))
         step = 2 if kind == "gap" else 1
@@ -482,7 +483,7 @@ def bit_templates(draw):
         terms = [
             (j0 + step * i, s if kind == "scales" else s << i) for i in range(length)
         ]
-        nonfields += kind in ("gap", "scales")
+        extra += length - 1 if kind in ("gap", "scales") else 0
         acc = push(Gate.const(draw(SMALL)))
         for k, a in draw(st.permutations(terms)):
             acc = push(Gate.add(acc, push(Gate.mul(k, push(Gate.const(a))))))
@@ -490,18 +491,19 @@ def bit_templates(draw):
     out = push(Gate.mul(forms[0], 0))
     for f in forms[1:]:  # Horner in x1: every form is read by a stage-B gate
         out = push(Gate.add(push(Gate.mul(out, 0)), f))
-    return circuit(gates), nonfields
+    return circuit(gates), extra
 
 
 @PROPERTY
 @given(bit_templates(), st.data())
 def test_packed_params_evaluate_as_their_bits(case, data):
     # Packed params R on a fresh circuit (the interpreter) and on the
-    # prepared one (stage A by shift and mask for the fields, the other
-    # forms from unpacked bits) give naive_eval's value on R's bits, as
-    # does the tuple of those bits on the same program.  R = 0 and R with
-    # every bit set, so bits past each field's mask, are always drawn.
-    c, nonfields = case
+    # prepared one (stage A reads each run by shift and mask) give
+    # naive_eval's value on R's bits, as does the tuple of those bits on
+    # the same program.  R = 0 and R with every bit set, so bits past each
+    # run's mask, are always drawn.  A tuple of any ints, negative and
+    # wider than one bit, reads the same runs exactly.
+    c, extra = case
     n = c.n_params
     draws = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)
     for packed in [0, (1 << n) - 1, *data.draw(draws)]:
@@ -512,9 +514,12 @@ def test_packed_params_evaluate_as_their_bits(case, data):
         assert eval_gates(c, x, packed) == want
         assert c._program is False or c._program.memo[0] == packed
         assert eval_gates(c, x, bits) == want
+    wide = data.draw(st.tuples(*[st.integers(-(1 << 40), 1 << 40)] * n))
+    x = (data.draw(SMALL),)
+    assert eval_gates(c, x, wide) == naive_eval(c, x, wide)
     prog = c._program
-    assert len(prog.nonfields) == nonfields
-    assert len(prog.fields) == len(prog.forms)
+    assert prog.memo[0] == wide
+    assert len(prog.extra) == extra
     for bad in (-1, 1 << n, -(1 << (n + 3)), 1 << (n + 3)):
         for ckt in (circuit(c.gates), c):
             with pytest.raises(DimensionMismatchError, match="packed params"):
@@ -741,9 +746,8 @@ STRETCHES = st.one_of(
 @given(st.integers(0, 6), STRETCHES, st.data())
 def test_amplify_matches_the_round_by_round_oracle(m, t, data):
     # amplify_steps is O(t^2) per input, so a few inputs per g are checked.
-    g = BoolFunc(m, m + 1, tuple(
-        int_to_bits(data.draw(st.integers(0, (1 << (m + 1)) - 1)), m + 1) for _ in range(1 << m)
-    ))
+    rows = st.integers(0, (1 << (m + 1)) - 1)
+    g = BoolFunc(m, m + 1, tuple(data.draw(rows) for _ in range(1 << m)))
     h = amplify(g, t)
     for v in data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4)):
         x = int_to_bits(v, m)
