@@ -112,8 +112,8 @@ class Circuit:
     n_params: int
     # Filled by the first analyze_degrees call on this object.
     _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
-    # eval_gates's memo: None before the first call, False after it, then
-    # the slot program built by the second call.
+    # eval_gates's memo: None before the first call with packed params or
+    # (), False after it, then the slot program built by the second such call.
     _program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

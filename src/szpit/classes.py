@@ -11,8 +11,9 @@ These are the stock decoders used by the CLI and the test suites:
                 slice, fall back to the constant-0 circuit.
 
 The first three are template classes: one circuit with a param gate per
-coefficient, whose k-th description bit (from 1) is the value of pk; the
-bits reach the evaluator packed into one int.
+coefficient, whose k-th description bit (from 1) is the value of pk.  As
+for every template class, ``params_of`` packs those bits into one int R,
+bit k - 1 as pk, which the evaluator reads directly.
 Decoder surjectivity onto an intended class is a trust assumption; nothing
 here can verify it for the all-circuits encoding.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from .circuit import Circuit, Gate, circuit
-from .errors import CircuitValidationError
+from .errors import CircuitValidationError, PreconditionError
 from .hitting import DefinableClass, zero_circuit
 
 
@@ -61,6 +62,8 @@ def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:
 
 def linear_class(n: int, s: int = 0) -> DefinableClass:
     """The 2^n sums of a subset of the variables (degree 1)."""
+    if n < 1:  # no terms to sum; DefinableClass refuses it with this text
+        raise PreconditionError("class parameters must satisfy n,d,s >= 1 and m >= 0")
     gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
     terms = []
     for j in range(n):

@@ -30,6 +30,7 @@ from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from .errors import BitLengthGuardError, StageError, SzpitError
 from .evaluator import Assignment, eval_arithmetic
 from .hitting import (
+    DefinableClass,
     parse_hitting_set,
     search_hitting_set,
     serialize_hitting_set,
@@ -80,7 +81,13 @@ def _load_class(args):
                 f"unknown builtin class {name!r}; have {sorted(builtin_classes.BUILTIN_CLASSES)}"
             )
         factory = builtin_classes.BUILTIN_CLASSES[name]
-    return factory(args.n, args.d, args.s, args.m)
+    try:
+        cls = factory(args.n, args.d, args.s, args.m)
+    except TypeError as e:
+        raise SzpitError(f"cannot build class {spec!r} from (n, d, s, m): {e}") from e
+    if not isinstance(cls, DefinableClass):
+        raise SzpitError(f"class {spec!r} returned {type(cls).__name__}, not a DefinableClass")
+    return cls
 
 
 def _cmd_parse(args) -> int:

@@ -42,30 +42,34 @@ def eval_gates(
 
     Callers are expected to have validated the degree bound once; the hot
     loops (cube scans, hitting-set verification) go through here.
-    ``params[k - 1]`` is the value of parameter pk; a class member
-    ``(template, params)`` is evaluated as ``eval_gates(template, point, params)``.
-    Bit-valued params may come packed as one int R whose bit k - 1 is pk
-    (see :func:`param_values`); R must satisfy ``0 <= R < 2**n_params``.
+    ``params`` is a tuple whose entry k - 1 is the value of parameter pk,
+    or bit-valued params packed into one int R whose bit k - 1 is pk (see
+    :func:`param_values`), with ``0 <= R < 2**n_params``; a class member
+    ``(template, R)`` is evaluated as ``eval_gates(template, point, R)``.
     Inputs of other lengths than the circuit's dimensions, or such an R
     out of range, raise :class:`DimensionMismatchError`, whichever path
     the call takes.
 
-    The first call on a circuit object interprets it.  The second prepares
+    A call with a non-empty params tuple is interpreted.  Otherwise the
+    first call on a circuit object interprets it, and the second prepares
     a :class:`SlotProgram` and keeps it on the object; from then on a call
     whose input widths keep every mul gate provably under the guard runs
     that program with no per-gate checks; its stage A, the gates that are
-    affine in the params, runs once per parameter vector.  Every other call
-    interprets, so results and errors are those of the interpreter.
+    affine in the params, runs once per R, with ``()`` as R = 0.  Every
+    other call interprets, so results and errors are those of the
+    interpreter.
     """
     if len(vars) != c.n_vars:
         raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
     if params.__class__ is int:
         if params < 0 or params >> c.n_params:
             raise DimensionMismatchError(f"packed params {params} outside [0, 2^{c.n_params})")
-    elif len(params) != c.n_params:
-        raise DimensionMismatchError(
-            f"{len(params)} parameter values for parametric dimension {c.n_params}"
-        )
+    elif params or c.n_params:  # the interpreter is the reference for tuples
+        if len(params) != c.n_params:
+            raise DimensionMismatchError(
+                f"{len(params)} parameter values for parametric dimension {c.n_params}"
+            )
+        return _interpret(c, vars, params, bitlen_guard)
     prog = c._program
     if prog is None:  # one-shot circuits never pay for preparation
         object.__setattr__(c, "_program", False)
@@ -74,12 +78,9 @@ def eval_gates(
             prog = _prepare(c, bitlen_guard)
             object.__setattr__(c, "_program", prog)
         key, params_width, live = prog.memo
-        # The key is None before the first vector, so every call that
-        # runs stage A below has passed here and set ``packed``.
         if params is not key and params != key:
-            packed = params.__class__ is int
             # Packed params are bits: width 1, or 0 when all are zero.
-            params_width = min(params, 1) if packed else _width(params)
+            params_width = 1 if params else 0
             live = None
         w = (
             max(max(vars).bit_length(), min(vars).bit_length(), params_width)
@@ -87,11 +88,9 @@ def eval_gates(
         )
         if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
             if live is None:
-                live = prog.run_stage_a(params, packed)
-                # One assignment: no reader sees a key with another
-                # vector's values.  A list argument never hits, as a
-                # list never equals the stored tuple.
-                prog.memo = (params if packed else tuple(params), params_width, live)
+                live = prog.run_stage_a(params or 0)
+                # One assignment: no reader sees a key with another R's values.
+                prog.memo = (params, params_width, live)
             values = [*vars, *live]
             append = values.append
             for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
@@ -106,11 +105,6 @@ def param_values(params: Params, n_params: int) -> Tuple[int, ...]:
     if params.__class__ is int:
         return tuple(params >> k & 1 for k in range(n_params))
     return params
-
-
-def _width(values) -> int:
-    """The largest bit length among the values (0 for none)."""
-    return max(max(values).bit_length(), min(values).bit_length()) if values else 0
 
 
 def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
@@ -170,13 +164,12 @@ class SlotProgram:
     i < L, taken greedily in param order.  ``fields`` holds
     ``(c, s, j0, mask)`` per live-out, for its first run, and ``extra``
     holds ``(live-out index, s, j0, mask)`` for each further run; a
-    constant is ``(c, 0, 0, 0)``.  Packed params R (see :func:`eval_gates`)
-    read a run as ``R >> j0 & mask``, and a params tuple reads it as
-    ``sum(params[j0 + i] << i)``, exact for any ints; the live-out is
+    constant is ``(c, 0, 0, 0)``.  Stage A reads only packed params R (see
+    :func:`eval_gates`): a run is ``R >> j0 & mask``, and the live-out is
     ``c`` plus s times each of its runs.  ``memo`` is
-    ``(params, params width, live-out values)`` for the last parameter
-    vector that ran (``(None, 0, None)`` before the first), so a class
-    member evaluated at many points computes its live-outs once.
+    ``(R, R's width, live-out values)`` for the last R that ran
+    (``(None, 0, None)`` before the first), so a class member evaluated at
+    many points computes its live-outs once.
 
     Static bit bound: with every input at most w bits wide, every mul
     gate's value has at most ``mul_degree * w + mul_bits`` bits.  An input
@@ -195,22 +188,14 @@ class SlotProgram:
     mul_bits: int
     memo: tuple = (None, 0, None)
 
-    def run_stage_a(self, params, packed: bool) -> list:
-        """The live-out values for this parameter vector."""
-        if packed:
-            live = [c + s * (params >> j0 & mask) for c, s, j0, mask in self.fields]
-            for slot, s, j0, mask in self.extra:
-                live[slot] += s * (params >> j0 & mask)
-        else:
-            live = [c + s * _run(params, j0, mask) if s else c for c, s, j0, mask in self.fields]
-            for slot, s, j0, mask in self.extra:
-                live[slot] += s * _run(params, j0, mask)
+    def run_stage_a(self, R: int) -> list:
+        """The live-out values for packed params R."""
+        if not R:  # every run reads 0, so each live-out is its constant
+            return [c for c, _, _, _ in self.fields]
+        live = [c + s * (R >> j0 & mask) for c, s, j0, mask in self.fields]
+        for slot, s, j0, mask in self.extra:
+            live[slot] += s * (R >> j0 & mask)
         return live
-
-
-def _run(params: Tuple[int, ...], j0: int, mask: int) -> int:
-    """A run read from a params tuple: ``sum(params[j0 + i] << i)``, i < L."""
-    return sum(p << i for i, p in enumerate(params[j0 : j0 + mask.bit_length()]))
 
 
 def _combine(f, g, is_mul: bool, budget: int):

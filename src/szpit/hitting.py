@@ -1,11 +1,11 @@
 """Hitting sets for definable classes of algebraic circuits.
 
 A class is given by a decoding function, or by one template circuit and
-a map to its parameter values: bitstrings of length m map to circuits
-with at most n variables, maximum individual syntactic degree at
-most d, and representation size at most s.  Decoder outputs violating that
-contract are silently replaced by the trivial constant-0 circuit, which
-keeps every description meaningful.
+a map from each description to the template's params, packed as bits into
+one int: bitstrings of length m map to circuits with at most n variables,
+maximum individual syntactic degree at most d, and representation size at
+most s.  Members violating that contract are silently replaced by the
+trivial constant-0 circuit, which keeps every description meaningful.
 
 An r-sequence H of points in S_q^n is a hitting set for the class slice if
 every member that is non-vanishing somewhere on Z^n is nonzero on at least
@@ -20,10 +20,8 @@ necessarily a hitting set.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 from typing import Callable, Iterator, Optional, Tuple
 
 from .circuit import PARAM, Circuit, Gate, analyze_degrees, circuit, pad_vars, plug_params
@@ -106,16 +104,18 @@ class DefinableClass:
 
     :meth:`decode` gives the member at description x as ``(template,
     params)``, evaluated by ``eval_gates(template, point, params)``.  A
-    template class gives ``template`` and ``params_of`` (x -> values of
-    p1, p2, ...): its members share one gate layout, so variable count and
-    degree are checked once per class and each member's size in O(#params);
-    ``s = 0`` means the size of the all-zero member.  Bit-valued params may
-    be packed into one int R, bit k - 1 as pk, as :func:`eval_gates` takes
-    them; such a member is decoded and sized in O(1).  A decoder class gives
-    ``decoder`` (x -> circuit); its members are ``(circuit, ())``, each
-    fully checked.  Members outside Ckt(n, d, s) are replaced by the
-    constant-0 circuit; surjectivity of caller-supplied decoders onto their
-    intended class is a trust assumption that cannot be verified here.
+    template class gives ``template`` and ``params_of``, which maps x to
+    packed bits R, an int whose bit k - 1 is the value of pk; any other
+    value raises :class:`PreconditionError`.  Its members share one gate
+    layout and each writes one digit per param use, so variable count,
+    degree and size are checked once per class, against the all-zero
+    member, and a member is decoded in O(1); ``s = 0`` means that member's
+    size.  An R outside ``[0, 2^n_params)`` gives the constant-0 member.
+    A decoder class gives ``decoder`` (x -> circuit); its members are
+    ``(circuit, ())``, each fully checked.  Members outside Ckt(n, d, s)
+    are replaced by the constant-0 circuit; surjectivity of caller-supplied
+    decoders onto their intended class is a trust assumption that cannot be
+    verified here.
     """
 
     decoder: Optional[Callable[[str], Circuit]]
@@ -127,7 +127,7 @@ class DefinableClass:
     # a description.  Verification then degrades to seeded spot-checking.
     sampler: Optional[Callable[["Rng"], str]] = None
     template: Optional[Circuit] = None
-    params_of: Optional[Callable[[str], Params]] = None
+    params_of: Optional[Callable[[str], int]] = None
 
     def __post_init__(self):
         if (self.decoder is None) == (self.template is None):
@@ -141,23 +141,16 @@ class DefinableClass:
     def _init_template(self) -> None:
         fits = self.template.n_vars <= self.n
         t = self.template = pad_vars(self.template, self.n) if fits else self.template
-        self._template_fits = fits and analyze_degrees(t).max_individual <= self.d
-        uses = Counter(g.name for g in t.gates if g.op == PARAM)
-        self._size_uses = [uses[k] for k in range(1, t.n_params + 1)]
         # The all-zero member writes "const 0" where t writes "param p<k>",
-        # len(str(k)) characters shorter at each use.
-        self._zero_size = representation_size(t) - 8 * sum(
-            n * len(str(k)) for k, n in uses.items()
+        # len(str(k)) characters shorter at each use.  Every member writes
+        # one digit there, so all have this size.
+        zero_size = representation_size(t) - 8 * sum(
+            len(str(g.name)) for g in t.gates if g.op == PARAM
         )
-        # Each use of a param writes its value where the zero wrote one digit.
-        self._size_fixed = self._zero_size - 8 * sum(self._size_uses)
-        self.s = self.s or self._zero_size
-
-    def member_size(self, params: Params) -> int:
-        """representation_size of the template with these params plugged."""
-        if params.__class__ is int or not params or (min(params) >= 0 and max(params) <= 9):
-            return self._zero_size  # one digit per value, as in the zero member
-        return self._size_fixed + 8 * sum(map(mul, self._size_uses, map(len, map(str, params))))
+        self.s = self.s or zero_size
+        self._template_fits = (
+            fits and zero_size <= self.s and analyze_degrees(t).max_individual <= self.d
+        )
 
     def descriptions(self) -> Iterator[str]:
         for bits in product("01", repeat=self.m):
@@ -169,13 +162,11 @@ class DefinableClass:
             raise PreconditionError(f"description {x!r} is not a bitstring of length {self.m}")
         if self.template is not None:
             params = self.params_of(x)
-            n_params = self.template.n_params
-            if params.__class__ is int:
-                fits = self._template_fits and 0 <= params and not params >> n_params
-            else:
-                params = tuple(params)
-                fits = self._template_fits and len(params) == n_params
-            if fits and self.member_size(params) <= self.s:
+            if params.__class__ is not int:
+                raise PreconditionError(
+                    f"params_of({x!r}) gave {params!r}, not packed bits as an int"
+                )
+            if self._template_fits and 0 <= params and not params >> self.template.n_params:
                 return self.template, params
             return self._zero, ()
         try:
@@ -225,7 +216,6 @@ def find_small_witness(
     n: int,
     d: int,
     q: int,
-    hint: Optional[Tuple[int, ...]] = None,
     budget: int = DEFAULT_WITNESS_BUDGET,
     rng: Optional[Rng] = None,
     cap: int = DEFAULT_EXHAUSTION_CAP,
@@ -248,9 +238,6 @@ def find_small_witness(
         raise PreconditionError(f"declared degree {d} below actual {true_d}")
     if q < 2 * d * n:
         raise PreconditionError(f"q={q} < 2dn = {2 * d * n}")
-    # eval_gates refuses a hint of the wrong dimension.
-    if hint is not None and eval_gates(ckt, tuple(hint), params, bitlen_guard) == 0:
-        raise PreconditionError("hint is not a non-root")
     rng = rng or Rng(0, "witness")
     for _ in range(budget):
         w = rng.point(n, q)
@@ -260,11 +247,6 @@ def find_small_witness(
         for w in product(range(q), repeat=n):
             if eval_gates(ckt, w, params, bitlen_guard) != 0:
                 return w
-        if hint is not None:
-            raise SzpitError(
-                "hint certifies a non-root exists but the cube has none; "
-                "this contradicts the root-count bound"
-            )
         raise ZeroOnCubeError(trials=budget, points=q**n)
     raise WitnessBudgetError(trials=budget)
 

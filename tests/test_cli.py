@@ -200,6 +200,25 @@ def test_plugin_class_loading(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.count("\n") == 13
 
 
+def test_plugin_class_with_tuple_params_exits_65(capsys, tmp_path, monkeypatch):
+    # A template class's params_of must give packed bits as an int.
+    plugin = tmp_path / "tupleclasses.py"
+    plugin.write_text(
+        "from szpit.classes import linear_class\n"
+        "def factory(n, d, s, m):\n"
+        "    cls = linear_class(n)\n"
+        "    cls.params_of = lambda x: tuple(map(int, x))\n"
+        "    return cls\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    code, _, err = run(
+        capsys, "hs-search", "--class", "plugin:tupleclasses:factory", "--n", "2",
+        "--d", "1", "--q", "8", "--r", "13", "--seed", "7",
+    )
+    assert code == EX_DATAERR
+    assert err.startswith("error: params_of('00') gave (0, 0)")
+
+
 def test_internal_guard_exit_code(capsys, tmp_path):
     # Repeated squaring overflows a small --bitlen-guard: exit 70.
     path = tmp_path / "blow.ac"
@@ -285,12 +304,19 @@ HS_SEARCH = ["hs-search", "--n", "2", "--d", "2", "--q", "8", "--r", "3", "--see
     (AVOID, ("avoid_via_hitting", StageError("invert", OracleError("bad walk"))), EX_DATAERR),
     (["parse", "{missing}"], None, EX_DATAERR),
     (["eval", "{prod}", "--vars", "three,5"], None, EX_DATAERR),
-    # A plugin spec naming no module, no factory, or an empty factory.
+    # A plugin spec naming no module, no factory, or an empty factory; a
+    # factory that cannot take (n, d, s, m) or returns no class.
     (HS_SEARCH + ["plugin:no_such_module:f"], None, EX_DATAERR),
     (HS_SEARCH + ["plugin:json:nosuch"], None, EX_DATAERR),
     (HS_SEARCH + ["plugin:json"], None, EX_DATAERR),
+    (HS_SEARCH + ["plugin:json:dumps"], None, EX_DATAERR),
+    (HS_SEARCH + ["plugin:builtins:max"], None, EX_DATAERR),
+    # A builtin class with no variables.
+    (["hs-search", "--class", "builtin:linear", "--n", "0", "--d", "1", "--q", "4",
+      "--r", "3", "--seed", "1"], None, EX_DATAERR),
 ], ids=["pit-guard", "stage-assertion", "stage-other", "missing-file", "value-error",
-        "plugin-no-module", "plugin-no-factory", "plugin-empty-factory"])
+        "plugin-no-module", "plugin-no-factory", "plugin-empty-factory",
+        "plugin-bad-signature", "plugin-not-a-class", "linear-n0"])
 def test_error_exit_codes(capsys, tmp_path, monkeypatch, prod_ac, argv, patch, code):
     tsv = tmp_path / "f.tsv"
     tsv.write_text("1\t3\n2\t3\n")

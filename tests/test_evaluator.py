@@ -60,7 +60,7 @@ def test_eval_gates_refuses_wrong_dimensions_on_every_path(vars, params, message
     for _ in range(3):
         with pytest.raises(DimensionMismatchError, match=message):
             eval_gates(c, vars, params)
-        assert eval_gates(c, (3, 4), (5,)) == 60
+        assert eval_gates(c, (3, 4), 1) == 12
     assert isinstance(c._program, SlotProgram)
 
 
@@ -203,10 +203,13 @@ def test_slot_program_layout():
         Gate.mul(9, 10),   # g11 B: B slot 6
         Gate.mul(10, 10),  # g12 B: B slot 7
     ])
-    params = (2, 7)
-    assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params) == 64
+    # A params tuple is interpreted and leaves the program alone.
+    assert eval_gates(c, (4, -3), (2, 7)) == naive_eval(c, (4, -3), (2, 7)) == 64
+    assert c._program is None
+    # R = 0b11 sets p1 = p2 = 1: g3 = 3 and g10 = -1.
+    assert eval_gates(c, (4, -3), 0b11) == naive_eval(c, (4, -3), (1, 1)) == 1
     assert c._program is False
-    assert eval_gates(c, (4, -3), params) == 64
+    assert eval_gates(c, (4, -3), 0b11) == 1
     prog = c._program
     # Live-outs as runs: g3 = 3 p1 is one run; g10 = p2 - 5 + 3 p1 puts 1,
     # not 2 * 3, on p2, so p2 is a second run, in ``extra``.
@@ -218,12 +221,15 @@ def test_slot_program_layout():
     # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
     # (3, 8) and (2, 10).
     assert (prog.mul_degree, prog.mul_bits) == (3, 10)
-    assert prog.memo == (params, 3, [6, 8])
-    assert eval_gates(c, (-1, 5), params) == naive_eval(c, (-1, 5), params)
-    # Packed params read the same runs from R by shift and mask.
+    assert prog.memo == (0b11, 1, [3, -1])
+    # Stage A reads each run from R by shift and mask.
     for packed, bits in [(0b10, (0, 1)), (0b01, (1, 0)), (0, (0, 0))]:
         assert eval_gates(c, (4, -3), packed) == naive_eval(c, (4, -3), bits)
         assert prog.memo[0] == packed and prog.memo[1] == min(packed, 1)
+        # So do tuple calls, through the interpreter, without the memo.
+        memo = prog.memo
+        assert eval_gates(c, (-1, 5), (2, 7)) == naive_eval(c, (-1, 5), (2, 7))
+        assert prog.memo is memo
 
 
 def test_affine_stage_a_forms():
@@ -235,21 +241,21 @@ def test_affine_stage_a_forms():
         Gate.param(2), Gate.var(2), Gate.const(-5), Gate.add(5, 7), Gate.mul(4, 6),
         Gate.add(8, 3), Gate.mul(9, 10), Gate.mul(10, 2),
     ])
-    for params in [(2, 7), (2, 7), (-4, 11)]:
-        assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), params)
+    for params, bits in [(0b01, (1, 0)), (0b01, (1, 0)), (0b10, (0, 1))]:
+        assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), bits)
     prog = c._program
     assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1), (-15, 9, 0, 1))
     assert prog.extra == ((1, 1, 1, 1), (2, 3, 1, 1))
     assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 5, 6), (2, 1, 3), 4)
-    assert prog.memo == ((-4, 11), 4, [-12, -6, -18])
-    # A param-free circuit's live-outs are constant forms.
+    assert prog.memo == (0b10, 1, [0, -4, -12])
+    # A param-free circuit's live-outs are constant forms; () runs it as
+    # R = 0, which reads the same constants.
     plugged = plug_params(c, {1: -4, 2: 11})
-    for _ in range(2):
-        assert eval_gates(plugged, (4, -3)) == eval_gates(c, (4, -3), (-4, 11))
+    for params in [(), (), 0]:
+        assert eval_gates(plugged, (4, -3), params) == naive_eval(c, (4, -3), (-4, 11))
+        assert plugged._program is False or plugged._program.memo[0] is params
     assert plugged._program.fields == ((-12, 0, 0, 0), (-6, 0, 0, 0), (-18, 0, 0, 0))
     assert plugged._program.extra == ()
-    # Packed R = 0 reads the same constants.
-    assert eval_gates(plugged, (4, -3), 0) == eval_gates(c, (4, -3), (-4, 11))
 
 
 def test_prepare_folds_no_constant_past_the_default_guard():
@@ -262,11 +268,11 @@ def test_prepare_folds_no_constant_past_the_default_guard():
     gates += [Gate.mul(k, k) for k in range(2, 26)]
     gates += [Gate.add(0, 1), Gate.mul(27, 26)]
     c = circuit(gates)
-    want = outcome(circuit(gates), (1,), (2,), 1 << 16)
+    want = outcome(circuit(gates), (1,), 1, 1 << 16)
     assert want == (BitLengthGuardError, "gate 18: value exceeds 65536-bit guard")
     start = time.perf_counter()
     for _ in range(3):
-        assert outcome(c, (1,), (2,), 1 << 16) == want
+        assert outcome(c, (1,), 1, 1 << 16) == want
     assert time.perf_counter() - start < 1.0
     assert len(c._program.b_mul) == 9 + 2  # and the two gates that read x1
 
@@ -282,11 +288,11 @@ def test_prepare_folds_no_constant_past_the_preparing_guard():
     gates.append(Gate.mul(2, 27))
     c = circuit(gates)
     want = (BitLengthGuardError, "gate 19: value exceeds 65536-bit guard")
-    assert outcome(c, (1,), (2,), 1 << 16) == want
-    assert outcome(c, (1,), (2,), 1 << 16) == want
+    assert outcome(c, (1,), 1, 1 << 16) == want
+    assert outcome(c, (1,), 1, 1 << 16) == want
     folded = [const for const, *_ in c._program.fields]
     assert max(v.bit_length() for v in folded) == 51_937
-    assert outcome(c, (1,), (2,), 1 << 16) == want
+    assert outcome(c, (1,), 1, 1 << 16) == want
 
 
 def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():
@@ -295,9 +301,11 @@ def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():
 
     prepared = template()
     for _ in range(2):
-        assert eval_gates(prepared, (2, 3), (5,)) == 13
+        assert eval_gates(prepared, (2, 3), 1) == 5
     assert isinstance(prepared._program, SlotProgram)
-    for vars, params in [((2,), (5,)), ((2, 3, 4), (5,)), ((2, 3), ()), ((2, 3), (5, 6)), ((), ())]:
+    for vars, params in [
+        ((2,), 1), ((2, 3, 4), 1), ((2, 3), ()), ((2, 3), (5, 6)), ((), ()), ((2, 3), 2),
+    ]:
         assert outcome(prepared, vars, params) == outcome(template(), vars, params)
 
 

@@ -6,7 +6,6 @@ from szpit.circuit import Gate, circuit
 from szpit.classes import linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
 from szpit.errors import (
-    DimensionMismatchError,
     PreconditionError,
     SearchBudgetError,
     ZeroOnCubeError,
@@ -57,13 +56,6 @@ def test_find_small_witness_constant_one():
 def test_find_small_witness_requires_large_q():
     with pytest.raises(PreconditionError):
         find_small_witness(product_circuit(), 2, 1, 3)
-
-
-def test_find_small_witness_rejects_bad_hint():
-    with pytest.raises(PreconditionError):
-        find_small_witness(product_circuit(), 2, 1, 4, hint=(0, 5))
-    with pytest.raises(DimensionMismatchError):
-        find_small_witness(product_circuit(), 2, 1, 4, hint=(1,))
 
 
 def test_g_map_decodes_componentwise():

@@ -31,7 +31,7 @@ from szpit.circuit import (
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root, restrict
 from szpit.errors import CircuitSyntaxError, DegreeBoundError, DimensionMismatchError
-from szpit.evaluator import SlotProgram, eval_gates
+from szpit.evaluator import SlotProgram, eval_gates, param_values
 from szpit.hitting import HittingSet
 from szpit.pit import (
     NONZERO,
@@ -319,13 +319,21 @@ def test_params_per_evaluation_equal_plugged_params(case):
 @given(circuits_with_inputs(), st.data())
 def test_repeated_evaluation_matches_the_oracle(case, data):
     # The first call interprets; the second prepares the slot program,
-    # which the later calls run.
+    # which the later calls run, reading packed params R in stage A (a
+    # param-free circuit takes R = 0 or ()).  A call with the tuple p is
+    # interpreted and leaves the program's memo as it was.
     c, x, p = case
+    n = c.n_params
+    packed = st.integers(0, (1 << n) - 1) if n else st.sampled_from([0, ()])
     for _ in range(3):
-        assert eval_gates(c, x, p) == naive_eval(c, x, p)
+        R = data.draw(packed)
+        assert eval_gates(c, x, R) == naive_eval(c, x, param_values(R, n))
         x = tuple(data.draw(SMALL) for _ in x)
-        p = tuple(data.draw(SMALL) for _ in p)
-    assert isinstance(c._program, SlotProgram)
+    prog = c._program
+    assert isinstance(prog, SlotProgram)
+    memo = prog.memo
+    assert eval_gates(c, x, p) == naive_eval(c, x, p)
+    assert c._program is prog and (prog.memo is memo or not p)
 
 
 def outcome(call, *args, **kw):
@@ -382,49 +390,51 @@ def templates(draw):
 @st.composite
 def call_sequences(draw):
     """A template's kind, the circuit and the calls to make on it:
-    ``(x, how, p, slot, guard)``, where ``how`` reuses the last params
-    object ("same"), passes the new tuple p ("new"), an equal copy of the
-    last vector ("copy"), or the one params list after adding 1 to its
-    entry ``slot`` in place ("in place")."""
+    ``(x, how, R, p, guard)``, where ``how`` reuses the last packed params
+    object ("same"), passes the new packed params R ("new") or an equal
+    copy of the last ones ("copy"), or passes p, a tuple of any ints
+    ("tuple")."""
     kind, c = draw(templates())
-    hows = st.sampled_from(["same", "new", "copy", "in place"])
+    hows = st.sampled_from(["same", "new", "copy", "tuple"])
     calls = []
     for _ in range(draw(st.integers(2, 8))):
         x = tuple(draw(VALUES) for _ in range(c.n_vars))
+        R = draw(st.integers(0, (1 << c.n_params) - 1))
         p = tuple(draw(VALUES) for _ in range(c.n_params))
-        slot = draw(st.integers(0, max(0, c.n_params - 1)))
-        calls.append((x, draw(hows), p, slot, draw(GUARDS)))
+        calls.append((x, draw(hows), R, p, draw(GUARDS)))
     return kind, c, calls
 
 
 @PROPERTY
 @given(call_sequences())
 def test_staged_evaluation_over_a_call_sequence(case):
-    # Stage A runs once per parameter vector and is kept for the next call;
-    # every call must still give the interpreter's value or error, which a
-    # fresh copy of the circuit yields on its first call.  In an affine
-    # template every gate that reads no variable has a form unless its
-    # static bit bound passes the guard of the second call, which
-    # prepares; so stage B runs just the gates that read a variable and
-    # those.  A product of two params, or a chain past the form cap, runs
-    # in stage B as well.
+    # Stage A runs once per packed R and is kept for the next call; every
+    # call must still give the interpreter's value or error, which a fresh
+    # copy of the circuit yields on its first call.  A call with a params
+    # tuple is interpreted and leaves the program and its memo alone.  In
+    # an affine template every gate that reads no variable has a form
+    # unless its static bit bound passes the guard of the second packed
+    # call, which prepares; so stage B runs just the gates that read a
+    # variable and those.  A product of two params, or a chain past the
+    # form cap, runs in stage B as well.
     kind, c, calls = case
-    params = tuple(calls[0][2])
-    as_list = list(params)
-    for x, how, p, slot, guard in calls:
+    packed = calls[0][2]
+    for x, how, R, p, guard in calls:
         if how == "new":
-            params = p
+            packed = R
         elif how == "copy":
-            params = tuple(list(params))
-        elif how == "in place":
-            if as_list:
-                as_list[slot] += 1
-            params = as_list
+            packed = int(str(packed))
+        params = p if how == "tuple" else packed
+        prog = c._program
+        memo = getattr(prog, "memo", None)
         want = outcome(eval_gates, circuit(c.gates), x, params, guard)
         assert outcome(eval_gates, c, x, params, guard) == want
         if isinstance(want, int):
-            assert want == naive_eval(c, x, tuple(params))
-    if kind != "random":
+            assert want == naive_eval(c, x, param_values(params, c.n_params))
+        if how == "tuple" and p:
+            assert c._program is prog and getattr(prog, "memo", None) is memo
+    packed_guards = [guard for _, how, _, p, guard in calls if how != "tuple" or not p]
+    if kind != "random" and len(packed_guards) > 1:
         reads_var = []
         for g in c.gates:
             binary = g.op in ("add", "mul")
@@ -439,7 +449,7 @@ def test_staged_evaluation_over_a_call_sequence(case):
                 bits.append(lhs + rhs if g.op == "mul" else max(lhs, rhs) + 1)
             else:
                 bits.append(g.value.bit_length())
-        fold_bits = min(calls[1][4], 1 << 20)
+        fold_bits = min(packed_guards[1], 1 << 20)
         over = sum(
             not r and g.op in ("add", "mul") and b > fold_bits
             for g, r, b in zip(c.gates, reads_var, bits)
@@ -499,10 +509,10 @@ def bit_templates(draw):
 def test_packed_params_evaluate_as_their_bits(case, data):
     # Packed params R on a fresh circuit (the interpreter) and on the
     # prepared one (stage A reads each run by shift and mask) give
-    # naive_eval's value on R's bits, as does the tuple of those bits on
-    # the same program.  R = 0 and R with every bit set, so bits past each
-    # run's mask, are always drawn.  A tuple of any ints, negative and
-    # wider than one bit, reads the same runs exactly.
+    # naive_eval's value on R's bits, as does the tuple of those bits,
+    # which is interpreted and leaves the memo alone.  R = 0 and R with
+    # every bit set, so bits past each run's mask, are always drawn.  So
+    # is a tuple of any ints, negative and wider than one bit.
     c, extra = case
     n = c.n_params
     draws = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)
@@ -513,12 +523,15 @@ def test_packed_params_evaluate_as_their_bits(case, data):
         assert eval_gates(circuit(c.gates), x, packed) == want
         assert eval_gates(c, x, packed) == want
         assert c._program is False or c._program.memo[0] == packed
+        memo = c._program and c._program.memo
         assert eval_gates(c, x, bits) == want
+        assert (c._program and c._program.memo) is memo
     wide = data.draw(st.tuples(*[st.integers(-(1 << 40), 1 << 40)] * n))
     x = (data.draw(SMALL),)
-    assert eval_gates(c, x, wide) == naive_eval(c, x, wide)
     prog = c._program
-    assert prog.memo[0] == wide
+    memo = prog.memo
+    assert eval_gates(c, x, wide) == naive_eval(c, x, wide)
+    assert prog.memo is memo
     assert len(prog.extra) == extra
     for bad in (-1, 1 << n, -(1 << (n + 3)), 1 << (n + 3)):
         for ckt in (circuit(c.gates), c):

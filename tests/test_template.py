@@ -30,27 +30,17 @@ def avoid_class(a):
     return build_avoid_class(*avoid_parts(a))
 
 
-def digits_class():
-    # p1 * x1 with p1 = 10^x: the members with 4 or more digits are too big.
-    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
-    s = representation_size(plug_params(template, {1: 100}))
-    return DefinableClass(
-        decoder=None, template=template, params_of=lambda x: (10 ** int(x, 2),),
-        n=1, d=1, s=s, m=2,
-    )
-
-
 def high_degree_class():
     template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 0), Gate.mul(2, 1)])
     return DefinableClass(
-        decoder=None, template=template, params_of=lambda x: (int(x),), n=1, d=1, s=0, m=1,
+        decoder=None, template=template, params_of=lambda x: int(x), n=1, d=1, s=0, m=1,
     )
 
 
 def wide_class():
     template = circuit([Gate.var(1), Gate.var(2), Gate.param(1), Gate.mul(0, 2)])
     return DefinableClass(
-        decoder=None, template=template, params_of=lambda x: (int(x),), n=1, d=1, s=4096, m=1,
+        decoder=None, template=template, params_of=lambda x: int(x), n=1, d=1, s=4096, m=1,
     )
 
 
@@ -61,7 +51,6 @@ CLASSES = {
     "multilinear": lambda: multilinear_class(2, d=2),
     "linear": lambda: linear_class(3),
     "monomial": lambda: monomial_class(3),
-    "digits": digits_class,
     "high-degree": high_degree_class,
     "wide": wide_class,
 }
@@ -74,15 +63,17 @@ def test_template_members_match_plugged_members(name):
     zero_point = (0,) * cls.n
     fitting = 0
     for x in cls.descriptions():
-        # Bit-valued classes give packed params; plug their bits.
+        # Params come packed; plug their bits.
         params = cls.params_of(x)
         bits = param_values(params, cls.template.n_params)
         member = plug_params(cls.template, dict(enumerate(bits, 1)))
-        assert cls.member_size(params) == representation_size(member)
         in_slice = cls._in_ckt(member)
         ckt, got = cls.decode(x)
         if in_slice:
             fitting += 1
+            # Each param use writes one digit, as in the all-zero member,
+            # whose size these classes take as s.
+            assert representation_size(member) == cls.s
             assert ckt is cls.template and got == params
             assert cls.member(x) == member
         else:
@@ -93,10 +84,30 @@ def test_template_members_match_plugged_members(name):
             assert eval_gates(ckt, point, got) == want
     if name in ("high-degree", "wide"):
         assert fitting == 0
-    elif name == "digits":
-        assert fitting == 3
     else:
         assert fitting == 2**cls.m
+
+
+def test_a_template_larger_than_s_decodes_to_the_zero_member():
+    fitting = multilinear_class(2, d=2)
+    cls = DefinableClass(
+        decoder=None, template=fitting.template, params_of=fitting.params_of,
+        n=2, d=2, s=fitting.s - 8, m=fitting.m,
+    )
+    for x in cls.descriptions():
+        ckt, params = cls.decode(x)
+        assert params == () and ckt.n_params == 0
+        assert eval_gates(ckt, (3, 5)) == 0
+
+
+@pytest.mark.parametrize("params", [(1,), [1], (), True])
+def test_params_other_than_an_int_are_refused(params):
+    template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
+    cls = DefinableClass(
+        decoder=None, template=template, params_of=lambda x: params, n=1, d=1, s=0, m=1,
+    )
+    with pytest.raises(PreconditionError, match="params_of\\('1'\\)"):
+        cls.decode("1")
 
 
 def test_verifying_an_avoid_class_analyses_its_template_once(monkeypatch):
@@ -141,9 +152,9 @@ def many_params_template():
     return circuit(gates)
 
 
-def many_params_class(s):
+def many_params_class(s, R=0):
     return DefinableClass(
-        decoder=None, template=many_params_template(), params_of=lambda x: (0,) * 12,
+        decoder=None, template=many_params_template(), params_of=lambda x: R,
         n=1, d=1, s=s, m=1,
     )
 
@@ -154,24 +165,25 @@ def test_zero_member_size_is_read_from_the_template_text():
     assert cls.s == representation_size(zero_member)
     free = circuit([Gate.var(1), Gate.mul(0, 0)])
     no_params = DefinableClass(
-        decoder=None, template=free, params_of=lambda x: (), n=1, d=2, s=0, m=1,
+        decoder=None, template=free, params_of=lambda x: 0, n=1, d=2, s=0, m=1,
     )
-    assert no_params.s == no_params.member_size(()) == representation_size(free)
+    assert no_params.s == representation_size(free)
+    assert no_params.member("1") is no_params.template
 
 
 @pytest.mark.parametrize("edge", [0, 9, 10, -1, 10**20])
 def test_member_size_at_the_one_digit_edges(edge):
-    cls = many_params_class(s=1 << 16)
-    vectors = [
-        (edge,) * 12,
-        (9,) * 11 + (edge,),  # p12 is written twice
-        (0,) * 2 + (edge,) + (9,) * 9,  # so is p3
-        (1,) * 9 + (edge,) + (0,) * 2,  # and p10
-        (edge,) + (0,) * 11,
-    ]
-    for params in vectors:
-        member = plug_params(cls.template, dict(enumerate(params, 1)))
-        assert cls.member_size(params) == representation_size(member)
+    # Packed R = 9 and R = 10 differ in digits but not in member size:
+    # each of the 15 param uses (p3, p10 and p12 twice) writes one digit.
+    # An R that is no 12-bit vector gives the zero member.
+    cls = many_params_class(s=0, R=edge)
+    member = cls.member("1")
+    if 0 <= edge < 1 << 12:
+        bits = param_values(edge, 12)
+        assert member == plug_params(cls.template, dict(enumerate(bits, 1)))
+        assert representation_size(member) == cls.s
+    else:
+        assert member.n_params == 0 and eval_gates(member, (7,)) == 0
 
 
 def test_packed_params_outside_the_template_give_the_zero_member():
@@ -183,7 +195,7 @@ def test_packed_params_outside_the_template_give_the_zero_member():
         decoder=None, template=template, params_of=packed.__getitem__,
         n=1, d=1, s=0, m=2,
     )
-    assert cls.member_size(1) == cls.member_size(0) == cls.s
+    assert representation_size(cls.member("01")) == representation_size(cls.member("00")) == cls.s
     for x, params in packed.items():
         ckt, got = cls.decode(x)
         if params in (0, 1):
@@ -205,7 +217,7 @@ def test_a_class_needs_exactly_one_presentation():
     template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
     with pytest.raises(PreconditionError):
         DefinableClass(decoder=lambda x: template, template=template,
-                       params_of=lambda x: (1,), n=1, d=1, s=4096, m=1)
+                       params_of=lambda x: 1, n=1, d=1, s=4096, m=1)
     with pytest.raises(PreconditionError):
         DefinableClass(decoder=None, n=1, d=1, s=4096, m=1)
 
