@@ -8,7 +8,6 @@ by synthetic division.
 """
 
 from szpit import (
-    Assignment,
     Gate,
     analyze_degrees,
     circuit,
@@ -39,14 +38,14 @@ print(f"individual degrees     : {report.individual}\n")
 
 print("Evaluation is exact over the integers, guarded by a degree bound:")
 for u in (0, 2, 10**6):
-    print(f"  P({u}) = {eval_arithmetic(P, Assignment((u,)), report.total)}")
+    print(f"  P({u}) = {eval_arithmetic(P, (u,), report.total)}")
 
 # Coefficient extraction turns the circuit into a dense polynomial without
 # ever expanding monomials explicitly: one pass over the gates, convolving
 # coefficient vectors at multiplication gates.
 poly = extract_unipoly(P, 3)
 print(f"\ncoefficients (lowest degree first): {poly.coeffs}")
-assert all(eval_unipoly(poly, u) == eval_arithmetic(P, Assignment((u,)), 5)
+assert all(eval_unipoly(poly, u) == eval_arithmetic(P, (u,), 5)
            for u in range(-5, 6))
 
 # Root enumeration on S_q = {0..q-1}: sorted distinct roots, padded with

@@ -30,7 +30,7 @@ from .codec import (
     unpack_code,
 )
 from .errors import SzpitError
-from .evaluator import Assignment, eval_arithmetic
+from .evaluator import eval_arithmetic
 from .hitting import (
     DefinableClass,
     HittingSet,

@@ -5,9 +5,10 @@ A circuit is a straight-line program: an ordered sequence of gates
 an integer constant, or an addition/multiplication of two strictly earlier
 gates.  The last gate is the output.  There is no division, subtraction, or
 power gate; subtraction is expressed with ``const -1`` and ``mul``.  A
-parameter gets its value in one of two ways: per evaluation
-(``eval_gates(c, x, params)``), or for good through :func:`plug_params`,
-which replaces each parameter gate by a const gate.
+parameter is a bit per evaluation, read from packed params R
+(``eval_gates(c, x, R)``); it takes any integer value only for good,
+through :func:`plug_params`, which replaces each parameter gate by a
+const gate.
 
 Text format (one statement per line, ``#`` starts a comment, gate ids must
 be 0, 1, 2, ... in order, files use extension ``.ac``)::
@@ -112,8 +113,8 @@ class Circuit:
     n_params: int
     # Filled by the first analyze_degrees call on this object.
     _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
-    # eval_gates's memo: None before the first call with packed params or
-    # (), False after it, then the slot program built by the second such call.
+    # eval_gates's memo: None before the first call, False after it, then
+    # the slot program built by the second call.
     _program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -24,11 +24,11 @@ from .avoid import (
     solve_avoid_brute,
 )
 from .boolfunc import parse_bool_circuit
-from .circuit import analyze_degrees, parse_circuit, serialize_circuit
+from .circuit import analyze_degrees, parse_circuit, plug_params, serialize_circuit
 from .codec import SZContext, decode_code, encode_root, parse_code, serialize_code
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from .errors import BitLengthGuardError, StageError, SzpitError
-from .evaluator import Assignment, eval_arithmetic
+from .evaluator import eval_arithmetic
 from .hitting import (
     DefinableClass,
     parse_hitting_set,
@@ -111,13 +111,11 @@ def _cmd_degrees(args) -> int:
 
 def _cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
+    c = plug_params(c, dict(enumerate(_ints(args.params), 1)))
     # Kept on c, so eval_arithmetic reuses this report under the same cap.
     total = analyze_degrees(c, args.exhaustion_cap).total
     bound = total if args.degree_bound is None else args.degree_bound
-    value = eval_arithmetic(
-        c, Assignment(_ints(args.vars), _ints(args.params)), bound,
-        bitlen_guard=args.bitlen_guard,
-    )
+    value = eval_arithmetic(c, _ints(args.vars), bound, bitlen_guard=args.bitlen_guard)
     _emit(args, {"value": str(value)}, str(value))
     return 0
 
@@ -163,16 +161,17 @@ def _cmd_decode(args) -> int:
 def _cmd_pit(args) -> int:
     c = parse_circuit(_read(args.file))
     if args.method == "cube":
-        verdict = pit_cube_brute(c, cap=args.exhaustion_cap)
+        verdict = pit_cube_brute(c, cap=args.exhaustion_cap, bitlen_guard=args.bitlen_guard)
     elif args.method == "random":
         if args.seed is None:
             raise SzpitError("--seed is required for --method random")
-        verdict = pit_random(c, trials=args.trials, seed=args.seed)
+        verdict = pit_random(c, trials=args.trials, seed=args.seed,
+                             bitlen_guard=args.bitlen_guard)
     else:
         if not args.hs_file:
             raise SzpitError("--hs-file is required for --method hs")
         h = parse_hitting_set(_read(args.hs_file), c.n_vars, args.q or (1 << 62))
-        verdict = pit_with_hitting_set(c, h)
+        verdict = pit_with_hitting_set(c, h, bitlen_guard=args.bitlen_guard)
     plain = verdict.kind + (f" at {verdict.witness}" if verdict.witness else "")
     _emit(args, {"verdict": verdict.to_json()}, plain)
     return 0 if verdict.is_zero_verdict else 1
@@ -182,7 +181,8 @@ def _cmd_hs_search(args) -> int:
     cls = _load_class(args)
     if args.seed is None:
         raise SzpitError("--seed is required for hs-search")
-    h = search_hitting_set(cls, args.q, args.r, seed=args.seed, budget=args.budget)
+    h = search_hitting_set(cls, args.q, args.r, seed=args.seed, budget=args.budget,
+                           cap=args.exhaustion_cap)
     text = serialize_hitting_set(h)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -196,7 +196,7 @@ def _cmd_hs_verify(args) -> int:
     cls = _load_class(args)
     h = parse_hitting_set(_read(args.file), args.n, args.q)
     verdict = verify_hitting_set(cls, h, seed=args.seed or 0,
-                                 witness_budget=args.budget)
+                                 witness_budget=args.budget, cap=args.exhaustion_cap)
     if verdict.hits:
         _emit(args, {"hits": True}, "Hits")
         return 0

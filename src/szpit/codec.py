@@ -128,7 +128,7 @@ class SZContext:
         self._roots_cache: dict = {}
 
     def _eval(self, point: Tuple[int, ...]) -> int:
-        return eval_gates(self.circuit, point, (), self.bitlen_guard)
+        return eval_gates(self.circuit, point, 0, self.bitlen_guard)
 
     def default_code(self) -> RootCode:
         return RootCode(1, 1, (0,) * (self.n - 1))
@@ -298,4 +298,4 @@ def _scan_roots(ckt: Circuit, n: int, q: int, cap: int, bitlen_guard: int, what:
     if q**n > cap:
         raise CapExceededError(f"q^n = {q ** n} exceeds the cap {cap}")
     points = product(range(q), repeat=n)
-    return (p for p in points if eval_gates(ckt, p, (), bitlen_guard) == 0)
+    return (p for p in points if eval_gates(ckt, p, 0, bitlen_guard) == 0)

@@ -25,7 +25,7 @@ class CircuitValidationError(SzpitError):
 
 
 class DimensionMismatchError(SzpitError):
-    """Assignment or point length does not match the circuit dimensions."""
+    """A vars tuple, point or packed params R outside the circuit's dimensions."""
 
 
 class DegreeBoundError(SzpitError):

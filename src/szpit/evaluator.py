@@ -13,63 +13,43 @@ evaluation is exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
-from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees
+from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD
 from .errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
-
-# A parameter vector: one value per param, or bit-valued params packed
-# into one non-negative int R (of type int, not bool) whose bit k - 1 is pk.
-Params = Union[Tuple[int, ...], int]
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Integer inputs for a circuit's variables and parameters."""
-
-    vars: Tuple[int, ...]
-    params: Tuple[int, ...] = ()
 
 
 def eval_gates(
     c: Circuit,
     vars: Tuple[int, ...],
-    params: Params = (),
+    params: int = 0,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
     """Gate-by-gate evaluation with the bit-length guard but no degree check.
 
     Callers are expected to have validated the degree bound once; the hot
     loops (cube scans, hitting-set verification) go through here.
-    ``params`` is a tuple whose entry k - 1 is the value of parameter pk,
-    or bit-valued params packed into one int R whose bit k - 1 is pk (see
-    :func:`param_values`), with ``0 <= R < 2**n_params``; a class member
+    ``params`` is the bit-valued params packed into one int R whose bit
+    k - 1 is pk, with ``0 <= R < 2**n_params``; a class member
     ``(template, R)`` is evaluated as ``eval_gates(template, point, R)``.
-    Inputs of other lengths than the circuit's dimensions, or such an R
-    out of range, raise :class:`DimensionMismatchError`, whichever path
-    the call takes.
+    The default R = 0 is the all-zero member, and for a param-free
+    circuit the only R.  A param takes any other integer value for good
+    through :func:`~szpit.circuit.plug_params`.  Inputs of other lengths
+    than the circuit's dimensions, or an R out of range, raise
+    :class:`DimensionMismatchError`, whichever path the call takes.
 
-    A call with a non-empty params tuple is interpreted.  Otherwise the
-    first call on a circuit object interprets it, and the second prepares
-    a :class:`SlotProgram` and keeps it on the object; from then on a call
-    whose input widths keep every mul gate provably under the guard runs
-    that program with no per-gate checks; its stage A, the gates that are
-    affine in the params, runs once per R, with ``()`` as R = 0.  Every
-    other call interprets, so results and errors are those of the
-    interpreter.
+    The first call on a circuit object interprets it, and the second
+    prepares a :class:`SlotProgram` and keeps it on the object; from then
+    on a call whose input widths keep every mul gate provably under the
+    guard runs that program with no per-gate checks; its stage A, the
+    gates that are affine in the params, runs once per R.  Every other
+    call interprets, so results and errors are those of the interpreter.
     """
     if len(vars) != c.n_vars:
         raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
-    if params.__class__ is int:
-        if params < 0 or params >> c.n_params:
-            raise DimensionMismatchError(f"packed params {params} outside [0, 2^{c.n_params})")
-    elif params or c.n_params:  # the interpreter is the reference for tuples
-        if len(params) != c.n_params:
-            raise DimensionMismatchError(
-                f"{len(params)} parameter values for parametric dimension {c.n_params}"
-            )
-        return _interpret(c, vars, params, bitlen_guard)
+    if params < 0 or params >> c.n_params:
+        raise DimensionMismatchError(f"packed params {params} outside [0, 2^{c.n_params})")
     prog = c._program
     if prog is None:  # one-shot circuits never pay for preparation
         object.__setattr__(c, "_program", False)
@@ -88,7 +68,7 @@ def eval_gates(
         )
         if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
             if live is None:
-                live = prog.run_stage_a(params or 0)
+                live = prog.run_stage_a(params)
                 # One assignment: no reader sees a key with another R's values.
                 prog.memo = (params, params_width, live)
             values = [*vars, *live]
@@ -99,17 +79,8 @@ def eval_gates(
     return _interpret(c, vars, params, bitlen_guard)
 
 
-def param_values(params: Params, n_params: int) -> Tuple[int, ...]:
-    """The params as a tuple: packed params R give their n_params bits,
-    bit k - 1 of R as pk; a tuple is returned as it is."""
-    if params.__class__ is int:
-        return tuple(params >> k & 1 for k in range(n_params))
-    return params
-
-
-def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
+def _interpret(c: Circuit, vars, R: int, bitlen_guard: int) -> int:
     """The reference evaluator: one pass over the gates, guard on each mul."""
-    params = param_values(params, c.n_params)
     values = [0] * len(c.gates)
     for i, g in enumerate(c.gates):
         op = g.op
@@ -124,7 +95,7 @@ def _interpret(c: Circuit, vars, params, bitlen_guard: int) -> int:
         elif op == VAR:
             v = vars[g.name - 1]
         elif op == PARAM:
-            v = params[g.name - 1]
+            v = R >> (g.name - 1) & 1
         else:  # CONST
             v = g.value
         values[i] = v
@@ -164,7 +135,7 @@ class SlotProgram:
     i < L, taken greedily in param order.  ``fields`` holds
     ``(c, s, j0, mask)`` per live-out, for its first run, and ``extra``
     holds ``(live-out index, s, j0, mask)`` for each further run; a
-    constant is ``(c, 0, 0, 0)``.  Stage A reads only packed params R (see
+    constant is ``(c, 0, 0, 0)``.  Stage A reads packed params R (see
     :func:`eval_gates`): a run is ``R >> j0 & mask``, and the live-out is
     ``c`` plus s times each of its runs.  ``memo`` is
     ``(R, R's width, live-out values)`` for the last R that ran
@@ -326,12 +297,14 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
 
 def eval_arithmetic(
     c: Circuit,
-    asg: Assignment,
+    vars: Tuple[int, ...],
     degree_bound: int,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
-    """Evaluate c at asg, refusing circuits of syntactic total degree > bound."""
+    """Evaluate the param-free circuit c at vars, refusing circuits of
+    syntactic total degree > bound."""
+    require_parameter_free(c, "eval_arithmetic")
     total = analyze_degrees(c).total
     if total > degree_bound:
         raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
-    return eval_gates(c, asg.vars, asg.params, bitlen_guard)
+    return eval_gates(c, vars, 0, bitlen_guard)

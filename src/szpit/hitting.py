@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional, Tuple
 
+from .boolfunc import int_to_bits
 from .circuit import PARAM, Circuit, Gate, analyze_degrees, circuit, pad_vars, plug_params
 from .circuit import representation_size
 from .codec import SZContext, all_codes, decode_code
@@ -43,7 +44,7 @@ from .errors import (
     WitnessBudgetError,
     ZeroOnCubeError,
 )
-from .evaluator import Params, eval_gates, param_values
+from .evaluator import eval_gates
 from .rng import Rng
 
 
@@ -102,9 +103,9 @@ def zero_circuit(n: int = 0) -> Circuit:
 class DefinableClass:
     """A decoder-presented class of at most 2^m algebraic circuits.
 
-    :meth:`decode` gives the member at description x as ``(template,
-    params)``, evaluated by ``eval_gates(template, point, params)``.  A
-    template class gives ``template`` and ``params_of``, which maps x to
+    :meth:`decode` gives the member at description x as ``(circuit, R)``
+    with packed params R, evaluated by ``eval_gates(circuit, point, R)``.
+    A template class gives ``template`` and ``params_of``, which maps x to
     packed bits R, an int whose bit k - 1 is the value of pk; any other
     value raises :class:`PreconditionError`.  Its members share one gate
     layout and each writes one digit per param use, so variable count,
@@ -112,7 +113,7 @@ class DefinableClass:
     member, and a member is decoded in O(1); ``s = 0`` means that member's
     size.  An R outside ``[0, 2^n_params)`` gives the constant-0 member.
     A decoder class gives ``decoder`` (x -> circuit); its members are
-    ``(circuit, ())``, each fully checked.  Members outside Ckt(n, d, s)
+    ``(circuit, 0)``, each fully checked.  Members outside Ckt(n, d, s)
     are replaced by the constant-0 circuit; surjectivity of caller-supplied
     decoders onto their intended class is a trust assumption that cannot be
     verified here.
@@ -156,8 +157,8 @@ class DefinableClass:
         for bits in product("01", repeat=self.m):
             yield "".join(bits)
 
-    def decode(self, x: str) -> Tuple[Circuit, Params]:
-        """The member at description x, as ``(template, params)``."""
+    def decode(self, x: str) -> Tuple[Circuit, int]:
+        """The member at description x, as ``(circuit, R)``."""
         if len(x) != self.m or any(ch not in "01" for ch in x):
             raise PreconditionError(f"description {x!r} is not a bitstring of length {self.m}")
         if self.template is not None:
@@ -168,14 +169,14 @@ class DefinableClass:
                 )
             if self._template_fits and 0 <= params and not params >> self.template.n_params:
                 return self.template, params
-            return self._zero, ()
+            return self._zero, 0
         try:
             member = pad_vars(self.decoder(x), self.n)
             if self._in_ckt(member):
-                return member, ()
+                return member, 0
         except SzpitError:
             pass
-        return self._zero, ()
+        return self._zero, 0
 
     def _in_ckt(self, c: Circuit) -> bool:
         if c.n_vars > self.n or c.n_params:
@@ -186,9 +187,9 @@ class DefinableClass:
 
     def member(self, x: str) -> Circuit:
         """The member at description x as one circuit, params plugged."""
-        ckt, params = self.decode(x)
-        params = param_values(params, ckt.n_params)
-        return plug_params(ckt, dict(enumerate(params, 1))) if params else ckt
+        ckt, R = self.decode(x)
+        bits = int_to_bits(R, ckt.n_params)
+        return plug_params(ckt, dict(enumerate(bits, 1))) if bits else ckt
 
     def members(self) -> Iterator[Tuple[str, Circuit]]:
         for x in self.descriptions():
@@ -220,7 +221,7 @@ def find_small_witness(
     rng: Optional[Rng] = None,
     cap: int = DEFAULT_EXHAUSTION_CAP,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
-    params: Params = (),
+    params: int = 0,
 ) -> Tuple[int, ...]:
     """Find a point of S_q^n where the member ``(ckt, params)``, as given by
     :meth:`DefinableClass.decode`, evaluates nonzero.

@@ -70,7 +70,7 @@ def _prepare(ckt: Circuit, d: Optional[int]) -> Tuple[int, int, int]:
 def _scan(ckt: Circuit, points: Iterable, bitlen_guard: int, zero: PitVerdict) -> PitVerdict:
     """The first point where ckt is nonzero is the witness (zero's provenance), else zero."""
     for point in points:
-        if eval_gates(ckt, point, (), bitlen_guard) != 0:
+        if eval_gates(ckt, point, 0, bitlen_guard) != 0:
             return PitVerdict(NONZERO, witness=point, provenance=zero.provenance)
     return zero
 

@@ -53,7 +53,7 @@ def eval_many(
         if total > degree_bound:
             raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
     for p in points:
-        yield eval_gates(c, p, (), bitlen_guard)
+        yield eval_gates(c, p, 0, bitlen_guard)
 
 
 def g_map(

@@ -22,7 +22,7 @@ from szpit.boolfunc import BoolFunc, int_to_bits
 from szpit.circuit import analyze_degrees
 from szpit.codec import SZContext, all_codes, count_roots_brute, cube_roots, decode_code, encode_root
 from szpit.errors import ZeroOnCubeError
-from szpit.evaluator import Assignment, eval_arithmetic, eval_gates
+from szpit.evaluator import eval_arithmetic, eval_gates
 from szpit.classes import linear_class, monomial_class, multilinear_class
 from szpit.hitting import (
     HittingSet,
@@ -146,7 +146,7 @@ def test_criterion_4_extraction_soundness_and_bits():
         # degree-<=16 polynomial, and literally what is tested.
         total = analyze_degrees(c).total
         for u in range(-8, 9):
-            assert eval_unipoly(p, u) == eval_arithmetic(c, Assignment((u,)), total)
+            assert eval_unipoly(p, u) == eval_arithmetic(c, (u,), total)
         # Coefficient bit bound with the regime caps for s and d; the
         # growth recurrence runs over the total syntactic degree, in which
         # constant inputs count.

@@ -53,6 +53,29 @@ def test_eval(capsys, prod_ac):
     assert code == 0 and out.strip() == "15"
 
 
+def test_eval_plugs_params_of_any_integer_value(capsys, tmp_path):
+    # x1 * p1 + p2 with p1 negative and p2 past 2^64, in plain output and
+    # as JSON; a missing or an extra value is bad input.
+    path = tmp_path / "affine.ac"
+    path.write_text(
+        "g0 = var x1\ng1 = param p1\ng2 = mul g0 g1\ng3 = param p2\ng4 = add g2 g3\noutput g4\n"
+    )
+    # A value that starts with "-" and holds a comma needs the "=" form.
+    argv = ["eval", str(path), "--vars", "3", f"--params=-7,{2**64 + 5}"]
+    want = str(3 * -7 + 2**64 + 5)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == want
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out)["value"] == want
+    for params, message in [
+        ("-7", "no value for parameters [2]"),
+        ("", "no value for parameters [1, 2]"),
+        ("-7,1,2", "no parameters [3] in the circuit"),
+    ]:
+        code, _, err = run(capsys, "eval", str(path), "--vars", "3", f"--params={params}")
+        assert code == EX_DATAERR and message in err
+
+
 def test_coeffs(capsys, tmp_path):
     path = tmp_path / "sq.ac"
     path.write_text("g0 = var x1\ng1 = const 1\ng2 = add g0 g1\ng3 = mul g2 g2\noutput g3\n")
@@ -88,6 +111,23 @@ def test_pit_exit_codes(capsys, prod_ac, zero_ac):
     assert code == 2
 
 
+def test_pit_passes_the_guard(capsys, tmp_path):
+    # (x1 + 20)^16 by four squarings: the first square, at least 400,
+    # passes an 8-bit guard at every point, so each method exits 2.
+    path = tmp_path / "power.ac"
+    gates = ["g0 = var x1", "g1 = const 20", "g2 = add g0 g1"]
+    gates += [f"g{i} = mul g{i - 1} g{i - 1}" for i in range(3, 7)]
+    path.write_text("\n".join(gates) + "\noutput g6\n")
+    hs = tmp_path / "h.txt"
+    hs.write_text("0\n")
+    for method in (["cube"], ["random", "--seed", "1"], ["hs", "--hs-file", str(hs), "--q", "32"]):
+        argv = ["pit", "--method", *method, str(path)]
+        code, _, err = run(capsys, "--bitlen-guard", "8", *argv)
+        assert code == 2 and "gate 3: value exceeds 8-bit guard" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and out.startswith("NonZero")
+
+
 def test_hs_search_and_verify(capsys, tmp_path):
     hs_file = str(tmp_path / "h.txt")
     code, out, _ = run(
@@ -109,6 +149,21 @@ def test_hs_search_and_verify(capsys, tmp_path):
         "--d", "2", "--q", "8", bad,
     )
     assert code == 1 and out.startswith("Misses")
+
+
+def test_hs_commands_pass_the_exhaustion_cap(capsys, tmp_path):
+    # The linear class's zero member vanishes, so one witness draw misses
+    # and the 16-point cube must be scanned; a cap of 1 forbids the scan.
+    hs_file = tmp_path / "h.txt"
+    hs_file.write_text("0,0\n1,1\n2,3\n3,1\n")
+    linear = ["--class", "builtin:linear", "--n", "2", "--d", "1", "--q", "4", "--budget", "1"]
+    verify = ["hs-verify", *linear, str(hs_file)]
+    search = ["hs-search", *linear, "--r", "9", "--seed", "1"]
+    for argv in (verify, search):
+        code, _, err = run(capsys, "--exhaustion-cap", "1", *argv)
+        assert code == EX_DATAERR and "cube not scannable" in err
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
 
 
 def test_avoid_tsv(capsys, tmp_path):

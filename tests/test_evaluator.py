@@ -5,8 +5,13 @@ import time
 import pytest
 
 from szpit.circuit import Gate, circuit, plug_params
-from szpit.errors import BitLengthGuardError, DegreeBoundError, DimensionMismatchError
-from szpit.evaluator import Assignment, SlotProgram, eval_arithmetic, eval_gates
+from szpit.errors import (
+    BitLengthGuardError,
+    DegreeBoundError,
+    DimensionMismatchError,
+    PreconditionError,
+)
+from szpit.evaluator import SlotProgram, eval_arithmetic, eval_gates
 from szpit.rng import Rng
 
 from genckt import random_circuit
@@ -16,7 +21,7 @@ from oracles import degree_oracle, naive_eval
 
 def test_product_at_point():
     c = circuit([Gate.var(1), Gate.var(2), Gate.mul(0, 1)])
-    assert eval_arithmetic(c, Assignment((3, 5)), 2) == 15
+    assert eval_arithmetic(c, (3, 5), 2) == 15
 
 
 def test_difference_of_squares():
@@ -25,31 +30,31 @@ def test_difference_of_squares():
         Gate.var(1), Gate.const(1), Gate.add(0, 1),
         Gate.const(-1), Gate.add(0, 3), Gate.mul(2, 4),
     ])
-    assert eval_arithmetic(c, Assignment((7,)), 2) == 48
+    assert eval_arithmetic(c, (7,), 2) == 48
 
 
 def test_degree_bound_rejects_squaring_chain():
     # x^8 by three squarings has syntactic degree 8.
     c = circuit([Gate.var(1), Gate.mul(0, 0), Gate.mul(1, 1), Gate.mul(2, 2)])
     with pytest.raises(DegreeBoundError):
-        eval_arithmetic(c, Assignment((2,)), 4)
-    assert eval_arithmetic(c, Assignment((2,)), 8) == 256
+        eval_arithmetic(c, (2,), 4)
+    assert eval_arithmetic(c, (2,), 8) == 256
 
 
 def test_dimension_mismatch():
     c = circuit([Gate.var(1), Gate.var(2), Gate.add(0, 1)])
     with pytest.raises(DimensionMismatchError):
-        eval_arithmetic(c, Assignment((1,)), 1)
+        eval_arithmetic(c, (1,), 1)
     # The degree bound is checked first.
     with pytest.raises(DegreeBoundError):
-        eval_arithmetic(c, Assignment((1,)), 0)
+        eval_arithmetic(c, (1,), 0)
 
 
 @pytest.mark.parametrize("vars, params, message", [
-    ((3,), (5,), "1 variable values for dimension 2"),
-    ((3, 4, 6), (5,), "3 variable values for dimension 2"),
-    ((3, 4), (), "0 parameter values for parametric dimension 1"),
-    ((3, 4), (5, 6), "2 parameter values for parametric dimension 1"),
+    ((3,), 1, "1 variable values for dimension 2"),
+    ((3, 4, 6), 1, "3 variable values for dimension 2"),
+    ((), 0, "0 variable values for dimension 2"),
+    ((3, 4), 1 << 70, f"packed params {1 << 70} outside"),
     ((3, 4), -1, "packed params -1 outside"),
     ((3, 4), 2, "packed params 2 outside"),
 ])
@@ -66,14 +71,17 @@ def test_eval_gates_refuses_wrong_dimensions_on_every_path(vars, params, message
 
 def test_param_evaluation_and_plugging():
     c = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
-    assert eval_arithmetic(c, Assignment((3,), (4,)), 2) == 12
+    # Per evaluation a param is a bit of R; the default R = 0 is the
+    # all-zero member.
+    assert eval_gates(c, (3,), 1) == 3
+    assert eval_gates(c, (3,)) == 0
     plugged = plug_params(c, {1: 4})
-    assert eval_arithmetic(plugged, Assignment((3,)), 2) == 12
-    # A template needs its params vector; a plugged circuit takes none.
+    assert eval_arithmetic(plugged, (3,), 2) == 12
+    # The checked path refuses a template; a plugged circuit takes R = 0 only.
+    with pytest.raises(PreconditionError, match="plug_params supplies values"):
+        eval_arithmetic(c, (3,), 2)
     with pytest.raises(DimensionMismatchError):
-        eval_arithmetic(c, Assignment((3,)), 2)
-    with pytest.raises(DimensionMismatchError):
-        eval_arithmetic(plugged, Assignment((3,), (4,)), 2)
+        eval_gates(plugged, (3,), 1)
 
 
 def test_matches_naive_recursive_evaluator():
@@ -84,7 +92,7 @@ def test_matches_naive_recursive_evaluator():
         c = random_circuit(r, n_vars=n, extra_gates=r.randint(1, 8))
         point = tuple(r.randint(-9, 9) for _ in range(n))
         d, _ = degree_oracle(c)
-        assert eval_arithmetic(c, Assignment(point), d) == naive_eval(c, point)
+        assert eval_arithmetic(c, point, d) == naive_eval(c, point)
 
 
 def test_output_bitlength_bound():
@@ -124,10 +132,10 @@ def test_bitlen_guard_trips():
         gates.append(Gate.mul(i, i))
     c = circuit(gates)
     with pytest.raises(BitLengthGuardError):
-        eval_arithmetic(c, Assignment((2,)), 1 << 13, bitlen_guard=1 << 10)
+        eval_arithmetic(c, (2,), 1 << 13, bitlen_guard=1 << 10)
 
 
-def outcome(c, vars, params=(), bitlen_guard=1 << 20):
+def outcome(c, vars, params=0, bitlen_guard=1 << 20):
     """The value of one eval_gates call, or the type and text of its error."""
     try:
         return eval_gates(c, vars, params, bitlen_guard)
@@ -146,11 +154,11 @@ def test_prepared_calls_match_the_first_call_at_every_guard():
             n = r.randint(1, 3)
             c = random_circuit(r, n_vars=n, extra_gates=r.randint(1, 12), const_bits=12)
             point = tuple(r.randint(-(2**6), 2**6) for _ in range(n))
-            first = outcome(c, point, (), guard)
-            assert outcome(c, point, (), guard) == first
+            first = outcome(c, point, 0, guard)
+            assert outcome(c, point, 0, guard) == first
             prog = c._program
             assert isinstance(prog, SlotProgram)
-            assert outcome(c, point, (), guard) == first
+            assert outcome(c, point, 0, guard) == first
             w = max(abs(v).bit_length() for v in point)
             unchecked += prog.mul_degree * w + prog.mul_bits <= guard
             if isinstance(first, int):
@@ -167,7 +175,7 @@ def test_guard_error_is_the_same_on_every_call():
     for i in range(12):
         gates.append(Gate.mul(i, i))
     c = circuit(gates)
-    seen = {outcome(c, (3,), (), 1 << 10) for _ in range(4)}
+    seen = {outcome(c, (3,), 0, 1 << 10) for _ in range(4)}
     assert seen == {(BitLengthGuardError, "gate 10: value exceeds 1024-bit guard")}
 
 
@@ -203,8 +211,6 @@ def test_slot_program_layout():
         Gate.mul(9, 10),   # g11 B: B slot 6
         Gate.mul(10, 10),  # g12 B: B slot 7
     ])
-    # A params tuple is interpreted and leaves the program alone.
-    assert eval_gates(c, (4, -3), (2, 7)) == naive_eval(c, (4, -3), (2, 7)) == 64
     assert c._program is None
     # R = 0b11 sets p1 = p2 = 1: g3 = 3 and g10 = -1.
     assert eval_gates(c, (4, -3), 0b11) == naive_eval(c, (4, -3), (1, 1)) == 1
@@ -226,9 +232,10 @@ def test_slot_program_layout():
     for packed, bits in [(0b10, (0, 1)), (0b01, (1, 0)), (0, (0, 0))]:
         assert eval_gates(c, (4, -3), packed) == naive_eval(c, (4, -3), bits)
         assert prog.memo[0] == packed and prog.memo[1] == min(packed, 1)
-        # So do tuple calls, through the interpreter, without the memo.
+        # A params tuple is refused and leaves the memo alone.
         memo = prog.memo
-        assert eval_gates(c, (-1, 5), (2, 7)) == naive_eval(c, (-1, 5), (2, 7))
+        with pytest.raises(TypeError):
+            eval_gates(c, (-1, 5), (2, 7))
         assert prog.memo is memo
 
 
@@ -248,12 +255,12 @@ def test_affine_stage_a_forms():
     assert prog.extra == ((1, 1, 1, 1), (2, 3, 1, 1))
     assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 5, 6), (2, 1, 3), 4)
     assert prog.memo == (0b10, 1, [0, -4, -12])
-    # A param-free circuit's live-outs are constant forms; () runs it as
-    # R = 0, which reads the same constants.
+    # A param-free circuit's live-outs are constant forms, which its only
+    # R, the default 0, reads.
     plugged = plug_params(c, {1: -4, 2: 11})
-    for params in [(), (), 0]:
-        assert eval_gates(plugged, (4, -3), params) == naive_eval(c, (4, -3), (-4, 11))
-        assert plugged._program is False or plugged._program.memo[0] is params
+    for _ in range(3):
+        assert eval_gates(plugged, (4, -3)) == naive_eval(c, (4, -3), (-4, 11))
+        assert plugged._program is False or plugged._program.memo[0] == 0
     assert plugged._program.fields == ((-12, 0, 0, 0), (-6, 0, 0, 0), (-18, 0, 0, 0))
     assert plugged._program.extra == ()
 
@@ -304,7 +311,7 @@ def test_prepared_circuit_takes_wrong_length_inputs_like_a_fresh_one():
         assert eval_gates(prepared, (2, 3), 1) == 5
     assert isinstance(prepared._program, SlotProgram)
     for vars, params in [
-        ((2,), 1), ((2, 3, 4), 1), ((2, 3), ()), ((2, 3), (5, 6)), ((), ()), ((2, 3), 2),
+        ((2,), 1), ((2, 3, 4), 1), ((2, 3), 0), ((2, 3), -1), ((), 0), ((2, 3), 2),
     ]:
         assert outcome(prepared, vars, params) == outcome(template(), vars, params)
 

@@ -31,7 +31,7 @@ from szpit.circuit import (
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root, restrict
 from szpit.errors import CircuitSyntaxError, DegreeBoundError, DimensionMismatchError
-from szpit.evaluator import SlotProgram, eval_gates, param_values
+from szpit.evaluator import SlotProgram, eval_arithmetic, eval_gates
 from szpit.hitting import HittingSet
 from szpit.pit import (
     NONZERO,
@@ -307,12 +307,21 @@ def test_parser_fast_path_reads_the_golden_canonical_text():
 
 
 @PROPERTY
-@given(circuits_with_inputs())
-def test_params_per_evaluation_equal_plugged_params(case):
+@given(circuits_with_inputs(), st.data())
+def test_params_per_evaluation_equal_plugged_params(case, data):
+    # Per evaluation, pk is bit k - 1 of packed params R, as if that bit
+    # were plugged for good.  Params of any other integer value enter
+    # only through plug_params, and the checked evaluator then agrees
+    # with the oracle.
     c, x, p = case
+    n = c.n_params
+    R = data.draw(st.integers(0, (1 << n) - 1))
+    bits = int_to_bits(R, n)
+    by_bits = plug_params(c, dict(enumerate(bits, 1)))
+    assert eval_gates(c, x, R) == eval_gates(by_bits, x) == naive_eval(c, x, bits)
     plugged = plug_params(c, dict(enumerate(p, 1)))
     assert plugged.n_params == 0
-    assert eval_gates(c, x, p) == naive_eval(c, x, p) == eval_gates(plugged, x)
+    assert eval_arithmetic(plugged, x, analyze_degrees(c).total) == naive_eval(c, x, p)
 
 
 @PROPERTY
@@ -320,20 +329,20 @@ def test_params_per_evaluation_equal_plugged_params(case):
 def test_repeated_evaluation_matches_the_oracle(case, data):
     # The first call interprets; the second prepares the slot program,
     # which the later calls run, reading packed params R in stage A (a
-    # param-free circuit takes R = 0 or ()).  A call with the tuple p is
-    # interpreted and leaves the program's memo as it was.
+    # param-free circuit takes R = 0).  A params tuple is refused and
+    # leaves the program's memo as it was.
     c, x, p = case
     n = c.n_params
-    packed = st.integers(0, (1 << n) - 1) if n else st.sampled_from([0, ()])
     for _ in range(3):
-        R = data.draw(packed)
-        assert eval_gates(c, x, R) == naive_eval(c, x, param_values(R, n))
+        R = data.draw(st.integers(0, (1 << n) - 1))
+        assert eval_gates(c, x, R) == naive_eval(c, x, int_to_bits(R, n))
         x = tuple(data.draw(SMALL) for _ in x)
     prog = c._program
     assert isinstance(prog, SlotProgram)
     memo = prog.memo
-    assert eval_gates(c, x, p) == naive_eval(c, x, p)
-    assert c._program is prog and (prog.memo is memo or not p)
+    with pytest.raises(TypeError):
+        eval_gates(c, x, p)
+    assert c._program is prog and prog.memo is memo
 
 
 def outcome(call, *args, **kw):
@@ -390,18 +399,16 @@ def templates(draw):
 @st.composite
 def call_sequences(draw):
     """A template's kind, the circuit and the calls to make on it:
-    ``(x, how, R, p, guard)``, where ``how`` reuses the last packed params
+    ``(x, how, R, guard)``, where ``how`` reuses the last packed params
     object ("same"), passes the new packed params R ("new") or an equal
-    copy of the last ones ("copy"), or passes p, a tuple of any ints
-    ("tuple")."""
+    copy of the last ones ("copy")."""
     kind, c = draw(templates())
-    hows = st.sampled_from(["same", "new", "copy", "tuple"])
+    hows = st.sampled_from(["same", "new", "copy"])
     calls = []
     for _ in range(draw(st.integers(2, 8))):
         x = tuple(draw(VALUES) for _ in range(c.n_vars))
         R = draw(st.integers(0, (1 << c.n_params) - 1))
-        p = tuple(draw(VALUES) for _ in range(c.n_params))
-        calls.append((x, draw(hows), R, p, draw(GUARDS)))
+        calls.append((x, draw(hows), R, draw(GUARDS)))
     return kind, c, calls
 
 
@@ -410,31 +417,24 @@ def call_sequences(draw):
 def test_staged_evaluation_over_a_call_sequence(case):
     # Stage A runs once per packed R and is kept for the next call; every
     # call must still give the interpreter's value or error, which a fresh
-    # copy of the circuit yields on its first call.  A call with a params
-    # tuple is interpreted and leaves the program and its memo alone.  In
-    # an affine template every gate that reads no variable has a form
-    # unless its static bit bound passes the guard of the second packed
-    # call, which prepares; so stage B runs just the gates that read a
-    # variable and those.  A product of two params, or a chain past the
-    # form cap, runs in stage B as well.
+    # copy of the circuit yields on its first call.  In an affine
+    # template every gate that reads no variable has a form unless its
+    # static bit bound passes the guard of the second call, which
+    # prepares; so stage B runs just the gates that read a variable and
+    # those.  A product of two params, or a chain past the form cap, runs
+    # in stage B as well.
     kind, c, calls = case
     packed = calls[0][2]
-    for x, how, R, p, guard in calls:
+    for x, how, R, guard in calls:
         if how == "new":
             packed = R
         elif how == "copy":
             packed = int(str(packed))
-        params = p if how == "tuple" else packed
-        prog = c._program
-        memo = getattr(prog, "memo", None)
-        want = outcome(eval_gates, circuit(c.gates), x, params, guard)
-        assert outcome(eval_gates, c, x, params, guard) == want
+        want = outcome(eval_gates, circuit(c.gates), x, packed, guard)
+        assert outcome(eval_gates, c, x, packed, guard) == want
         if isinstance(want, int):
-            assert want == naive_eval(c, x, param_values(params, c.n_params))
-        if how == "tuple" and p:
-            assert c._program is prog and getattr(prog, "memo", None) is memo
-    packed_guards = [guard for _, how, _, p, guard in calls if how != "tuple" or not p]
-    if kind != "random" and len(packed_guards) > 1:
+            assert want == naive_eval(c, x, int_to_bits(packed, c.n_params))
+    if kind != "random":
         reads_var = []
         for g in c.gates:
             binary = g.op in ("add", "mul")
@@ -449,7 +449,7 @@ def test_staged_evaluation_over_a_call_sequence(case):
                 bits.append(lhs + rhs if g.op == "mul" else max(lhs, rhs) + 1)
             else:
                 bits.append(g.value.bit_length())
-        fold_bits = min(packed_guards[1], 1 << 20)
+        fold_bits = min(calls[1][3], 1 << 20)
         over = sum(
             not r and g.op in ("add", "mul") and b > fold_bits
             for g, r, b in zip(c.gates, reads_var, bits)
@@ -509,10 +509,8 @@ def bit_templates(draw):
 def test_packed_params_evaluate_as_their_bits(case, data):
     # Packed params R on a fresh circuit (the interpreter) and on the
     # prepared one (stage A reads each run by shift and mask) give
-    # naive_eval's value on R's bits, as does the tuple of those bits,
-    # which is interpreted and leaves the memo alone.  R = 0 and R with
-    # every bit set, so bits past each run's mask, are always drawn.  So
-    # is a tuple of any ints, negative and wider than one bit.
+    # naive_eval's value on R's bits.  R = 0 and R with every bit set, so
+    # bits past each run's mask, are always drawn.
     c, extra = case
     n = c.n_params
     draws = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)
@@ -523,16 +521,7 @@ def test_packed_params_evaluate_as_their_bits(case, data):
         assert eval_gates(circuit(c.gates), x, packed) == want
         assert eval_gates(c, x, packed) == want
         assert c._program is False or c._program.memo[0] == packed
-        memo = c._program and c._program.memo
-        assert eval_gates(c, x, bits) == want
-        assert (c._program and c._program.memo) is memo
-    wide = data.draw(st.tuples(*[st.integers(-(1 << 40), 1 << 40)] * n))
-    x = (data.draw(SMALL),)
-    prog = c._program
-    memo = prog.memo
-    assert eval_gates(c, x, wide) == naive_eval(c, x, wide)
-    assert prog.memo is memo
-    assert len(prog.extra) == extra
+    assert len(c._program.extra) == extra
     for bad in (-1, 1 << n, -(1 << (n + 3)), 1 << (n + 3)):
         for ckt in (circuit(c.gates), c):
             with pytest.raises(DimensionMismatchError, match="packed params"):

@@ -4,7 +4,7 @@ import pytest
 
 from szpit.circuit import Gate, analyze_degrees, circuit
 from szpit.errors import BitLengthGuardError, CapExceededError, DegreeBoundError, PreconditionError
-from szpit.evaluator import Assignment, eval_arithmetic, eval_gates
+from szpit.evaluator import eval_arithmetic, eval_gates
 from szpit.hitting import bitlen
 from szpit.rng import Rng
 from szpit.unipoly import (
@@ -61,7 +61,7 @@ def test_eval_matches_monomial_circuit():
             gates.append(Gate.add(acc, t))
             acc = len(gates) - 1
         ckt = circuit(gates)
-        expected = eval_arithmetic(ckt, Assignment((u,)), max(d, 1) + 1)
+        expected = eval_arithmetic(ckt, (u,), max(d, 1) + 1)
         assert eval_unipoly(UniPoly(coeffs), u) == expected
 
 
@@ -89,7 +89,7 @@ def test_extract_bitlen_guard():
     with pytest.raises(BitLengthGuardError, match="^gate 11: value exceeds 1024-bit guard$"):
         extract_unipoly(c, 1, bitlen_guard=1024)
     with pytest.raises(BitLengthGuardError, match="^gate 11: value exceeds 1024-bit guard$"):
-        eval_gates(c, (5,), (), 1024)
+        eval_gates(c, (5,), 0, 1024)
     assert extract_unipoly(c, 1).coeffs == (0, 1)
     # Forty doublings of 1 by add gates, then a square: 2^80 passes a
     # 64-bit guard only through the bits the adds gained.
@@ -100,7 +100,7 @@ def test_extract_bitlen_guard():
     with pytest.raises(BitLengthGuardError, match="^gate 42: value exceeds 64-bit guard$"):
         extract_unipoly(c, 1, bitlen_guard=64)
     with pytest.raises(BitLengthGuardError, match="^gate 42: value exceeds 64-bit guard$"):
-        eval_gates(c, (5,), (), 64)
+        eval_gates(c, (5,), 0, 64)
 
 
 def test_extract_rejects_multivariate_and_overdegree():
@@ -135,7 +135,7 @@ def test_extraction_agrees_with_evaluation():
         p = extract_unipoly(c, d)
         for u in range(-d - 1, d + 2):
             assert eval_unipoly(p, u) == eval_arithmetic(
-                c, Assignment((u,)), len(c.gates) ** 2 + 2 ** len(c.gates)
+                c, (u,), len(c.gates) ** 2 + 2 ** len(c.gates)
             )
 
 
