@@ -114,7 +114,7 @@ class Circuit:
     # Filled by the first analyze_degrees call on this object.
     _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
     # eval_gates's memo: None before the first call, False after it, then
-    # the slot program built by the second call.
+    # the slot program built by the second call or by evaluator.keep.
     _program: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -327,10 +327,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Options whose value is a comma-separated list of integers.  argparse
+# takes a value such as "-1,2" for an option, as it is no negative number,
+# so main() joins such a value to its option, "--vars=-1,2", first.
+_INT_LIST_OPTIONS = frozenset(("--vars", "--params", "--nonroot", "--point"))
+
+
+def _join_int_lists(argv: list) -> list:
+    joined: list = []
+    for arg in argv:
+        if joined and joined[-1] in _INT_LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_int_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0
     try:

@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatchError,
     PreconditionError,
 )
-from .evaluator import eval_gates
+from .evaluator import eval_gates, keep
 from .unipoly import extract_unipoly, roots_in_cube
 
 # Restrictions kept per context, oldest evicted first.  A context needs at
@@ -124,6 +124,7 @@ class SZContext:
         self.q = q
         self.nonroot = nonroot
         self.bitlen_guard = bitlen_guard
+        keep(ckt, bitlen_guard)  # encode and decode evaluate P many times
         self.nonroot_ok = self._eval(nonroot) != 0
         self._roots_cache: dict = {}
 

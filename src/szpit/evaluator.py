@@ -13,7 +13,7 @@ evaluation is exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD
@@ -43,8 +43,11 @@ def eval_gates(
     prepares a :class:`SlotProgram` and keeps it on the object; from then
     on a call whose input widths keep every mul gate provably under the
     guard runs that program with no per-gate checks; its stage A, the
-    gates that are affine in the params, runs once per R.  Every other
-    call interprets, so results and errors are those of the interpreter.
+    gates that are affine in the params, runs once per R.  Stage B then
+    runs compiled when an owner has called :func:`keep` on c (a class
+    template, a codec's circuit) and as a loop otherwise.  Every other
+    call interprets, so results and errors are those of the interpreter
+    on all three paths.
     """
     if len(vars) != c.n_vars:
         raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
@@ -71,6 +74,9 @@ def eval_gates(
                 live = prog.run_stage_a(params)
                 # One assignment: no reader sees a key with another R's values.
                 prog.memo = (params, params_width, live)
+            run = prog.run_b
+            if run is not None:
+                return run(*vars, *live)
             values = [*vars, *live]
             append = values.append
             for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
@@ -128,7 +134,9 @@ class SlotProgram:
     ``[*vars, *live-out values]``, appending one result per step; step j
     reads slots ``b_lhs[j]`` and ``b_rhs[j]`` of that list and multiplies
     when ``b_mul[j]``.  Three flat tuples need about half the memory of
-    one tuple per gate.
+    one tuple per gate.  ``run_b`` is stage B compiled by :func:`keep`,
+    a function of the list's entries that returns the output, or None
+    (then stage B runs as a loop); pickle and deepcopy leave it out.
 
     Each live-out's form ``c + sum(a_j * p_(j+1))`` is split into *runs*
     ``(s, j0, 2^L - 1)``: coefficients ``s * 2^i`` on ``p_(j0+1+i)`` for
@@ -158,6 +166,15 @@ class SlotProgram:
     mul_degree: int
     mul_bits: int
     memo: tuple = (None, 0, None)
+    run_b: Optional[Callable[..., int]] = None
+
+    def __reduce__(self):
+        # A compiled stage B lives in this process only: it is left out,
+        # and the next keep() on the circuit rebuilds it.
+        return SlotProgram, (
+            self.fields, self.extra, self.b_lhs, self.b_rhs, self.b_mul,
+            self.out, self.mul_degree, self.mul_bits, self.memo,
+        )
 
     def run_stage_a(self, R: int) -> list:
         """The live-out values for packed params R."""
@@ -293,6 +310,46 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
         tuple(fields), tuple(extra), tuple(b_lhs), tuple(b_rhs), tuple(b_mul),
         full[-1], mul_degree, mul_bits,
     )
+
+
+# keep() compiles stage B only up to this many steps.  Compiling peaks at
+# about 2.3 KB and takes 12-15 us per step (tracemalloc and wall time,
+# CPython 3.11 on a 2-core VM), so the cap holds one compile to about 23 MB
+# and 0.15 s; a longer stage B stays on the loop.
+COMPILE_CAP = 10_000
+
+
+def keep(c: Circuit, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> None:
+    """Prepare c's slot program now and compile its stage B, for an owner
+    that evaluates c many times: a class template, a codec's circuit.
+
+    The compiled function is straight-line code over slot names, one
+    ``+`` or ``*`` per step; constants reach it through the live-out
+    values, never as literals.  A stage B of more than ``COMPILE_CAP``
+    steps is not compiled.  Calling keep again does nothing, except
+    after a pickle or deepcopy, which leave the function out: then it
+    compiles again.
+    """
+    prog = c._program
+    if not prog:
+        prog = _prepare(c, bitlen_guard)
+        object.__setattr__(c, "_program", prog)
+    if prog.run_b is None and len(prog.b_mul) <= COMPILE_CAP:
+        prog.run_b = _compile_stage_b(prog, c.n_vars + len(prog.fields))
+
+
+def _compile_stage_b(prog: SlotProgram, n_in: int) -> Callable[..., int]:
+    """Stage B as one function of its input slots ``s0 .. s(n_in - 1)``,
+    the vars then the live-outs, that returns the output slot."""
+    lines = [f"def run({', '.join(f's{i}' for i in range(n_in))}):"]
+    lines += [
+        f" s{j} = s{lhs} {'*' if is_mul else '+'} s{rhs}"
+        for j, (lhs, rhs, is_mul) in enumerate(zip(prog.b_lhs, prog.b_rhs, prog.b_mul), n_in)
+    ]
+    lines.append(f" return s{prog.out}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<stage B>", "exec"), namespace)
+    return namespace["run"]
 
 
 def eval_arithmetic(

@@ -44,7 +44,7 @@ from .errors import (
     WitnessBudgetError,
     ZeroOnCubeError,
 )
-from .evaluator import eval_gates
+from .evaluator import eval_gates, keep
 from .rng import Rng
 
 
@@ -152,6 +152,8 @@ class DefinableClass:
         self._template_fits = (
             fits and zero_size <= self.s and analyze_degrees(t).max_individual <= self.d
         )
+        if self._template_fits:  # every member evaluates t: compile it once
+            keep(t)
 
     def descriptions(self) -> Iterator[str]:
         for bits in product("01", repeat=self.m):

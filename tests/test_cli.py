@@ -60,8 +60,7 @@ def test_eval_plugs_params_of_any_integer_value(capsys, tmp_path):
     path.write_text(
         "g0 = var x1\ng1 = param p1\ng2 = mul g0 g1\ng3 = param p2\ng4 = add g2 g3\noutput g4\n"
     )
-    # A value that starts with "-" and holds a comma needs the "=" form.
-    argv = ["eval", str(path), "--vars", "3", f"--params=-7,{2**64 + 5}"]
+    argv = ["eval", str(path), "--vars", "3", "--params", f"-7,{2**64 + 5}"]
     want = str(3 * -7 + 2**64 + 5)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.strip() == want
@@ -99,6 +98,44 @@ def test_encode_decode(capsys, prod_ac):
         "--code", "1:1:1",
     )
     assert code == 0 and out.strip() == "0,1"
+
+
+NEGATIVE_LISTS = {
+    # option: (argv with a negative list after the option, expected output)
+    "--vars": (["eval", "{prod}", "--vars", "-3,5"], "-15"),
+    "--params": (["eval", "{affine}", "--vars", "3", "--params", "-7,2"], "-19"),
+    "--nonroot": (["encode", "{prod}", "--nonroot", "-1,1", "--q", "2", "--d", "1",
+                   "--point", "0,1"], "1:1:1"),
+    "--point": (["encode", "{prod}", "--nonroot", "1,1", "--q", "2", "--d", "1",
+                 "--point", "-1,0"], "error: point (-1, 0) is not inside S_2^2"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(NEGATIVE_LISTS))
+def test_negative_lists_parse_after_a_space_as_after_equals(capsys, tmp_path, prod_ac, option):
+    # A value that starts with "-" and holds a comma reads the same in
+    # "--opt v" and in "--opt=v"; the encode of a point outside the cube is
+    # refused by the codec, not by the parser.
+    affine = tmp_path / "affine.ac"
+    affine.write_text(
+        "g0 = var x1\ng1 = param p1\ng2 = mul g0 g1\ng3 = param p2\ng4 = add g2 g3\noutput g4\n"
+    )
+    argv, want = NEGATIVE_LISTS[option]
+    argv = [arg.format(prod=prod_ac, affine=affine) for arg in argv]
+    at = argv.index(option)
+    joined = argv[:at] + [f"{option}={argv[at + 1]}"] + argv[at + 2:]
+    results = [run(capsys, *args) for args in (argv, joined)]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    if want.startswith("error: "):
+        assert code == EX_DATAERR and err.strip() == want
+    else:
+        assert code == 0 and out.strip() == want
+
+
+def test_an_option_missing_its_list_is_still_a_usage_error(capsys, prod_ac):
+    code, _, err = run(capsys, "eval", prod_ac, "--vars", "--json")
+    assert code == EX_USAGE and "expected one argument" in err
 
 
 def test_pit_exit_codes(capsys, prod_ac, zero_ac):

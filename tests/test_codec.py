@@ -182,6 +182,15 @@ def test_context_applies_its_guard_on_misses():
     assert decode_code(SZContext(c, 2, 20, 80, (1, 1)), RootCode(1, 1, (0,))) == (0, 0)
 
 
+def test_context_compiles_its_circuit():
+    c = shifted_power_plus_x2(3)
+    ctx = SZContext(c, 2, 3, 8, (1, 1))
+    assert c._program.run_b is not None
+    for u in range(8):
+        for v in range(8):
+            assert ctx._eval((u, v)) == (u - 1) ** 3 + v
+
+
 def test_counting_corollary():
     rng = Rng(89, "count")
     checked = 0

@@ -1,5 +1,7 @@
 """Degree-bounded evaluation."""
 
+import copy
+import pickle
 import time
 
 import pytest
@@ -11,7 +13,8 @@ from szpit.errors import (
     DimensionMismatchError,
     PreconditionError,
 )
-from szpit.evaluator import SlotProgram, eval_arithmetic, eval_gates
+from szpit.avoid import _member_gates, desk_schedule
+from szpit.evaluator import COMPILE_CAP, SlotProgram, eval_arithmetic, eval_gates, keep
 from szpit.rng import Rng
 
 from genckt import random_circuit
@@ -322,3 +325,83 @@ def test_eval_many_checks_degree_once():
     assert list(eval_many(c, points, degree_bound=2)) == [0, 1, 4, 9]
     with pytest.raises(DegreeBoundError):
         list(eval_many(c, points, degree_bound=1))
+
+
+def count_compiled_calls(c):
+    """Wrap c's compiled stage B; returns the list its calls append to."""
+    calls = []
+    run = c._program.run_b
+
+    def counting(*slots):
+        calls.append(slots)
+        return run(*slots)
+
+    c._program.run_b = counting
+    return calls
+
+
+def test_keep_compiles_stage_b_once_and_eval_gates_runs_it():
+    # x1 * (3 p1 - 5) + x2 * x2: stage B is three steps.  keep prepares
+    # the program at once and compiles it; a second keep changes nothing.
+    c = circuit([
+        Gate.var(1), Gate.var(2), Gate.param(1), Gate.const(3), Gate.mul(2, 3),
+        Gate.const(-5), Gate.add(4, 5), Gate.mul(0, 6), Gate.mul(1, 1), Gate.add(7, 8),
+    ])
+    keep(c)
+    prog = c._program
+    assert isinstance(prog, SlotProgram) and len(prog.b_mul) == 3
+    run = prog.run_b
+    keep(c)
+    assert c._program is prog and prog.run_b is run
+    calls = count_compiled_calls(c)
+    for R, x in [(1, (4, 3)), (1, (5, -2)), (0, (4, 3))]:
+        assert eval_gates(c, x, R) == naive_eval(c, x, (R,))
+    # Slots are the vars then the live-outs, 3 p1 - 5 for this R.
+    assert calls == [(4, 3, -2), (5, -2, -2), (4, 3, -5)]
+    # Past the static bound the call interprets, with its error.
+    assert outcome(c, (2**70, 1), 1, 64) == (BitLengthGuardError, "gate 7: value exceeds 64-bit guard")
+    assert len(calls) == 3
+
+
+def test_compiled_stage_b_takes_no_constant_literals():
+    # A 4,772-digit constant, past int -> str's default limit, reaches the
+    # compiled function as a live-out value.
+    big = 3**10000
+    c = circuit([Gate.var(1), Gate.const(big), Gate.mul(0, 1), Gate.const(7), Gate.add(2, 3)])
+    keep(c)
+    code = c._program.run_b.__code__
+    assert all(not isinstance(k, int) for k in code.co_consts)
+    assert eval_gates(c, (-2,)) == -2 * big + 7
+
+
+@pytest.mark.parametrize("steps, compiled", [(COMPILE_CAP, True), (COMPILE_CAP + 1, False)])
+def test_keep_compiles_up_to_the_cap(steps, compiled):
+    # A chain of adds of x1 is all stage B, one step a gate.
+    c = circuit([Gate.var(1)] + [Gate.add(k, 0) for k in range(steps)])
+    keep(c)
+    assert len(c._program.b_mul) == steps
+    assert (c._program.run_b is not None) == compiled
+    assert eval_gates(c, (3,)) == 3 * (steps + 1)
+
+
+@pytest.mark.parametrize("roundtrip", [
+    lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_a_kept_template_survives_pickle_and_deepcopy(roundtrip):
+    # The compiled function is left out of the copy, which evaluates by
+    # the loop until keep compiles it again.
+    t = circuit(_member_gates(desk_schedule(1)).gates)
+    keep(t)
+    R = (1 << t.n_params) - 1 >> 3
+    want = eval_gates(t, (2, 5), R)
+    assert want == naive_eval(t, (2, 5), tuple(R >> k & 1 for k in range(t.n_params)))
+    copied = roundtrip(t)
+    assert copied == t and t._program.run_b is not None
+    assert isinstance(copied._program, SlotProgram) and copied._program.run_b is None
+    assert eval_gates(copied, (2, 5), R) == want
+    keep(copied)
+    assert copied._program.run_b is not None
+    calls = count_compiled_calls(copied)
+    assert eval_gates(copied, (2, 5), R) == want
+    assert eval_gates(copied, (2, 5), 0) == eval_gates(t, (2, 5), 0)
+    assert len(calls) == 2

@@ -19,7 +19,7 @@ from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from szpit.avoid import amplify
+from szpit.avoid import _member_gates, amplify, desk_schedule
 from szpit.boolfunc import BoolFunc, int_to_bits
 from szpit.circuit import (
     Gate,
@@ -30,8 +30,13 @@ from szpit.circuit import (
     serialize_circuit,
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root, restrict
-from szpit.errors import CircuitSyntaxError, DegreeBoundError, DimensionMismatchError
-from szpit.evaluator import SlotProgram, eval_arithmetic, eval_gates
+from szpit.errors import (
+    BitLengthGuardError,
+    CircuitSyntaxError,
+    DegreeBoundError,
+    DimensionMismatchError,
+)
+from szpit.evaluator import SlotProgram, _interpret, _prepare, eval_arithmetic, eval_gates, keep
 from szpit.hitting import HittingSet
 from szpit.pit import (
     NONZERO,
@@ -526,6 +531,48 @@ def test_packed_params_evaluate_as_their_bits(case, data):
         for ckt in (circuit(c.gates), c):
             with pytest.raises(DimensionMismatchError, match="packed params"):
                 eval_gates(ckt, (1,), bad)
+
+
+@st.composite
+def kept_call_sequences(draw):
+    """A genckt circuit over 0 to 4 params, or an avoid class template; the
+    guard that prepares it; and calls ``(x, R, guard)``.  R comes from a
+    few drawn values, so calls both hit and miss the stage-A memo; each
+    guard is the preparing one or a stricter one."""
+    if draw(st.booleans()):
+        r = Rng(draw(st.integers(0, 2**32)), "kept")
+        c = random_circuit(r, n_vars=r.randint(1, 3), extra_gates=r.randint(1, 30),
+                           const_bits=12, n_params=r.randint(0, 4))
+    else:
+        c = circuit(_member_gates(desk_schedule(draw(st.integers(0, 2)))).gates)
+    prep = draw(GUARDS)
+    Rs = st.sampled_from(draw(st.lists(st.integers(0, (1 << c.n_params) - 1),
+                                       min_size=1, max_size=3)))
+    guards = st.sampled_from([g for g in (8, 64, 1 << 20) if g <= prep])
+    calls = [
+        (tuple(draw(VALUES) for _ in range(c.n_vars)), draw(Rs), draw(guards))
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    return c, prep, calls
+
+
+@PROPERTY
+@given(kept_call_sequences())
+def test_compiled_loop_and_interpreter_agree(case):
+    # The same circuit kept (compiled stage B), prepared only (the loop)
+    # and interpreted gives the same value or the same guard error on
+    # every call; a call past the static bound interprets on every path.
+    c, prep, calls = case
+    compiled, loop = circuit(c.gates), circuit(c.gates)
+    keep(compiled, prep)
+    object.__setattr__(loop, "_program", _prepare(loop, prep))
+    assert compiled._program.run_b is not None and loop._program.run_b is None
+    for x, R, guard in calls:
+        want = outcome(_interpret, c, x, R, guard)
+        assert outcome(eval_gates, compiled, x, R, guard) == want
+        assert outcome(eval_gates, loop, x, R, guard) == want
+        if not isinstance(want, int):
+            assert want[0] is BitLengthGuardError
 
 
 @PROPERTY

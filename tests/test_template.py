@@ -101,6 +101,19 @@ def test_a_template_larger_than_s_decodes_to_the_zero_member():
         assert eval_gates(ckt, (3, 5)) == 0
 
 
+def test_a_class_compiles_its_template_only_when_members_use_it():
+    fitting = multilinear_class(2, d=2)
+    assert fitting.template._program.run_b is not None
+    h, sched = avoid_parts(16)
+    assert build_avoid_class(h, sched).template._program.run_b is not None
+    # Past s every member is the zero member, so the template is never run.
+    unfitting = DefinableClass(
+        decoder=None, template=circuit(fitting.template.gates), params_of=fitting.params_of,
+        n=2, d=2, s=fitting.s - 8, m=fitting.m,
+    )
+    assert unfitting.template._program is None
+
+
 @pytest.mark.parametrize("params", [(1,), [1], (), True])
 def test_params_other_than_an_int_are_refused(params):
     template = circuit([Gate.var(1), Gate.param(1), Gate.mul(0, 1)])
