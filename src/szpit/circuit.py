@@ -116,6 +116,9 @@ class Circuit:
     # eval_gates's memo: None before the first call, False after it, then
     # the slot program built by the second call or by evaluator.keep.
     _program: object = field(default=None, init=False, repr=False, compare=False)
+    # Filled by the first serialize_circuit call on this object that
+    # succeeds; the circuit is immutable, so the text cannot go stale.
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate(self)
@@ -428,7 +431,18 @@ def _first_mismatch_col(line: str) -> int:
 
 
 def serialize_circuit(c: Circuit) -> str:
-    """Canonical text: gates in index order, single spaces, final output line."""
+    """Canonical text: gates in index order, single spaces, final output line.
+
+    The text is written once per ``Circuit`` object and kept on it, so
+    later calls (a class template's size on every solve, say) return the
+    same ``str``.  A failure keeps nothing.
+    """
+    if c._text is None:
+        object.__setattr__(c, "_text", _write_text(c))
+    return c._text
+
+
+def _write_text(c: Circuit) -> str:
     lines = []
     for i, g in enumerate(c.gates):
         if g.op == VAR:

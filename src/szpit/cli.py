@@ -92,9 +92,10 @@ def _load_class(args):
 
 def _cmd_parse(args) -> int:
     c = parse_circuit(_read(args.file))
-    _emit(args, {"ok": True, "canonical": serialize_circuit(c),
+    text = serialize_circuit(c)
+    _emit(args, {"ok": True, "canonical": text,
                  "n_vars": c.n_vars, "n_params": c.n_params,
-                 "gates": len(c.gates)}, serialize_circuit(c).rstrip("\n"))
+                 "gates": len(c.gates)}, text.rstrip("\n"))
     return 0
 
 
@@ -329,18 +330,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Options whose value is a comma-separated list of integers.  argparse
 # takes a value such as "-1,2" for an option, as it is no negative number,
-# so main() joins such a value to its option, "--vars=-1,2", first.
+# so main() joins such a value to its option, "--vars=-1,2", first, and
+# moves such a list standing alone (the coefficients of ``roots``) behind
+# a "--", where argparse reads every argument as a positional.
 _INT_LIST_OPTIONS = frozenset(("--vars", "--params", "--nonroot", "--point"))
 
 
 def _join_int_lists(argv: list) -> list:
     joined: list = []
-    for arg in argv:
-        if joined and joined[-1] in _INT_LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
+    bare: list = []
+    for at, arg in enumerate(argv):
+        if arg == "--":
+            return joined + ["--"] + bare + argv[at + 1:]
+        if arg[:1] == "-" and arg[1:2].isdigit():
+            if joined and joined[-1] in _INT_LIST_OPTIONS:
+                joined[-1] += "=" + arg
+                continue
+            if "," in arg:
+                bare.append(arg)
+                continue
+        joined.append(arg)
+    return joined + ["--"] + bare if bare else joined
 
 
 def main(argv: Optional[list] = None) -> int:

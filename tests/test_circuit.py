@@ -1,5 +1,7 @@
 """Circuit IR: text format, validation, degree analysis."""
 
+import copy
+import pickle
 import sys
 import time
 from dataclasses import FrozenInstanceError
@@ -370,3 +372,43 @@ def test_analyze_degrees_runs_once_per_circuit_object(monkeypatch):
     # Equal circuits are still distinct objects with reports of their own.
     assert analyze_degrees(product_circuit()) == analyze_degrees(c)
     assert len(calls) == 2
+
+
+def test_serialize_keeps_its_text_on_the_circuit():
+    c = product_circuit()
+    text = serialize_circuit(c)
+    assert text == PRODUCT_TEXT
+    assert serialize_circuit(c) is text
+
+
+def test_kept_text_is_not_part_of_equality_hash_or_repr():
+    c = product_circuit()
+    serialize_circuit(c)
+    fresh = product_circuit()
+    assert c._text is not None and fresh._text is None
+    assert fresh == c and hash(fresh) == hash(c) and repr(fresh) == repr(c)
+
+
+@pytest.mark.parametrize("roundtrip", [
+    lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_a_serialized_circuit_survives_pickle_and_deepcopy(roundtrip):
+    c = circuit([Gate.var(1), Gate.param(1), Gate.const(-7), Gate.mul(0, 1), Gate.add(3, 2)])
+    text = serialize_circuit(c)
+    copied = roundtrip(c)
+    assert copied == c
+    assert serialize_circuit(copied) == text
+    assert parse_circuit(serialize_circuit(copied)) == c
+
+
+def test_a_failed_serialization_keeps_no_text():
+    # A constant past the int/str conversion limit cannot be written; the
+    # second call fails as the first did instead of returning a kept text.
+    c = circuit([Gate.var(1), Gate.const(10 ** sys.get_int_max_str_digits()), Gate.mul(0, 1)])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            serialize_circuit(c)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert c._text is None

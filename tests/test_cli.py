@@ -1,9 +1,14 @@
 """CLI: subcommands, exit codes, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import szpit
 from szpit.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from szpit.circuit import serialize_circuit
 from szpit.errors import BitLengthGuardError, OracleError, StageError
@@ -85,6 +90,21 @@ def test_coeffs(capsys, tmp_path):
 def test_roots(capsys):
     code, out, _ = run(capsys, "roots", "--q", "3", "--", "-1,0,1")
     assert code == 0 and out.strip() == "1,3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--q", "3", "-1,0,1"],
+    ["roots", "-1,0,1", "--q", "3"],
+    ["--json", "roots", "-1,0,1", "--q", "3"],
+    ["roots", "--q", "3", "1,0,-1"],
+])
+def test_roots_list_starting_with_minus_reads_bare_as_after_dashes(capsys, argv):
+    # 1 - x^2 has the roots of x^2 - 1.
+    coeffs = next(arg for arg in argv if "," in arg)
+    dashed = [arg for arg in argv if arg != coeffs] + ["--", "-1,0,1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.strip() and not err
+    assert (code, out, err) == run(capsys, *dashed)
 
 
 def test_encode_decode(capsys, prod_ac):
@@ -273,6 +293,17 @@ def test_selftest_runs(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "PASS" in out and "FAIL (" not in out
+
+
+def test_python_dash_m_szpit_runs_the_cli():
+    # "python -m szpit" runs the same main as the szpit script.
+    src = str(Path(szpit.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "szpit", "selftest"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("selftest: OK\n")
 
 
 def test_plugin_class_loading(capsys, tmp_path, monkeypatch):

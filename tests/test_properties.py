@@ -27,6 +27,7 @@ from szpit.circuit import (
     circuit,
     parse_circuit,
     plug_params,
+    representation_size,
     serialize_circuit,
 )
 from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root, restrict
@@ -113,6 +114,19 @@ def test_degrees_match_the_oracle(c):
 @given(circuits())
 def test_text_format_roundtrips(c):
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 2), st.integers(0, 40))
+def test_kept_text_is_the_text_of_a_fresh_equal_circuit(seed, n, n_params, extra):
+    c = random_circuit(Rng(seed, "kept-text"), n, extra, n_params=n_params)
+    text = serialize_circuit(c)
+    assert serialize_circuit(c) is text
+    fresh = circuit(c.gates)
+    assert fresh == c and fresh._text is None
+    assert serialize_circuit(fresh) == text
+    assert representation_size(c) == representation_size(fresh) == 8 * len(text.encode())
+    assert parse_circuit(text) == c
 
 
 circuit_mod = importlib.import_module("szpit.circuit")

@@ -1,5 +1,6 @@
 """Template classes: one shared circuit per class, members as parameter vectors."""
 
+import importlib
 from itertools import product
 
 import pytest
@@ -145,6 +146,25 @@ def test_first_avoid_class_after_a_cache_clear_analyses_once(monkeypatch):
     assert calls == [cls.template]
     assert build_avoid_class(h, sched).template is cls.template
     assert calls == [cls.template]
+
+
+def test_avoid_classes_on_one_schedule_write_the_template_text_once(monkeypatch):
+    h, sched = avoid_parts(16)
+    avoid._member_gates.cache_clear()
+    circuit_mod = importlib.import_module("szpit.circuit")
+    writes = []
+    real = circuit_mod._write_text
+
+    def counting(c):
+        writes.append(c)
+        return real(c)
+
+    monkeypatch.setattr(circuit_mod, "_write_text", counting)
+    first = build_avoid_class(h, sched)
+    second = build_avoid_class(h, sched)
+    assert second.template is first.template
+    assert writes == [first.template]
+    assert first.s == second.s
 
 
 def test_avoid_class_size_matches_the_all_zero_member():
