@@ -20,9 +20,9 @@ hitting sets runs five stages:
                     coordinates are spelled by h(x), yet is positive at the
                     all-2q point;
   search            find a verified hitting set H for that class; the bit
-                    encoding y of H then cannot equal any h(x), because
-                    h(x) = y would make A_x a non-vanishing member that H
-                    fails to hit;
+                    encoding y of H (packed into one int, as h's rows are)
+                    then cannot equal any h(x), because h(x) = y would
+                    make A_x a non-vanishing member that H fails to hit;
   invert            walk y back through the amplification to a string
                     outside the range of g (two oracle queries), and
                     backmap it to a solution of the original instance.
@@ -48,6 +48,7 @@ from .boolfunc import (
     bits_to_str,
     boolfunc_from_callable,
     eval_bool_circuit,
+    int_to_bit_str,
     int_to_bits,
 )
 from .circuit import Circuit, Gate, circuit
@@ -489,19 +490,26 @@ def build_avoid_class(h: BoolFunc, sched: AvoidSchedule) -> DefinableClass:
     return cls
 
 
-def encode_hitting_set_bits(h_set: HittingSet, sched: AvoidSchedule, width: int) -> Bits:
-    """Spell H into a bit string: position e(i,j,k) carries bit k of the
-    j-th coordinate of the i-th point; every other position is zero.
+def encode_hitting_set_bits(h_set: HittingSet, sched: AvoidSchedule, width: int) -> int:
+    """Spell H into a ``width``-bit string y, packed into one int as h's
+    rows are: bit e(i,j,k) - 1 of y is bit k of the j-th coordinate of the
+    i-th point, and every other bit, up to ``width``, is zero.
 
-    In (i, j, k) order that is each coordinate in w bits, least
-    significant first, followed by zeros up to ``width``.
+    In (i, j, k) order that is each coordinate's low w bits, least
+    significant first, so each coordinate goes in with one shift and or.
+    ``int_to_bits(y, width)`` is y as a ``Bits`` string.
     """
     if h_set.r != sched.r or h_set.n != sched.n or h_set.q != sched.q:
         raise DimensionMismatchError("hitting set does not match the schedule")
-    if width < sched.r * sched.n * sched.w:
-        raise DimensionMismatchError(f"width {width} < r*n*w = {sched.r * sched.n * sched.w}")
-    bits = [(coord >> k) & 1 for point in h_set.points for coord in point for k in range(sched.w)]
-    return tuple(bits) + (0,) * (width - len(bits))
+    w = sched.w
+    if width < sched.r * sched.n * w:
+        raise DimensionMismatchError(f"width {width} < r*n*w = {sched.r * sched.n * w}")
+    y, shift, mask = 0, 0, (1 << w) - 1
+    for point in h_set.points:
+        for coord in point:
+            y |= (coord & mask) << shift
+            shift += w
+    return y
 
 
 # -- the full reduction ------------------------------------------------------
@@ -538,7 +546,7 @@ def avoid_via_hitting(
     m = g.in_bits
     trace["m"] = m
     trace["g_digest"] = hashlib.sha256(
-        "".join(bits_to_str(int_to_bits(row, m + 1)) for row in g.rows).encode()
+        "".join(int_to_bit_str(row, m + 1) for row in g.rows).encode()
     ).hexdigest()
 
     with _stage("schedule"):
@@ -574,10 +582,10 @@ def avoid_via_hitting(
 
     with _stage("encode"):
         y = encode_hitting_set_bits(h_set, sched, h.out_bits)
-    trace["y"] = bits_to_str(y)
+    trace["y"] = int_to_bit_str(y, h.out_bits)
 
     with _stage("compression-check"):
-        if bits_to_int(y) in h.rows:
+        if y in h.rows:
             raise AssertionError(
                 "hitting-set encoding landed in range(h); "
                 "the compression argument forbids this"
@@ -585,7 +593,7 @@ def avoid_via_hitting(
 
     oracle = ExhaustiveOracle()
     with _stage("invert"):
-        y0 = invert_amplified(g, t, y, oracle)
+        y0 = invert_amplified(g, t, int_to_bits(y, h.out_bits), oracle)
     trace["inversion_output"] = bits_to_str(y0)
     k, ys, _ = oracle.last_walk
     trace["inversion_walk"] = {"k": k, "chain": [bits_to_str(v) for v in ys]}

@@ -1,10 +1,14 @@
 """Total Boolean functions on fixed-width bit vectors, and the .bc format.
 
 Bit vectors are tuples of 0/1; position j (0-based) carries weight 2^j, so
-``bits_to_int`` and ``int_to_bits`` are least-significant-bit-first.  A
-``BoolFunc`` is table-backed: all 2^in_bits rows are materialized, each as
-one int of out_bits bits, which is the right trade at desk scale, keeps
-amplification walks cheap and stays small for wide outputs.
+``bits_to_int`` and ``int_to_bits`` are least-significant-bit-first, and
+``int_to_bit_str`` writes the low bits of an int as the string of 0/1
+characters that ``bits_to_str`` writes for those bits.  A ``BoolFunc`` is
+table-backed: all 2^in_bits rows are materialized, each as one int of
+out_bits bits, which is the right trade at desk scale, keeps amplification
+walks cheap and stays small for wide outputs.  A bit vector handed to a
+``BoolFunc``, or returned by the function that a table is built from, must
+hold only 0 and 1; anything else raises ``PreconditionError``.
 
 Boolean circuits use a dedicated grammar (extension ``.bc``) so Boolean and
 algebraic semantics can never be confused::
@@ -26,9 +30,17 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from .errors import CircuitSyntaxError, CircuitValidationError, DimensionMismatchError
+from .errors import (
+    CircuitSyntaxError,
+    CircuitValidationError,
+    DimensionMismatchError,
+    PreconditionError,
+)
 
 Bits = Tuple[int, ...]
+
+_BITS = frozenset((0, 1))
+_CHAR_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def bits_to_int(bits: Bits) -> int:
@@ -38,12 +50,29 @@ def bits_to_int(bits: Bits) -> int:
     return v
 
 
+def int_to_bit_str(v: int, width: int) -> str:
+    """The low ``width`` bits of v as 0/1 characters, least significant
+    first; a negative v gives its two's-complement bits, and a width of
+    0 or less gives ``""``."""
+    if width <= 0:
+        return ""
+    return format(v & ((1 << width) - 1), f"0{width}b")[::-1]
+
+
 def int_to_bits(v: int, width: int) -> Bits:
-    return tuple((v >> j) & 1 for j in range(width))
+    """The low ``width`` bits of v, least significant first: entry j is
+    ``(v >> j) & 1``, for negative v too.  Written through
+    ``int_to_bit_str``, so a wide int unpacks at C speed."""
+    return tuple(int_to_bit_str(v, width).encode().translate(_CHAR_TO_BIT))
 
 
 def bits_to_str(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
+
+
+def _require_bits(bits: Bits, what: str) -> None:
+    if not _BITS.issuperset(bits):
+        raise PreconditionError(f"{what} {tuple(bits)!r} holds an entry other than 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -69,6 +98,7 @@ class BoolFunc:
     def __call__(self, bits: Bits) -> Bits:
         if len(bits) != self.in_bits:
             raise DimensionMismatchError(f"input width {len(bits)} != {self.in_bits}")
+        _require_bits(bits, "input")
         return int_to_bits(self.rows[bits_to_int(bits)], self.out_bits)
 
     def range_set(self) -> set:
@@ -81,6 +111,7 @@ def boolfunc_from_callable(fn: Callable[[Bits], Bits], in_bits: int, out_bits: i
         row = tuple(fn(int_to_bits(v, in_bits)))
         if len(row) != out_bits:
             raise DimensionMismatchError(f"row {row!r} has width != {out_bits}")
+        _require_bits(row, "row")
         rows.append(bits_to_int(row))
     return BoolFunc(in_bits, out_bits, tuple(rows))
 

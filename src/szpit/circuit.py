@@ -119,6 +119,8 @@ class Circuit:
     # Filled by the first serialize_circuit call on this object that
     # succeeds; the circuit is immutable, so the text cannot go stale.
     _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    # Filled by the first param_digits call on this object.
+    _param_digits: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate(self)
@@ -460,6 +462,19 @@ def _write_text(c: Circuit) -> str:
 def representation_size(c: Circuit) -> int:
     """Serialized bit length; always at least the gate count."""
     return 8 * len(serialize_circuit(c).encode())
+
+
+def param_digits(c: Circuit) -> int:
+    """The decimal digits of the param names, summed over c's param gates.
+
+    ``param p<k>`` is that many characters longer than ``const 0``, so c
+    with every param plugged as one digit is ``8 * param_digits(c)`` bits
+    smaller than c.  Counted once per ``Circuit`` object and kept on it.
+    """
+    if c._param_digits is None:
+        digits = sum(len(str(g.name)) for g in c.gates if g.op == PARAM)
+        object.__setattr__(c, "_param_digits", digits)
+    return c._param_digits
 
 
 # -- conversions ---------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Iterator, Optional, Tuple
 
 from .boolfunc import int_to_bits
-from .circuit import PARAM, Circuit, Gate, analyze_degrees, circuit, pad_vars, plug_params
+from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_digits, plug_params
 from .circuit import representation_size
 from .codec import SZContext, all_codes, decode_code
 from .config import (
@@ -142,12 +142,10 @@ class DefinableClass:
     def _init_template(self) -> None:
         fits = self.template.n_vars <= self.n
         t = self.template = pad_vars(self.template, self.n) if fits else self.template
-        # The all-zero member writes "const 0" where t writes "param p<k>",
-        # len(str(k)) characters shorter at each use.  Every member writes
-        # one digit there, so all have this size.
-        zero_size = representation_size(t) - 8 * sum(
-            len(str(g.name)) for g in t.gates if g.op == PARAM
-        )
+        # The all-zero member writes "const 0" where t writes "param p<k>".
+        # Every member writes one digit there, so all have this size.  Both
+        # terms are kept on t, which every avoid solve on a schedule shares.
+        zero_size = representation_size(t) - 8 * param_digits(t)
         self.s = self.s or zero_size
         self._template_fits = (
             fits and zero_size <= self.s and analyze_degrees(t).max_individual <= self.d

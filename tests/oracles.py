@@ -12,8 +12,11 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Tuple
 
+from szpit.avoid import AvoidSchedule, triple_encode
 from szpit.boolfunc import BoolFunc, Bits
 from szpit.circuit import ADD, CONST, PARAM, VAR, Circuit
+from szpit.errors import DimensionMismatchError
+from szpit.hitting import HittingSet
 
 
 def naive_eval(c: Circuit, vars: Tuple[int, ...], params: Tuple[int, ...] = ()) -> int:
@@ -165,3 +168,21 @@ def amplify_steps(g: BoolFunc, x: Bits, t: int) -> List[Bits]:
     for _ in range(t):
         states.append(g(states[-1][:m]) + states[-1][m:])
     return states
+
+
+def encode_hitting_set_per_bit(h_set: HittingSet, sched: AvoidSchedule, width: int) -> Bits:
+    """H's bit string one position at a time, by the triple index:
+    position e(i, j, k) carries bit k of coordinate j of point i, and
+    every other position is 0.  Refuses what the encoder refuses, with
+    the same errors."""
+    r, n, w = sched.r, sched.n, sched.w
+    if h_set.r != r or h_set.n != n or h_set.q != sched.q:
+        raise DimensionMismatchError("hitting set does not match the schedule")
+    if width < r * n * w:
+        raise DimensionMismatchError(f"width {width} < r*n*w = {r * n * w}")
+    bits = [0] * width
+    for i, point in enumerate(h_set.points, start=1):
+        for j, coord in enumerate(point, start=1):
+            for k in range(1, w + 1):
+                bits[triple_encode(i, j, k, r, n, w) - 1] = (coord >> (k - 1)) & 1
+    return tuple(bits)

@@ -242,6 +242,19 @@ def test_invert_planted_preimage_fails():
         invert_amplified(g, t, y)
 
 
+def test_invert_refuses_a_walk_witness_with_a_non_bit():
+    # g((0, 0)) = (1, 0, 1).  The witness w = (2, 0) would pass as (0, 0)
+    # if g packed it unchecked, and its chain would end on the non-bit
+    # string (2, 0, 1), which has no preimage and would come back as the
+    # answer.
+    class LyingOracle(ExhaustiveOracle):
+        def longest_walk(self, g, y, t):
+            return 1, [(1, 0, 1), (2, 0, 1)], [(2, 0)]
+
+    with pytest.raises(PreconditionError, match="other than 0 and 1"):
+        invert_amplified(fixed_g_m2(), 2, (1, 0, 1, 1), LyingOracle())
+
+
 def test_exhaustive_oracle_walk_is_length_maximal():
     g = fixed_g_m2()
     h = amplify(g, 3)
@@ -264,6 +277,10 @@ def test_exhaustive_oracle_preimage_checks_the_target_width():
     assert oracle.preimage(g, (1, 0, 1)) == (0, 0)
     assert oracle.preimage(g, (0, 0, 0)) == (1, 1)
     for target in [(1, 1, 1), (0, 0), (1, 0, 1, 0)]:
+        assert oracle.preimage(g, target) is None
+    # A non-bit target has no preimage: (3, 0, 1) and (-1, 0, 1) pack to
+    # the row 5, yet are not the bits of any row.
+    for target in [(3, 0, 1), (-1, 0, 1), (1, 0, 2)]:
         assert oracle.preimage(g, target) is None
 
 
@@ -370,7 +387,8 @@ def test_encoded_hitting_set_outside_h_range():
     _, g, sched, h, cls = build_small_class(m=2)
     h_set = search_hitting_set(cls, sched.q, sched.r, seed=3)
     y = encode_hitting_set_bits(h_set, sched, h.out_bits)
-    assert all(h(x) != y for x in inputs(h))
+    assert y.__class__ is int and 0 <= y < 1 << h.out_bits
+    assert all(bits_to_int(h(x)) != y for x in inputs(h))
 
 
 # -- end to end ----------------------------------------------------------------
@@ -438,7 +456,7 @@ def test_compression_check_refuses_an_encoding_in_range_of_h():
         for i in range(1, sched.r + 1)
     )
     spelled = HittingSet(points, sched.n, sched.q)
-    assert encode_hitting_set_bits(spelled, sched, h.out_bits) == bits
+    assert encode_hitting_set_bits(spelled, sched, h.out_bits) == bits_to_int(bits)
     with pytest.raises(StageError) as exc:
         avoid_via_hitting(inst, hs_solver=lambda cls: spelled, seed=1)
     assert exc.value.stage == "compression-check"

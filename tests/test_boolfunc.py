@@ -7,11 +7,12 @@ from szpit.boolfunc import (
     bits_to_int,
     boolfunc_from_callable,
     eval_bool_circuit,
+    int_to_bit_str,
     int_to_bits,
     parse_bool_circuit,
     serialize_bool_circuit,
 )
-from szpit.errors import CircuitSyntaxError, DimensionMismatchError
+from szpit.errors import CircuitSyntaxError, DimensionMismatchError, PreconditionError
 
 from helpers import boolfunc_from_circuit
 
@@ -28,6 +29,17 @@ def test_bits_int_roundtrip():
     for v in range(32):
         assert bits_to_int(int_to_bits(v, 5)) == v
     assert int_to_bits(6, 3) == (0, 1, 1)  # least significant bit first
+    # Two's-complement low bits for negatives, high bits dropped, and
+    # nothing at a width of 0 or less.
+    assert int_to_bits(-1, 4) == (1, 1, 1, 1)
+    assert int_to_bits(-6, 4) == (0, 1, 0, 1)
+    assert int_to_bits(0b10110, 3) == (0, 1, 1)
+    assert int_to_bits(1 << 719, 720) == (0,) * 719 + (1,)
+    for width in (0, -1, -2):
+        assert int_to_bits(5, width) == ()
+        assert int_to_bit_str(5, width) == ""
+    assert int_to_bit_str(6, 5) == "01100"
+    assert int_to_bit_str(-6, 4) == "0101"
 
 
 def test_parse_eval_serialize():
@@ -96,3 +108,19 @@ def test_boolfunc_from_callable_checks_row_width(width):
     with pytest.raises(DimensionMismatchError, match="width != 3"):
         boolfunc_from_callable(lambda bits: (0,) * width, 1, 3)
     assert boolfunc_from_callable(lambda bits: bits * 3, 1, 3).rows == (0, 7)
+
+
+@pytest.mark.parametrize("row", [(2, 0), (0, -1), (1, 3)])
+def test_boolfunc_from_callable_refuses_a_row_with_a_non_bit(row):
+    # Packed unchecked, (2, 0) would become the row 0 and (1, 3) the row 3.
+    with pytest.raises(PreconditionError, match="other than 0 and 1"):
+        boolfunc_from_callable(lambda bits: row, 1, 2)
+
+
+@pytest.mark.parametrize("bits", [(3,), (-1,), (2,)])
+def test_boolfunc_call_refuses_a_non_bit_input(bits):
+    # Unchecked, (3,) and (-1,) would read the row at input (1,).
+    f = BoolFunc(1, 2, (1, 2))
+    assert f((1,)) == (0, 1)
+    with pytest.raises(PreconditionError, match="other than 0 and 1"):
+        f(bits)

@@ -13,6 +13,7 @@ from szpit.circuit import (
     Gate,
     analyze_degrees,
     circuit,
+    param_digits,
     parse_circuit,
     plug_params,
     representation_size,
@@ -384,9 +385,23 @@ def test_serialize_keeps_its_text_on_the_circuit():
 def test_kept_text_is_not_part_of_equality_hash_or_repr():
     c = product_circuit()
     serialize_circuit(c)
+    param_digits(c)
     fresh = product_circuit()
     assert c._text is not None and fresh._text is None
+    assert c._param_digits is not None and fresh._param_digits is None
     assert fresh == c and hash(fresh) == hash(c) and repr(fresh) == repr(c)
+
+
+def test_param_digits_sums_the_digits_of_each_param_use():
+    # p1..p9 one digit each, p10..p12 two, and p10 written twice.
+    gates = [Gate.var(1)] + [Gate.param(k) for k in list(range(1, 13)) + [10]]
+    for i in range(1, len(gates)):
+        gates.append(Gate.mul(len(gates) - 1, i))
+    c = circuit(gates)
+    assert param_digits(c) == 9 + 3 * 2 + 2
+    zero = plug_params(c, dict.fromkeys(range(1, 13), 0))
+    assert representation_size(c) - representation_size(zero) == 8 * param_digits(c)
+    assert param_digits(zero) == 0
 
 
 @pytest.mark.parametrize("roundtrip", [

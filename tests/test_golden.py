@@ -82,3 +82,20 @@ def test_a_4096_value_and_trace_are_pinned():
     result = avoid_via_hitting(inst, seed=12)
     digest = hashlib.sha256(repr((result.value, sorted(result.trace.items()))).encode())
     assert (result.value, digest.hexdigest()) == (A_4096_VALUE, A_4096_DIGEST)
+
+
+# The 2^12 rung of the avoid ladder (table from Rng(1013, "ladder12"),
+# solve seed 12).  Its y is 888 bits, the widest string Tier-1 packs,
+# writes into the trace and unpacks for the inversion.
+LADDER_12_VALUE = 4064
+LADDER_12_DIGEST = "1ce4e541ad38e7e6bc8232781bcbe5e52abd297cb3cbaeff163f093ad8efec6a"
+
+
+def test_ladder_a_4096_value_and_trace_are_pinned():
+    r = Rng(1013, "ladder12")
+    a = 1 << 12
+    inst = AvoidInstance(a, 2 * a, tuple(r.randint(1, 2 * a) for _ in range(a)))
+    result = avoid_via_hitting(inst, seed=12)
+    assert len(result.trace["y"]) == 888
+    digest = hashlib.sha256(repr((result.value, sorted(result.trace.items()))).encode())
+    assert (result.value, digest.hexdigest()) == (LADDER_12_VALUE, LADDER_12_DIGEST)

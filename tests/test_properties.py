@@ -4,7 +4,9 @@ oracles; the parser's one-pass read against its line parser on edited
 texts; univariate extraction against evaluation and against the monomial
 expansion; the root scans against the guarded brute scan; the root codec's
 round trip and surjectivity; the agreement of the three PIT testers; amplify
-against its round-by-round definition; and the seeds of split streams."""
+against its round-by-round definition; the seeds of split streams; and the
+bit helpers and the packed hitting-set encoding against their per-bit
+definitions."""
 
 import pytest
 
@@ -13,14 +15,15 @@ pytest.importorskip("hypothesis")
 import importlib
 import random
 import re
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from szpit.avoid import _member_gates, amplify, desk_schedule
-from szpit.boolfunc import BoolFunc, int_to_bits
+from szpit.avoid import _member_gates, amplify, desk_schedule, encode_hitting_set_bits
+from szpit.boolfunc import BoolFunc, bits_to_int, bits_to_str, int_to_bit_str, int_to_bits
 from szpit.circuit import (
     Gate,
     analyze_degrees,
@@ -56,6 +59,7 @@ from helpers import times_line_factors
 from oracles import (
     amplify_steps,
     degree_oracle,
+    encode_hitting_set_per_bit,
     expansion_coeffs,
     expansion_is_zero,
     naive_eval,
@@ -815,3 +819,50 @@ def test_amplify_matches_the_round_by_round_oracle(m, t, data):
     for v in data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4)):
         x = int_to_bits(v, m)
         assert h(x) == amplify_steps(g, x, t)[-1]
+
+
+# Ints of every size up to past the widest width drawn, of both signs.
+ANY_INT = st.one_of(st.integers(), st.integers(-(2**820), 2**820))
+
+
+@PROPERTY
+@given(ANY_INT, st.integers(-2, 800))
+def test_int_to_bits_is_the_per_bit_definition(v, width):
+    want = tuple((v >> j) & 1 for j in range(width))
+    assert int_to_bits(v, width) == want
+    assert int_to_bit_str(v, width) == bits_to_str(int_to_bits(v, width))
+    assert int_to_bit_str(v, width) == bits_to_str(want)
+
+
+@st.composite
+def hitting_set_encodings(draw):
+    """(H, schedule, width) for a desk schedule at m = 0..4.  H fits the
+    schedule, or has one of r, n and q off by one, or the schedule's w is
+    one bit short of |q|, so coordinates have bits past the low w; the
+    width is r*n*w give or take a few bits, or far above it."""
+    sched = desk_schedule(draw(st.integers(0, 4)))
+    off = draw(st.sampled_from(["", "", "", "r", "n", "q", "w"]))
+    if off == "w":
+        sched = replace(sched, w=sched.w - 1)
+    r, n, q = sched.r, sched.n, sched.q
+    r += draw(st.sampled_from([-1, 1])) if off == "r" else 0
+    n += draw(st.sampled_from([-1, 1])) if off == "n" else 0
+    q += 1 if off == "q" else 0
+    coord = st.integers(0, q - 1)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=r, max_size=r))
+    width = sched.r * sched.n * sched.w + draw(st.one_of(st.integers(-3, 3), st.integers(0, 400)))
+    return HittingSet(tuple(points), n, q), sched, width
+
+
+@PROPERTY
+@given(hitting_set_encodings())
+def test_packed_encoding_is_the_per_bit_encoding(case):
+    h_set, sched, width = case
+    try:
+        want = bits_to_int(encode_hitting_set_per_bit(h_set, sched, width))
+    except DimensionMismatchError as e:
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(e))}$"):
+            encode_hitting_set_bits(h_set, sched, width)
+    else:
+        y = encode_hitting_set_bits(h_set, sched, width)
+        assert y == want and y.__class__ is int

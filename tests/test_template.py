@@ -167,6 +167,29 @@ def test_avoid_classes_on_one_schedule_write_the_template_text_once(monkeypatch)
     assert first.s == second.s
 
 
+def test_avoid_classes_on_one_schedule_count_the_param_digits_once(monkeypatch):
+    # The digit total is kept on the shared template: a second class reads
+    # it back, where a second scan of the gates would overwrite the mark
+    # below.  Each class still measures the template by serialize_circuit.
+    h, sched = avoid_parts(16)
+    avoid._member_gates.cache_clear()
+    circuit_mod = importlib.import_module("szpit.circuit")
+    serialized = []
+    real = circuit_mod.serialize_circuit
+    monkeypatch.setattr(circuit_mod, "serialize_circuit", lambda c: serialized.append(c) or real(c))
+    first = build_avoid_class(h, sched)
+    t = first.template
+    assert t._param_digits == sum(len(str(k)) for k in range(1, t.n_params + 1))
+    object.__setattr__(t, "_param_digits", t._param_digits + 1)
+    try:
+        second = build_avoid_class(h, sched)
+    finally:
+        avoid._member_gates.cache_clear()  # drop the marked template
+    assert second.template is t
+    assert second.s == first.s - 8
+    assert serialized == [t, t]
+
+
 def test_avoid_class_size_matches_the_all_zero_member():
     cls = avoid_class(4)
     zero_member = plug_params(cls.template, {k: 0 for k in range(1, cls.template.n_params + 1)})
