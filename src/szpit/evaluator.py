@@ -13,6 +13,7 @@ evaluation is exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional, Tuple
 
 from .circuit import ADD, CONST, MUL, PARAM, VAR, Circuit, analyze_degrees, require_parameter_free
@@ -116,6 +117,9 @@ _FORM_CAP = 8
 # The coefficients of every constant form; never mutated.
 _NO_COEFFS: dict = {}
 
+# A constant form's one run, which reads nothing from R.
+_NO_RUNS = ((0, 0, 0),)
+
 
 @dataclass(slots=True)
 class SlotProgram:
@@ -128,14 +132,16 @@ class SlotProgram:
     coefficients per gate, and whose static bit bound is at most both the
     preparing call's guard and ``DEFAULT_BITLEN_GUARD``.  Stage B is every
     other binary gate: those that read a variable and those that break
-    one of these rules.  Its
-    live-outs are the stage-A gates that a stage-B step reads, and the
-    output when it is in stage A.  A call runs stage B on
-    ``[*vars, *live-out values]``, appending one result per step; step j
-    reads slots ``b_lhs[j]`` and ``b_rhs[j]`` of that list and multiplies
-    when ``b_mul[j]``.  Three flat tuples need about half the memory of
-    one tuple per gate.  ``run_b`` is stage B compiled by :func:`keep`,
-    a function of the list's entries that returns the output, or None
+    one of these rules.  Its live-outs are the stage-A gates that a
+    stage-B step reads, and the output when it is in stage A.  A call
+    runs stage B on ``[*vars, *live-out values]``, appending one result
+    per step; step j reads slots ``b_lhs[j] <= b_rhs[j]`` of that list
+    and multiplies when ``b_mul[j]``.  Both are value-numbered: live-outs
+    with the same form share one live-out, and gates of one op on the
+    same two slots share one step, so no step recomputes an earlier
+    step's value.  Three flat tuples need about half the memory of one
+    tuple per gate.  ``run_b`` is stage B compiled by :func:`keep`, a
+    function of the list's entries that returns the output, or None
     (then stage B runs as a loop); pickle and deepcopy leave it out.
 
     Each live-out's form ``c + sum(a_j * p_(j+1))`` is split into *runs*
@@ -233,9 +239,14 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
     interpreter would refuse.
 
     The first pass computes each gate's degree, bit bound and affine form,
-    which decides its stage, and marks the live-outs.  The second gives
-    each var, live-out and stage-B result its index in stage B's list
-    ``[*vars, *live-outs, *B results]``.
+    which decides its stage, and marks the live-outs; the static bound is
+    taken over every gate.  The second gives each var, live-out and
+    stage-B result its index in stage B's list
+    ``[*vars, *live-outs, *B results]``, numbering values as it goes: a
+    live-out whose constant and runs an earlier one has takes that one's
+    slot, and so does a gate whose op and (ordered) operand slots an
+    earlier step has.  Numbering is exact over Z, where add and mul
+    commute.
     """
     gates = c.gates
     deg = [0] * len(gates)
@@ -282,37 +293,50 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
     if forms[-1] is not None:
         is_live[-1] = True
     n_vars = c.n_vars
-    next_b = n_vars + sum(is_live)
-    full = []  # gate index -> slot in stage B's list
-    fields, extra, b_lhs, b_rhs, b_mul = [], [], [], [], []
-    for g, form, is_out in zip(gates, forms, is_live):
-        if is_out:
-            slot = len(fields)
-            full.append(n_vars + slot)
-            const, coeffs = form
-            if coeffs:
-                first, *rest = _runs(coeffs)
-                fields.append((const, *first))
-                extra.extend((slot, *run) for run in rest)
-            else:
-                fields.append((const, 0, 0, 0))
-        elif form is not None:
-            full.append(-1)
-        elif g.op == VAR:
-            full.append(g.name - 1)
-        else:
-            full.append(next_b)
+    full = [-1] * len(gates)  # gate index -> slot in stage B's list
+    # Live-outs of one form, the same constant and runs, share a field.
+    fields, extra, field_of = [], [], {}
+    for i in compress(range(len(gates)), is_live):
+        const, coeffs = forms[i]
+        runs = _runs(coeffs) if coeffs else _NO_RUNS
+        key = (const, *runs)
+        slot = field_of.get(key)
+        if slot is None:
+            slot = field_of[key] = len(fields)
+            fields.append((const, *runs[0]))
+            extra.extend((slot, *run) for run in runs[1:])
+        full[i] = n_vars + slot
+    # Steps of one op on the same two slots share a slot; add and mul
+    # commute over Z, so each step reads the lower slot first.
+    b_lhs, b_rhs, b_mul, step_of = [], [], [], {}
+    next_b = n_vars + len(fields)
+    for i, g in enumerate(gates):
+        if forms[i] is not None:
+            continue
+        op = g.op
+        if op == VAR:
+            full[i] = g.name - 1
+            continue
+        lhs, rhs = full[g.lhs], full[g.rhs]
+        if lhs > rhs:
+            lhs, rhs = rhs, lhs
+        key = (op, lhs, rhs)
+        slot = step_of.get(key)
+        if slot is None:
+            slot = step_of[key] = next_b
             next_b += 1
-            b_lhs.append(full[g.lhs])
-            b_rhs.append(full[g.rhs])
-            b_mul.append(g.op == MUL)
+            b_lhs.append(lhs)
+            b_rhs.append(rhs)
+            b_mul.append(op == MUL)
+        full[i] = slot
     return SlotProgram(
         tuple(fields), tuple(extra), tuple(b_lhs), tuple(b_rhs), tuple(b_mul),
         full[-1], mul_degree, mul_bits,
     )
 
 
-# keep() compiles stage B only up to this many steps.  Compiling peaks at
+# keep() compiles stage B only up to this many value-numbered steps (a
+# gate that repeats an earlier step adds none).  Compiling peaks at
 # about 2.3 KB and takes 12-15 us per step (tracemalloc and wall time,
 # CPython 3.11 on a 2-core VM), so the cap holds one compile to about 23 MB
 # and 0.15 s; a longer stage B stays on the loop.

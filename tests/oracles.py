@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
 from szpit.avoid import AvoidSchedule, triple_encode
 from szpit.boolfunc import BoolFunc, Bits
@@ -76,6 +76,46 @@ def degree_oracle(c: Circuit) -> Tuple[int, Dict[str, int]]:
 
     out = len(c.gates) - 1
     return total(out), {u: individual(out, u) for u in set(inputs)}
+
+
+def value_numbered_steps(c: Circuit, stage_a: Collection[int]) -> int:
+    """How many distinct values the binary gates outside ``stage_a`` (gate
+    indices whose values are affine in the params) compute, by structural
+    hashing of canonical keys.  A var is keyed by its name; a const, a
+    param or a stage-A gate by its affine form, found by recursion as
+    ``(constant, ((param name, coefficient), ...))`` with names ascending
+    and zero coefficients kept, as the slot program's runs keep them; any
+    other gate by its op and the sorted keys of its operands.  Keys are
+    interned to ints as they are made, so a key's size stays constant
+    however deep the gate."""
+
+    @lru_cache(maxsize=None)
+    def form(k: int):
+        g = c.gates[k]
+        if g.op == CONST:
+            return g.value, {}
+        if g.op == PARAM:
+            return 0, {g.name: 1}
+        (a, fa), (b, fb) = form(g.lhs), form(g.rhs)
+        if g.op == ADD:
+            return a + b, {p: fa.get(p, 0) + fb.get(p, 0) for p in {*fa, *fb}}
+        assert not (fa and fb), f"gate {k} multiplies two params"
+        return a * b, {p: v * (b if fa else a) for p, v in {**fa, **fb}.items()}
+
+    ids: Dict[tuple, int] = {}
+    key = []
+    steps = set()
+    for i, g in enumerate(c.gates):
+        if g.op == VAR:
+            k = ("var", g.name)
+        elif i in stage_a or g.op in (CONST, PARAM):
+            const, coeffs = form(i)
+            k = ("form", const, tuple(sorted(coeffs.items())))
+        else:
+            k = (g.op, *sorted((key[g.lhs], key[g.rhs])))
+            steps.add(k)
+        key.append(ids.setdefault(k, len(ids)))
+    return len(steps)
 
 
 Monomials = Dict[Tuple[int, ...], int]

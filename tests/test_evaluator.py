@@ -224,8 +224,10 @@ def test_slot_program_layout():
     # not 2 * 3, on p2, so p2 is a second run, in ``extra``.
     assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1))
     assert prog.extra == ((1, 1, 1, 1),)
+    # Each step reads the lower of its two slots first: g9 = g4 * x2 reads
+    # slots 1 and 4, and g11 = g9 * g10 reads 3 and 5.
     assert (prog.b_lhs, prog.b_rhs, prog.b_mul, prog.out) == (
-        (0, 4, 5, 3), (2, 1, 3, 3), (False, True, True, True), 7,
+        (0, 1, 3, 3), (2, 4, 5, 3), (False, True, True, True), 7,
     )
     # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
     # (3, 8) and (2, 10).
@@ -256,7 +258,7 @@ def test_affine_stage_a_forms():
     prog = c._program
     assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1), (-15, 9, 0, 1))
     assert prog.extra == ((1, 1, 1, 1), (2, 3, 1, 1))
-    assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 5, 6), (2, 1, 3), 4)
+    assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 1, 3), (2, 5, 6), 4)
     assert prog.memo == (0b10, 1, [0, -4, -12])
     # A param-free circuit's live-outs are constant forms, which its only
     # R, the default 0, reads.
@@ -266,6 +268,53 @@ def test_affine_stage_a_forms():
         assert plugged._program is False or plugged._program.memo[0] == 0
     assert plugged._program.fields == ((-12, 0, 0, 0), (-6, 0, 0, 0), (-18, 0, 0, 0))
     assert plugged._program.extra == ()
+
+
+def test_value_numbered_layout():
+    # 2 (3 x1) + 3 x1 (p1 + 2 p2 + 3), with every value built twice.  The
+    # consts 3 (g3, g9) are one live-out, and so are p1 + 2 p2 + 3 and
+    # 3 + p1 + 2 p2 (g8, g12), built in different orders.  x1 * 3, 3 * x1
+    # and x1 times the other 3 (g4, g14, g15) are one step, the two
+    # products with the form (g16, g17) are one, and the output g19
+    # repeats g18 with its operands swapped.  So stage B's list is
+    # [x1, 3, p1 + 2 p2 + 3, g4, g13, g16, g18]: four steps, not eight.
+    c = circuit([
+        Gate.var(1),       # g0: slot 0
+        Gate.param(1),     # g1
+        Gate.param(2),     # g2
+        Gate.const(3),     # g3: slot 1
+        Gate.mul(0, 3),    # g4 B: slot 3
+        Gate.const(2),     # g5
+        Gate.mul(2, 5),    # g6 = 2 p2
+        Gate.add(1, 6),    # g7 = p1 + 2 p2
+        Gate.add(7, 3),    # g8 = p1 + 2 p2 + 3: slot 2
+        Gate.const(3),     # g9: slot 1
+        Gate.add(9, 1),    # g10 = 3 + p1
+        Gate.mul(5, 2),    # g11 = 2 p2
+        Gate.add(10, 11),  # g12 = 3 + p1 + 2 p2: slot 2
+        Gate.add(4, 4),    # g13 B: slot 4
+        Gate.mul(3, 0),    # g14 B: slot 3
+        Gate.mul(0, 9),    # g15 B: slot 3
+        Gate.mul(4, 8),    # g16 B: slot 5
+        Gate.mul(12, 15),  # g17 B: slot 5
+        Gate.add(13, 16),  # g18 B: slot 6
+        Gate.add(17, 13),  # g19 B: slot 6, the output
+    ])
+    for _ in range(2):
+        assert eval_gates(c, (5,), 0b10) == naive_eval(c, (5,), (0, 1)) == 30 + 15 * 5
+    prog = c._program
+    # One run: 1 on p1 and 2 on p2.
+    assert prog.fields == ((3, 0, 0, 0), (3, 1, 0, 3))
+    assert prog.extra == ()
+    assert (prog.b_lhs, prog.b_rhs, prog.b_mul, prog.out) == (
+        (0, 3, 2, 4), (1, 3, 3, 5), (True, False, True, False), 6,
+    )
+    # The static bound still covers every mul gate: g16 and g17 have
+    # degree 2 and 2 + 4 bits.
+    assert (prog.mul_degree, prog.mul_bits) == (2, 6)
+    for R in range(4):
+        x = (R - 7,)
+        assert eval_gates(c, x, R) == naive_eval(c, x, (R & 1, R >> 1))
 
 
 def test_prepare_folds_no_constant_past_the_default_guard():

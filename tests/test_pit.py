@@ -4,15 +4,17 @@ from itertools import product
 
 import pytest
 
-from szpit.circuit import Gate, circuit
+from szpit.circuit import ADD, MUL, VAR, Gate, analyze_degrees, circuit
 from szpit.classes import multilinear_class
+from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import DimensionMismatchError, PreconditionError
-from szpit.evaluator import eval_gates
+from szpit.evaluator import SlotProgram, _interpret, _prepare, eval_gates
 from szpit.hitting import HittingSet, search_hitting_set
 from szpit.pit import (
     NONZERO,
     PROBABLY_ZERO,
     ZERO_ON_CUBE,
+    PitVerdict,
     difference_circuit,
     equiv_test,
     pit_cube_brute,
@@ -226,3 +228,93 @@ def test_equiv_x1_vs_x2():
     p2 = circuit([Gate.var(1), Gate.var(2), Gate.add(0, 1), Gate.const(-1),
                   Gate.mul(3, 0), Gate.add(2, 4)])  # (x1+x2) - x1
     assert equiv_test(p1, p2, method="cube").kind == NONZERO
+
+
+def linear_form(gates, coeffs):
+    """Append c0 + c1 x1 + c2 x2 + c3 x3, one const gate per coefficient
+    (x_j is gate j - 1); returns its gate."""
+    acc = len(gates)
+    gates.append(Gate.const(coeffs[0]))
+    for j, c in enumerate(coeffs[1:]):
+        gates += [Gate.const(c), Gate.mul(len(gates), j)]
+        gates.append(Gate.add(acc, len(gates) - 1))
+        acc = len(gates) - 1
+    return acc
+
+
+def sum_of_products(terms):
+    """f = sum over terms of the product of their linear forms."""
+    gates = [Gate.var(j) for j in (1, 2, 3)]
+    total = None
+    for forms in terms:
+        prod = linear_form(gates, forms[0])
+        for cs in forms[1:]:
+            gates.append(Gate.mul(prod, linear_form(gates, cs)))
+            prod = len(gates) - 1
+        if total is not None:
+            gates.append(Gate.add(total, prod))
+        total = len(gates) - 1
+    return circuit(gates)
+
+
+def distributed(terms, offset):
+    """f with each term's first form distributed over the product R of
+    the others, c0 R + c1 (x1 R) + c2 (x2 R) + c3 (x3 R), terms summed in
+    reverse; plus ``offset``, which makes the pair inequivalent."""
+    gates = [Gate.var(j) for j in (1, 2, 3)]
+    total = None
+    for first, *rest in reversed(terms):
+        r = linear_form(gates, rest[0])
+        for cs in rest[1:]:
+            gates.append(Gate.mul(r, linear_form(gates, cs)))
+            r = len(gates) - 1
+        gates += [Gate.const(first[0]), Gate.mul(len(gates), r)]
+        for j, c in enumerate(first[1:]):
+            acc = len(gates) - 1
+            gates += [Gate.mul(j, r), Gate.const(c)]
+            gates += [Gate.mul(len(gates) - 1, len(gates) - 2), Gate.add(acc, len(gates))]
+        if total is not None:
+            gates.append(Gate.add(total, len(gates) - 1))
+        total = len(gates) - 1
+    if offset:
+        gates += [Gate.const(offset), Gate.add(total, len(gates))]
+    return circuit(gates)
+
+
+def interpreted_random_verdict(diff, trials, seed):
+    """pit_random's verdict, by a scan that calls only the interpreter at
+    the points of Rng(seed, "pit") in the cube of side 2nd."""
+    q = 2 * diff.n_vars * analyze_degrees(diff).max_individual
+    rng = Rng(seed, "pit")
+    for _ in range(trials):
+        point = rng.point(diff.n_vars, q)
+        if _interpret(diff, point, 0, DEFAULT_BITLEN_GUARD) != 0:
+            return PitVerdict(NONZERO, witness=point, provenance="random")
+    return PitVerdict(PROBABLY_ZERO, trials=trials, provenance="random")
+
+
+@pytest.mark.parametrize("offset", [0, -4])
+def test_random_equiv_of_a_distributed_pair_matches_an_interpreted_scan(offset):
+    # The benchmark's PIT shape: f a sum of products of linear forms with
+    # coefficients in -3..3, g its distributive rewrite.  The difference
+    # repeats constants, products c * x_j and whole factors, which the
+    # slot program numbers away; its verdicts must still be the
+    # interpreter's, witness and trials included.
+    rng = Rng(67, "pit-shape")
+    terms = [[[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)] for _ in range(8)]
+    f, g = sum_of_products(terms), distributed(terms, offset)
+    for seed in range(4):
+        want = interpreted_random_verdict(difference_circuit(f, g), 40, seed)
+        assert equiv_test(f, g, method="random", trials=40, seed=seed) == want
+        assert want.kind == (PROBABLY_ZERO if offset == 0 else NONZERO)
+    diff = difference_circuit(f, g)
+    assert pit_random(diff, 40, 0) == interpreted_random_verdict(diff, 40, 0)
+    if offset == 0:  # 38 of the 40 calls ran the program
+        assert isinstance(diff._program, SlotProgram)
+    reads_var = []
+    for gate in diff.gates:
+        binary = gate.op in (ADD, MUL)
+        reads_var.append(gate.op == VAR or binary and (reads_var[gate.lhs] or reads_var[gate.rhs]))
+    var_steps = sum(r and gate.op != VAR for gate, r in zip(diff.gates, reads_var))
+    steps = len(_prepare(diff, DEFAULT_BITLEN_GUARD).b_mul)
+    assert steps < var_steps

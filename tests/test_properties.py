@@ -12,7 +12,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+import copy
 import importlib
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -63,6 +65,7 @@ from oracles import (
     expansion_coeffs,
     expansion_is_zero,
     naive_eval,
+    value_numbered_steps,
 )
 
 # Derandomized and without an example database, so every run draws the
@@ -440,12 +443,11 @@ def call_sequences(draw):
 def test_staged_evaluation_over_a_call_sequence(case):
     # Stage A runs once per packed R and is kept for the next call; every
     # call must still give the interpreter's value or error, which a fresh
-    # copy of the circuit yields on its first call.  In an affine
-    # template every gate that reads no variable has a form unless its
-    # static bit bound passes the guard of the second call, which
-    # prepares; so stage B runs just the gates that read a variable and
-    # those.  A product of two params, or a chain past the form cap, runs
-    # in stage B as well.
+    # copy of the circuit yields on its first call.  Stage B holds one
+    # step per distinct value among the gates outside stage A, which
+    # structural hashing counts; a chain past the form cap runs some of
+    # its adds of params in stage B as well, beyond the gates that read a
+    # variable.
     kind, c, calls = case
     packed = calls[0][2]
     for x, how, R, guard in calls:
@@ -457,30 +459,38 @@ def test_staged_evaluation_over_a_call_sequence(case):
         assert outcome(eval_gates, c, x, packed, guard) == want
         if isinstance(want, int):
             assert want == naive_eval(c, x, int_to_bits(packed, c.n_params))
-    if kind != "random":
+    steps = len(c._program.b_mul)
+    if kind == "chain":
         reads_var = []
         for g in c.gates:
             binary = g.op in ("add", "mul")
             reads_var.append(g.op == "var" or binary and (reads_var[g.lhs] or reads_var[g.rhs]))
-        var_steps = sum(r and g.op != "var" for g, r in zip(c.gates, reads_var))
-        # A gate's bit bound is at least its operands', so one past the
-        # preparing guard is no form and neither is any gate reading it.
-        bits = []
-        for g in c.gates:
-            if g.op in ("add", "mul"):
-                lhs, rhs = bits[g.lhs], bits[g.rhs]
-                bits.append(lhs + rhs if g.op == "mul" else max(lhs, rhs) + 1)
-            else:
-                bits.append(g.value.bit_length())
-        fold_bits = min(calls[1][3], 1 << 20)
-        over = sum(
-            not r and g.op in ("add", "mul") and b > fold_bits
-            for g, r, b in zip(c.gates, reads_var, bits)
-        )
-        if kind == "affine":
-            assert len(c._program.b_mul) == var_steps + over
-        elif not over:
-            assert len(c._program.b_mul) > var_steps
+        assert steps > value_numbered_steps(c, {i for i, r in enumerate(reads_var) if not r})
+    else:
+        # The second call prepares, under its guard.
+        assert steps == value_numbered_steps(c, stage_a_gates(c, min(calls[1][3], 1 << 20)))
+
+
+def stage_a_gates(c, fold_bits):
+    """The gates that preparation under a guard of ``fold_bits`` puts in
+    stage A, for a circuit whose forms stay under the form cap (at most
+    four params suffice): consts, params, and each binary gate over two
+    stage-A gates that does not multiply two param-reading values and
+    whose static bit bound is at most ``fold_bits``."""
+    in_a, reads_param, bits = [], [], []
+    for g in c.gates:
+        if g.op in ("add", "mul"):
+            lhs, rhs = g.lhs, g.rhs
+            b = bits[lhs] + bits[rhs] if g.op == "mul" else max(bits[lhs], bits[rhs]) + 1
+            both = reads_param[lhs] and reads_param[rhs]
+            in_a.append(in_a[lhs] and in_a[rhs] and b <= fold_bits and not (both and g.op == "mul"))
+            reads_param.append(reads_param[lhs] or reads_param[rhs])
+        else:
+            b = g.value.bit_length()
+            in_a.append(g.op != "var")
+            reads_param.append(g.op == "param")
+        bits.append(b)
+    return {i for i, a in enumerate(in_a) if a}
 
 
 NONZERO_SCALES = st.integers(-9, 9).filter(bool)
@@ -590,6 +600,93 @@ def test_compiled_loop_and_interpreter_agree(case):
         assert outcome(eval_gates, compiled, x, R, guard) == want
         assert outcome(eval_gates, loop, x, R, guard) == want
         if not isinstance(want, int):
+            assert want[0] is BitLengthGuardError
+
+
+@st.composite
+def duplicated_circuits(draw):
+    """A genckt circuit over 1 to 3 vars and 0 to 4 params, then values
+    it computes twice, each added into the output: a const value it holds
+    (or a small one) in two const gates, times a var on either side; a
+    binary gate repeated with its operands swapped; and an affine form in
+    the params built twice, its terms in two drawn orders, times a var on
+    either side.  A form puts ``s * 2^i`` (one run) or s (one run a
+    param) on adjacent params or on every other one (a run a param), so
+    multi-run forms, with ``extra`` runs, are drawn too.  The sum plus a
+    var comes last twice, the output with its operands swapped, so every
+    circuit repeats at least one stage-B step."""
+    r = Rng(draw(st.integers(0, 2**32)), "numbered")
+    n_vars, n_params = r.randint(1, 3), r.randint(0, 4)
+    base = random_circuit(r, n_vars=n_vars, extra_gates=r.randint(1, 20),
+                          const_bits=12, n_params=n_params)
+    gates = list(base.gates)
+
+    def push(g):
+        gates.append(g)
+        return len(gates) - 1
+
+    out = len(gates) - 1
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["const", "commute", "form"]))
+        x = draw(st.integers(0, n_vars - 1))
+        binary = [g for g in gates if g.op in ("add", "mul")]
+        if kind == "commute" and binary:
+            g = draw(st.sampled_from(binary))
+            probe = push(Gate.mul(g.rhs, g.lhs) if g.op == "mul" else Gate.add(g.rhs, g.lhs))
+        elif kind != "form" or not n_params:
+            v = draw(st.sampled_from([g.value for g in gates if g.op == "const"] or [7]))
+            probe = push(Gate.add(push(Gate.mul(x, push(Gate.const(v)))),
+                                  push(Gate.mul(push(Gate.const(v)), x))))
+        else:
+            step = draw(st.sampled_from([1, 2]))
+            length = draw(st.integers(1, (n_params - 1) // step + 1))
+            j0 = draw(st.integers(1, n_params - step * (length - 1)))
+            s, doubling = draw(NONZERO_SCALES), draw(st.booleans())
+            terms = [(j0 + step * i, s << i if doubling else s) for i in range(length)]
+            const = draw(SMALL)
+            built = []
+            for order in (terms, draw(st.permutations(terms))):
+                acc = push(Gate.const(const))
+                for k, a in order:
+                    param = n_vars + k - 1
+                    acc = push(Gate.add(acc, push(Gate.mul(param, push(Gate.const(a))))))
+                built.append(acc)
+            probe = push(Gate.add(push(Gate.mul(x, built[0])), push(Gate.mul(built[1], x))))
+        out = push(Gate.add(out, probe))
+    x = draw(st.integers(0, n_vars - 1))
+    push(Gate.add(out, x))
+    push(Gate.add(x, out))
+    return circuit(gates)
+
+
+@PROPERTY
+@given(duplicated_circuits(), st.data())
+def test_value_numbering_keeps_every_value_and_guard_error(c, data):
+    # Compiled, loop and interpreter agree on every value and guard error,
+    # and so do a pickled and a deep-copied program; stage B holds one
+    # step per distinct value (the oracle's count), which is fewer than
+    # the gates outside stage A, as every circuit drawn repeats a step.
+    prep = data.draw(GUARDS)
+    compiled, loop = circuit(c.gates), circuit(c.gates)
+    keep(compiled, prep)
+    object.__setattr__(loop, "_program", _prepare(loop, prep))
+    assert compiled._program.run_b is not None and loop._program.run_b is None
+    stage_a = stage_a_gates(c, min(prep, 1 << 20))
+    unnumbered = sum(g.op in ("add", "mul") and i not in stage_a for i, g in enumerate(c.gates))
+    assert len(loop._program.b_mul) == value_numbered_steps(c, stage_a) < unnumbered
+    copies = [pickle.loads(pickle.dumps(compiled)), copy.deepcopy(loop)]
+    assert all(isinstance(k._program, SlotProgram) for k in copies)
+    guards = st.sampled_from([g for g in (8, 64, 1 << 20) if g <= prep])
+    for _ in range(data.draw(st.integers(2, 6))):
+        x = tuple(data.draw(VALUES) for _ in range(c.n_vars))
+        R = data.draw(st.integers(0, (1 << c.n_params) - 1))
+        guard = data.draw(guards)
+        want = outcome(_interpret, c, x, R, guard)
+        for ckt in (compiled, loop, *copies):
+            assert outcome(eval_gates, ckt, x, R, guard) == want
+        if isinstance(want, int):
+            assert want == naive_eval(c, x, int_to_bits(R, c.n_params))
+        else:
             assert want[0] is BitLengthGuardError
 
 
