@@ -52,7 +52,12 @@ from .boolfunc import (
     int_to_bits,
 )
 from .circuit import Circuit, Gate, circuit
-from .config import DEFAULT_EXHAUSTION_CAP, DEFAULT_SEARCH_BUDGET, DEFAULT_WITNESS_BUDGET
+from .config import (
+    DEFAULT_CLASS_CAP,
+    DEFAULT_EXHAUSTION_CAP,
+    DEFAULT_SEARCH_BUDGET,
+    DEFAULT_WITNESS_BUDGET,
+)
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -61,7 +66,7 @@ from .errors import (
     PreconditionError,
     StageError,
 )
-from .hitting import DefinableClass, HittingSet, bitlen, search_hitting_set
+from .hitting import DefinableClass, HittingSet, bitlen, class_cap_error, search_hitting_set
 
 
 @dataclass(frozen=True)
@@ -540,6 +545,15 @@ def avoid_via_hitting(
     """Solve the instance through the hitting-set reduction, with a full
     audit trace; every stage error carries its stage name."""
     trace: dict = {"a": inst.a, "b": inst.b, "blob": inst.blob}
+
+    if hs_solver is None:
+        # The search refuses the avoid class, which has no membership
+        # sampler, once its 2^m members pass the cap, and m is normalize's;
+        # refuse here, before g, h and the class are built.
+        with _stage("class-cap"):
+            m = bitlen(inst.a - 1)
+            if 1 << m > DEFAULT_CLASS_CAP:
+                raise class_cap_error(m, DEFAULT_CLASS_CAP)
 
     with _stage("normalize"):
         g, backmap = normalize(inst)

@@ -48,6 +48,9 @@ from .unipoly import extract_unipoly, roots_in_cube
 # most n * q^(n-1) of them, so small codecs never evict.
 _ROOTS_CACHE_ENTRIES = 1 << 16
 
+# The variable of every restriction; gates are immutable, so all share it.
+_X1 = Gate.var(1)
+
 
 @dataclass(frozen=True)
 class RootCode:
@@ -176,11 +179,10 @@ def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
         raise DimensionMismatchError(
             f"{len(fixed)} fixed values for {c.n_vars} variables"
         )
-    x1 = Gate.var(1)
-    values = (*fixed[: k - 1], None, *fixed[k - 1 :])
-    subst = {j: x1 if v is None else Gate.const(v) for j, v in enumerate(values, 1)}
-    # A valid circuit names exactly the variables 1..n_vars, so x_k occurs
-    # and the result has dimension exactly 1.
+    # subst[j] replaces x_j; a valid circuit names exactly the variables
+    # 1..n_vars, so x_k occurs and the result has dimension exactly 1.
+    subst = [None, *map(Gate.const, fixed)]
+    subst.insert(k, _X1)
     return circuit([subst[g.name] if g.op == VAR else g for g in c.gates])
 
 

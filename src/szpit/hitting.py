@@ -252,6 +252,15 @@ def find_small_witness(
     raise WitnessBudgetError(trials=budget)
 
 
+def class_cap_error(m: int, class_cap: int) -> CapExceededError:
+    """The refusal of a 2^m-member class past ``class_cap`` that supplies
+    no membership sampler."""
+    return CapExceededError(
+        f"2^m = {2 ** m} exceeds the class cap {class_cap} and the "
+        "class supplies no membership sampler"
+    )
+
+
 def verify_hitting_set(
     cls: DefinableClass,
     h: HittingSet,
@@ -280,10 +289,7 @@ def verify_hitting_set(
         sample_rng = rng.split("sample")
         descriptions = (cls.sampler(sample_rng) for _ in range(class_cap))
     else:
-        raise CapExceededError(
-            f"2^m = {2 ** cls.m} exceeds the class cap {class_cap} and the "
-            "class supplies no membership sampler"
-        )
+        raise class_cap_error(cls.m, class_cap)
     for idx, x in enumerate(descriptions):
         ckt, params = cls.decode(x)
         try:

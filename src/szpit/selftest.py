@@ -54,6 +54,17 @@ def check_extraction() -> None:
         Gate.const(-1), Gate.add(0, 3), Gate.mul(2, 4),
     ])
     assert extract_unipoly(c, 2).coeffs == (-1, 0, 1)
+    # x + 2 beside the const-only chain 2 * 3 + 1 = 7: their product
+    # 7x + 14, and the chain squared, 49, an output of degree 0 at d = 0
+    # and padded at d = 2.
+    gates = [
+        Gate.var(1), Gate.const(2), Gate.const(3), Gate.mul(1, 2),
+        Gate.const(1), Gate.add(3, 4), Gate.add(0, 1),
+    ]
+    assert extract_unipoly(circuit(gates + [Gate.mul(5, 6)]), 1).coeffs == (14, 7)
+    square = circuit(gates + [Gate.mul(5, 5)])
+    assert extract_unipoly(square, 0).coeffs == (49,)
+    assert extract_unipoly(square, 2).coeffs == (49, 0, 0)
 
 
 def check_fta_half() -> None:

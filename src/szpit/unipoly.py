@@ -10,7 +10,8 @@ The three nontrivial operations:
   extract_unipoly   coefficients of the polynomial computed by a univariate
                     circuit, by structural induction over the gates
                     (constant/variable base cases, coefficient-wise sums
-                    for add gates, truncated convolution for mul gates).
+                    for add gates, truncated convolution for mul gates;
+                    a gate that reads no x stays a plain int).
 
   enumerate_roots   the sorted distinct roots in S_q = {0..q-1}, padded to
                     exactly d entries with the end-of-list marker q.  For a
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import add
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from .circuit import ADD, CONST, VAR, Circuit, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_Q_CAP
@@ -105,74 +106,84 @@ def extract_unipoly(c: Circuit, d: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD
     require_parameter_free(c, "extraction")
     if d < 0:
         raise PreconditionError("degree bound must be non-negative")
-    # Beside each gate's coefficient row sits its syntactic degree in x:
-    # var 1, const 0, add max, mul sum.  A gate above d gets no row, as every
-    # gate reading it is above d too; so each row is exact, and the output's
-    # degree decides whether the bound holds.
+    # Beside each gate's value sits its syntactic degree in x: var 1,
+    # const 0, add max, mul sum.  A gate of degree 0 is a plain int; a gate
+    # that reads x gets a coefficient row of d + 1 entries.  A gate above d
+    # gets neither, as every gate reading it is above d too; so each value
+    # is exact, and the output's degree decides whether the bound holds.
     # ``top`` bounds every coefficient's bit length so far: a const brings
     # its own, an add one bit more, a mul twice as many plus the carries of
-    # a width-term sum.  A mul row is checked against the guard only once
-    # the bound passes it.
+    # a width-term sum.  A mul's value is checked against the guard only
+    # once the bound passes it.
     width = d + 1
     carries = width.bit_length()
     top = 1
     deg = [0] * len(c.gates)
-    table: List[List[int]] = [[]] * len(c.gates)
+    table: list = [0] * len(c.gates)
     for i, g in enumerate(c.gates):
         op = g.op
         if op == CONST:
-            row = [0] * width
-            row[0] = g.value
-            if row[0].bit_length() > top:
-                top = row[0].bit_length()
+            v = g.value
+            if v.bit_length() > top:
+                top = v.bit_length()
         elif op == VAR:
             deg[i] = 1
             if d < 1:
                 continue
-            row = [0] * width
-            row[1] = 1
+            v = [0] * width
+            v[1] = 1
         else:
             dl, dr = deg[g.lhs], deg[g.rhs]
+            a, b = table[g.lhs], table[g.rhs]
             if op == ADD:
                 top += 1
-                deg[i] = dl if dl > dr else dr
-                if deg[i] > d:
+                deg[i] = e = dl if dl > dr else dr
+                if e > d:
                     continue
-                row = list(map(add, table[g.lhs], table[g.rhs]))
-            else:
-                deg[i] = dl + dr
-                if deg[i] > d:
-                    continue
-                a, b = table[g.lhs], table[g.rhs]
-                # An operand of degree 0 is a scalar in row[0]; otherwise
-                # convolve, exact as both operands are within d, and a row
-                # is zero past its gate's degree.
-                if dl == 0:
-                    s = a[0]
-                    row = [s * v for v in b]
-                elif dr == 0:
-                    s = b[0]
-                    row = [v * s for v in a]
+                if not dl:
+                    if dr:
+                        v = b.copy()
+                        v[0] += a
+                    else:
+                        v = a + b
+                elif not dr:
+                    v = a.copy()
+                    v[0] += b
                 else:
-                    row = [0] * width
+                    v = list(map(add, a, b))
+            else:
+                deg[i] = e = dl + dr
+                if e > d:
+                    continue
+                # Scale by a scalar operand; otherwise convolve, exact as
+                # both operands are within d, and a row is zero past its
+                # gate's degree.
+                if not dl:
+                    v = a * b if not dr else [a * t for t in b]
+                elif not dr:
+                    v = [t * b for t in a]
+                else:
+                    v = [0] * width
                     for t in range(dl + 1):
                         at = a[t]
                         if at:
                             for k in range(dr + 1):
                                 bk = b[k]
                                 if bk:
-                                    row[t + k] += at * bk
+                                    v[t + k] += at * bk
                 top = 2 * top + carries
                 if top > bitlen_guard and (
-                    max(max(row).bit_length(), min(row).bit_length()) > bitlen_guard
-                ):
+                    v.bit_length() if not e
+                    else max(max(v).bit_length(), min(v).bit_length())
+                ) > bitlen_guard:
                     raise BitLengthGuardError(
                         f"gate {i}: value exceeds {bitlen_guard}-bit guard"
                     )
-        table[i] = row
+        table[i] = v
     if deg[-1] > d:
         raise DegreeBoundError(f"syntactic degree {deg[-1]} in x > bound {d}")
-    return UniPoly(tuple(table[-1]))
+    out = table[-1]
+    return UniPoly((out,) + (0,) * d if not deg[-1] else tuple(out))
 
 
 def enumerate_roots(

@@ -1,5 +1,6 @@
 """Range avoidance: normalization, amplification, inversion, reduction."""
 
+import importlib
 from itertools import product
 
 import pytest
@@ -31,7 +32,9 @@ from szpit.boolfunc import (
     parse_bool_circuit,
 )
 from szpit.circuit import analyze_degrees
+from szpit.config import DEFAULT_CLASS_CAP
 from szpit.errors import (
+    CapExceededError,
     InversionFailedError,
     PreconditionError,
     StageError,
@@ -435,6 +438,36 @@ def test_avoid_stage_provenance():
     with pytest.raises(StageError) as exc:
         avoid_via_hitting(AvoidInstance(2, 4, (1, 2)), hs_solver=broken_solver, seed=1)
     assert exc.value.stage == "hitting-set"
+
+
+def test_over_cap_instance_is_refused_before_normalize(monkeypatch):
+    # a = 2^16 + 1 needs m = 17 description bits, so the default search's
+    # class would have 2^17 members, past the cap.  The refusal comes before
+    # normalize tabulates g or amplify stretches it; a caller's own solver
+    # is not bound by the class cap, and a = 2^16 is within it, so both of
+    # those reach normalize.
+    avoid_mod = importlib.import_module("szpit.avoid")
+
+    def not_run(*args, **kw):
+        raise AssertionError("not_run ran")
+
+    monkeypatch.setattr(avoid_mod, "normalize", not_run)
+    monkeypatch.setattr(avoid_mod, "amplify", not_run)
+    a = (1 << 16) + 1
+    over = AvoidInstance(a, 2 * a, (1,) * a)
+    with pytest.raises(StageError) as exc:
+        avoid_via_hitting(over, seed=0)
+    assert exc.value.stage == "class-cap"
+    assert isinstance(exc.value.cause, CapExceededError)
+    assert str(exc.value.cause) == (
+        f"2^m = {1 << 17} exceeds the class cap {DEFAULT_CLASS_CAP} and the "
+        "class supplies no membership sampler"
+    )
+    at_cap = AvoidInstance(a - 1, 2 * (a - 1), (1,) * (a - 1))
+    for inst, solver in ((over, lambda cls: None), (at_cap, None)):
+        with pytest.raises(StageError, match="not_run ran") as exc:
+            avoid_via_hitting(inst, hs_solver=solver, seed=0)
+        assert exc.value.stage == "normalize"
 
 
 def test_compression_check_refuses_an_encoding_in_range_of_h():

@@ -718,6 +718,111 @@ def test_extraction_matches_the_monomial_expansion(seed, slack):
 
 
 @st.composite
+def scalar_heavy_circuits(draw):
+    """``(c, x_degree)``: a univariate circuit whose gates mostly read no
+    x, so long const-only subcircuits feed the gates that read it; in
+    about a third of draws the output itself reads no x.  Operands are
+    picked so that degrees stay within 6 and values within about 200
+    bits."""
+    gates, degs, bits = [Gate.var(1)], [1], [1]
+
+    def put(g, e, b):
+        gates.append(g)
+        degs.append(e)
+        bits.append(b)
+
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("const", "const", "add", "mul")))
+        if kind == "const":
+            v = draw(SMALL)
+            put(Gate.const(v), 0, v.bit_length())
+            continue
+        scalars = [i for i, e in enumerate(degs) if e == 0]
+        lhs = draw(st.sampled_from(scalars or [0]))
+        rhs = draw(st.sampled_from(range(len(gates))))
+        e = max(degs[lhs], degs[rhs]) if kind == "add" else degs[lhs] + degs[rhs]
+        b = max(bits[lhs], bits[rhs]) + 1 if kind == "add" else bits[lhs] + bits[rhs]
+        if e <= 6 and b <= 200:
+            put(Gate.add(lhs, rhs) if kind == "add" else Gate.mul(lhs, rhs), e, b)
+    scalar_out = draw(st.integers(0, 2)) == 0
+    pool = [i for i, e in enumerate(degs) if (e == 0) == scalar_out]
+    if not pool:
+        put(Gate.const(draw(SMALL)), 0, 5)
+        pool = [len(gates) - 1]
+    lhs, rhs = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    if degs[lhs] + degs[rhs] <= 6 and draw(st.booleans()):
+        put(Gate.mul(lhs, rhs), degs[lhs] + degs[rhs], 0)
+    else:
+        put(Gate.add(lhs, rhs), max(degs[lhs], degs[rhs]), 0)
+    return circuit(gates), degs[-1]
+
+
+@PROPERTY
+@given(scalar_heavy_circuits(), st.integers(0, 2))
+def test_extraction_keeps_degree_0_values_as_scalars(case, slack):
+    # Sums and products of scalars stay scalars, a scalar added to a row
+    # lands in its constant term and one multiplied scales it; the output,
+    # at d = x_degree (0 when it reads no x) and above, is padded to d + 1
+    # coefficients all the same.
+    c, x_degree = case
+    for d in (x_degree, x_degree + slack):
+        assert extract_unipoly(c, d).coeffs == expansion_coeffs(c, d)
+
+
+@st.composite
+def const_chains_past_a_guard(draw):
+    """``(c, guard, trip)``: x and gates reading it (x plus a const, x times
+    a const) beside a const-only chain that squares, scales by a const or
+    doubles its last value until a mul passes the guard, at gate ``trip``;
+    a few more gates follow.  At x in SMALL no gate reading x comes near
+    an 8-bit guard."""
+    guard = draw(st.integers(8, 64))
+    gates = [Gate.var(1)]
+
+    def put(g):
+        gates.append(g)
+        return len(gates) - 1
+
+    def beside_x():
+        if draw(st.booleans()):
+            c = put(Gate.const(draw(st.integers(-9, 9))))
+            put(Gate.add(0, c) if draw(st.booleans()) else Gate.mul(0, c))
+
+    v = draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1)))
+    last = put(Gate.const(v))
+    trip = None
+    while trip is None:
+        beside_x()
+        step = draw(st.sampled_from(("square", "scale", "double")))
+        if step == "double" and v.bit_length() < guard:
+            last, v = put(Gate.add(last, last)), 2 * v
+            continue
+        if step == "square":
+            last, v = put(Gate.mul(last, last)), v * v
+        else:
+            s = draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1)))
+            last, v = put(Gate.mul(last, put(Gate.const(s)))), v * s
+        if v.bit_length() > guard:
+            trip = last
+    for _ in range(draw(st.integers(0, 2))):
+        beside_x()
+    put(Gate.add(len(gates) - 1, last) if draw(st.booleans()) else Gate.mul(0, last))
+    return circuit(gates), guard, trip
+
+
+@PROPERTY
+@given(const_chains_past_a_guard(), st.integers(0, 3), SMALL)
+def test_const_chain_trips_the_guard_where_evaluation_does(case, d, u):
+    # A scalar mul is checked by its own bit length, so extraction at any
+    # degree bound raises at the same gate, with the same text, as the
+    # interpreter at any x.
+    c, guard, trip = case
+    want = (BitLengthGuardError, f"gate {trip}: value exceeds {guard}-bit guard")
+    assert outcome(_interpret, c, (u,), 0, guard) == want
+    assert outcome(extract_unipoly, c, d, guard) == want
+
+
+@st.composite
 def codec_pool_restrictions(draw):
     """A circuit shaped like the codec benchmark's, L1 * L2 * S with
     L1 = s(x1 - x2) + c1, L2 = t(xi + x3 - c2) and

@@ -129,14 +129,14 @@ def test_extraction_agrees_with_evaluation():
         if c is None:
             continue
         checked += 1
-    else:
-        raise AssertionError("generator starved")
         d = analyze_degrees(c).max_individual
         p = extract_unipoly(c, d)
         for u in range(-d - 1, d + 2):
             assert eval_unipoly(p, u) == eval_arithmetic(
                 c, (u,), len(c.gates) ** 2 + 2 ** len(c.gates)
             )
+    else:
+        raise AssertionError("generator starved")
 
 
 def test_extraction_coefficient_bitlength():
