@@ -139,6 +139,13 @@ def circuit(gates: Iterable[Gate]) -> Circuit:
     n_vars = max(var_names, default=0)
     n_params = max(param_names, default=0)
     _check_naming(var_names, param_names, n_vars, n_params)
+    return _assemble(gates, n_vars, n_params)
+
+
+def _assemble(gates: Tuple[Gate, ...], n_vars: int, n_params: int) -> Circuit:
+    """The circuit of an already checked gate tuple, built unchecked: for
+    ``circuit`` after its own pass, and for callers whose gates come from
+    valid circuits."""
     c = _new(Circuit)
     c.__dict__.update(gates=gates, n_vars=n_vars, n_params=n_params)
     return c

@@ -52,7 +52,7 @@ _ROOTS_CACHE_ENTRIES = 1 << 16
 _X1 = Gate.var(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootCode:
     """A compressed root: hybrid index k, root rank i, remaining coordinates."""
 
@@ -70,6 +70,21 @@ class RootCode:
         for v in self.rest:
             if not 0 <= v < q:
                 raise PreconditionError(f"rest entry {v} outside S_{q}")
+
+
+_new = object.__new__
+_set_k, _set_i, _set_rest = (RootCode.__dict__[f].__set__ for f in ("k", "i", "rest"))
+
+
+def _code(k: int, i: int, rest: Tuple[int, ...]) -> RootCode:
+    """``RootCode(k, i, rest)`` without the frozen ``__init__``'s
+    ``object.__setattr__`` per field: the three slots are filled through
+    their descriptors, as ``circuit._gate`` does for gates."""
+    c = _new(RootCode)
+    _set_k(c, k)
+    _set_i(c, i)
+    _set_rest(c, rest)
+    return c
 
 
 def serialize_code(code: RootCode) -> str:
@@ -128,14 +143,11 @@ class SZContext:
         self.nonroot = nonroot
         self.bitlen_guard = bitlen_guard
         keep(ckt, bitlen_guard)  # encode and decode evaluate P many times
-        self.nonroot_ok = self._eval(nonroot) != 0
+        self.nonroot_ok = eval_gates(ckt, nonroot, 0, bitlen_guard) != 0
         self._roots_cache: dict = {}
 
-    def _eval(self, point: Tuple[int, ...]) -> int:
-        return eval_gates(self.circuit, point, 0, self.bitlen_guard)
-
     def default_code(self) -> RootCode:
-        return RootCode(1, 1, (0,) * (self.n - 1))
+        return _code(1, 1, (0,) * (self.n - 1))
 
     def default_point(self) -> Tuple[int, ...]:
         return (0,) * self.n
@@ -161,7 +173,8 @@ class SZContext:
         return roots
 
     def in_cube(self, point: Iterable[int]) -> bool:
-        return all(0 <= v < self.q for v in point)
+        point = tuple(point)
+        return not point or (min(point) >= 0 and max(point) < self.q)
 
 
 def restrict(c: Circuit, k: int, fixed: Tuple[int, ...]) -> Circuit:
@@ -198,15 +211,15 @@ def encode_root(ctx: SZContext, b: Iterable[int]) -> RootCode:
         raise DimensionMismatchError(f"point has length {len(b)}, want {ctx.n}")
     if not ctx.in_cube(b):
         raise PreconditionError(f"point {b} is not inside S_{ctx.q}^{ctx.n}")
-    if not ctx.nonroot_ok or ctx._eval(b) != 0:
+    c, guard = ctx.circuit, ctx.bitlen_guard
+    if not ctx.nonroot_ok or eval_gates(c, b, 0, guard) != 0:
         return ctx.default_code()
     a = ctx.nonroot
-    # First hybrid position where P starts vanishing; k = n is guaranteed
-    # to stop the loop because P(b) = 0.
-    k = ctx.n
-    for j in range(1, ctx.n + 1):
-        hybrid = b[:j] + a[j:]
-        if ctx._eval(hybrid) == 0:
+    # First hybrid position where P starts vanishing.  Hybrid n is b itself,
+    # just shown to vanish, so only j < n is evaluated and k = n otherwise.
+    n = k = ctx.n
+    for j in range(1, n):
+        if eval_gates(c, b[:j] + a[j:], 0, guard) == 0:
             k = j
             break
     fixed = b[: k - 1] + a[k:]
@@ -217,7 +230,7 @@ def encode_root(ctx: SZContext, b: Iterable[int]) -> RootCode:
         return ctx.default_code()
     if rank > ctx.d:
         return ctx.default_code()
-    return RootCode(k, rank, b[: k - 1] + b[k:])
+    return _code(k, rank, b[: k - 1] + b[k:])
 
 
 def decode_code(ctx: SZContext, code: RootCode) -> Tuple[int, ...]:
@@ -243,25 +256,25 @@ def code_space_size(n: int, d: int, q: int) -> int:
 def pack_code(code: RootCode, n: int, d: int, q: int) -> int:
     """Bijection onto [n*d*q^(n-1)]: mixed radix, rest in base q, 1-based."""
     code.validate(n, d, q)
+    # Horner over the rest digits, most significant (the last) first.
     idx = (code.k - 1) * d + (code.i - 1)
-    idx *= q ** (n - 1)
-    for j, v in enumerate(code.rest):
-        idx += v * q**j
+    for v in reversed(code.rest):
+        idx = idx * q + v
     return idx + 1
 
 
 def unpack_code(idx: int, n: int, d: int, q: int) -> RootCode:
-    if not 1 <= idx <= code_space_size(n, d, q):
-        raise PreconditionError(f"index {idx} outside [1..{code_space_size(n, d, q)}]")
-    v = idx - 1
     block = q ** (n - 1)
-    head, tail = divmod(v, block)
+    size = n * d * block
+    if not 1 <= idx <= size:
+        raise PreconditionError(f"index {idx} outside [1..{size}]")
+    head, tail = divmod(idx - 1, block)
     k, i = divmod(head, d)
     rest = []
     for _ in range(n - 1):
         tail, digit = divmod(tail, q)
         rest.append(digit)
-    return RootCode(k + 1, i + 1, tuple(rest))
+    return _code(k + 1, i + 1, tuple(rest))
 
 
 def all_codes(n: int, d: int, q: int) -> Iterable[RootCode]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Tuple
 
-from .circuit import Circuit, Gate, analyze_degrees, circuit, require_parameter_free, shifted
+from .circuit import Circuit, Gate, _assemble, analyze_degrees, require_parameter_free, shifted
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from .errors import CapExceededError, DimensionMismatchError, PreconditionError
 from .evaluator import eval_gates
@@ -132,7 +132,9 @@ def difference_circuit(f: Circuit, g: Circuit) -> Circuit:
     gates.append(Gate.const(-1))
     gates.append(Gate.mul(len(gates) - 1, g_out))
     gates.append(Gate.add(f_out, len(gates) - 1))
-    return circuit(gates)
+    # Both halves are valid over the same variables and no params, so the
+    # concatenation is too; it skips circuit()'s second check.
+    return _assemble(tuple(gates), f.n_vars, 0)
 
 
 def equiv_test(

@@ -23,6 +23,7 @@ from .avoid import (
 from .boolfunc import BoolFunc, int_to_bits
 from .circuit import Gate, circuit, parse_circuit, serialize_circuit
 from .codec import (
+    RootCode,
     SZContext,
     all_codes,
     count_roots_brute,
@@ -95,6 +96,11 @@ def check_codec_roundtrip() -> None:
             assert decode_code(ctx, encode_root(ctx, b)) == b
         image = {decode_code(ctx, code) for code in all_codes(2, 1, q)}
         assert set(roots) <= image
+    # From (1, 1), the root (0, 2) is found at hybrid 1 and (2, 0) only at
+    # b itself (k = n), which encoding never evaluates a second time.
+    ctx = SZContext(c, 2, 1, 3, (1, 1))
+    assert encode_root(ctx, (0, 2)) == RootCode(1, 1, (2,))
+    assert encode_root(ctx, (2, 0)) == RootCode(2, 1, (2,))
 
 
 def check_root_count_bound() -> None:

@@ -200,6 +200,15 @@ def brute_roots(c: Circuit, n: int, q: int):
     return [p for p in product(range(q), repeat=n) if naive_eval(c, p) == 0]
 
 
+def pack_code_mixed_radix(code, n: int, d: int, q: int) -> int:
+    """The code's index as a mixed-radix sum: (k - 1, i - 1) in radix d on
+    top of q^(n-1), plus rest entry j (0-based) times q^j; 1-based."""
+    idx = ((code.k - 1) * d + (code.i - 1)) * q ** (n - 1)
+    for j, v in enumerate(code.rest):
+        idx += v * q**j
+    return idx + 1
+
+
 def amplify_steps(g: BoolFunc, x: Bits, t: int) -> List[Bits]:
     """[h_0(x), h_1(x), ..., h_t(x)], each round spelled out by its
     definition h_j(x) = g(h_{j-1}(x)[first m]) : h_{j-1}(x)[rest]."""

@@ -1,6 +1,9 @@
 """Root encoding/decoding: round-trip, surjectivity, counting."""
 
+import copy
 import importlib
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -188,7 +191,7 @@ def test_context_compiles_its_circuit():
     assert c._program.run_b is not None
     for u in range(8):
         for v in range(8):
-            assert ctx._eval((u, v)) == (u - 1) ** 3 + v
+            assert eval_gates(c, (u, v), 0, ctx.bitlen_guard) == (u - 1) ** 3 + v
 
 
 def test_counting_corollary():
@@ -241,6 +244,60 @@ def test_pack_unpack_roundtrip_exhaustive():
         assert pack_code(code, n, d, q) == idx
     with pytest.raises(PreconditionError):
         unpack_code(13, n, d, q)
+
+
+def test_slot_filled_codes_are_codes():
+    for k, i, rest in [(1, 1, ()), (2, 3, (0, 5)), (3, 1, (7, 0))]:
+        code = codec_mod._code(k, i, rest)
+        assert type(code) is RootCode
+        assert code == RootCode(k, i, rest) and hash(code) == hash(RootCode(k, i, rest))
+        assert (code.k, code.i, code.rest) == (k, i, rest)
+        with pytest.raises(FrozenInstanceError):
+            code.k = 2
+    assert not hasattr(RootCode(1, 1, ()), "__dict__")
+
+
+def test_codes_survive_pickle_and_deepcopy():
+    built = [RootCode(2, 1, (1, 0)), codec_mod._code(1, 3, ()), unpack_code(40, 3, 2, 4)]
+    for code in built:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(code, protocol))
+            assert type(back) is RootCode and back == code and hash(back) == hash(code)
+        assert copy.deepcopy(code) == code and copy.copy(code) == code
+
+
+def test_in_cube_on_edges_empty_points_and_iterators():
+    ctx = SZContext(product_circuit(), 2, 1, 5, (1, 1))
+    assert ctx.in_cube(()) and ctx.in_cube([]) and ctx.in_cube(iter(()))
+    for u in (-1, 0, 4, 5):
+        for v in (-1, 0, 4, 5):
+            want = 0 <= u < 5 and 0 <= v < 5
+            assert ctx.in_cube((u, v)) is want
+            assert ctx.in_cube(w for w in (u, v)) is want
+            assert ctx.in_cube([u, v]) is want
+
+
+def test_encode_evaluates_hybrids_before_n_only(monkeypatch):
+    # P = x1 * x2 * x3 with reference (1, 1, 1): a root whose first zero
+    # is at coordinate j stops the hybrid walk at k = j.  Encoding checks
+    # P(b) once and then walks hybrids 1..k, except hybrid n, which is b.
+    c = circuit([Gate.var(1), Gate.var(2), Gate.var(3), Gate.mul(0, 1), Gate.mul(3, 2)])
+    ctx = SZContext(c, 3, 1, 3, (1, 1, 1))
+    points = []
+    counted = codec_mod.eval_gates
+
+    def counting(ckt, point, *args):
+        points.append(point)
+        return counted(ckt, point, *args)
+
+    monkeypatch.setattr(codec_mod, "eval_gates", counting)
+    for b, k, evaluations in [((0, 2, 1), 1, 2), ((2, 0, 0), 2, 3), ((1, 2, 0), 3, 3)]:
+        points.clear()
+        code = encode_root(ctx, b)
+        assert code.k == k and len(points) == evaluations
+        assert points == [b] + [b[:j] + (1, 1, 1)[j:] for j in range(1, evaluations)]
+        assert code == _oracle_encode(c, 3, 1, 3, (1, 1, 1), b)
+        assert decode_code(ctx, code) == b
 
 
 def test_code_text_roundtrip():

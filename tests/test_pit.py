@@ -23,7 +23,7 @@ from szpit.pit import (
 )
 from szpit.rng import Rng
 
-from genckt import random_circuit_bounded
+from genckt import random_circuit, random_circuit_bounded
 from helpers import count_degree_passes
 from oracles import expansion_is_zero
 
@@ -318,3 +318,20 @@ def test_random_equiv_of_a_distributed_pair_matches_an_interpreted_scan(offset):
     var_steps = sum(r and gate.op != VAR for gate, r in zip(diff.gates, reads_var))
     steps = len(_prepare(diff, DEFAULT_BITLEN_GUARD).b_mul)
     assert steps < var_steps
+
+
+def test_difference_is_the_circuit_of_its_gates():
+    # The difference is assembled without circuit()'s checks; it must be
+    # the circuit that circuit() makes of the same gates.
+    rng = Rng(97, "difference")
+    pairs = [(const_circuit(3), const_circuit(-2))]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        pairs.append(tuple(random_circuit(rng, n, rng.randint(1, 12)) for _ in range(2)))
+    for f, g in pairs:
+        diff = difference_circuit(f, g)
+        want = circuit(diff.gates)
+        assert type(diff.gates) is tuple and diff == want
+        assert (diff.n_vars, diff.n_params) == (want.n_vars, want.n_params) == (f.n_vars, 0)
+        point = tuple(range(2, f.n_vars + 2))
+        assert eval_gates(diff, point) == eval_gates(f, point) - eval_gates(g, point)

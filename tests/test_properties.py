@@ -35,7 +35,18 @@ from szpit.circuit import (
     representation_size,
     serialize_circuit,
 )
-from szpit.codec import SZContext, all_codes, cube_roots, decode_code, encode_root, restrict
+from szpit.codec import (
+    RootCode,
+    SZContext,
+    all_codes,
+    code_space_size,
+    cube_roots,
+    decode_code,
+    encode_root,
+    pack_code,
+    restrict,
+    unpack_code,
+)
 from szpit.errors import (
     BitLengthGuardError,
     CircuitSyntaxError,
@@ -65,6 +76,7 @@ from oracles import (
     expansion_coeffs,
     expansion_is_zero,
     naive_eval,
+    pack_code_mixed_radix,
     value_numbered_steps,
 )
 
@@ -913,6 +925,27 @@ def test_root_scans_match_the_guarded_brute_scan(case):
         return tuple(roots + [q] * (d - len(roots)))
 
     assert outcome(enumerate_roots, p, q, bitlen_guard=guard) == outcome(first_d)
+
+
+@st.composite
+def codes_in_a_space(draw):
+    """(code, n, d, q) with the code valid for (n, d, q); n = 1 (an empty
+    rest) and q = 1 (a rest of zeros) included."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 40))
+    rest = tuple(draw(st.integers(0, q - 1)) for _ in range(n - 1))
+    return RootCode(draw(st.integers(1, n)), draw(st.integers(1, d)), rest), n, d, q
+
+
+@PROPERTY
+@given(codes_in_a_space())
+def test_pack_code_is_the_mixed_radix_index(case):
+    code, n, d, q = case
+    idx = pack_code(code, n, d, q)
+    assert idx == pack_code_mixed_radix(code, n, d, q)
+    assert 1 <= idx <= code_space_size(n, d, q)
+    assert unpack_code(idx, n, d, q) == code
 
 
 @settings(PROPERTY, max_examples=100)
