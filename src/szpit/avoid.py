@@ -41,15 +41,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .boolfunc import (
-    Bits,
     BoolCircuit,
     BoolFunc,
-    bits_to_int,
-    bits_to_str,
     boolfunc_from_callable,
     eval_bool_circuit,
     int_to_bit_str,
-    int_to_bits,
 )
 from .circuit import Circuit, Gate, circuit
 from .config import (
@@ -87,11 +83,6 @@ class AvoidInstance:
             if not 1 <= y <= self.b:
                 raise PreconditionError(f"f({x}) = {y} outside [1..{self.b}]")
 
-    def apply(self, x: int) -> int:
-        if not 1 <= x <= self.a:
-            raise PreconditionError(f"argument {x} outside [1..{self.a}]")
-        return self.table[x - 1]
-
     def range_set(self) -> set:
         return set(self.table)
 
@@ -106,7 +97,12 @@ def instance_from_tsv(text: str, b: Optional[int] = None) -> AvoidInstance:
         parts = line.split()
         if len(parts) != 2:
             raise PreconditionError(f"line {lineno}: want 'x<TAB>f(x)', got {line!r}")
-        x, y = int(parts[0]), int(parts[1])
+        try:
+            x, y = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise PreconditionError(
+                f"line {lineno}: want decimal x and f(x), got {line!r}"
+            ) from None
         if x in rows:
             raise PreconditionError(f"line {lineno}: duplicate row for x={x}")
         rows[x] = y
@@ -129,11 +125,7 @@ def instance_from_bool_circuit(
     m = bitlen(a - 1)
     if c.n_vars != m:
         raise DimensionMismatchError(f"circuit has {c.n_vars} inputs, want {m}")
-    table = []
-    for x in range(1, a + 1):
-        out = eval_bool_circuit(c, int_to_bits(x - 1, m))
-        table.append(bits_to_int(out) + 1)
-    return AvoidInstance(a, b, tuple(table))
+    return AvoidInstance(a, b, tuple(eval_bool_circuit(c, x) + 1 for x in range(a)))
 
 
 def solve_avoid_brute(inst: AvoidInstance, cap: int = DEFAULT_EXHAUSTION_CAP) -> int:
@@ -153,15 +145,11 @@ def solution_set(inst: AvoidInstance) -> set:
 
 # -- normalization ---------------------------------------------------------
 
-def num_onto(a: int, bits: Bits) -> int:
-    """The canonical surjection {0,1}^m -> [a]: value mod a, shifted to 1-based."""
-    return (bits_to_int(bits) % a) + 1
-
-
-def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[Bits], int]]:
+def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[int], int]]:
     """Reduce f : [a] -> [b] to a stretch-by-one-bit function plus a backmap.
 
-    g(x) writes (f(num(x)) - 1) mod 2a in m+1 binary digits.  If some
+    g(x) writes (f(num(x)) - 1) mod 2a in m+1 binary digits, where
+    num(x) = (x mod a) + 1 is the canonical surjection {0,1}^m -> [a].  If some
     string outside the range of g has integer value below 2a, its wrap y is
     provably outside the range of f: any preimage x of y under f would put
     g(num_inv(x)) on exactly that string.
@@ -177,17 +165,13 @@ def normalize(inst: AvoidInstance) -> Tuple[BoolFunc, Callable[[Bits], int]]:
     a = inst.a
     m = bitlen(a - 1)
     a2 = 2 * a
-
-    def g_fn(bits: Bits) -> Bits:
-        return int_to_bits((inst.apply(num_onto(a, bits)) - 1) % a2, m + 1)
-
-    g = boolfunc_from_callable(g_fn, m, m + 1)
+    table = inst.table
+    g = boolfunc_from_callable(lambda v: (table[v % a] - 1) % a2, m, m + 1)
     pool = sorted(set(range(1, a2 + 1)) - inst.range_set())
 
-    def backmap(bits: Bits) -> int:
-        if len(bits) != m + 1:
-            raise DimensionMismatchError(f"backmap input width {len(bits)} != {m + 1}")
-        v = bits_to_int(bits)
+    def backmap(v: int) -> int:
+        if not 0 <= v < 2 << m:
+            raise DimensionMismatchError(f"backmap input {v!r} outside [0, 2^{m + 1})")
         if v < a2:
             return v + 1
         return pool[(v - a2) % len(pool)]
@@ -205,11 +189,10 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
     one fresh stretch bit:  h_j(x) = g(h_{j-1}(x)[first m]) : h_{j-1}(x)[rest].
 
     By doubling: jump table k maps a head's value to the head after 2^k
-    rounds and those rounds' fresh bits, packed newest first into one int
-    (LSB first, as ``bits_to_int``).  The rows advance together along t's
-    binary digits, so each costs O(log t) steps instead of t, and only the
-    current table is kept.  Row x of h is the int ``tail << m | head`` of
-    h(x)'s bits; no row of g or h is unpacked into ``Bits``.
+    rounds and those rounds' fresh bits, packed newest first into one int.
+    The rows advance together along t's binary digits, so each costs
+    O(log t) steps instead of t, and only the current table is kept.  Row x
+    of h is the int ``tail << m | head``.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1")
@@ -239,52 +222,41 @@ class ExhaustiveOracle:
 
     Answers the two query forms of the inversion procedure: the walk query
     (length-maximal chain of g-preimages along the tail bits of y, ties
-    broken lexicographically) and the plain preimage query.  NO answers are
-    proven by exhaustion; YES answers carry witnesses that the caller
-    re-verifies.  The most recent walk is kept on ``last_walk`` for audit
-    traces.
+    broken lexicographically on the bit strings, bit 0 first) and the plain
+    preimage query.  NO answers are proven by exhaustion; YES answers carry
+    witnesses that the caller re-verifies.  The most recent walk is kept on
+    ``last_walk`` for audit traces.
     """
 
     def __init__(self):
-        self.last_walk: Optional[Tuple[int, List[Bits], List[Bits]]] = None
+        self.last_walk: Optional[Tuple[int, List[int], List[int]]] = None
 
-    def preimage(self, g: BoolFunc, target: Bits) -> Optional[Bits]:
-        row = bits_to_int(target)
-        # The round trip refuses a target of the wrong width or with a non-bit.
-        if int_to_bits(row, g.out_bits) == tuple(target) and row in g.rows:
-            return int_to_bits(g.rows.index(row), g.in_bits)
-        return None
+    def preimage(self, g: BoolFunc, target: int) -> Optional[int]:
+        return g.rows.index(target) if target in g.rows else None
 
-    def longest_walk(
-        self, g: BoolFunc, y: Bits, t: int
-    ) -> Tuple[int, List[Bits], List[Bits]]:
+    def longest_walk(self, g: BoolFunc, y: int, t: int) -> Tuple[int, List[int], List[int]]:
         """Maximal k <= t-1 with a chain y_0 .. y_k of stretch values.
 
-        y_0 is the first m+1 bits of y; each step needs a g-preimage w of
-        the current value and appends the next tail bit of y:
-        y_{j+1} = w : y[m+j+2].  Returns (k, [y_0..y_k], [w_0..w_{k-1}]).
+        y_0 is the low m+1 bits of y; each step needs a g-preimage w of the
+        current value and appends the next tail bit of y as the top bit:
+        y_{j+1} = w | (bit m+j+1 of y) << m.  Returns (k, [y_0..y_k],
+        [w_0..w_{k-1}]).  A node's preimages give distinct children, so
+        each child has one parent, and only the endpoint needs the tie-break.
         """
         m = g.in_bits
-        index: Dict[Bits, List[Bits]] = {}
+        index: Dict[int, List[int]] = {}
         for v, row in enumerate(g.rows):
-            index.setdefault(int_to_bits(row, m + 1), []).append(int_to_bits(v, m))
-        y0 = tuple(y[: m + 1])
-        levels: List[Dict[Bits, Optional[Tuple[Bits, Bits]]]] = [{y0: None}]
+            index.setdefault(row, []).append(v)
+        levels: List[Dict[int, Optional[Tuple[int, int]]]] = [{y & ((2 << m) - 1): None}]
         for j in range(t - 1):
-            bit = y[m + j + 1]
-            nxt: Dict[Bits, Optional[Tuple[Bits, Bits]]] = {}
-            for node in sorted(levels[j]):
-                for w in index.get(node, ()):
-                    child = w + (bit,)
-                    if child not in nxt:
-                        nxt[child] = (node, w)
+            top = (y >> (m + j + 1) & 1) << m
+            nxt = {w | top: (node, w) for node in levels[j] for w in index.get(node, ())}
             if not nxt:
                 break
             levels.append(nxt)
         k = len(levels) - 1
-        node = min(levels[k])
-        ys = [node]
-        ws: List[Bits] = []
+        ys = [min(levels[k], key=lambda v: int_to_bit_str(v, m + 1))]
+        ws: List[int] = []
         for j in range(k, 0, -1):
             parent, w = levels[j][ys[0]]
             ws.insert(0, w)
@@ -296,10 +268,11 @@ class ExhaustiveOracle:
 def invert_amplified(
     g: BoolFunc,
     t: int,
-    y: Bits,
+    y: int,
     oracle: Optional[ExhaustiveOracle] = None,
-) -> Bits:
-    """Recover a string outside range(g) from a string outside range(h).
+) -> int:
+    """Recover a string outside range(g) from a string outside range(h),
+    h = amplify(g, t).
 
     Exactly two oracle queries: one for the length-maximal preimage walk
     along y's tail bits, one to test whether the walk's endpoint is itself
@@ -307,23 +280,26 @@ def invert_amplified(
     y really avoids the amplified range; a failure therefore reports a
     violated precondition.
     """
+    if t < 1:
+        raise PreconditionError("t must be >= 1")
     oracle = oracle or ExhaustiveOracle()
     m = g.in_bits
     if g.out_bits != m + 1:
         raise DimensionMismatchError("g must stretch by one bit")
-    if len(y) != m + t:
-        raise DimensionMismatchError(f"y has width {len(y)}, want {m + t}")
+    if not 0 <= y < 1 << (m + t):
+        raise DimensionMismatchError(f"y {y!r} outside [0, 2^{m + t})")
     k, ys, ws = oracle.longest_walk(g, y, t)
-    # Re-verify the YES witness before trusting it.
-    if len(ys) != k + 1 or len(ws) != k or tuple(ys[0]) != tuple(y[: m + 1]):
+    # Re-verify the YES witness before trusting it; g(w) refuses a w
+    # outside its domain, so every y_j is an (m+1)-bit string.
+    if len(ys) != k + 1 or len(ws) != k or ys[0] != y & ((2 << m) - 1):
         raise OracleError("walk witness has the wrong shape")
     for j in range(k):
-        if g(ws[j]) != tuple(ys[j]) or tuple(ys[j + 1]) != tuple(ws[j]) + (y[m + j + 1],):
+        if g(ws[j]) != ys[j] or ys[j + 1] != ws[j] | (y >> (m + j + 1) & 1) << m:
             raise OracleError(f"walk witness fails re-verification at step {j}")
-    w = oracle.preimage(g, tuple(ys[k]))
+    w = oracle.preimage(g, ys[k])
     if w is None:
-        return tuple(ys[k])
-    if g(w) != tuple(ys[k]):
+        return ys[k]
+    if g(w) != ys[k]:
         raise OracleError("preimage witness fails re-verification")
     raise InversionFailedError(
         f"walk endpoint at depth {k} is still in range(g); y was not outside range(h)"
@@ -502,7 +478,6 @@ def encode_hitting_set_bits(h_set: HittingSet, sched: AvoidSchedule, width: int)
 
     In (i, j, k) order that is each coordinate's low w bits, least
     significant first, so each coordinate goes in with one shift and or.
-    ``int_to_bits(y, width)`` is y as a ``Bits`` string.
     """
     if h_set.r != sched.r or h_set.n != sched.n or h_set.q != sched.q:
         raise DimensionMismatchError("hitting set does not match the schedule")
@@ -607,13 +582,13 @@ def avoid_via_hitting(
 
     oracle = ExhaustiveOracle()
     with _stage("invert"):
-        y0 = invert_amplified(g, t, int_to_bits(y, h.out_bits), oracle)
-    trace["inversion_output"] = bits_to_str(y0)
+        y0 = invert_amplified(g, t, y, oracle)
+    trace["inversion_output"] = int_to_bit_str(y0, m + 1)
     k, ys, _ = oracle.last_walk
-    trace["inversion_walk"] = {"k": k, "chain": [bits_to_str(v) for v in ys]}
+    trace["inversion_walk"] = {"k": k, "chain": [int_to_bit_str(v, m + 1) for v in ys]}
 
     with _stage("inversion-check"):
-        if bits_to_int(y0) in g.rows:
+        if y0 in g.rows:
             raise AssertionError("inversion output is in range(g)")
 
     with _stage("backmap"):

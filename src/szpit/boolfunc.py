@@ -1,14 +1,13 @@
-"""Total Boolean functions on fixed-width bit vectors, and the .bc format.
+"""Total Boolean functions on fixed-width bit strings, and the .bc format.
 
-Bit vectors are tuples of 0/1; position j (0-based) carries weight 2^j, so
-``bits_to_int`` and ``int_to_bits`` are least-significant-bit-first, and
-``int_to_bit_str`` writes the low bits of an int as the string of 0/1
-characters that ``bits_to_str`` writes for those bits.  A ``BoolFunc`` is
-table-backed: all 2^in_bits rows are materialized, each as one int of
-out_bits bits, which is the right trade at desk scale, keeps amplification
-walks cheap and stays small for wide outputs.  A bit vector handed to a
-``BoolFunc``, or returned by the function that a table is built from, must
-hold only 0 and 1; anything else raises ``PreconditionError``.
+A bit string of width w is an int in [0, 2^w) whose bit j (0-based) is
+position j of the string, so ``int_to_bit_str`` writes it as 0/1
+characters with bit 0 first; that is the one text form, and traces use it.
+A ``BoolFunc`` is table-backed: all 2^in_bits rows are materialized, each
+as one int of out_bits bits, which is the right trade at desk scale, keeps
+amplification walks cheap and stays small for wide outputs.  An input
+outside [0, 2^in_bits), or a row outside [0, 2^out_bits), is refused with
+``DimensionMismatchError``.
 
 Boolean circuits use a dedicated grammar (extension ``.bc``) so Boolean and
 algebraic semantics can never be confused::
@@ -21,7 +20,8 @@ algebraic semantics can never be confused::
     g5 = and g3 g4
     output g2 g5        # multi-output: one gate id per output bit
 
-Gate kinds: var, const 0|1, and, or, xor, not.
+Gate kinds: var, const 0|1, and, or, xor, not.  Evaluated at the int x,
+var xk reads bit k - 1 of x, and output j is bit j of the result.
 """
 
 from __future__ import annotations
@@ -30,24 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from .errors import (
-    CircuitSyntaxError,
-    CircuitValidationError,
-    DimensionMismatchError,
-    PreconditionError,
-)
-
-Bits = Tuple[int, ...]
-
-_BITS = frozenset((0, 1))
-_CHAR_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def bits_to_int(bits: Bits) -> int:
-    v = 0
-    for j, b in enumerate(bits):
-        v |= (b & 1) << j
-    return v
+from .errors import CircuitSyntaxError, CircuitValidationError, DimensionMismatchError
 
 
 def int_to_bit_str(v: int, width: int) -> str:
@@ -59,29 +42,11 @@ def int_to_bit_str(v: int, width: int) -> str:
     return format(v & ((1 << width) - 1), f"0{width}b")[::-1]
 
 
-def int_to_bits(v: int, width: int) -> Bits:
-    """The low ``width`` bits of v, least significant first: entry j is
-    ``(v >> j) & 1``, for negative v too.  Written through
-    ``int_to_bit_str``, so a wide int unpacks at C speed."""
-    return tuple(int_to_bit_str(v, width).encode().translate(_CHAR_TO_BIT))
-
-
-def bits_to_str(bits: Bits) -> str:
-    return "".join(str(b) for b in bits)
-
-
-def _require_bits(bits: Bits, what: str) -> None:
-    if not _BITS.issuperset(bits):
-        raise PreconditionError(f"{what} {tuple(bits)!r} holds an entry other than 0 and 1")
-
-
 @dataclass(frozen=True)
 class BoolFunc:
     """A total function {0,1}^in_bits -> {0,1}^out_bits, stored as a table
-    of ints: bit j of ``rows[v]`` is output bit j at the input of value v
-    (both as ``bits_to_int``).  An int row takes about out_bits / 8 bytes
-    where a ``Bits`` row would take 8 bytes a bit.  Calls and
-    ``range_set`` answer in ``Bits``, unpacking rows on demand."""
+    of ints: ``rows[x]`` is the output at the input x.  An int row takes
+    about out_bits / 8 bytes."""
 
     in_bits: int
     out_bits: int
@@ -95,25 +60,16 @@ class BoolFunc:
         if min(self.rows) < 0 or max(self.rows) >> self.out_bits:
             raise DimensionMismatchError(f"a row is outside [0, 2^{self.out_bits})")
 
-    def __call__(self, bits: Bits) -> Bits:
-        if len(bits) != self.in_bits:
-            raise DimensionMismatchError(f"input width {len(bits)} != {self.in_bits}")
-        _require_bits(bits, "input")
-        return int_to_bits(self.rows[bits_to_int(bits)], self.out_bits)
-
-    def range_set(self) -> set:
-        return {int_to_bits(row, self.out_bits) for row in set(self.rows)}
+    def __call__(self, x: int) -> int:
+        # Unchecked, a negative x would read a row from the end of the table.
+        if not 0 <= x < len(self.rows):
+            raise DimensionMismatchError(f"input {x!r} outside [0, 2^{self.in_bits})")
+        return self.rows[x]
 
 
-def boolfunc_from_callable(fn: Callable[[Bits], Bits], in_bits: int, out_bits: int) -> BoolFunc:
-    rows = []
-    for v in range(1 << in_bits):
-        row = tuple(fn(int_to_bits(v, in_bits)))
-        if len(row) != out_bits:
-            raise DimensionMismatchError(f"row {row!r} has width != {out_bits}")
-        _require_bits(row, "row")
-        rows.append(bits_to_int(row))
-    return BoolFunc(in_bits, out_bits, tuple(rows))
+def boolfunc_from_callable(fn: Callable[[int], int], in_bits: int, out_bits: int) -> BoolFunc:
+    """Tabulate fn over [0, 2^in_bits); a row outside [0, 2^out_bits) is refused."""
+    return BoolFunc(in_bits, out_bits, tuple(map(fn, range(1 << in_bits))))
 
 
 # -- Boolean circuits ------------------------------------------------------
@@ -228,13 +184,13 @@ def serialize_bool_circuit(c: BoolCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eval_bool_circuit(c: BoolCircuit, bits: Bits) -> Bits:
-    if len(bits) != c.n_vars:
-        raise DimensionMismatchError(f"input width {len(bits)} != {c.n_vars}")
+def eval_bool_circuit(c: BoolCircuit, x: int) -> int:
+    if not 0 <= x < 1 << c.n_vars:
+        raise DimensionMismatchError(f"input {x!r} outside [0, 2^{c.n_vars})")
     values = [0] * len(c.gates)
     for i, g in enumerate(c.gates):
         if g.op == "var":
-            values[i] = bits[g.name - 1]
+            values[i] = x >> (g.name - 1) & 1
         elif g.op == "const":
             values[i] = g.value
         elif g.op == "and":
@@ -245,4 +201,4 @@ def eval_bool_circuit(c: BoolCircuit, bits: Bits) -> Bits:
             values[i] = values[g.lhs] ^ values[g.rhs]
         else:
             values[i] = 1 - values[g.lhs]
-    return tuple(values[o] for o in c.outputs)
+    return sum(values[o] << j for j, o in enumerate(c.outputs))

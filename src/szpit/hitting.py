@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional, Tuple
 
-from .boolfunc import int_to_bits
 from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_digits, plug_params
 from .circuit import representation_size
 from .codec import SZContext, all_codes, decode_code
@@ -86,11 +85,16 @@ def serialize_hitting_set(h: HittingSet) -> str:
 
 def parse_hitting_set(text: str, n: int, q: int) -> HittingSet:
     points = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        points.append(tuple(int(tok) for tok in line.split(",")))
+        try:
+            points.append(tuple(int(tok) for tok in line.split(",")))
+        except ValueError:
+            raise PreconditionError(
+                f"line {lineno}: want comma-separated integers, got {line!r}"
+            ) from None
     return HittingSet(tuple(points), n, q)
 
 
@@ -188,8 +192,9 @@ class DefinableClass:
     def member(self, x: str) -> Circuit:
         """The member at description x as one circuit, params plugged."""
         ckt, R = self.decode(x)
-        bits = int_to_bits(R, ckt.n_params)
-        return plug_params(ckt, dict(enumerate(bits, 1))) if bits else ckt
+        if not ckt.n_params:
+            return ckt
+        return plug_params(ckt, {k: R >> (k - 1) & 1 for k in range(1, ckt.n_params + 1)})
 
     def members(self) -> Iterator[Tuple[str, Circuit]]:
         for x in self.descriptions():
@@ -348,25 +353,26 @@ def nonrange_is_hitting(
 ) -> bool:
     """True iff H lies outside the image of the batch-decode map g.
 
-    Exhausts the whole domain of g (descriptions x reference points x code
-    r-tuples), so it is practical only for micro parameters.  Whenever it
-    returns True, verify_hitting_set must return Hits.
+    g sends (x, a, code r-tuple) to the r points the codes decode to
+    against member x at reference point a.  The r codes are free, so H is
+    in the image iff, for some (x, a), every point of H is the decode of
+    some code.  That takes one decode per (x, a, code), linear in r: the
+    cap bounds those 2^m * q^n * n*d*q^(n-1) decodes, so it is practical
+    only for micro parameters.  Whenever it returns True,
+    verify_hitting_set must return Hits.
     """
-    n, d, q, r = cls.n, cls.d, h.q, h.r
-    code_count = n * d * q ** (n - 1)
-    domain = (2**cls.m) * (q**n) * (code_count**r)
-    if domain > cap:
-        raise CapExceededError(f"g-domain size {domain} exceeds the cap {cap}")
+    n, d, q = cls.n, cls.d, h.q
+    decodes = (2**cls.m) * (q**n) * n * d * q ** (n - 1)
+    if decodes > cap:
+        raise CapExceededError(f"{decodes} code decodes exceed the cap {cap}")
     codes = tuple(all_codes(n, d, q))
-    target = h.points
+    target = set(h.points)
     for x in cls.descriptions():
         member = cls.member(x)
         for a in product(range(q), repeat=n):
             ctx = SZContext(member, n, d, q, a)
-            decoded = {code: decode_code(ctx, code) for code in codes}
-            for tup in product(codes, repeat=r):
-                if tuple(decoded[c] for c in tup) == target:
-                    return False
+            if target <= {decode_code(ctx, code) for code in codes}:
+                return False
     return True
 
 

@@ -20,7 +20,7 @@ from .avoid import (
     triple_decode,
     triple_encode,
 )
-from .boolfunc import BoolFunc, int_to_bits
+from .boolfunc import BoolFunc
 from .circuit import Gate, circuit, parse_circuit, serialize_circuit
 from .codec import (
     RootCode,
@@ -139,10 +139,8 @@ def check_normalization() -> None:
             b = 2 * a + rng.randint(0, 4)
             inst = AvoidInstance(a, b, tuple(rng.randint(1, b) for _ in range(a)))
             g, backmap = normalize(inst)
-            hit = inst.range_set()
-            seen = g.range_set()
-            for v in range(1 << g.out_bits):
-                y = int_to_bits(v, g.out_bits)
+            hit, seen = inst.range_set(), set(g.rows)
+            for y in range(1 << g.out_bits):
                 if y not in seen:
                     assert backmap(y) not in hit
 
@@ -152,14 +150,10 @@ def check_inversion() -> None:
     m, t = 2, 3
     g = BoolFunc(m, m + 1, tuple(rng.randrange(1 << (m + 1)) for _ in range(1 << m)))
     h = amplify(g, t)
-    h_range = h.range_set()
-    g_range = g.range_set()
-    for v in range(1 << (m + t)):
-        y = int_to_bits(v, m + t)
-        if y in h_range:
-            continue
-        out = invert_amplified(g, t, y)
-        assert out not in g_range
+    h_range, g_range = set(h.rows), set(g.rows)
+    for y in range(1 << (m + t)):
+        if y not in h_range:
+            assert invert_amplified(g, t, y) not in g_range
 
 
 def check_avoid_end_to_end() -> None:

@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 import importlib
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
-from szpit.boolfunc import (
-    BoolCircuit,
-    BoolFunc,
-    Bits,
-    boolfunc_from_callable,
-    eval_bool_circuit,
-    int_to_bits,
-)
+from szpit.boolfunc import BoolCircuit, BoolFunc, boolfunc_from_callable, eval_bool_circuit
 from szpit.circuit import CONST, Circuit, DegreeReport, Gate, analyze_degrees, circuit
 from szpit.codec import RootCode, SZContext, decode_code
 from szpit.config import DEFAULT_BITLEN_GUARD
@@ -102,15 +95,9 @@ def shifted_power_plus_x2(e):
     return circuit(gates + [Gate.add(e + 2, 1)])
 
 
-def inputs(f: BoolFunc) -> Iterator[Bits]:
-    """Every input of f, in table order."""
-    for v in range(1 << f.in_bits):
-        yield int_to_bits(v, f.in_bits)
-
-
 def boolfunc_from_circuit(c: BoolCircuit) -> BoolFunc:
     """The function a Boolean circuit computes, tabulated."""
-    return boolfunc_from_callable(lambda bits: eval_bool_circuit(c, bits), c.n_vars, len(c.outputs))
+    return boolfunc_from_callable(lambda x: eval_bool_circuit(c, x), c.n_vars, len(c.outputs))
 
 
 def bit_complexity(p: UniPoly) -> int:

@@ -10,13 +10,34 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Collection, Dict, List, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from szpit.avoid import AvoidSchedule, triple_encode
-from szpit.boolfunc import BoolFunc, Bits
+from szpit.boolfunc import BoolFunc, int_to_bit_str
 from szpit.circuit import ADD, CONST, PARAM, VAR, Circuit
-from szpit.errors import DimensionMismatchError
-from szpit.hitting import HittingSet
+from szpit.codec import SZContext, all_codes, decode_code
+from szpit.errors import CapExceededError, DimensionMismatchError
+from szpit.hitting import DefinableClass, HittingSet
+
+# A bit string spelled out per bit: entry j is bit j of the packed int.
+Bits = Tuple[int, ...]
+
+
+def int_to_bits(v: int, width: int) -> Bits:
+    """The low ``width`` bits of v, bit 0 first (two's complement for a
+    negative v, and ``()`` at a width of 0 or less)."""
+    return tuple(map(int, int_to_bit_str(v, width)))
+
+
+def bits_to_int(bits: Bits) -> int:
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def call_per_bit(f: BoolFunc, x: Bits) -> Bits:
+    """f at the bit string x, with its output spelled out per bit."""
+    if len(x) != f.in_bits:
+        raise DimensionMismatchError(f"input width {len(x)} != {f.in_bits}")
+    return int_to_bits(f(bits_to_int(x)), f.out_bits)
 
 
 def naive_eval(c: Circuit, vars: Tuple[int, ...], params: Tuple[int, ...] = ()) -> int:
@@ -215,8 +236,59 @@ def amplify_steps(g: BoolFunc, x: Bits, t: int) -> List[Bits]:
     m = g.in_bits
     states = [x]
     for _ in range(t):
-        states.append(g(states[-1][:m]) + states[-1][m:])
+        states.append(call_per_bit(g, states[-1][:m]) + states[-1][m:])
     return states
+
+
+def longest_walk_per_bit(g: BoolFunc, y: Bits, t: int) -> Tuple[int, List[Bits], List[Bits]]:
+    """The walk query on bit tuples: the longest chain y_0 .. y_k, k <= t-1,
+    with y_0 = y[:m+1] and y_{j+1} = w_j + (y[m+j+1],) for a g-preimage
+    w_j of y_j.  Nodes are visited in tuple order and the endpoint is the
+    least tuple of the last level, so ties go to the bit strings that
+    compare first with bit 0 first.  Returns (k, [y_0..y_k], [w_0..w_{k-1}])."""
+    m = g.in_bits
+    index: Dict[Bits, List[Bits]] = {}
+    for v, row in enumerate(g.rows):
+        index.setdefault(int_to_bits(row, m + 1), []).append(int_to_bits(v, m))
+    levels: List[Dict[Bits, Optional[Tuple[Bits, Bits]]]] = [{tuple(y[: m + 1]): None}]
+    for j in range(t - 1):
+        nxt: Dict[Bits, Optional[Tuple[Bits, Bits]]] = {}
+        for node in sorted(levels[j]):
+            for w in index.get(node, ()):
+                child = w + (y[m + j + 1],)
+                if child not in nxt:
+                    nxt[child] = (node, w)
+        if not nxt:
+            break
+        levels.append(nxt)
+    k = len(levels) - 1
+    ys = [min(levels[k])]
+    ws: List[Bits] = []
+    for j in range(k, 0, -1):
+        parent, w = levels[j][ys[0]]
+        ws.insert(0, w)
+        ys.insert(0, parent)
+    return k, ys, ws
+
+
+def nonrange_by_tuples(cls: DefinableClass, h: HittingSet, cap: int) -> bool:
+    """True iff no (x, a, code r-tuple) decodes to H's points in order,
+    found by enumerating every r-tuple of codes; the cap bounds that
+    domain, 2^m * q^n * (n*d*q^(n-1))^r."""
+    n, d, q, r = cls.n, cls.d, h.q, h.r
+    domain = (2**cls.m) * (q**n) * (n * d * q ** (n - 1)) ** r
+    if domain > cap:
+        raise CapExceededError(f"g-domain size {domain} exceeds the cap {cap}")
+    codes = tuple(all_codes(n, d, q))
+    for x in cls.descriptions():
+        member = cls.member(x)
+        for a in product(range(q), repeat=n):
+            ctx = SZContext(member, n, d, q, a)
+            decoded = {code: decode_code(ctx, code) for code in codes}
+            for tup in product(codes, repeat=r):
+                if tuple(decoded[c] for c in tup) == h.points:
+                    return False
+    return True
 
 
 def encode_hitting_set_per_bit(h_set: HittingSet, sched: AvoidSchedule, width: int) -> Bits:

@@ -18,7 +18,7 @@ from szpit.avoid import (
     normalize,
     solution_set,
 )
-from szpit.boolfunc import BoolFunc, int_to_bits
+from szpit.boolfunc import BoolFunc
 from szpit.circuit import analyze_degrees
 from szpit.codec import SZContext, all_codes, count_roots_brute, cube_roots, decode_code, encode_root
 from szpit.errors import ZeroOnCubeError
@@ -37,8 +37,8 @@ from szpit.rng import Rng
 from szpit.unipoly import UniPoly, enumerate_roots, eval_unipoly, extract_unipoly
 
 from genckt import random_circuit_bounded
-from helpers import bit_complexity, inputs
-from oracles import amplify_steps
+from helpers import bit_complexity
+from oracles import amplify_steps, call_per_bit, int_to_bits
 
 
 def _report(number: int, label: str, started: float, budget: float) -> None:
@@ -233,9 +233,8 @@ def test_criterion_8_appendix_pipeline():
     for inst in instances:
         g, backmap = normalize(inst)
         hit = inst.range_set()
-        seen = g.range_set()
-        for v in range(1 << g.out_bits):
-            y = int_to_bits(v, g.out_bits)
+        seen = set(g.rows)
+        for y in range(1 << g.out_bits):
             if y not in seen:
                 out = backmap(y)
                 assert 1 <= out <= 2 * inst.a and out not in hit
@@ -245,11 +244,11 @@ def test_criterion_8_appendix_pipeline():
         for trial in range(4):
             r = rng.split(f"ampl{m}:{trial}")
             g = BoolFunc(m, m + 1, tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m)))
-            for z in inputs(g):
-                states = amplify_steps(g, z, 4)
+            for z in range(1 << m):
+                states = amplify_steps(g, int_to_bits(z, m), 4)
                 for i in range(4):
                     y, v = states[i][:m], states[i][m:]
-                    assert states[i + 1] == g(y) + v
+                    assert states[i + 1] == call_per_bit(g, y) + v
 
     # Inversion soundness, exhaustive for m <= 3.
     for m in (1, 2, 3):
@@ -258,10 +257,8 @@ def test_criterion_8_appendix_pipeline():
             g = BoolFunc(m, m + 1, tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m)))
             t = r.randint(2, 4)
             h = amplify(g, t)
-            h_range = h.range_set()
-            g_range = g.range_set()
-            for v in range(1 << (m + t)):
-                y = int_to_bits(v, m + t)
+            h_range, g_range = set(h.rows), set(g.rows)
+            for y in range(1 << (m + t)):
                 if y in h_range:
                     continue
                 assert invert_amplified(g, t, y) not in g_range
@@ -283,8 +280,8 @@ def test_criterion_9_end_to_end_reduction():
         g, _ = normalize(inst)
         sched = desk_schedule(g.in_bits)
         h = amplify(g, sched.t_prime - g.in_bits)
-        y = tuple(int(ch) for ch in result.trace["y"])
-        assert all(h(x) != y for x in inputs(h))
+        y = int(result.trace["y"][::-1], 2)  # the trace writes bit 0 first
+        assert all(h(x) != y for x in range(1 << h.in_bits))
     _report(9, "hitting-set reduction solves 50 random instances", started, 300)
 
 

@@ -24,17 +24,12 @@ from szpit.avoid import (
     triple_decode,
     triple_encode,
 )
-from szpit.boolfunc import (
-    BoolFunc,
-    bits_to_int,
-    boolfunc_from_callable,
-    int_to_bits,
-    parse_bool_circuit,
-)
+from szpit.boolfunc import BoolFunc, boolfunc_from_callable, parse_bool_circuit
 from szpit.circuit import analyze_degrees
 from szpit.config import DEFAULT_CLASS_CAP
 from szpit.errors import (
     CapExceededError,
+    DimensionMismatchError,
     InversionFailedError,
     PreconditionError,
     StageError,
@@ -43,8 +38,7 @@ from szpit.evaluator import eval_gates
 from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
-from helpers import inputs
-from oracles import amplify_steps
+from oracles import amplify_steps, call_per_bit, int_to_bits
 
 
 def random_instance(rng, a, b=None):
@@ -67,11 +61,23 @@ def test_tsv_roundtrip():
     assert instance_from_tsv("1\t2\n2\t1\n").b == 4  # b defaults to 2a
 
 
+@pytest.mark.parametrize("text", ["1\tx\n", "1\t2\n0x2\t1\n"])
+def test_tsv_reader_names_the_line_of_a_bad_number(text):
+    # int() alone would raise a bare ValueError naming neither the line
+    # nor the file's format.
+    line = text.count("\n")
+    with pytest.raises(PreconditionError, match=f"^line {line}: want decimal x and f\\(x\\)"):
+        instance_from_tsv(text)
+
+
 def test_instance_from_bool_circuit():
     # f(x) = x on [4], as the identity on 2 bits.
     c = parse_bool_circuit("g0 = var x1\ng1 = var x2\noutput g0 g1\n")
     inst = instance_from_bool_circuit(c, 4, 8)
     assert inst.table == (1, 2, 3, 4)
+    # f(x) = x2 x1 read as a number with x1 on top: 0, 2, 1, 3 on x = 0..3.
+    swapped = parse_bool_circuit("g0 = var x1\ng1 = var x2\noutput g1 g0\n")
+    assert instance_from_bool_circuit(swapped, 3, 6).table == (1, 3, 2)
 
 
 def test_solve_brute_examples():
@@ -88,7 +94,7 @@ def test_normalize_degenerate_a1():
         inst = AvoidInstance(1, 4, (fv,))
         g, backmap = normalize(inst)
         assert g.in_bits == 0 and g.out_bits == 1
-        missing = [y for y in ((0,), (1,)) if y not in g.range_set()]
+        missing = [y for y in (0, 1) if y not in g.rows]
         assert len(missing) == 1
         assert backmap(missing[0]) not in inst.range_set()
 
@@ -97,19 +103,29 @@ def test_normalize_identity_a3():
     inst = AvoidInstance(3, 6, (1, 2, 3))
     g, backmap = normalize(inst)
     assert g.in_bits == 2 and g.out_bits == 3
-    for v in range(8):
-        y = int_to_bits(v, 3)
-        if y not in g.range_set():
+    # Rows (f(x mod 3 + 1) - 1) mod 6 for x = 0..3.
+    assert g.rows == (0, 1, 2, 0)
+    for y in range(8):
+        if y not in g.rows:
             assert backmap(y) in {4, 5, 6}
+
+
+@pytest.mark.parametrize("v", [-1, 8, 1 << 70])
+def test_backmap_refuses_a_string_outside_its_width(v):
+    # m + 1 = 3 bits.  Unchecked, -1 would backmap to 0, outside [2a],
+    # and 8 into the pool.
+    _, backmap = normalize(AvoidInstance(3, 6, (1, 2, 3)))
+    assert backmap(7) in {4, 5, 6}
+    with pytest.raises(DimensionMismatchError, match=r"outside \[0, 2\^3\)"):
+        backmap(v)
 
 
 def test_normalize_constant_a4():
     inst = AvoidInstance(4, 8, (1, 1, 1, 1))
     g, backmap = normalize(inst)
-    assert len(g.range_set()) == 1
-    for v in range(8):
-        y = int_to_bits(v, 3)
-        if y not in g.range_set():
+    assert set(g.rows) == {0}
+    for y in range(8):
+        if y not in g.rows:
             assert backmap(y) != 1
 
 
@@ -124,9 +140,8 @@ def test_normalize_guarantee_exhaustive():
             inst = random_instance(r, a, b)
             g, backmap = normalize(inst)
             hit = inst.range_set()
-            seen = g.range_set()
-            for v in range(1 << (a - 1).bit_length() + 1):
-                y = int_to_bits(v, g.out_bits)
+            seen = set(g.rows)
+            for y in range(1 << (a - 1).bit_length() + 1):
                 if y not in seen:
                     out = backmap(y)
                     assert 1 <= out <= 2 * a
@@ -141,10 +156,9 @@ def test_normalize_wrap_soundness_on_representative_strings():
         r = rng.split(str(trial))
         inst = random_instance(r, r.randint(1, 8))
         g, _ = normalize(inst)
-        seen = g.range_set()
         for y in inst.range_set():
             if y <= 2 * inst.a:
-                assert int_to_bits(y - 1, g.out_bits) in seen
+                assert y - 1 in g.rows
 
 
 # -- amplification -----------------------------------------------------------
@@ -163,19 +177,20 @@ def test_amplify_t1_is_g():
 def test_amplify_hand_unrolled():
     g = fixed_g_m2()
     h = amplify(g, 3)
-    for x in inputs(g):
-        h1 = g(x)
-        h2 = g(h1[:2]) + h1[2:]
-        h3 = g(h2[:2]) + h2[2:]
-        assert h(x) == h3
+    for v in range(4):
+        x = int_to_bits(v, 2)
+        h1 = call_per_bit(g, x)
+        h2 = call_per_bit(g, h1[:2]) + h1[2:]
+        h3 = call_per_bit(g, h2[:2]) + h2[2:]
+        assert int_to_bits(h(v), 5) == h3
         assert len(h3) == 5
 
 
 def test_amplify_prefix_property():
     # Tail bits persist: step i+1 keeps step i's stretch bits shifted by one.
     g = fixed_g_m2()
-    for x in inputs(g):
-        states = amplify_steps(g, x, 4)
+    for v in range(4):
+        states = amplify_steps(g, int_to_bits(v, 2), 4)
         for i in range(len(states) - 1):
             assert states[i + 1][3:] == states[i][2:]
 
@@ -188,11 +203,11 @@ def test_amplify_step_claim():
             r = rng.split(f"{m}:{trial}")
             table = tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m))
             g = BoolFunc(m, m + 1, table)
-            for z in inputs(g):
-                states = amplify_steps(g, z, 5)
+            for z in range(1 << m):
+                states = amplify_steps(g, int_to_bits(z, m), 5)
                 for i in range(5):
                     y, v = states[i][:m], states[i][m:]
-                    assert states[i + 1] == g(y) + v
+                    assert states[i + 1] == call_per_bit(g, y) + v
 
 
 def test_amplify_shape_checks():
@@ -208,9 +223,25 @@ def test_amplify_shape_checks():
 
 def test_invert_t1_returns_y():
     g = fixed_g_m2()
-    outside = [int_to_bits(v, 3) for v in range(8) if int_to_bits(v, 3) not in g.range_set()]
-    y = outside[0]
-    assert invert_amplified(g, 1, y) == y
+    outside = [y for y in range(8) if y not in g.rows]
+    assert outside == [1, 2, 4, 7]
+    for y in outside:
+        assert invert_amplified(g, 1, y) == y
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_invert_refuses_a_stretch_below_1(t):
+    # Unchecked, t = 0 returned the width-m value (1, 0) for y = (1, 0),
+    # and t = -1 returned (1,): neither is an (m+1)-bit string.
+    with pytest.raises(PreconditionError, match="^t must be >= 1$"):
+        invert_amplified(fixed_g_m2(), t, 0b01)
+
+
+@pytest.mark.parametrize("y", [-1, 1 << 5, 1 << 70])
+def test_invert_refuses_a_y_outside_its_width(y):
+    # m + t = 5 bits at t = 3.
+    with pytest.raises(DimensionMismatchError, match=r"outside \[0, 2\^5\)"):
+        invert_amplified(fixed_g_m2(), 3, y)
 
 
 def test_invert_soundness_exhaustive():
@@ -223,14 +254,12 @@ def test_invert_soundness_exhaustive():
             table = tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m))
             g = BoolFunc(m, m + 1, table)
             h = amplify(g, t)
-            h_range = h.range_set()
-            g_range = g.range_set()
-            for v in range(1 << (m + t)):
-                y = int_to_bits(v, m + t)
+            h_range, g_range = set(h.rows), set(g.rows)
+            for y in range(1 << (m + t)):
                 if y in h_range:
                     continue
                 out = invert_amplified(g, t, y)
-                assert len(out) == m + 1
+                assert 0 <= out < 1 << (m + 1)
                 assert out not in g_range
 
 
@@ -238,33 +267,35 @@ def test_invert_planted_preimage_fails():
     # g(x) = x:0 makes the walk circle back into range(g) forever, so a y
     # inside range(h) is detected and the procedure fails.
     m, t = 2, 3
-    g = boolfunc_from_callable(lambda x: x + (0,), m, m + 1)
+    g = boolfunc_from_callable(lambda x: x, m, m + 1)
     h = amplify(g, t)
-    y = h((1, 0))
+    y = h(0b01)
     with pytest.raises(InversionFailedError):
         invert_amplified(g, t, y)
 
 
 def test_invert_refuses_a_walk_witness_with_a_non_bit():
-    # g((0, 0)) = (1, 0, 1).  The witness w = (2, 0) would pass as (0, 0)
-    # if g packed it unchecked, and its chain would end on the non-bit
-    # string (2, 0, 1), which has no preimage and would come back as the
-    # answer.
-    class LyingOracle(ExhaustiveOracle):
-        def longest_walk(self, g, y, t):
-            return 1, [(1, 0, 1), (2, 0, 1)], [(2, 0)]
+    # A witness outside [0, 2^m) is no m-bit string, and g must refuse it.
+    # Read unchecked, w = -1 and w = -4 would give the rows at 3 and 0,
+    # which equal y_0 = y mod 8; the chain's end w | 1 << 2 = w would then
+    # pass, have no preimage and come back as the answer.  w = 4 would
+    # raise an IndexError.
+    for w, y in ((-1, 0b1000), (-4, 0b1101), (4, 0b1101)):
 
-    with pytest.raises(PreconditionError, match="other than 0 and 1"):
-        invert_amplified(fixed_g_m2(), 2, (1, 0, 1, 1), LyingOracle())
+        class LyingOracle(ExhaustiveOracle):
+            def longest_walk(self, g, y, t):
+                return 1, [y & 0b111, w | 0b100], [w]
+
+        with pytest.raises(DimensionMismatchError, match=r"input .* outside \[0, 2\^2\)"):
+            invert_amplified(fixed_g_m2(), 2, y, LyingOracle())
 
 
 def test_exhaustive_oracle_walk_is_length_maximal():
     g = fixed_g_m2()
     h = amplify(g, 3)
     oracle = ExhaustiveOracle()
-    for v in range(1 << 5):
-        y = int_to_bits(v, 5)
-        if y in h.range_set():
+    for y in range(1 << 5):
+        if y in h.rows:
             continue
         k, ys, ws = oracle.longest_walk(g, y, 3)
         assert k <= 2 and len(ys) == k + 1 and len(ws) == k
@@ -273,17 +304,13 @@ def test_exhaustive_oracle_walk_is_length_maximal():
 
 
 def test_exhaustive_oracle_preimage_checks_the_target_width():
-    # Rows 5, 6, 3, 0: (1, 0, 1) has preimage (0, 0) and (1, 1, 1) none.
-    # (0, 0) and (1, 0, 1, 0) pack to the rows 0 and 5 but have the wrong
-    # width, so they have no preimage either.
+    # Rows 5, 6, 3, 0: 5 has preimage 0, 0 has preimage 3, and 7 none.
+    # A target outside [0, 8), such as 5 with a fourth bit set or 5 - 8,
+    # is no row, so it has no preimage either.
     g, oracle = fixed_g_m2(), ExhaustiveOracle()
-    assert oracle.preimage(g, (1, 0, 1)) == (0, 0)
-    assert oracle.preimage(g, (0, 0, 0)) == (1, 1)
-    for target in [(1, 1, 1), (0, 0), (1, 0, 1, 0)]:
-        assert oracle.preimage(g, target) is None
-    # A non-bit target has no preimage: (3, 0, 1) and (-1, 0, 1) pack to
-    # the row 5, yet are not the bits of any row.
-    for target in [(3, 0, 1), (-1, 0, 1), (1, 0, 2)]:
+    assert oracle.preimage(g, 0b101) == 0
+    assert oracle.preimage(g, 0) == 3
+    for target in [7, 5 | 1 << 3, 5 - 8, -1, 1 << 70]:
         assert oracle.preimage(g, target) is None
 
 
@@ -341,10 +368,9 @@ def test_avoid_class_params_are_h_bits_packed():
     for m in (1, 2, 3):
         _, _, sched, h, cls = build_small_class(m=m)
         width = sched.r * sched.n * sched.w
-        for x in inputs(h):
-            desc = "".join(map(str, x))
-            assert cls.params_of(desc) == bits_to_int(h(x)[:width])
-            assert h.rows[bits_to_int(x)] == bits_to_int(h(x))
+        for x in range(1 << h.in_bits):
+            desc = "".join(map(str, int_to_bits(x, h.in_bits)))
+            assert cls.params_of(desc) == h(x) & ((1 << width) - 1)
             assert cls.decode(desc) == (cls.template, cls.params_of(desc))
 
 
@@ -367,7 +393,7 @@ def test_avoid_class_positivity():
 def test_avoid_class_vanishes_on_encoded_points():
     _, _, sched, h, cls = build_small_class(m=2)
     for x, member in cls.members():
-        bits = h(tuple(int(ch) for ch in x))
+        bits = int_to_bits(h(int(x[::-1], 2)), h.out_bits)
         for i in range(1, sched.r + 1):
             point = tuple(
                 sum(
@@ -391,7 +417,7 @@ def test_encoded_hitting_set_outside_h_range():
     h_set = search_hitting_set(cls, sched.q, sched.r, seed=3)
     y = encode_hitting_set_bits(h_set, sched, h.out_bits)
     assert y.__class__ is int and 0 <= y < 1 << h.out_bits
-    assert all(bits_to_int(h(x)) != y for x in inputs(h))
+    assert all(h(x) != y for x in range(1 << h.in_bits))
 
 
 # -- end to end ----------------------------------------------------------------
@@ -477,7 +503,7 @@ def test_compression_check_refuses_an_encoding_in_range_of_h():
     g, _ = normalize(inst)
     sched = desk_schedule(g.in_bits)
     h = amplify(g, sched.t_prime - g.in_bits)
-    bits = h((1,) * g.in_bits)
+    bits = int_to_bits(h((1 << g.in_bits) - 1), h.out_bits)
     points = tuple(
         tuple(
             sum(
@@ -489,7 +515,7 @@ def test_compression_check_refuses_an_encoding_in_range_of_h():
         for i in range(1, sched.r + 1)
     )
     spelled = HittingSet(points, sched.n, sched.q)
-    assert encode_hitting_set_bits(spelled, sched, h.out_bits) == bits_to_int(bits)
+    assert encode_hitting_set_bits(spelled, sched, h.out_bits) == h((1 << g.in_bits) - 1)
     with pytest.raises(StageError) as exc:
         avoid_via_hitting(inst, hs_solver=lambda cls: spelled, seed=1)
     assert exc.value.stage == "compression-check"
@@ -513,7 +539,7 @@ def test_avoid_class_member_matches_direct_formula():
     _, _, sched, h, cls = build_small_class(m=2)
     rng = Rng(413, "formula")
     for x, member in cls.members():
-        bits = h(tuple(int(ch) for ch in x))
+        bits = int_to_bits(h(int(x[::-1], 2)), h.out_bits)
         targets = [
             [
                 sum(
@@ -552,5 +578,5 @@ def test_amplify_matches_the_round_by_round_definition():
             g = BoolFunc(m, m + 1, tuple(r.randrange(1 << (m + 1)) for _ in range(1 << m)))
             for t in range(1, 6):
                 h = amplify(g, t)
-                for x in inputs(g):
-                    assert h(x) == amplify_steps(g, x, t)[-1]
+                for x in range(1 << m):
+                    assert int_to_bits(h(x), m + t) == amplify_steps(g, int_to_bits(x, m), t)[-1]

@@ -1,20 +1,19 @@
-"""Bit vectors and the .bc Boolean circuit format."""
+"""Bit strings as ints, and the .bc Boolean circuit format."""
 
 import pytest
 
 from szpit.boolfunc import (
     BoolFunc,
-    bits_to_int,
     boolfunc_from_callable,
     eval_bool_circuit,
     int_to_bit_str,
-    int_to_bits,
     parse_bool_circuit,
     serialize_bool_circuit,
 )
-from szpit.errors import CircuitSyntaxError, DimensionMismatchError, PreconditionError
+from szpit.errors import CircuitSyntaxError, DimensionMismatchError
 
 from helpers import boolfunc_from_circuit
+from oracles import bits_to_int, int_to_bits
 
 XOR_NOT_TEXT = """\
 g0 = var x1
@@ -26,27 +25,39 @@ output g2 g3
 
 
 def test_bits_int_roundtrip():
+    # The text form and the per-bit view the test oracles use.
     for v in range(32):
+        assert int(int_to_bit_str(v, 5)[::-1], 2) == v
         assert bits_to_int(int_to_bits(v, 5)) == v
-    assert int_to_bits(6, 3) == (0, 1, 1)  # least significant bit first
+    assert int_to_bit_str(6, 3) == "011"  # least significant bit first
+    assert int_to_bits(6, 3) == (0, 1, 1)
     # Two's-complement low bits for negatives, high bits dropped, and
     # nothing at a width of 0 or less.
-    assert int_to_bits(-1, 4) == (1, 1, 1, 1)
-    assert int_to_bits(-6, 4) == (0, 1, 0, 1)
-    assert int_to_bits(0b10110, 3) == (0, 1, 1)
-    assert int_to_bits(1 << 719, 720) == (0,) * 719 + (1,)
-    for width in (0, -1, -2):
-        assert int_to_bits(5, width) == ()
-        assert int_to_bit_str(5, width) == ""
-    assert int_to_bit_str(6, 5) == "01100"
+    assert int_to_bit_str(-1, 4) == "1111"
     assert int_to_bit_str(-6, 4) == "0101"
+    assert int_to_bit_str(0b10110, 3) == "011"
+    assert int_to_bit_str(1 << 719, 720) == "0" * 719 + "1"
+    for width in (0, -1, -2):
+        assert int_to_bit_str(5, width) == ""
+        assert int_to_bits(5, width) == ()
+    assert int_to_bit_str(6, 5) == "01100"
 
 
 def test_parse_eval_serialize():
     c = parse_bool_circuit(XOR_NOT_TEXT)
     assert serialize_bool_circuit(c) == XOR_NOT_TEXT
-    assert eval_bool_circuit(c, (1, 0)) == (1, 0)
-    assert eval_bool_circuit(c, (1, 1)) == (0, 1)
+    # x1 is bit 0 of the input and output j is bit j of the result.
+    assert eval_bool_circuit(c, 0b01) == 0b01
+    assert eval_bool_circuit(c, 0b11) == 0b10
+    assert eval_bool_circuit(c, 0b00) == 0b10
+
+
+@pytest.mark.parametrize("x", [-1, 4, 1 << 70])
+def test_eval_bool_circuit_refuses_an_input_outside_its_domain(x):
+    # Two inputs: x outside [0, 4) has bits past x2, or is negative.
+    c = parse_bool_circuit(XOR_NOT_TEXT)
+    with pytest.raises(DimensionMismatchError, match=r"outside \[0, 2\^2\)"):
+        eval_bool_circuit(c, x)
 
 
 def test_parse_rejects_forward_reference():
@@ -62,15 +73,16 @@ def test_parse_rejects_missing_output():
 def test_and_or_const():
     text = "g0 = var x1\ng1 = const 1\ng2 = and g0 g1\ng3 = or g0 g1\noutput g2 g3\n"
     c = parse_bool_circuit(text)
-    assert eval_bool_circuit(c, (0,)) == (0, 1)
-    assert eval_bool_circuit(c, (1,)) == (1, 1)
+    assert eval_bool_circuit(c, 0) == 0b10
+    assert eval_bool_circuit(c, 1) == 0b11
 
 
 def test_boolfunc_from_circuit():
     f = boolfunc_from_circuit(parse_bool_circuit(XOR_NOT_TEXT))
     assert f.in_bits == 2 and f.out_bits == 2
-    assert f((0, 1)) == (1, 0)
-    assert len(f.range_set()) == 2
+    assert f.rows == (2, 1, 1, 2)
+    assert f(0b10) == 0b01
+    assert len(set(f.rows)) == 2
 
 
 def test_boolfunc_shape_checks():
@@ -78,19 +90,18 @@ def test_boolfunc_shape_checks():
         BoolFunc(1, 1, (0,))  # needs 2 rows
     f = BoolFunc(1, 1, (0, 1))
     with pytest.raises(DimensionMismatchError):
-        f((0, 1))
+        f(2)  # a 2-bit input
 
 
 def test_packed_boolfunc_answers_as_its_table():
-    # Rows are packed ints; calls and range_set answer in Bits.
+    # Rows are packed ints, and a call answers with the row.
     table = ((1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1))
     f = BoolFunc(2, 3, tuple(bits_to_int(row) for row in table))
     assert f.rows == (5, 6, 3, 5)
-    assert f.range_set() == set(table)
     for v in range(4):
-        assert f(int_to_bits(v, 2)) == table[v]
+        assert f(v) == f.rows[v] == bits_to_int(table[v])
     with pytest.raises(DimensionMismatchError):
-        f((0, 1, 1))
+        f(0b110)
 
 
 @pytest.mark.parametrize("rows", [(0,), (0, 1, 2), (0, -1), (0, 8)])
@@ -103,24 +114,29 @@ def test_packed_boolfunc_shape_checks(rows):
 
 @pytest.mark.parametrize("width", [2, 4])
 def test_boolfunc_from_callable_checks_row_width(width):
-    # An int row cannot show its width: unchecked, rows of 2 or 4 zero
-    # bits would both pack to 0 and pass as 3-bit rows.
-    with pytest.raises(DimensionMismatchError, match="width != 3"):
-        boolfunc_from_callable(lambda bits: (0,) * width, 1, 3)
-    assert boolfunc_from_callable(lambda bits: bits * 3, 1, 3).rows == (0, 7)
+    # An int row has no width of its own: the all-ones row of 2 bits is a
+    # 3-bit row, while the one of 4 bits has a bit past the third.
+    ones = (1 << width) - 1
+    if width <= 3:
+        assert boolfunc_from_callable(lambda x: ones, 1, 3).rows == (ones, ones)
+    else:
+        with pytest.raises(DimensionMismatchError, match=r"outside \[0, 2\^3\)"):
+            boolfunc_from_callable(lambda x: ones, 1, 3)
+    assert boolfunc_from_callable(lambda x: x * 7, 1, 3).rows == (0, 7)
 
 
-@pytest.mark.parametrize("row", [(2, 0), (0, -1), (1, 3)])
-def test_boolfunc_from_callable_refuses_a_row_with_a_non_bit(row):
-    # Packed unchecked, (2, 0) would become the row 0 and (1, 3) the row 3.
-    with pytest.raises(PreconditionError, match="other than 0 and 1"):
-        boolfunc_from_callable(lambda bits: row, 1, 2)
+@pytest.mark.parametrize("row", [4, -1, 1 << 70])
+def test_boolfunc_from_callable_refuses_a_row_outside_its_range(row):
+    # Two-bit rows: 4 and 2^70 have a bit past bit 1, and -1 is negative.
+    with pytest.raises(DimensionMismatchError, match=r"outside \[0, 2\^2\)"):
+        boolfunc_from_callable(lambda x: row if x else 0, 1, 2)
 
 
-@pytest.mark.parametrize("bits", [(3,), (-1,), (2,)])
-def test_boolfunc_call_refuses_a_non_bit_input(bits):
-    # Unchecked, (3,) and (-1,) would read the row at input (1,).
+@pytest.mark.parametrize("x", [-1, 2, 3])
+def test_boolfunc_call_refuses_an_input_outside_its_domain(x):
+    # Unchecked, -1 would read the last row, and 2 and 3 would fail on
+    # the table's index instead.
     f = BoolFunc(1, 2, (1, 2))
-    assert f((1,)) == (0, 1)
-    with pytest.raises(PreconditionError, match="other than 0 and 1"):
-        f(bits)
+    assert f(1) == 2
+    with pytest.raises(DimensionMismatchError, match=r"input .* outside \[0, 2\^1\)"):
+        f(x)

@@ -237,6 +237,18 @@ def test_avoid_tsv(capsys, tmp_path):
     assert code == 0 and out.strip() == "1"
 
 
+def test_reader_errors_name_the_line_and_exit_65(capsys, tmp_path):
+    tsv = tmp_path / "f.tsv"
+    tsv.write_text("1\t3\n2\tx\n")
+    hs = tmp_path / "h.txt"
+    hs.write_text("1,a\n")
+    avoid = ["avoid", "--instance", str(tsv), "--b", "4", "--via", "brute"]
+    verify = ["hs-verify", "--class", "builtin:linear", "--n", "2", "--d", "1", "--q", "4", str(hs)]
+    for argv, line in ((avoid, 2), (verify, 1)):
+        code, _, err = run(capsys, *argv)
+        assert code == EX_DATAERR and err.startswith(f"error: line {line}: want ")
+
+
 def test_avoid_bool_circuit(capsys, tmp_path):
     path = tmp_path / "f.bc"
     path.write_text("g0 = var x1\ng1 = var x2\noutput g0 g1\n")

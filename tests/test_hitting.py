@@ -1,11 +1,14 @@
 """Hitting sets: witnesses, verification, search, the non-range criterion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szpit.circuit import Gate, circuit
 from szpit.classes import linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
+from szpit.config import DEFAULT_EXHAUSTION_CAP
 from szpit.errors import (
+    CapExceededError,
     PreconditionError,
     SearchBudgetError,
     ZeroOnCubeError,
@@ -27,6 +30,7 @@ from szpit.hitting import (
 from szpit.rng import Rng
 
 from helpers import g_map
+from oracles import nonrange_by_tuples
 
 
 def product_circuit():
@@ -154,6 +158,47 @@ def test_nonrange_planted_preimage():
     assert not nonrange_is_hitting(cls, h)
 
 
+MICRO_CLASSES = (monomial_class(1), monomial_class(2), linear_class(1), linear_class(2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(MICRO_CLASSES), st.integers(2, 4), st.integers(0, 2), st.data())
+def test_nonrange_matches_the_tuple_enumeration(cls, q, r, data):
+    # Points drawn from a small pool, so H is often inside the image.
+    pool = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * cls.n), min_size=1))
+    points = tuple(data.draw(st.sampled_from(pool)) for _ in range(r))
+    h = HittingSet(points, cls.n, q)
+    assert nonrange_is_hitting(cls, h) == nonrange_by_tuples(cls, h, DEFAULT_EXHAUSTION_CAP)
+
+
+def test_nonrange_past_the_largeness_bound_is_hitting():
+    # r = m + n|q| + 1 at q = 4 = 2dn, where the tuple domain (8^r code
+    # tuples per member and reference point) is past any cap: the decodes
+    # stay 2^m * 16 * 8, and every draw outside the image verifies.
+    q, draws = 4, 50
+    for cls in (monomial_class(2), linear_class(2)):
+        r = cls.m + cls.n * bitlen(q) + 1
+        assert largeness_holds(n=cls.n, d=cls.d, q=q, r=r, m=cls.m)
+        rng = Rng(431, f"nonrange-large:{cls.m}")
+        outside = 0
+        for i in range(draws):
+            h = HittingSet(tuple(rng.point(cls.n, q) for _ in range(r)), cls.n, q)
+            if nonrange_is_hitting(cls, h):
+                outside += 1
+                assert verify_hitting_set(cls, h).hits
+        assert outside > draws // 2
+
+
+def test_nonrange_cap_bounds_the_decodes():
+    # monomial_class(2) at q = 4 decodes 2 members x 16 points x 8 codes,
+    # whatever r is; the old cap counted 8^r code tuples.
+    cls = monomial_class(2)
+    h = HittingSet(((1, 2),) * 9, 2, 4)
+    assert nonrange_is_hitting(cls, h, cap=256) is True
+    with pytest.raises(CapExceededError, match="^256 code decodes exceed the cap 255$"):
+        nonrange_is_hitting(cls, h, cap=255)
+
+
 def test_largeness_examples():
     assert largeness_holds(n=2, d=2, q=8, r=13, m=4)
     # Well below the r > m + n|q| threshold the count flips.
@@ -183,6 +228,14 @@ def test_hitting_set_text_roundtrip():
     text = serialize_hitting_set(h)
     assert text == "1,2\n3,0\n"
     assert parse_hitting_set(text, 2, 4) == h
+
+
+def test_hitting_set_reader_names_the_line_of_a_bad_number():
+    # int() alone would raise a bare ValueError naming no line.
+    with pytest.raises(PreconditionError, match="^line 1: want comma-separated integers"):
+        parse_hitting_set("1,a\n", 2, 4)
+    with pytest.raises(PreconditionError, match="^line 3: .*got '2,'$"):
+        parse_hitting_set("1,2\n\n2,\n", 2, 4)
 
 
 def test_hitting_set_size_counts_distinct():

@@ -24,8 +24,14 @@ from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from szpit.avoid import _member_gates, amplify, desk_schedule, encode_hitting_set_bits
-from szpit.boolfunc import BoolFunc, bits_to_int, bits_to_str, int_to_bit_str, int_to_bits
+from szpit.avoid import (
+    ExhaustiveOracle,
+    _member_gates,
+    amplify,
+    desk_schedule,
+    encode_hitting_set_bits,
+)
+from szpit.boolfunc import BoolFunc, int_to_bit_str
 from szpit.circuit import (
     Gate,
     analyze_degrees,
@@ -71,10 +77,13 @@ from genckt import random_circuit, random_circuit_bounded
 from helpers import times_line_factors
 from oracles import (
     amplify_steps,
+    bits_to_int,
     degree_oracle,
     encode_hitting_set_per_bit,
     expansion_coeffs,
     expansion_is_zero,
+    int_to_bits,
+    longest_walk_per_bit,
     naive_eval,
     pack_code_mixed_radix,
     value_numbered_steps,
@@ -1051,9 +1060,24 @@ def test_amplify_matches_the_round_by_round_oracle(m, t, data):
     rows = st.integers(0, (1 << (m + 1)) - 1)
     g = BoolFunc(m, m + 1, tuple(data.draw(rows) for _ in range(1 << m)))
     h = amplify(g, t)
-    for v in data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4)):
-        x = int_to_bits(v, m)
-        assert h(x) == amplify_steps(g, x, t)[-1]
+    for x in data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4)):
+        assert int_to_bits(h(x), m + t) == amplify_steps(g, int_to_bits(x, m), t)[-1]
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(1, 5), st.data())
+def test_walk_is_the_per_bit_walk(m, t, data):
+    # The int walk against the tuple walk: the same depth, chain and
+    # witnesses, packed, so ties go to the same endpoint.  Rows drawn from
+    # a few values give g many preimages per node, and so many ties.
+    values = data.draw(st.lists(st.integers(0, (2 << m) - 1), min_size=1, max_size=3))
+    g = BoolFunc(m, m + 1, tuple(data.draw(st.sampled_from(values)) for _ in range(1 << m)))
+    y = data.draw(st.integers(0, (1 << (m + t)) - 1))
+    oracle = ExhaustiveOracle()
+    k, ys, ws = longest_walk_per_bit(g, int_to_bits(y, m + t), t)
+    want = (k, [bits_to_int(v) for v in ys], [bits_to_int(w) for w in ws])
+    assert oracle.longest_walk(g, y, t) == want
+    assert oracle.last_walk == want
 
 
 # Ints of every size up to past the widest width drawn, of both signs.
@@ -1063,10 +1087,10 @@ ANY_INT = st.one_of(st.integers(), st.integers(-(2**820), 2**820))
 @PROPERTY
 @given(ANY_INT, st.integers(-2, 800))
 def test_int_to_bits_is_the_per_bit_definition(v, width):
+    # The text form, and the per-bit view the oracles read through it.
     want = tuple((v >> j) & 1 for j in range(width))
     assert int_to_bits(v, width) == want
-    assert int_to_bit_str(v, width) == bits_to_str(int_to_bits(v, width))
-    assert int_to_bit_str(v, width) == bits_to_str(want)
+    assert int_to_bit_str(v, width) == "".join(map(str, want))
 
 
 @st.composite

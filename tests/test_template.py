@@ -7,7 +7,6 @@ import pytest
 
 from szpit import avoid
 from szpit.avoid import AvoidInstance, amplify, build_avoid_class, desk_schedule, normalize
-from szpit.boolfunc import int_to_bits
 from szpit.circuit import Gate, circuit, plug_params, representation_size
 from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
 from szpit.errors import PreconditionError
@@ -16,7 +15,7 @@ from szpit.hitting import DefinableClass, HittingSet, search_hitting_set, verify
 from szpit.rng import Rng
 
 from helpers import count_degree_passes
-from oracles import naive_eval
+from oracles import int_to_bits, naive_eval
 
 
 def avoid_parts(a, seed=7):
