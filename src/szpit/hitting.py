@@ -227,15 +227,18 @@ def find_small_witness(
     cap: int = DEFAULT_EXHAUSTION_CAP,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
     params: int = 0,
+    first: Optional[HittingSet] = None,
 ) -> Tuple[int, ...]:
     """Find a point of S_q^n where the member ``(ckt, params)``, as given by
     :meth:`DefinableClass.decode`, evaluates nonzero.
 
     Requires q >= 2dn, which guarantees that a non-vanishing circuit is
     nonzero on at least half the cube, so seeded uniform sampling finds a
-    witness quickly.  When the budget runs out the cube is scanned
-    exhaustively if it fits the cap; an empty scan proves the circuit
-    vanishes on the whole cube (and hence, at this q, everywhere).
+    witness quickly.  The points of ``first`` (same n and q) are tried in
+    order before any draw, so a drawn witness is never one of them.  When
+    the budget runs out the cube is scanned exhaustively if it fits the
+    cap; an empty scan proves the circuit vanishes on the whole cube (and
+    hence, at this q, everywhere).
     """
     if n != ckt.n_vars:
         raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
@@ -244,6 +247,12 @@ def find_small_witness(
         raise PreconditionError(f"declared degree {d} below actual {true_d}")
     if q < 2 * d * n:
         raise PreconditionError(f"q={q} < 2dn = {2 * d * n}")
+    if first is not None:
+        if (first.n, first.q) != (n, q):
+            raise DimensionMismatchError(f"first has n={first.n}, q={first.q}; want n={n}, q={q}")
+        for w in first.points:
+            if eval_gates(ckt, w, params, bitlen_guard) != 0:
+                return w
     rng = rng or Rng(0, "witness")
     for _ in range(budget):
         w = rng.point(n, q)
@@ -277,9 +286,11 @@ def verify_hitting_set(
     """Decide whether H hits every non-vanishing member of the slice.
 
     Descriptions are enumerated in lexicographic order, so the returned
-    Misses pair is deterministic for a fixed seed.  Because q >= 2dn is
-    required, the witness search is a complete test of non-vanishing at
-    desk scale and the witness accompanying a miss lies in S_q^n.
+    Misses pair is deterministic for a fixed seed.  The witness search
+    tries H's points first, so H misses a member iff its witness is not in
+    H.  Because q >= 2dn is required, the witness search is a complete
+    test of non-vanishing at desk scale and the witness accompanying a
+    miss lies in S_q^n.
     """
     if h.n != cls.n:
         raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
@@ -301,10 +312,11 @@ def verify_hitting_set(
             witness = find_small_witness(
                 ckt, cls.n, cls.d, h.q,
                 budget=witness_budget, rng=rng.split(f"{idx}:{x}"), cap=cap, params=params,
+                first=h,
             )
         except ZeroOnCubeError:
             continue  # vanishing member: hit vacuously
-        if all(eval_gates(ckt, p, params) == 0 for p in h.points):
+        if witness not in h.points:
             return HSVerdict(hits=False, x=x, witness=witness, exhaustive=exhaustive)
     return HSVerdict(hits=True, exhaustive=exhaustive)
 

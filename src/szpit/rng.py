@@ -21,20 +21,11 @@ def _path_hash(seed: int, labels):
     return h
 
 
-def _seed_of(path_hash) -> int:
-    return int.from_bytes(path_hash.digest()[:8], "big")
-
-
-def derive_seed(seed: int, *labels: str) -> int:
-    """Derive a 64-bit child seed from a root seed and a label path."""
-    return _seed_of(_path_hash(seed, labels))
-
-
 class Rng:
     """A seedable stream that can split off independent child streams.
 
     It keeps the hash state of its path, so a split hashes only its own
-    label.
+    label, and seeds its generator only on the first draw.
     """
 
     def __init__(self, seed: int, *labels: str):
@@ -44,7 +35,13 @@ class Rng:
         self.seed = seed
         self.labels = labels
         self._path_hash = path_hash
-        self._random = random.Random(_seed_of(path_hash))
+
+    def __getattr__(self, name: str):
+        # Reached only while ``_random`` is not yet in the instance dict.
+        if name != "_random":
+            raise AttributeError(name)
+        self._random = random.Random(int.from_bytes(self._path_hash.digest()[:8], "big"))
+        return self._random
 
     def split(self, label: str) -> "Rng":
         path_hash = self._path_hash.copy()

@@ -8,6 +8,7 @@ meaningful evidence rather than an identity check.
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 from itertools import product
 from typing import Collection, Dict, List, Optional, Tuple
@@ -16,8 +17,11 @@ from szpit.avoid import AvoidSchedule, triple_encode
 from szpit.boolfunc import BoolFunc, int_to_bit_str
 from szpit.circuit import ADD, CONST, PARAM, VAR, Circuit
 from szpit.codec import SZContext, all_codes, decode_code
-from szpit.errors import CapExceededError, DimensionMismatchError
-from szpit.hitting import DefinableClass, HittingSet
+from szpit.config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP, DEFAULT_WITNESS_BUDGET
+from szpit.errors import CapExceededError, DimensionMismatchError, PreconditionError, ZeroOnCubeError
+from szpit.evaluator import eval_gates
+from szpit.hitting import DefinableClass, HittingSet, HSVerdict, class_cap_error, find_small_witness
+from szpit.rng import Rng
 
 # A bit string spelled out per bit: entry j is bit j of the packed int.
 Bits = Tuple[int, ...]
@@ -307,3 +311,48 @@ def encode_hitting_set_per_bit(h_set: HittingSet, sched: AvoidSchedule, width: i
             for k in range(1, w + 1):
                 bits[triple_encode(i, j, k, r, n, w) - 1] = (coord >> (k - 1)) & 1
     return tuple(bits)
+
+
+def derive_seed(seed: int, *labels: str) -> int:
+    """The 64-bit seed of the stream at a label path, hashed from scratch:
+    the first 8 bytes of SHA-256 over the seed and "/label" per label."""
+    text = str(seed) + "".join("/" + label for label in labels)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def verify_witness_first(
+    cls: DefinableClass,
+    h: HittingSet,
+    seed: int = 0,
+    witness_budget: int = DEFAULT_WITNESS_BUDGET,
+    class_cap: int = DEFAULT_CLASS_CAP,
+    cap: int = DEFAULT_EXHAUSTION_CAP,
+) -> HSVerdict:
+    """verify_hitting_set in the witness-first order: for each member, a
+    seeded witness search on its own stream first, then every point of H
+    evaluated separately; H misses the member iff all of them give 0."""
+    if h.n != cls.n:
+        raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
+    if h.q < 2 * cls.d * cls.n:
+        raise PreconditionError(f"q={h.q} < 2dn = {2 * cls.d * cls.n}")
+    exhaustive = 2**cls.m <= class_cap
+    rng = Rng(seed, "hs-verify")
+    if exhaustive:
+        descriptions = cls.descriptions()
+    elif cls.sampler is not None:
+        sample_rng = rng.split("sample")
+        descriptions = (cls.sampler(sample_rng) for _ in range(class_cap))
+    else:
+        raise class_cap_error(cls.m, class_cap)
+    for idx, x in enumerate(descriptions):
+        ckt, params = cls.decode(x)
+        try:
+            witness = find_small_witness(
+                ckt, cls.n, cls.d, h.q,
+                budget=witness_budget, rng=rng.split(f"{idx}:{x}"), cap=cap, params=params,
+            )
+        except ZeroOnCubeError:
+            continue
+        if all(eval_gates(ckt, p, params) == 0 for p in h.points):
+            return HSVerdict(hits=False, x=x, witness=witness, exhaustive=exhaustive)
+    return HSVerdict(hits=True, exhaustive=exhaustive)

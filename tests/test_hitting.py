@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 from szpit.circuit import Gate, circuit
 from szpit.classes import linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
-from szpit.config import DEFAULT_EXHAUSTION_CAP
+from szpit.config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
 from szpit.errors import (
     CapExceededError,
+    DimensionMismatchError,
     PreconditionError,
     SearchBudgetError,
+    WitnessBudgetError,
     ZeroOnCubeError,
 )
 from szpit.evaluator import eval_gates
 from szpit.hitting import (
     DefinableClass,
+    HSVerdict,
     HittingSet,
     bitlen,
     find_small_witness,
@@ -30,7 +33,7 @@ from szpit.hitting import (
 from szpit.rng import Rng
 
 from helpers import g_map
-from oracles import nonrange_by_tuples
+from oracles import nonrange_by_tuples, verify_witness_first
 
 
 def product_circuit():
@@ -62,6 +65,28 @@ def test_find_small_witness_requires_large_q():
         find_small_witness(product_circuit(), 2, 1, 3)
 
 
+def test_find_small_witness_tries_first_in_order_before_any_draw():
+    h = HittingSet(((0, 1), (2, 3), (1, 1)), 2, 4)
+    rng = Rng(3, "w")
+    assert find_small_witness(product_circuit(), 2, 1, 4, budget=0, rng=rng, cap=0, first=h) == (2, 3)
+    assert "_random" not in vars(rng)  # the stream was never drawn from
+
+
+def test_find_small_witness_draws_only_after_first_zeroes():
+    # Every point of first is a root, so the witness is the stream's.
+    h = HittingSet(((0, 1), (3, 0)), 2, 4)
+    got = find_small_witness(product_circuit(), 2, 1, 4, rng=Rng(3, "w"), first=h)
+    assert got == find_small_witness(product_circuit(), 2, 1, 4, rng=Rng(3, "w"))
+    assert got not in h.points
+
+
+@pytest.mark.parametrize("n, q", [(1, 4), (3, 6), (2, 5)])
+def test_find_small_witness_refuses_a_first_of_other_n_or_q(n, q):
+    first = HittingSet(((1,) * n,), n, q)
+    with pytest.raises(DimensionMismatchError):
+        find_small_witness(product_circuit(), 2, 1, 4, first=first)
+
+
 def test_g_map_decodes_componentwise():
     cls = singleton_class(product_circuit(), 2, 1)
     codes = (RootCode(1, 1, (1,)), RootCode(2, 1, (1,)))
@@ -89,6 +114,17 @@ def test_verify_misses_with_witness():
     assert verdict.x == ""
     assert eval_gates(product_circuit(), verdict.witness) != 0
     assert all(0 <= v < 6 for v in verdict.witness)
+    assert verdict.witness not in h.points
+
+
+def test_member_that_h_hits_never_reaches_the_draws():
+    # No trials and a cube past the cap: a witness search would raise, but
+    # H hits the member at its first point, so no search runs.
+    cls = singleton_class(product_circuit(), 2, 1)
+    h = HittingSet(((1, 1),), 2, 4)
+    with pytest.raises(WitnessBudgetError):
+        verify_witness_first(cls, h, witness_budget=0, cap=1)
+    assert verify_hitting_set(cls, h, witness_budget=0, cap=1) == HSVerdict(hits=True)
 
 
 def test_verify_vacuous_on_zero_class():
@@ -266,3 +302,48 @@ def test_nonrange_degenerate_empty_sequence():
     cls = monomial_class(2)
     h = HittingSet((), 2, 4)
     assert nonrange_is_hitting(cls, h) is False
+
+
+def _small_decoder(x: str):
+    """Four shapes at n = 2, d = 1: a product, a sum plus 1, x1 - x1 (a
+    nonzero circuit of the zero polynomial), and x1^2 (degree 2, so the
+    class replaces it by the constant-0 member)."""
+    g = [Gate.var(1), Gate.var(2)]
+    shape = int(x, 2) % 4
+    if shape == 0:
+        g.append(Gate.mul(0, 1))
+    elif shape == 1:
+        g += [Gate.add(0, 1), Gate.const(1), Gate.add(2, 3)]
+    elif shape == 2:
+        g += [Gate.const(-1), Gate.mul(0, 2), Gate.add(0, 3)]
+    else:
+        g.append(Gate.mul(0, 0))
+    return circuit(g)
+
+
+# (class, class_cap): the builtin classes at n <= 2, a decoder class with
+# an identically-zero and an invalid member, and a sampled class whose
+# 2^m = 8 members are spot-checked 4 at a time.
+VERIFY_CASES = (
+    *((c, DEFAULT_CLASS_CAP) for c in (*MICRO_CLASSES, multilinear_class(1), multilinear_class(2))),
+    (DefinableClass(decoder=_small_decoder, n=2, d=1, s=4096, m=2), DEFAULT_CLASS_CAP),
+    (DefinableClass(decoder=_small_decoder, n=2, d=1, s=4096, m=3,
+                    sampler=lambda rng: rng.bits(3)), 4),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(VERIFY_CASES), st.integers(0, 2), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 2**32), st.data())
+def test_verify_matches_the_witness_first_order(case, dq, r, budget, seed, data):
+    cls, class_cap = case
+    q = 2 * cls.d * cls.n + dq
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * cls.n), min_size=r, max_size=r))
+    h = HittingSet(tuple(points), cls.n, q)
+    kw = dict(seed=seed, witness_budget=budget, class_cap=class_cap)
+    verdict = verify_hitting_set(cls, h, **kw)
+    assert verdict == verify_witness_first(cls, h, **kw)
+    if not verdict.hits:
+        ckt, params = cls.decode(verdict.x)
+        assert eval_gates(ckt, verdict.witness, params) != 0
+        assert verdict.witness not in h.points

@@ -70,7 +70,7 @@ from szpit.pit import (
     pit_random,
     pit_with_hitting_set,
 )
-from szpit.rng import Rng, derive_seed
+from szpit.rng import Rng
 from szpit.unipoly import UniPoly, enumerate_roots, eval_unipoly, extract_unipoly, roots_in_cube
 
 from genckt import random_circuit, random_circuit_bounded
@@ -79,6 +79,7 @@ from oracles import (
     amplify_steps,
     bits_to_int,
     degree_oracle,
+    derive_seed,
     encode_hitting_set_per_bit,
     expansion_coeffs,
     expansion_is_zero,

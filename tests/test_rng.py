@@ -1,6 +1,10 @@
 """The named generator: SHA-256 label derivation over random.Random."""
 
-from szpit.rng import Rng, derive_seed
+import pytest
+
+from szpit.rng import Rng
+
+from oracles import derive_seed
 
 
 def test_same_path_same_stream():
@@ -27,6 +31,29 @@ def test_split_is_interleaving_independent():
 def test_derive_seed_stable():
     assert derive_seed(1, "a", "b") == derive_seed(1, "a", "b")
     assert derive_seed(1, "a", "b") != derive_seed(1, "ab")
+
+
+# Values drawn with the generator seeded when the stream was made; seeding
+# on the first draw must give the same ones.
+PINNED = [
+    (lambda: Rng(42, "x"), "y", lambda r: r.randrange(1 << 30), 907013164),
+    (lambda: Rng(3, "hs-verify"), "0:0101", lambda r: r.point(2, 31), (10, 24)),
+]
+
+
+@pytest.mark.parametrize("parent, label, draw, want", PINNED)
+def test_pinned_child_streams(parent, label, draw, want):
+    assert draw(parent().split(label)) == want
+    drawn = parent()
+    drawn.randrange(1000)  # a parent that already drew splits the same child
+    assert draw(drawn.split(label)) == want
+
+
+def test_split_without_a_draw_seeds_nothing():
+    child = Rng(42, "x").split("y")
+    assert "_random" not in vars(child)
+    child.randrange(2)
+    assert "_random" in vars(child)
 
 
 def test_bits_and_point_shapes():
