@@ -43,12 +43,15 @@ def eval_gates(
     The first call on a circuit object interprets it, and the second
     prepares a :class:`SlotProgram` and keeps it on the object; from then
     on a call whose input widths keep every mul gate provably under the
-    guard runs that program with no per-gate checks; its stage A, the
-    gates that are affine in the params, runs once per R.  Stage B then
-    runs compiled when an owner has called :func:`keep` on c (a class
-    template, a codec's circuit) and as a loop otherwise.  Every other
-    call interprets, so results and errors are those of the interpreter
-    on all three paths.
+    guard runs that program with no per-gate checks.  When an owner has
+    called :func:`keep` on c (a class template, a codec's circuit), that
+    is one compiled function of ``(R, *vars)``, which computes stage A,
+    the gates affine in the params, and then stage B on every call: a
+    member evaluated at k points (only the draws after H's points miss,
+    and cube scans, do that) computes stage A k times.  Otherwise stage A
+    runs once per R, through a one-entry memo, and stage B as a loop.
+    Every other call interprets, so results and errors are those of the
+    interpreter on all three paths.
     """
     if len(vars) != c.n_vars:
         raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
@@ -61,23 +64,21 @@ def eval_gates(
         if prog is False:
             prog = _prepare(c, bitlen_guard)
             object.__setattr__(c, "_program", prog)
-        key, params_width, live = prog.memo
-        if params is not key and params != key:
-            # Packed params are bits: width 1, or 0 when all are zero.
-            params_width = 1 if params else 0
-            live = None
+        # Packed params are bits: width 1, or 0 when all are zero.
+        params_width = 1 if params else 0
         w = (
             max(max(vars).bit_length(), min(vars).bit_length(), params_width)
             if vars else params_width
         )
         if prog.mul_degree * w + prog.mul_bits <= bitlen_guard:
-            if live is None:
+            run = prog.run
+            if run is not None:
+                return run(params, *vars)
+            key, live = prog.memo
+            if params is not key and params != key:
                 live = prog.run_stage_a(params)
                 # One assignment: no reader sees a key with another R's values.
-                prog.memo = (params, params_width, live)
-            run = prog.run_b
-            if run is not None:
-                return run(*vars, *live)
+                prog.memo = (params, live)
             values = [*vars, *live]
             append = values.append
             for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
@@ -140,9 +141,7 @@ class SlotProgram:
     with the same form share one live-out, and gates of one op on the
     same two slots share one step, so no step recomputes an earlier
     step's value.  Three flat tuples need about half the memory of one
-    tuple per gate.  ``run_b`` is stage B compiled by :func:`keep`, a
-    function of the list's entries that returns the output, or None
-    (then stage B runs as a loop); pickle and deepcopy leave it out.
+    tuple per gate.
 
     Each live-out's form ``c + sum(a_j * p_(j+1))`` is split into *runs*
     ``(s, j0, 2^L - 1)``: coefficients ``s * 2^i`` on ``p_(j0+1+i)`` for
@@ -151,10 +150,14 @@ class SlotProgram:
     holds ``(live-out index, s, j0, mask)`` for each further run; a
     constant is ``(c, 0, 0, 0)``.  Stage A reads packed params R (see
     :func:`eval_gates`): a run is ``R >> j0 & mask``, and the live-out is
-    ``c`` plus s times each of its runs.  ``memo`` is
-    ``(R, R's width, live-out values)`` for the last R that ran
-    (``(None, 0, None)`` before the first), so a class member evaluated at
-    many points computes its live-outs once.
+    ``c`` plus s times each of its runs.
+
+    ``run`` is the whole program compiled by :func:`keep`, a function of
+    ``(R, *vars)`` that returns the output, or None; pickle and deepcopy
+    leave it out.  Without it, :meth:`run_stage_a` computes the live-outs
+    and a loop runs stage B on them; ``memo`` is ``(R, live-out values)``
+    for the last R that ran (``(None, None)`` before the first), so an
+    unkept member evaluated at many points computes its live-outs once.
 
     Static bit bound: with every input at most w bits wide, every mul
     gate's value has at most ``mul_degree * w + mul_bits`` bits.  An input
@@ -171,11 +174,11 @@ class SlotProgram:
     out: int
     mul_degree: int
     mul_bits: int
-    memo: tuple = (None, 0, None)
-    run_b: Optional[Callable[..., int]] = None
+    memo: tuple = (None, None)
+    run: Optional[Callable[..., int]] = None
 
     def __reduce__(self):
-        # A compiled stage B lives in this process only: it is left out,
+        # A compiled program lives in this process only: it is left out,
         # and the next keep() on the circuit rebuilds it.
         return SlotProgram, (
             self.fields, self.extra, self.b_lhs, self.b_rhs, self.b_mul,
@@ -335,22 +338,26 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
     )
 
 
-# keep() compiles stage B only up to this many value-numbered steps (a
-# gate that repeats an earlier step adds none).  Compiling peaks at
-# about 2.3 KB and takes 12-15 us per step (tracemalloc and wall time,
-# CPython 3.11 on a 2-core VM), so the cap holds one compile to about 23 MB
-# and 0.15 s; a longer stage B stays on the loop.
+# keep() compiles a program only up to this many lines: live-outs, extra
+# runs and value-numbered steps (a gate that repeats an earlier step adds
+# none).  Compiling peaks at 2.3-3.4 KB and takes 11-17 us per line (a
+# line that reads R costs the most; tracemalloc and wall time, CPython
+# 3.11 on a 2-core VM), so the cap holds one compile to about 34 MB and
+# 0.17 s; a longer program stays on the memo and the loop.
 COMPILE_CAP = 10_000
 
 
 def keep(c: Circuit, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> None:
-    """Prepare c's slot program now and compile its stage B, for an owner
-    that evaluates c many times: a class template, a codec's circuit.
+    """Prepare c's slot program now and compile it, for an owner that
+    evaluates c many times: a class template, a codec's circuit.
 
-    The compiled function is straight-line code over slot names, one
-    ``+`` or ``*`` per step; constants reach it through the live-out
-    values, never as literals.  A stage B of more than ``COMPILE_CAP``
-    steps is not compiled.  Calling keep again does nothing, except
+    The compiled function ``run(R, *vars)`` is straight-line code.  It
+    computes each live-out that reads R as ``c + s * (R >> j0 & mask)``
+    over its runs, with ``c = 0`` left out and ``s = +-1`` written as a
+    sign, then runs stage B, one ``+`` or ``*`` per step.  Constants,
+    coefficients, shifts and masks reach it as closure cells, bound
+    once, never as literals.  A program of more than ``COMPILE_CAP``
+    lines is not compiled.  Calling keep again does nothing, except
     after a pickle or deepcopy, which leave the function out: then it
     compiles again.
     """
@@ -358,22 +365,55 @@ def keep(c: Circuit, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> None:
     if not prog:
         prog = _prepare(c, bitlen_guard)
         object.__setattr__(c, "_program", prog)
-    if prog.run_b is None and len(prog.b_mul) <= COMPILE_CAP:
-        prog.run_b = _compile_stage_b(prog, c.n_vars + len(prog.fields))
+    if prog.run is None and len(prog.fields) + len(prog.extra) + len(prog.b_mul) <= COMPILE_CAP:
+        prog.run = _compile(prog, c.n_vars)
 
 
-def _compile_stage_b(prog: SlotProgram, n_in: int) -> Callable[..., int]:
-    """Stage B as one function of its input slots ``s0 .. s(n_in - 1)``,
-    the vars then the live-outs, that returns the output slot."""
-    lines = [f"def run({', '.join(f's{i}' for i in range(n_in))}):"]
-    lines += [
-        f" s{j} = s{lhs} {'*' if is_mul else '+'} s{rhs}"
-        for j, (lhs, rhs, is_mul) in enumerate(zip(prog.b_lhs, prog.b_rhs, prog.b_mul), n_in)
-    ]
-    lines.append(f" return s{prog.out}")
+def _compile(prog: SlotProgram, n_vars: int) -> Callable[..., int]:
+    """The program as one function of ``(R, s0, .., s(n_vars - 1))``.  A
+    live-out that reads no param is its constant's cell; a run with
+    s = 0 adds nothing and is left out."""
+    cells: dict = {}  # value -> name of the closure cell that holds it
+
+    def cell(v: int) -> str:
+        name = cells.get(v)
+        if name is None:
+            name = cells[v] = f"k{len(cells)}"
+        return name
+
+    runs = [[run] for _, *run in prog.fields]
+    for slot, *run in prog.extra:
+        runs[slot].append(run)
+    names = [f"s{i}" for i in range(n_vars)]
+    lines = []
+    for (const, *_), field_runs in zip(prog.fields, runs):
+        expr = ""
+        for s, j0, mask in field_runs:
+            if s:
+                bits = f"(R >> {cell(j0)} & {cell(mask)})" if j0 else f"(R & {cell(mask)})"
+                expr += f" {'-' if s < 0 else '+'} {bits if abs(s) == 1 else f'{cell(abs(s))} * {bits}'}"
+        if not expr:  # no run reads R
+            names.append(cell(const))
+            continue
+        if const:
+            expr = cell(const) + expr
+        else:  # " + t" is t and " - t" is -t
+            expr = expr[3:] if expr[1] == "+" else "-" + expr[3:]
+        names.append(f"s{len(names)}")
+        lines.append(f"{names[-1]} = {expr}")
+    for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
+        names.append(f"s{len(names)}")
+        lines.append(f"{names[-1]} = {names[lhs]} {'*' if is_mul else '+'} {names[rhs]}")
+    source = "\n".join([
+        f"def make({', '.join(cells.values())}):",
+        f" def run({', '.join(['R', *names[:n_vars]])}):",
+        *(f"  {line}" for line in lines),
+        f"  return {names[prog.out]}",
+        " return run",
+    ])
     namespace: dict = {}
-    exec(compile("\n".join(lines), "<stage B>", "exec"), namespace)
-    return namespace["run"]
+    exec(compile(source, "<slot program>", "exec"), namespace)
+    return namespace["make"](*cells)
 
 
 def eval_arithmetic(

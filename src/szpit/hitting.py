@@ -163,7 +163,7 @@ class DefinableClass:
 
     def decode(self, x: str) -> Tuple[Circuit, int]:
         """The member at description x, as ``(circuit, R)``."""
-        if len(x) != self.m or any(ch not in "01" for ch in x):
+        if len(x) != self.m or x.strip("01"):
             raise PreconditionError(f"description {x!r} is not a bitstring of length {self.m}")
         if self.template is not None:
             params = self.params_of(x)

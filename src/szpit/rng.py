@@ -25,29 +25,33 @@ class Rng:
     """A seedable stream that can split off independent child streams.
 
     It keeps the hash state of its path, so a split hashes only its own
-    label, and seeds its generator only on the first draw.
+    label.  A child keeps its parent's state and hashes its label at its
+    first draw or split, and a stream seeds its generator at its first
+    draw.
     """
 
     def __init__(self, seed: int, *labels: str):
-        self._start(seed, labels, _path_hash(seed, labels))
-
-    def _start(self, seed: int, labels, path_hash) -> None:
         self.seed = seed
         self.labels = labels
-        self._path_hash = path_hash
+        self._path_hash = _path_hash(seed, labels)
 
     def __getattr__(self, name: str):
-        # Reached only while ``_random`` is not yet in the instance dict.
-        if name != "_random":
+        # Reached only while the attribute is not yet in the instance dict.
+        if name == "_path_hash":
+            value = self._parent_hash.copy()
+            value.update(b"/" + self.labels[-1].encode())
+        elif name == "_random":
+            value = random.Random(int.from_bytes(self._path_hash.digest()[:8], "big"))
+        else:
             raise AttributeError(name)
-        self._random = random.Random(int.from_bytes(self._path_hash.digest()[:8], "big"))
-        return self._random
+        setattr(self, name, value)
+        return value
 
     def split(self, label: str) -> "Rng":
-        path_hash = self._path_hash.copy()
-        path_hash.update(b"/" + label.encode())
         child = Rng.__new__(Rng)
-        child._start(self.seed, (*self.labels, label), path_hash)
+        child.seed = self.seed
+        child.labels = (*self.labels, label)
+        child._parent_hash = self._path_hash  # only ever copied, never updated
         return child
 
     def randrange(self, stop: int) -> int:
@@ -61,7 +65,8 @@ class Rng:
 
     def point(self, n: int, q: int) -> tuple:
         """A uniform point of S_q^n."""
-        return tuple(self._random.randrange(q) for _ in range(n))
+        randrange = self._random.randrange
+        return tuple([randrange(q) for _ in range(n)])
 
     def bits(self, m: int) -> str:
         return "".join("01"[self._random.randrange(2)] for _ in range(m))

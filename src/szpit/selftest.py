@@ -12,8 +12,10 @@ from typing import Callable, List, Tuple
 
 from .avoid import (
     AvoidInstance,
+    _member_gates,
     amplify,
     avoid_via_hitting,
+    desk_schedule,
     invert_amplified,
     normalize,
     solve_avoid_brute,
@@ -33,6 +35,8 @@ from .codec import (
     pack_code,
     unpack_code,
 )
+from .config import DEFAULT_BITLEN_GUARD
+from .evaluator import _interpret, eval_gates, keep
 from .hitting import largeness_holds
 from .pit import ZERO_ON_CUBE, equiv_test, pit_cube_brute
 from .rng import Rng
@@ -46,6 +50,18 @@ def _product_circuit():
 def check_roundtrip_text() -> None:
     c = _product_circuit()
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+def check_kept_template() -> None:
+    # The avoid template at m = 2, kept, runs as one compiled function of
+    # (R, vars), generated on this Python; it must agree with the
+    # interpreter.
+    t = circuit(_member_gates(desk_schedule(2)).gates)
+    keep(t)
+    assert t._program.run is not None
+    R = (1 << t.n_params) // 3
+    for x in ((2, 5), (-3, 7), (0, 0)):
+        assert eval_gates(t, x, R) == _interpret(t, x, R, DEFAULT_BITLEN_GUARD)
 
 
 def check_extraction() -> None:
@@ -165,6 +181,7 @@ def check_avoid_end_to_end() -> None:
 
 CHECKS: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("circuit text round-trip", check_roundtrip_text),
+    ("kept template evaluation", check_kept_template),
     ("coefficient extraction", check_extraction),
     ("univariate root list completeness", check_fta_half),
     ("synthetic-division identity", check_deflation),

@@ -188,7 +188,7 @@ def test_context_applies_its_guard_on_misses():
 def test_context_compiles_its_circuit():
     c = shifted_power_plus_x2(3)
     ctx = SZContext(c, 2, 3, 8, (1, 1))
-    assert c._program.run_b is not None
+    assert c._program.run is not None
     for u in range(8):
         for v in range(8):
             assert eval_gates(c, (u, v), 0, ctx.bitlen_guard) == (u - 1) ** 3 + v

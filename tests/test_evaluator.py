@@ -190,7 +190,7 @@ def test_packed_params_are_one_bit_wide():
     for _ in range(3):
         assert outcome(c, (0,), 1, 2) == (BitLengthGuardError, "gate 3: value exceeds 2-bit guard")
         assert outcome(c, (0,), 0, 2) == 0
-    assert c._program.memo[:2] == (0, 0)
+    assert c._program.memo == (0, [0])
 
 
 def test_slot_program_layout():
@@ -232,11 +232,11 @@ def test_slot_program_layout():
     # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
     # (3, 8) and (2, 10).
     assert (prog.mul_degree, prog.mul_bits) == (3, 10)
-    assert prog.memo == (0b11, 1, [3, -1])
+    assert prog.memo == (0b11, [3, -1])
     # Stage A reads each run from R by shift and mask.
     for packed, bits in [(0b10, (0, 1)), (0b01, (1, 0)), (0, (0, 0))]:
         assert eval_gates(c, (4, -3), packed) == naive_eval(c, (4, -3), bits)
-        assert prog.memo[0] == packed and prog.memo[1] == min(packed, 1)
+        assert prog.memo == (packed, prog.run_stage_a(packed))
         # A params tuple is refused and leaves the memo alone.
         memo = prog.memo
         with pytest.raises(TypeError):
@@ -259,7 +259,7 @@ def test_affine_stage_a_forms():
     assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1), (-15, 9, 0, 1))
     assert prog.extra == ((1, 1, 1, 1), (2, 3, 1, 1))
     assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 1, 3), (2, 5, 6), 4)
-    assert prog.memo == (0b10, 1, [0, -4, -12])
+    assert prog.memo == (0b10, [0, -4, -12])
     # A param-free circuit's live-outs are constant forms, which its only
     # R, the default 0, reads.
     plugged = plug_params(c, {1: -4, 2: 11})
@@ -377,21 +377,22 @@ def test_eval_many_checks_degree_once():
 
 
 def count_compiled_calls(c):
-    """Wrap c's compiled stage B; returns the list its calls append to."""
+    """Wrap c's compiled program; returns the list its calls append to."""
     calls = []
-    run = c._program.run_b
+    run = c._program.run
 
-    def counting(*slots):
-        calls.append(slots)
-        return run(*slots)
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
 
-    c._program.run_b = counting
+    c._program.run = counting
     return calls
 
 
 def test_keep_compiles_stage_b_once_and_eval_gates_runs_it():
-    # x1 * (3 p1 - 5) + x2 * x2: stage B is three steps.  keep prepares
-    # the program at once and compiles it; a second keep changes nothing.
+    # x1 * (3 p1 - 5) + x2 * x2: one live-out, 3 p1 - 5, and three stage-B
+    # steps.  keep prepares the program at once and compiles it; a second
+    # keep changes nothing.
     c = circuit([
         Gate.var(1), Gate.var(2), Gate.param(1), Gate.const(3), Gate.mul(2, 3),
         Gate.const(-5), Gate.add(4, 5), Gate.mul(0, 6), Gate.mul(1, 1), Gate.add(7, 8),
@@ -399,14 +400,16 @@ def test_keep_compiles_stage_b_once_and_eval_gates_runs_it():
     keep(c)
     prog = c._program
     assert isinstance(prog, SlotProgram) and len(prog.b_mul) == 3
-    run = prog.run_b
+    run = prog.run
     keep(c)
-    assert c._program is prog and prog.run_b is run
+    assert c._program is prog and prog.run is run
     calls = count_compiled_calls(c)
     for R, x in [(1, (4, 3)), (1, (5, -2)), (0, (4, 3))]:
         assert eval_gates(c, x, R) == naive_eval(c, x, (R,))
-    # Slots are the vars then the live-outs, 3 p1 - 5 for this R.
-    assert calls == [(4, 3, -2), (5, -2, -2), (4, 3, -5)]
+    # One call per evaluation, on R and the vars: the function computes
+    # 3 p1 - 5 itself, and the memo stays unused.
+    assert calls == [(1, 4, 3), (1, 5, -2), (0, 4, 3)]
+    assert prog.memo == (None, None)
     # Past the static bound the call interprets, with its error.
     assert outcome(c, (2**70, 1), 1, 64) == (BitLengthGuardError, "gate 7: value exceeds 64-bit guard")
     assert len(calls) == 3
@@ -414,11 +417,11 @@ def test_keep_compiles_stage_b_once_and_eval_gates_runs_it():
 
 def test_compiled_stage_b_takes_no_constant_literals():
     # A 4,772-digit constant, past int -> str's default limit, reaches the
-    # compiled function as a live-out value.
+    # compiled function as a closure cell.
     big = 3**10000
     c = circuit([Gate.var(1), Gate.const(big), Gate.mul(0, 1), Gate.const(7), Gate.add(2, 3)])
     keep(c)
-    code = c._program.run_b.__code__
+    code = c._program.run.__code__
     assert all(not isinstance(k, int) for k in code.co_consts)
     assert eval_gates(c, (-2,)) == -2 * big + 7
 
@@ -429,8 +432,22 @@ def test_keep_compiles_up_to_the_cap(steps, compiled):
     c = circuit([Gate.var(1)] + [Gate.add(k, 0) for k in range(steps)])
     keep(c)
     assert len(c._program.b_mul) == steps
-    assert (c._program.run_b is not None) == compiled
+    assert (c._program.run is not None) == compiled
     assert eval_gates(c, (3,)) == 3 * (steps + 1)
+
+
+@pytest.mark.parametrize("lines, compiled", [(COMPILE_CAP, True), (COMPILE_CAP + 1, False)])
+def test_the_cap_counts_live_outs_and_extra_runs(lines, compiled):
+    # x1 + (p1 + 3 p3), then adds of x1: one live-out, one extra run (the
+    # 3 on p3 does not continue p1's run) and lines - 2 steps.
+    gates = [Gate.var(1), Gate.param(1), Gate.param(2), Gate.param(3), Gate.const(3),
+             Gate.mul(3, 4), Gate.add(1, 5), Gate.add(0, 6)]
+    c = circuit(gates + [Gate.add(k, 0) for k in range(7, 7 + lines - 3)])
+    keep(c)
+    prog = c._program
+    assert (len(prog.fields), len(prog.extra), len(prog.b_mul)) == (1, 1, lines - 2)
+    assert (prog.run is not None) == compiled
+    assert eval_gates(c, (3,), 0b101) == 3 * (lines - 2) + 4
 
 
 @pytest.mark.parametrize("roundtrip", [
@@ -445,11 +462,11 @@ def test_a_kept_template_survives_pickle_and_deepcopy(roundtrip):
     want = eval_gates(t, (2, 5), R)
     assert want == naive_eval(t, (2, 5), tuple(R >> k & 1 for k in range(t.n_params)))
     copied = roundtrip(t)
-    assert copied == t and t._program.run_b is not None
-    assert isinstance(copied._program, SlotProgram) and copied._program.run_b is None
+    assert copied == t and t._program.run is not None
+    assert isinstance(copied._program, SlotProgram) and copied._program.run is None
     assert eval_gates(copied, (2, 5), R) == want
     keep(copied)
-    assert copied._program.run_b is not None
+    assert copied._program.run is not None
     calls = count_compiled_calls(copied)
     assert eval_gates(copied, (2, 5), R) == want
     assert eval_gates(copied, (2, 5), 0) == eval_gates(t, (2, 5), 0)

@@ -140,6 +140,21 @@ def test_class_decoder_fallback_to_zero():
     assert all(eval_gates(member, (u,), params) == 0 for u in range(4))
 
 
+@pytest.mark.parametrize("m, x", [(3, "0a1"), (3, "01 "), (3, " 01"), (3, "2"), (0, "0")])
+def test_decode_refuses_a_description_that_is_not_a_bitstring(m, x):
+    cls = DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m)
+    want = f"description {x!r} is not a bitstring of length {m}"
+    with pytest.raises(PreconditionError) as err:
+        cls.decode(x)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("m, x", [(3, "010"), (3, "111"), (0, "")])
+def test_decode_takes_every_bitstring_of_length_m(m, x):
+    cls = DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m)
+    assert cls.decode(x) == (product_circuit(), 0)
+
+
 def test_search_finds_verified_hitting_set():
     cls = multilinear_class(2, d=2)
     assert cls.m == 4

@@ -41,6 +41,7 @@ from szpit.circuit import (
     representation_size,
     serialize_circuit,
 )
+from szpit.classes import linear_class, monomial_class, multilinear_class
 from szpit.codec import (
     RootCode,
     SZContext,
@@ -53,6 +54,7 @@ from szpit.codec import (
     restrict,
     unpack_code,
 )
+from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import (
     BitLengthGuardError,
     CircuitSyntaxError,
@@ -609,20 +611,108 @@ def kept_call_sequences(draw):
 @PROPERTY
 @given(kept_call_sequences())
 def test_compiled_loop_and_interpreter_agree(case):
-    # The same circuit kept (compiled stage B), prepared only (the loop)
+    # The same circuit kept (compiled), prepared only (memo and loop)
     # and interpreted gives the same value or the same guard error on
     # every call; a call past the static bound interprets on every path.
     c, prep, calls = case
     compiled, loop = circuit(c.gates), circuit(c.gates)
     keep(compiled, prep)
     object.__setattr__(loop, "_program", _prepare(loop, prep))
-    assert compiled._program.run_b is not None and loop._program.run_b is None
+    assert compiled._program.run is not None and loop._program.run is None
     for x, R, guard in calls:
         want = outcome(_interpret, c, x, R, guard)
         assert outcome(eval_gates, compiled, x, R, guard) == want
         assert outcome(eval_gates, loop, x, R, guard) == want
         if not isinstance(want, int):
             assert want[0] is BitLengthGuardError
+
+
+# 4,772 digits, past int -> str's default limit of 4,300.
+HUGE = 3**10000
+
+TEMPLATES = [
+    lambda: _member_gates(desk_schedule(0)),
+    lambda: _member_gates(desk_schedule(2)),
+    lambda: multilinear_class(2, d=2).template,
+    lambda: linear_class(3).template,
+    lambda: monomial_class(2).template,
+]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A circuit to keep and the calls ``(x, R)`` on it.  The base is a
+    genckt circuit over 1 to 4 params, an avoid template or a builtin
+    class template; its output gains x_j times a form
+    ``c + s * sum(2^i * p_(j0+1+i)) + t * p_b`` with c != 0 (sometimes
+    past 4,300 digits), |s| > 1 and b past the end of the first run, so
+    the form has an extra run; sometimes also x_j times a constant past
+    4,300 digits.  When "wide", the circuit has 70 params and the form
+    reads params past the 64th.  Each R is used at 2 to 4 points in a
+    row: 0, every bit set, and drawn values."""
+    kind = draw(st.sampled_from(["genckt", "template"]))
+    if kind == "genckt":
+        r = Rng(draw(st.integers(0, 2**32)), "kernel")
+        base = random_circuit(r, n_vars=r.randint(1, 3), extra_gates=r.randint(1, 12),
+                              const_bits=12, n_params=r.randint(1, 4))
+    else:
+        base = draw(st.sampled_from(TEMPLATES))()
+    wide = draw(st.booleans())
+    n_params = 70 if wide else max(base.n_params, 3)
+    gates = list(base.gates) + [Gate.param(k) for k in range(base.n_params + 1, n_params + 1)]
+    first = {g.name: i for i, g in enumerate(gates) if g.op == "param"}
+
+    def push(g):
+        gates.append(g)
+        return len(gates) - 1
+
+    out = len(base.gates) - 1
+    length = draw(st.integers(1, min(3, n_params - 2)))
+    j0 = draw(st.integers(60 if wide else 0, n_params - length - 2))
+    b = draw(st.integers(j0 + length + 1, n_params - 1))
+    scale = draw(st.integers(2, 9)) * draw(st.sampled_from([1, -1]))
+    terms = [(j0 + i, scale << i) for i in range(length)] + [(b, draw(NONZERO_SCALES))]
+    acc = push(Gate.const(draw(st.one_of(SMALL.filter(bool), st.sampled_from([HUGE, -HUGE])))))
+    for j, a in draw(st.permutations(terms)):
+        acc = push(Gate.add(acc, push(Gate.mul(first[j + 1], push(Gate.const(a))))))
+    x = draw(st.integers(0, base.n_vars - 1))
+    out = push(Gate.add(out, push(Gate.mul(x, acc))))
+    if draw(st.booleans()):
+        out = push(Gate.add(push(Gate.mul(push(Gate.const(HUGE)), x)), out))
+    c = circuit(gates)
+    calls = []
+    for R in [0, (1 << n_params) - 1, *draw(st.lists(st.integers(0, (1 << n_params) - 1),
+                                                     min_size=1, max_size=2))]:
+        for _ in range(draw(st.integers(2, 4))):
+            calls.append((tuple(draw(VALUES) for _ in range(c.n_vars)), R))
+    return c, calls
+
+
+@PROPERTY
+@given(kernel_cases())
+def test_kept_programs_match_the_interpreter_and_the_oracle(case):
+    # keep compiles the program, whose fields include c != 0 and |s| > 1
+    # and an extra run; eval_gates calls it once for every call the
+    # static bound admits, and gives the interpreter's value or guard
+    # error, and naive_eval's value, on every call.
+    c, calls = case
+    keep(c)
+    prog = c._program
+    assert any(const and abs(s) > 1 for const, s, _, _ in prog.fields) and prog.extra
+    run, ran = prog.run, []
+    prog.run = lambda *args: ran.append(args) or run(*args)
+    for x, R in calls:
+        want = outcome(_interpret, c, x, R, DEFAULT_BITLEN_GUARD)
+        assert outcome(eval_gates, c, x, R) == want
+        if isinstance(want, int):
+            assert want == naive_eval(c, x, int_to_bits(R, c.n_params))
+        else:
+            assert want[0] is BitLengthGuardError
+        w = max([v.bit_length() for v in x] + [min(R, 1)])
+        if prog.mul_degree * w + prog.mul_bits <= DEFAULT_BITLEN_GUARD:
+            assert ran.pop() == (R, *x)
+        assert not ran
+    assert prog.memo == (None, None)
 
 
 @st.composite
@@ -692,7 +782,7 @@ def test_value_numbering_keeps_every_value_and_guard_error(c, data):
     compiled, loop = circuit(c.gates), circuit(c.gates)
     keep(compiled, prep)
     object.__setattr__(loop, "_program", _prepare(loop, prep))
-    assert compiled._program.run_b is not None and loop._program.run_b is None
+    assert compiled._program.run is not None and loop._program.run is None
     stage_a = stage_a_gates(c, min(prep, 1 << 20))
     unnumbered = sum(g.op in ("add", "mul") and i not in stage_a for i, g in enumerate(c.gates))
     assert len(loop._program.b_mul) == value_numbered_steps(c, stage_a) < unnumbered

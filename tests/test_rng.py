@@ -1,5 +1,7 @@
 """The named generator: SHA-256 label derivation over random.Random."""
 
+import random
+
 import pytest
 
 from szpit.rng import Rng
@@ -54,6 +56,17 @@ def test_split_without_a_draw_seeds_nothing():
     assert "_random" not in vars(child)
     child.randrange(2)
     assert "_random" in vars(child)
+
+
+def test_split_hashes_its_label_at_its_first_draw_or_split():
+    child = Rng(42, "x").split("y")
+    assert "_path_hash" not in vars(child)
+    grandchild = child.split("z")
+    assert "_path_hash" in vars(child) and "_path_hash" not in vars(grandchild)
+    streams = [(grandchild, ("x", "y", "z")), (child.split("w").split("v"), ("x", "y", "w", "v"))]
+    for stream, labels in streams:
+        want = random.Random(derive_seed(42, *labels))
+        assert [stream.randrange(1 << 40) for _ in range(3)] == [want.randrange(1 << 40) for _ in range(3)]
 
 
 def test_bits_and_point_shapes():

@@ -103,9 +103,9 @@ def test_a_template_larger_than_s_decodes_to_the_zero_member():
 
 def test_a_class_compiles_its_template_only_when_members_use_it():
     fitting = multilinear_class(2, d=2)
-    assert fitting.template._program.run_b is not None
+    assert fitting.template._program.run is not None
     h, sched = avoid_parts(16)
-    assert build_avoid_class(h, sched).template._program.run_b is not None
+    assert build_avoid_class(h, sched).template._program.run is not None
     # Past s every member is the zero member, so the template is never run.
     unfitting = DefinableClass(
         decoder=None, template=circuit(fitting.template.gates), params_of=fitting.params_of,
