@@ -113,7 +113,7 @@ class Circuit:
     n_params: int
     # Filled by the first analyze_degrees call on this object.
     _degrees: Optional[DegreeReport] = field(default=None, init=False, repr=False, compare=False)
-    # eval_gates's memo: None before the first call, False after it, then
+    # eval_gates's state: None before the first call, False after it, then
     # the slot program built by the second call or by evaluator.keep.
     _program: object = field(default=None, init=False, repr=False, compare=False)
     # Filled by the first serialize_circuit call on this object that

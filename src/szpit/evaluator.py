@@ -48,10 +48,10 @@ def eval_gates(
     is one compiled function of ``(R, *vars)``, which computes stage A,
     the gates affine in the params, and then stage B on every call: a
     member evaluated at k points (only the draws after H's points miss,
-    and cube scans, do that) computes stage A k times.  Otherwise stage A
-    runs once per R, through a one-entry memo, and stage B as a loop.
-    Every other call interprets, so results and errors are those of the
-    interpreter on all three paths.
+    and cube scans, do that) computes stage A k times.  Otherwise, at
+    R = 0 only, a loop runs stage B on the live-outs' constants.  Every
+    other call interprets, so results and errors are those of the
+    interpreter on both paths.
     """
     if len(vars) != c.n_vars:
         raise DimensionMismatchError(f"{len(vars)} variable values for dimension {c.n_vars}")
@@ -74,16 +74,12 @@ def eval_gates(
             run = prog.run
             if run is not None:
                 return run(params, *vars)
-            key, live = prog.memo
-            if params is not key and params != key:
-                live = prog.run_stage_a(params)
-                # One assignment: no reader sees a key with another R's values.
-                prog.memo = (params, live)
-            values = [*vars, *live]
-            append = values.append
-            for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
-                append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
-            return values[prog.out]
+            if not params:  # every live-out is its constant
+                values = [*vars, *prog.live]
+                append = values.append
+                for lhs, rhs, is_mul in zip(prog.b_lhs, prog.b_rhs, prog.b_mul):
+                    append(values[lhs] * values[rhs] if is_mul else values[lhs] + values[rhs])
+                return values[prog.out]
     return _interpret(c, vars, params, bitlen_guard)
 
 
@@ -118,9 +114,6 @@ _FORM_CAP = 8
 # The coefficients of every constant form; never mutated.
 _NO_COEFFS: dict = {}
 
-# A constant form's one run, which reads nothing from R.
-_NO_RUNS = ((0, 0, 0),)
-
 
 @dataclass(slots=True)
 class SlotProgram:
@@ -145,19 +138,15 @@ class SlotProgram:
 
     Each live-out's form ``c + sum(a_j * p_(j+1))`` is split into *runs*
     ``(s, j0, 2^L - 1)``: coefficients ``s * 2^i`` on ``p_(j0+1+i)`` for
-    i < L, taken greedily in param order.  ``fields`` holds
-    ``(c, s, j0, mask)`` per live-out, for its first run, and ``extra``
-    holds ``(live-out index, s, j0, mask)`` for each further run; a
-    constant is ``(c, 0, 0, 0)``.  Stage A reads packed params R (see
+    i < L, taken greedily in param order.  ``live`` holds each live-out's
+    constant c, its value at R = 0, and ``runs`` its tuple of runs (empty
+    for a constant).  Stage A reads packed params R (see
     :func:`eval_gates`): a run is ``R >> j0 & mask``, and the live-out is
     ``c`` plus s times each of its runs.
 
     ``run`` is the whole program compiled by :func:`keep`, a function of
     ``(R, *vars)`` that returns the output, or None; pickle and deepcopy
-    leave it out.  Without it, :meth:`run_stage_a` computes the live-outs
-    and a loop runs stage B on them; ``memo`` is ``(R, live-out values)``
-    for the last R that ran (``(None, None)`` before the first), so an
-    unkept member evaluated at many points computes its live-outs once.
+    leave it out.  Without it, a loop runs stage B at R = 0 only.
 
     Static bit bound: with every input at most w bits wide, every mul
     gate's value has at most ``mul_degree * w + mul_bits`` bits.  An input
@@ -166,33 +155,23 @@ class SlotProgram:
     mul takes the sums, as bl(ab) <= bl a + bl b.
     """
 
-    fields: tuple
-    extra: tuple
+    live: Tuple[int, ...]
+    runs: tuple
     b_lhs: Tuple[int, ...]
     b_rhs: Tuple[int, ...]
     b_mul: Tuple[bool, ...]
     out: int
     mul_degree: int
     mul_bits: int
-    memo: tuple = (None, None)
     run: Optional[Callable[..., int]] = None
 
     def __reduce__(self):
         # A compiled program lives in this process only: it is left out,
         # and the next keep() on the circuit rebuilds it.
         return SlotProgram, (
-            self.fields, self.extra, self.b_lhs, self.b_rhs, self.b_mul,
-            self.out, self.mul_degree, self.mul_bits, self.memo,
+            self.live, self.runs, self.b_lhs, self.b_rhs, self.b_mul,
+            self.out, self.mul_degree, self.mul_bits,
         )
-
-    def run_stage_a(self, R: int) -> list:
-        """The live-out values for packed params R."""
-        if not R:  # every run reads 0, so each live-out is its constant
-            return [c for c, _, _, _ in self.fields]
-        live = [c + s * (R >> j0 & mask) for c, s, j0, mask in self.fields]
-        for slot, s, j0, mask in self.extra:
-            live[slot] += s * (R >> j0 & mask)
-        return live
 
 
 def _combine(f, g, is_mul: bool, budget: int):
@@ -218,7 +197,7 @@ def _combine(f, g, is_mul: bool, budget: int):
     return a * b, {k: scale * v for k, v in coeffs.items()}
 
 
-def _runs(coeffs: dict) -> list:
+def _runs(coeffs: dict) -> tuple:
     """The coefficients split greedily, in index order, into runs
     ``(s, j0, 2^L - 1)``: coefficient ``s * 2^i`` on param index ``j0 + i``
     for each i < L.  A run grows while the next index continues it with
@@ -232,7 +211,7 @@ def _runs(coeffs: dict) -> list:
                 runs[-1] = (s, j0, mask << 1 | 1)
                 continue
         runs.append((coeffs[j], j, 1))
-    return runs
+    return tuple(runs)
 
 
 def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
@@ -297,22 +276,21 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
         is_live[-1] = True
     n_vars = c.n_vars
     full = [-1] * len(gates)  # gate index -> slot in stage B's list
-    # Live-outs of one form, the same constant and runs, share a field.
-    fields, extra, field_of = [], [], {}
+    # Live-outs of one form, the same constant and runs, share a slot.
+    live, runs, live_of = [], [], {}
     for i in compress(range(len(gates)), is_live):
         const, coeffs = forms[i]
-        runs = _runs(coeffs) if coeffs else _NO_RUNS
-        key = (const, *runs)
-        slot = field_of.get(key)
+        key = (const, _runs(coeffs) if coeffs else ())  # most are constants
+        slot = live_of.get(key)
         if slot is None:
-            slot = field_of[key] = len(fields)
-            fields.append((const, *runs[0]))
-            extra.extend((slot, *run) for run in runs[1:])
+            slot = live_of[key] = len(live)
+            live.append(const)
+            runs.append(key[1])
         full[i] = n_vars + slot
     # Steps of one op on the same two slots share a slot; add and mul
     # commute over Z, so each step reads the lower slot first.
     b_lhs, b_rhs, b_mul, step_of = [], [], [], {}
-    next_b = n_vars + len(fields)
+    next_b = n_vars + len(live)
     for i, g in enumerate(gates):
         if forms[i] is not None:
             continue
@@ -333,17 +311,17 @@ def _prepare(c: Circuit, bitlen_guard: int) -> SlotProgram:
             b_mul.append(op == MUL)
         full[i] = slot
     return SlotProgram(
-        tuple(fields), tuple(extra), tuple(b_lhs), tuple(b_rhs), tuple(b_mul),
+        tuple(live), tuple(runs), tuple(b_lhs), tuple(b_rhs), tuple(b_mul),
         full[-1], mul_degree, mul_bits,
     )
 
 
-# keep() compiles a program only up to this many lines: live-outs, extra
-# runs and value-numbered steps (a gate that repeats an earlier step adds
-# none).  Compiling peaks at 2.3-3.4 KB and takes 11-17 us per line (a
-# line that reads R costs the most; tracemalloc and wall time, CPython
-# 3.11 on a 2-core VM), so the cap holds one compile to about 34 MB and
-# 0.17 s; a longer program stays on the memo and the loop.
+# keep() compiles a program only up to this many lines: live-outs, runs
+# past a live-out's first, and value-numbered steps.  Compiling peaks at
+# 2.3-3.4 KB and takes 11-17 us per line (a line that reads R costs the
+# most; tracemalloc and wall time, CPython 3.11 on a 2-core VM), so the
+# cap holds one compile to about 34 MB and 0.17 s; a longer program runs
+# the loop at R = 0 and interprets at any other R.
 COMPILE_CAP = 10_000
 
 
@@ -358,14 +336,14 @@ def keep(c: Circuit, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> None:
     coefficients, shifts and masks reach it as closure cells, bound
     once, never as literals.  A program of more than ``COMPILE_CAP``
     lines is not compiled.  Calling keep again does nothing, except
-    after a pickle or deepcopy, which leave the function out: then it
-    compiles again.
+    after a pickle or deepcopy, which leave the function out, so a copy
+    interprets at R != 0 until keep compiles it again.
     """
     prog = c._program
     if not prog:
         prog = _prepare(c, bitlen_guard)
         object.__setattr__(c, "_program", prog)
-    if prog.run is None and len(prog.fields) + len(prog.extra) + len(prog.b_mul) <= COMPILE_CAP:
+    if prog.run is None and sum(max(len(r), 1) for r in prog.runs) + len(prog.b_mul) <= COMPILE_CAP:
         prog.run = _compile(prog, c.n_vars)
 
 
@@ -381,14 +359,11 @@ def _compile(prog: SlotProgram, n_vars: int) -> Callable[..., int]:
             name = cells[v] = f"k{len(cells)}"
         return name
 
-    runs = [[run] for _, *run in prog.fields]
-    for slot, *run in prog.extra:
-        runs[slot].append(run)
     names = [f"s{i}" for i in range(n_vars)]
     lines = []
-    for (const, *_), field_runs in zip(prog.fields, runs):
+    for const, runs in zip(prog.live, prog.runs):
         expr = ""
-        for s, j0, mask in field_runs:
+        for s, j0, mask in runs:
             if s:
                 bits = f"(R >> {cell(j0)} & {cell(mask)})" if j0 else f"(R & {cell(mask)})"
                 expr += f" {'-' if s < 0 else '+'} {bits if abs(s) == 1 else f'{cell(abs(s))} * {bits}'}"

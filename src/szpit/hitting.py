@@ -196,10 +196,6 @@ class DefinableClass:
             return ckt
         return plug_params(ckt, {k: R >> (k - 1) & 1 for k in range(1, ckt.n_params + 1)})
 
-    def members(self) -> Iterator[Tuple[str, Circuit]]:
-        for x in self.descriptions():
-            yield x, self.member(x)
-
 
 @dataclass(frozen=True)
 class HSVerdict:

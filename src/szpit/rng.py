@@ -67,6 +67,3 @@ class Rng:
         """A uniform point of S_q^n."""
         randrange = self._random.randrange
         return tuple([randrange(q) for _ in range(n)])
-
-    def bits(self, m: int) -> str:
-        return "".join("01"[self._random.randrange(2)] for _ in range(m))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import importlib
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from szpit.boolfunc import BoolCircuit, BoolFunc, boolfunc_from_callable, eval_bool_circuit
 from szpit.circuit import CONST, Circuit, DegreeReport, Gate, analyze_degrees, circuit
@@ -12,6 +12,7 @@ from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import DegreeBoundError
 from szpit.evaluator import eval_gates
 from szpit.hitting import DefinableClass
+from szpit.rng import Rng
 from szpit.unipoly import UniPoly
 
 
@@ -47,6 +48,17 @@ def eval_many(
             raise DegreeBoundError(f"syntactic degree {total} > {degree_bound}")
     for p in points:
         yield eval_gates(c, p, 0, bitlen_guard)
+
+
+def members(cls: DefinableClass) -> Iterator[Tuple[str, Circuit]]:
+    """Every description of the class with its member, params plugged."""
+    for x in cls.descriptions():
+        yield x, cls.member(x)
+
+
+def random_bits(rng: Rng, m: int) -> str:
+    """A uniform bit string of length m, one draw of randrange(2) a bit."""
+    return "".join("01"[rng.randrange(2)] for _ in range(m))
 
 
 def g_map(

@@ -38,6 +38,7 @@ from szpit.evaluator import eval_gates
 from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
+from helpers import members
 from oracles import amplify_steps, call_per_bit, int_to_bits
 
 
@@ -376,7 +377,7 @@ def test_avoid_class_params_are_h_bits_packed():
 
 def test_avoid_class_degree_audit():
     _, _, sched, _, cls = build_small_class(m=2)
-    for x, member in cls.members():
+    for x, member in members(cls):
         rep = analyze_degrees(member)
         for j in range(1, sched.n + 1):
             assert rep.individual[f"x{j}"] == 2 * sched.r
@@ -386,13 +387,13 @@ def test_avoid_class_degree_audit():
 def test_avoid_class_positivity():
     _, _, sched, _, cls = build_small_class(m=2)
     point = (2 * sched.q,) * sched.n
-    for x, member in cls.members():
+    for x, member in members(cls):
         assert eval_gates(member, point) > 0
 
 
 def test_avoid_class_vanishes_on_encoded_points():
     _, _, sched, h, cls = build_small_class(m=2)
-    for x, member in cls.members():
+    for x, member in members(cls):
         bits = int_to_bits(h(int(x[::-1], 2)), h.out_bits)
         for i in range(1, sched.r + 1):
             point = tuple(
@@ -407,7 +408,7 @@ def test_avoid_class_vanishes_on_encoded_points():
 
 def test_avoid_class_member_size_is_declared():
     _, _, sched, _, cls = build_small_class(m=2)
-    for x, member in cls.members():
+    for x, member in members(cls):
         assert len(member.gates) <= cls.s
 
 
@@ -538,7 +539,7 @@ def test_avoid_class_member_matches_direct_formula():
     # formula computed directly from the h-bits, at random points.
     _, _, sched, h, cls = build_small_class(m=2)
     rng = Rng(413, "formula")
-    for x, member in cls.members():
+    for x, member in members(cls):
         bits = int_to_bits(h(int(x[::-1], 2)), h.out_bits)
         targets = [
             [

@@ -12,10 +12,12 @@ from szpit.classes import (
 from szpit.evaluator import eval_gates
 from szpit.hitting import search_hitting_set, verify_hitting_set
 
+from helpers import members
+
 
 def test_multilinear_members_evaluate_like_their_bits():
     cls = multilinear_class(2, d=2)
-    for x, member in cls.members():
+    for x, member in members(cls):
         for z in product(range(3), repeat=2):
             want = sum(
                 int(x[mask]) * (z[0] ** (mask & 1)) * (z[1] ** (mask >> 1 & 1))
@@ -38,7 +40,7 @@ def test_linear_and_monomial_shapes():
 
 def test_all_circuits_decoder_is_total():
     cls = all_circuits_class(n=2, d=2, s=2048, m=8)
-    for x, member in cls.members():
+    for x, member in members(cls):
         rep = analyze_degrees(member)
         assert rep.max_individual <= 2
         assert member.n_vars == 2
@@ -55,7 +57,7 @@ def test_all_circuits_decoder_produces_nonzero_members():
     # The compact encoding reaches beyond the zero circuit.
     cls = all_circuits_class(n=2, d=2, s=2048, m=10)
     nonzero = 0
-    for x, member in cls.members():
+    for x, member in members(cls):
         if any(eval_gates(member, p) != 0 for p in product(range(3), repeat=2)):
             nonzero += 1
     assert nonzero > 50

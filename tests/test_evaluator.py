@@ -14,6 +14,8 @@ from szpit.errors import (
     PreconditionError,
 )
 from szpit.avoid import _member_gates, desk_schedule
+from szpit import evaluator
+from szpit.classes import multilinear_class
 from szpit.evaluator import COMPILE_CAP, SlotProgram, eval_arithmetic, eval_gates, keep
 from szpit.rng import Rng
 
@@ -146,6 +148,27 @@ def outcome(c, vars, params=0, bitlen_guard=1 << 20):
         return type(e), str(e)
 
 
+def count_interpreted(monkeypatch):
+    """Wrap the interpreter; returns the list of the packed params of
+    every call that reaches it."""
+    calls = []
+    real = evaluator._interpret
+
+    def counting(c, vars, R, bitlen_guard):
+        calls.append(R)
+        return real(c, vars, R, bitlen_guard)
+
+    monkeypatch.setattr(evaluator, "_interpret", counting)
+    return calls
+
+
+def stage_a(prog, R):
+    """The live-out values at packed params R, read from the program's
+    constants and runs: c plus s times ``R >> j0 & mask`` per run."""
+    return [c + sum(s * (R >> j0 & mask) for s, j0, mask in runs)
+            for c, runs in zip(prog.live, prog.runs)]
+
+
 def test_prepared_calls_match_the_first_call_at_every_guard():
     # Guards from 1 to 64 bits put these circuits on both sides of the
     # static bound and of the runtime guard.
@@ -182,15 +205,18 @@ def test_guard_error_is_the_same_on_every_call():
     assert seen == {(BitLengthGuardError, "gate 10: value exceeds 1024-bit guard")}
 
 
-def test_packed_params_are_one_bit_wide():
+def test_packed_params_are_one_bit_wide(monkeypatch):
     # (p1 + p1)^2 + x1 at x1 = 0: the static bound is 2w + 2 bits.  R = 1
     # is 1 bit wide, so under a 2-bit guard every call interprets and
-    # raises at the square, 4; R = 0 is 0 bits wide and runs the program.
+    # raises at the square, 4; R = 0 is 0 bits wide and runs the program,
+    # whose one live-out, 2 p1, is 0 there.
+    interpreted = count_interpreted(monkeypatch)
     c = circuit([Gate.var(1), Gate.param(1), Gate.add(1, 1), Gate.mul(2, 2), Gate.add(0, 3)])
     for _ in range(3):
         assert outcome(c, (0,), 1, 2) == (BitLengthGuardError, "gate 3: value exceeds 2-bit guard")
         assert outcome(c, (0,), 0, 2) == 0
-    assert c._program.memo == (0, [0])
+    assert interpreted == [1, 1, 1]
+    assert (c._program.live, c._program.runs) == ((0,), (((2, 0, 1),),))
 
 
 def test_slot_program_layout():
@@ -221,9 +247,9 @@ def test_slot_program_layout():
     assert eval_gates(c, (4, -3), 0b11) == 1
     prog = c._program
     # Live-outs as runs: g3 = 3 p1 is one run; g10 = p2 - 5 + 3 p1 puts 1,
-    # not 2 * 3, on p2, so p2 is a second run, in ``extra``.
-    assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1))
-    assert prog.extra == ((1, 1, 1, 1),)
+    # not 2 * 3, on p2, so p2 is a second run.
+    assert prog.live == (0, -5)
+    assert prog.runs == (((3, 0, 1),), ((3, 0, 1), (1, 1, 1)))
     # Each step reads the lower of its two slots first: g9 = g4 * x2 reads
     # slots 1 and 4, and g11 = g9 * g10 reads 3 and 5.
     assert (prog.b_lhs, prog.b_rhs, prog.b_mul, prog.out) == (
@@ -232,19 +258,19 @@ def test_slot_program_layout():
     # Degrees and bit bounds of g3, g9, g11 and g12: (1, 2), (2, 3),
     # (3, 8) and (2, 10).
     assert (prog.mul_degree, prog.mul_bits) == (3, 10)
-    assert prog.memo == (0b11, [3, -1])
-    # Stage A reads each run from R by shift and mask.
+    assert stage_a(prog, 0b11) == [3, -1]
+    # Each run reads R by shift and mask.  The prepared circuit runs its
+    # loop at R = 0 and interprets at any other R.
     for packed, bits in [(0b10, (0, 1)), (0b01, (1, 0)), (0, (0, 0))]:
         assert eval_gates(c, (4, -3), packed) == naive_eval(c, (4, -3), bits)
-        assert prog.memo == (packed, prog.run_stage_a(packed))
-        # A params tuple is refused and leaves the memo alone.
-        memo = prog.memo
+        assert stage_a(prog, packed) == [3 * bits[0], bits[1] - 5 + 3 * bits[0]]
+        # A params tuple is refused and leaves the program alone.
         with pytest.raises(TypeError):
             eval_gates(c, (-1, 5), (2, 7))
-        assert prog.memo is memo
+        assert c._program is prog
 
 
-def test_affine_stage_a_forms():
+def test_affine_stage_a_forms(monkeypatch):
     # The same circuit with g12 = g10 * 3: every gate that reads no
     # variable is then in stage A, and the output g12 is a live-out.
     # g3 = 3 p1, g10 = p2 - 5 + 3 p1 and g12 = 3 p2 - 15 + 9 p1.
@@ -256,18 +282,19 @@ def test_affine_stage_a_forms():
     for params, bits in [(0b01, (1, 0)), (0b01, (1, 0)), (0b10, (0, 1))]:
         assert eval_gates(c, (4, -3), params) == naive_eval(c, (4, -3), bits)
     prog = c._program
-    assert prog.fields == ((0, 3, 0, 1), (-5, 3, 0, 1), (-15, 9, 0, 1))
-    assert prog.extra == ((1, 1, 1, 1), (2, 3, 1, 1))
+    assert prog.live == (0, -5, -15)
+    assert prog.runs == (((3, 0, 1),), ((3, 0, 1), (1, 1, 1)), ((9, 0, 1), (3, 1, 1)))
     assert (prog.b_lhs, prog.b_rhs, prog.out) == ((0, 1, 3), (2, 5, 6), 4)
-    assert prog.memo == (0b10, [0, -4, -12])
+    assert stage_a(prog, 0b10) == [0, -4, -12]
     # A param-free circuit's live-outs are constant forms, which its only
-    # R, the default 0, reads.
+    # R, the default 0, reads: only the first call interprets.
+    interpreted = count_interpreted(monkeypatch)
     plugged = plug_params(c, {1: -4, 2: 11})
     for _ in range(3):
         assert eval_gates(plugged, (4, -3)) == naive_eval(c, (4, -3), (-4, 11))
-        assert plugged._program is False or plugged._program.memo[0] == 0
-    assert plugged._program.fields == ((-12, 0, 0, 0), (-6, 0, 0, 0), (-18, 0, 0, 0))
-    assert plugged._program.extra == ()
+    assert interpreted == [0]
+    assert plugged._program.live == (-12, -6, -18)
+    assert plugged._program.runs == ((), (), ())
 
 
 def test_value_numbered_layout():
@@ -304,8 +331,8 @@ def test_value_numbered_layout():
         assert eval_gates(c, (5,), 0b10) == naive_eval(c, (5,), (0, 1)) == 30 + 15 * 5
     prog = c._program
     # One run: 1 on p1 and 2 on p2.
-    assert prog.fields == ((3, 0, 0, 0), (3, 1, 0, 3))
-    assert prog.extra == ()
+    assert prog.live == (3, 3)
+    assert prog.runs == ((), ((1, 0, 3),))
     assert (prog.b_lhs, prog.b_rhs, prog.b_mul, prog.out) == (
         (0, 3, 2, 4), (1, 3, 3, 5), (True, False, True, False), 6,
     )
@@ -349,8 +376,7 @@ def test_prepare_folds_no_constant_past_the_preparing_guard():
     want = (BitLengthGuardError, "gate 19: value exceeds 65536-bit guard")
     assert outcome(c, (1,), 1, 1 << 16) == want
     assert outcome(c, (1,), 1, 1 << 16) == want
-    folded = [const for const, *_ in c._program.fields]
-    assert max(v.bit_length() for v in folded) == 51_937
+    assert max(v.bit_length() for v in c._program.live) == 51_937
     assert outcome(c, (1,), 1, 1 << 16) == want
 
 
@@ -400,6 +426,7 @@ def test_keep_compiles_stage_b_once_and_eval_gates_runs_it():
     keep(c)
     prog = c._program
     assert isinstance(prog, SlotProgram) and len(prog.b_mul) == 3
+    assert (prog.live, prog.runs) == ((-5,), (((3, 0, 1),),))
     run = prog.run
     keep(c)
     assert c._program is prog and prog.run is run
@@ -407,9 +434,8 @@ def test_keep_compiles_stage_b_once_and_eval_gates_runs_it():
     for R, x in [(1, (4, 3)), (1, (5, -2)), (0, (4, 3))]:
         assert eval_gates(c, x, R) == naive_eval(c, x, (R,))
     # One call per evaluation, on R and the vars: the function computes
-    # 3 p1 - 5 itself, and the memo stays unused.
+    # 3 p1 - 5 itself.
     assert calls == [(1, 4, 3), (1, 5, -2), (0, 4, 3)]
-    assert prog.memo == (None, None)
     # Past the static bound the call interprets, with its error.
     assert outcome(c, (2**70, 1), 1, 64) == (BitLengthGuardError, "gate 7: value exceeds 64-bit guard")
     assert len(calls) == 3
@@ -438,24 +464,25 @@ def test_keep_compiles_up_to_the_cap(steps, compiled):
 
 @pytest.mark.parametrize("lines, compiled", [(COMPILE_CAP, True), (COMPILE_CAP + 1, False)])
 def test_the_cap_counts_live_outs_and_extra_runs(lines, compiled):
-    # x1 + (p1 + 3 p3), then adds of x1: one live-out, one extra run (the
-    # 3 on p3 does not continue p1's run) and lines - 2 steps.
+    # 5 (x1 + (p1 + 3 p3)), then adds of x1: one live-out of two runs (the
+    # 3 on p3 does not continue p1's run), which count as two lines, one
+    # constant live-out, 5, which counts as one, and lines - 3 steps.
     gates = [Gate.var(1), Gate.param(1), Gate.param(2), Gate.param(3), Gate.const(3),
-             Gate.mul(3, 4), Gate.add(1, 5), Gate.add(0, 6)]
-    c = circuit(gates + [Gate.add(k, 0) for k in range(7, 7 + lines - 3)])
+             Gate.mul(3, 4), Gate.add(1, 5), Gate.add(0, 6), Gate.const(5), Gate.mul(7, 8)]
+    c = circuit(gates + [Gate.add(k, 0) for k in range(9, 9 + lines - 5)])
     keep(c)
     prog = c._program
-    assert (len(prog.fields), len(prog.extra), len(prog.b_mul)) == (1, 1, lines - 2)
+    assert (prog.live, prog.runs, len(prog.b_mul)) == ((0, 5), (((1, 0, 1), (3, 2, 1)), ()), lines - 3)
     assert (prog.run is not None) == compiled
-    assert eval_gates(c, (3,), 0b101) == 3 * (lines - 2) + 4
+    assert eval_gates(c, (3,), 0b101) == 35 + 3 * (lines - 5)
 
 
 @pytest.mark.parametrize("roundtrip", [
     lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy,
 ], ids=["pickle", "deepcopy"])
 def test_a_kept_template_survives_pickle_and_deepcopy(roundtrip):
-    # The compiled function is left out of the copy, which evaluates by
-    # the loop until keep compiles it again.
+    # The compiled function is left out of the copy, which interprets at
+    # R != 0 until keep compiles it again.
     t = circuit(_member_gates(desk_schedule(1)).gates)
     keep(t)
     R = (1 << t.n_params) - 1 >> 3
@@ -471,3 +498,29 @@ def test_a_kept_template_survives_pickle_and_deepcopy(roundtrip):
     assert eval_gates(copied, (2, 5), R) == want
     assert eval_gates(copied, (2, 5), 0) == eval_gates(t, (2, 5), 0)
     assert len(calls) == 2
+
+
+def test_each_call_takes_the_compiled_function_the_loop_or_the_interpreter(monkeypatch):
+    # A kept program makes one compiled call per evaluation and never
+    # interprets.  Once prepared, an unkept program runs its loop at
+    # R = 0 and interprets at any other R: a template past COMPILE_CAP,
+    # and a kept template's pickled copy until its next keep.
+    kept = circuit(_member_gates(desk_schedule(1)).gates)
+    past_cap = multilinear_class(11).template  # its class prepared it
+    Rs = [0, (1 << kept.n_params) - 1 >> 3, 1]
+    x, y = (2, 5), tuple(range(-5, 6))
+    want = [eval_gates(circuit(kept.gates), x, R) for R in Rs]
+    want_past_cap = [eval_gates(circuit(past_cap.gates), y, R) for R in Rs]
+    keep(kept)
+    copied = pickle.loads(pickle.dumps(kept))
+    interpreted = count_interpreted(monkeypatch)
+    calls = count_compiled_calls(kept)
+    assert [eval_gates(kept, x, R) for R in Rs] == want
+    assert [args[0] for args in calls] == Rs and interpreted == []
+    assert copied._program.run is None and past_cap._program.run is None
+    assert [eval_gates(copied, x, R) for R in Rs] == want
+    assert interpreted == Rs[1:]
+    assert [eval_gates(past_cap, y, R) for R in Rs] == want_past_cap
+    assert interpreted == Rs[1:] * 2
+    keep(copied)
+    assert eval_gates(copied, x, Rs[1]) == want[1] and interpreted == Rs[1:] * 2

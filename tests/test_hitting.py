@@ -32,7 +32,7 @@ from szpit.hitting import (
 )
 from szpit.rng import Rng
 
-from helpers import g_map
+from helpers import g_map, random_bits
 from oracles import nonrange_by_tuples, verify_witness_first
 
 
@@ -299,7 +299,7 @@ def test_verify_spot_checking_beyond_cap():
     # verdict is then flagged as non-exhaustive evidence.
     cls = DefinableClass(
         decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=40,
-        sampler=lambda rng: rng.bits(40),
+        sampler=lambda rng: random_bits(rng, 40),
     )
     h = HittingSet(((1, 1),), 2, 4)
     verdict = verify_hitting_set(cls, h, class_cap=64)
@@ -343,7 +343,7 @@ VERIFY_CASES = (
     *((c, DEFAULT_CLASS_CAP) for c in (*MICRO_CLASSES, multilinear_class(1), multilinear_class(2))),
     (DefinableClass(decoder=_small_decoder, n=2, d=1, s=4096, m=2), DEFAULT_CLASS_CAP),
     (DefinableClass(decoder=_small_decoder, n=2, d=1, s=4096, m=3,
-                    sampler=lambda rng: rng.bits(3)), 4),
+                    sampler=lambda rng: random_bits(rng, 3)), 4),
 )
 
 

@@ -378,9 +378,9 @@ def test_params_per_evaluation_equal_plugged_params(case, data):
 @given(circuits_with_inputs(), st.data())
 def test_repeated_evaluation_matches_the_oracle(case, data):
     # The first call interprets; the second prepares the slot program,
-    # which the later calls run, reading packed params R in stage A (a
-    # param-free circuit takes R = 0).  A params tuple is refused and
-    # leaves the program's memo as it was.
+    # which the later calls at R = 0 run (a param-free circuit takes only
+    # R = 0), and any other R interprets.  A params tuple is refused and
+    # leaves the program as it was.
     c, x, p = case
     n = c.n_params
     for _ in range(3):
@@ -389,10 +389,9 @@ def test_repeated_evaluation_matches_the_oracle(case, data):
         x = tuple(data.draw(SMALL) for _ in x)
     prog = c._program
     assert isinstance(prog, SlotProgram)
-    memo = prog.memo
     with pytest.raises(TypeError):
         eval_gates(c, x, p)
-    assert c._program is prog and prog.memo is memo
+    assert c._program is prog
 
 
 def outcome(call, *args, **kw):
@@ -564,12 +563,16 @@ def bit_templates(draw):
 @PROPERTY
 @given(bit_templates(), st.data())
 def test_packed_params_evaluate_as_their_bits(case, data):
-    # Packed params R on a fresh circuit (the interpreter) and on the
-    # prepared one (stage A reads each run by shift and mask) give
-    # naive_eval's value on R's bits.  R = 0 and R with every bit set, so
-    # bits past each run's mask, are always drawn.
+    # Packed params R on a fresh circuit (the interpreter), on the
+    # prepared one (the loop at R = 0) and on a kept copy (stage A reads
+    # each run by shift and mask) give naive_eval's value on R's bits.
+    # R = 0 and R with every bit set, so bits past each run's mask, are
+    # always drawn.  Each run past a live-out's first is one the
+    # template built.
     c, extra = case
     n = c.n_params
+    kept = circuit(c.gates)
+    keep(kept)
     draws = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)
     for packed in [0, (1 << n) - 1, *data.draw(draws)]:
         x = (data.draw(SMALL),)
@@ -577,8 +580,8 @@ def test_packed_params_evaluate_as_their_bits(case, data):
         want = naive_eval(c, x, bits)
         assert eval_gates(circuit(c.gates), x, packed) == want
         assert eval_gates(c, x, packed) == want
-        assert c._program is False or c._program.memo[0] == packed
-    assert len(c._program.extra) == extra
+        assert eval_gates(kept, x, packed) == want
+    assert sum(len(runs) - 1 for runs in c._program.runs if runs) == extra
     for bad in (-1, 1 << n, -(1 << (n + 3)), 1 << (n + 3)):
         for ckt in (circuit(c.gates), c):
             with pytest.raises(DimensionMismatchError, match="packed params"):
@@ -588,9 +591,10 @@ def test_packed_params_evaluate_as_their_bits(case, data):
 @st.composite
 def kept_call_sequences(draw):
     """A genckt circuit over 0 to 4 params, or an avoid class template; the
-    guard that prepares it; and calls ``(x, R, guard)``.  R comes from a
-    few drawn values, so calls both hit and miss the stage-A memo; each
-    guard is the preparing one or a stricter one."""
+    guard that prepares it; and calls ``(x, R, guard)``.  R comes from 0
+    and a few drawn values, so calls take both the loop at R = 0 and the
+    interpreter at other R; each guard is the preparing one or a
+    stricter one."""
     if draw(st.booleans()):
         r = Rng(draw(st.integers(0, 2**32)), "kept")
         c = random_circuit(r, n_vars=r.randint(1, 3), extra_gates=r.randint(1, 30),
@@ -598,8 +602,8 @@ def kept_call_sequences(draw):
     else:
         c = circuit(_member_gates(desk_schedule(draw(st.integers(0, 2)))).gates)
     prep = draw(GUARDS)
-    Rs = st.sampled_from(draw(st.lists(st.integers(0, (1 << c.n_params) - 1),
-                                       min_size=1, max_size=3)))
+    Rs = st.sampled_from([0, *draw(st.lists(st.integers(0, (1 << c.n_params) - 1),
+                                            min_size=1, max_size=3))])
     guards = st.sampled_from([g for g in (8, 64, 1 << 20) if g <= prep])
     calls = [
         (tuple(draw(VALUES) for _ in range(c.n_vars)), draw(Rs), draw(guards))
@@ -611,7 +615,7 @@ def kept_call_sequences(draw):
 @PROPERTY
 @given(kept_call_sequences())
 def test_compiled_loop_and_interpreter_agree(case):
-    # The same circuit kept (compiled), prepared only (memo and loop)
+    # The same circuit kept (compiled), prepared only (the loop at R = 0)
     # and interpreted gives the same value or the same guard error on
     # every call; a call past the static bound interprets on every path.
     c, prep, calls = case
@@ -691,14 +695,16 @@ def kernel_cases(draw):
 @PROPERTY
 @given(kernel_cases())
 def test_kept_programs_match_the_interpreter_and_the_oracle(case):
-    # keep compiles the program, whose fields include c != 0 and |s| > 1
-    # and an extra run; eval_gates calls it once for every call the
-    # static bound admits, and gives the interpreter's value or guard
-    # error, and naive_eval's value, on every call.
+    # keep compiles the program, which has a live-out with c != 0 and
+    # |s| > 1 on its first run, and a live-out of more than one run;
+    # eval_gates calls it once for every call the static bound admits,
+    # and gives the interpreter's value or guard error, and naive_eval's
+    # value, on every call.
     c, calls = case
     keep(c)
     prog = c._program
-    assert any(const and abs(s) > 1 for const, s, _, _ in prog.fields) and prog.extra
+    assert any(const and runs and abs(runs[0][0]) > 1 for const, runs in zip(prog.live, prog.runs))
+    assert any(len(runs) > 1 for runs in prog.runs)
     run, ran = prog.run, []
     prog.run = lambda *args: ran.append(args) or run(*args)
     for x, R in calls:
@@ -712,7 +718,6 @@ def test_kept_programs_match_the_interpreter_and_the_oracle(case):
         if prog.mul_degree * w + prog.mul_bits <= DEFAULT_BITLEN_GUARD:
             assert ran.pop() == (R, *x)
         assert not ran
-    assert prog.memo == (None, None)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 
 from szpit.rng import Rng
 
+from helpers import random_bits
 from oracles import derive_seed
 
 
@@ -71,6 +72,6 @@ def test_split_hashes_its_label_at_its_first_draw_or_split():
 
 def test_bits_and_point_shapes():
     r = Rng(5, "shapes")
-    assert len(r.bits(8)) == 8 and set(r.bits(32)) <= {"0", "1"}
+    assert len(random_bits(r, 8)) == 8 and set(random_bits(r, 32)) <= {"0", "1"}
     p = r.point(3, 4)
     assert len(p) == 3 and all(0 <= v < 4 for v in p)
