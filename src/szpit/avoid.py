@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -500,13 +499,21 @@ class AvoidResult:
     trace: dict
 
 
-@contextmanager
-def _stage(name: str):
-    """Re-raise any failure in the block as a StageError naming the stage."""
-    try:
-        yield
-    except Exception as exc:  # noqa: BLE001 - provenance wrapper
-        raise StageError(name, exc) from exc
+class _stage:
+    """Re-raise an Exception in the block as a StageError naming the stage;
+    any other BaseException (an interrupt, an exit) passes through."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, Exception):
+            raise StageError(self.name, exc) from exc
 
 
 def avoid_via_hitting(
@@ -534,8 +541,9 @@ def avoid_via_hitting(
         g, backmap = normalize(inst)
     m = g.in_bits
     trace["m"] = m
+    # Rows are < 2^(m+1) (BoolFunc checks), so none needs int_to_bit_str's mask.
     trace["g_digest"] = hashlib.sha256(
-        "".join(int_to_bit_str(row, m + 1) for row in g.rows).encode()
+        "".join([format(row, f"0{m + 1}b") for row in reversed(g.rows)])[::-1].encode()
     ).hexdigest()
 
     with _stage("schedule"):

@@ -341,9 +341,7 @@ def search_hitting_set(
     rng = Rng(seed, "hs-search")
     last_miss = None
     for attempt in range(budget):
-        draw = rng.split(f"draw{attempt}")
-        points = tuple(draw.point(cls.n, q) for _ in range(r))
-        h = HittingSet(points, cls.n, q)
+        h = HittingSet(rng.split(f"draw{attempt}").points(cls.n, q, r), cls.n, q)
         verdict = verify_hitting_set(
             cls, h, seed=seed, witness_budget=witness_budget,
             class_cap=class_cap, cap=cap,

@@ -64,6 +64,27 @@ class Rng:
         return seq[self._random.randrange(len(seq))]
 
     def point(self, n: int, q: int) -> tuple:
-        """A uniform point of S_q^n."""
-        randrange = self._random.randrange
-        return tuple([randrange(q) for _ in range(n)])
+        """A uniform point of S_q^n, each coordinate as ``randrange(q)`` draws it."""
+        if n and q < 1:
+            raise ValueError(f"empty range for a coordinate: q = {q}")
+        getrandbits = self._random.getrandbits
+        k = q.bit_length()
+        coords = []
+        for _ in range(n):
+            v = getrandbits(k)
+            while v >= q:  # randrange's rejection step, on the same getrandbits(|q|)
+                v = getrandbits(k)
+            coords.append(v)
+        return tuple(coords)
+
+    def points(self, n: int, q: int, count: int) -> tuple:
+        """``count`` calls of ``point`` in one batch: the same points and state."""
+        need = n * count
+        if need and q < 1:
+            raise ValueError(f"empty range for a coordinate: q = {q}")
+        getrandbits = self._random.getrandbits
+        k = q.bit_length()
+        coords = []
+        while len(coords) < need:  # rejection keeps order: draw only the missing ones
+            coords += [v for v in [getrandbits(k) for _ in range(need - len(coords))] if v < q]
+        return tuple(zip(*[iter(coords)] * n)) if n else ((),) * count

@@ -172,6 +172,15 @@ def check_inversion() -> None:
             assert invert_amplified(g, t, y) not in g_range
 
 
+def check_seeded_draws() -> None:
+    # Every seeded stream rests on Rng drawing as this Python's randrange does.
+    for q in (1, 5, 4097, (1 << 40) + 3):
+        rng, ref = Rng(13, f"selftest-draws-{q}"), Rng(13, f"selftest-draws-{q}")._random
+        drawn = [rng.point(2, q), *rng.points(2, q, 20)]
+        assert drawn == [(ref.randrange(q), ref.randrange(q)) for _ in range(21)]
+        assert rng._random.getstate() == ref.getstate()
+
+
 def check_avoid_end_to_end() -> None:
     inst = AvoidInstance(2, 4, (3, 3))
     result = avoid_via_hitting(inst, seed=5)
@@ -193,6 +202,7 @@ CHECKS: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("triple-index bijection", check_triple_codes),
     ("normalization guarantee", check_normalization),
     ("amplification inversion soundness", check_inversion),
+    ("seeded draws match randrange", check_seeded_draws),
     ("range avoidance end to end", check_avoid_end_to_end),
 )
 

@@ -1,5 +1,6 @@
 """Range avoidance: normalization, amplification, inversion, reduction."""
 
+import hashlib
 import importlib
 from itertools import product
 
@@ -24,7 +25,7 @@ from szpit.avoid import (
     triple_decode,
     triple_encode,
 )
-from szpit.boolfunc import BoolFunc, boolfunc_from_callable, parse_bool_circuit
+from szpit.boolfunc import BoolFunc, boolfunc_from_callable, int_to_bit_str, parse_bool_circuit
 from szpit.circuit import analyze_degrees
 from szpit.config import DEFAULT_CLASS_CAP
 from szpit.errors import (
@@ -465,6 +466,39 @@ def test_avoid_stage_provenance():
     with pytest.raises(StageError) as exc:
         avoid_via_hitting(AvoidInstance(2, 4, (1, 2)), hs_solver=broken_solver, seed=1)
     assert exc.value.stage == "hitting-set"
+
+
+def test_stage_keeps_its_name_and_cause_and_passes_interrupts():
+    def failing(exc):
+        def solver(cls):
+            raise exc
+        return solver
+
+    boom = ValueError("boom")
+    with pytest.raises(StageError) as caught:
+        avoid_via_hitting(AvoidInstance(2, 4, (1, 2)), hs_solver=failing(boom), seed=1)
+    assert caught.value.stage == "hitting-set"
+    assert caught.value.cause is boom and caught.value.__cause__ is boom
+    interrupt = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt) as caught:
+        avoid_via_hitting(AvoidInstance(2, 4, (1, 2)), hs_solver=failing(interrupt), seed=1)
+    assert caught.value is interrupt
+
+
+def test_g_digest_is_the_per_row_bit_string_join(monkeypatch):
+    # Random tables at m = 0..6, rows with a top bit set included, stand in
+    # for normalize's g; the instance's range is {1}, so backmap's answer 2
+    # passes the final check.
+    avoid_mod = importlib.import_module("szpit.avoid")
+    rng = Rng(2701, "g-digest")
+    for m in range(7):
+        for _ in range(3):
+            g = BoolFunc(m, m + 1, tuple(rng.randrange(1 << (m + 1)) for _ in range(1 << m)))
+            monkeypatch.setattr(avoid_mod, "normalize", lambda inst, g=g: (g, lambda y: 2))
+            inst = AvoidInstance(1 << m, 2 << m, (1,) * (1 << m))
+            trace = avoid_via_hitting(inst, seed=m).trace
+            text = "".join(int_to_bit_str(row, m + 1) for row in g.rows)
+            assert trace["g_digest"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_over_cap_instance_is_refused_before_normalize(monkeypatch):

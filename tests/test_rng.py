@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szpit.rng import Rng
 
@@ -75,3 +76,33 @@ def test_bits_and_point_shapes():
     assert len(random_bits(r, 8)) == 8 and set(random_bits(r, 32)) <= {"0", "1"}
     p = r.point(3, 4)
     assert len(p) == 3 and all(0 <= v < 4 for v in p)
+
+
+# q = 2^k + 1 rejects about half of its draws; q > 2^32 takes more than one
+# 32-bit word per draw.
+MODULI = st.one_of(
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 40).flatmap(lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1])),
+    st.integers((1 << 32) + 1, 1 << 80),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(q=MODULI, n=st.integers(0, 4), count=st.integers(0, 40), seed=st.integers(0, 1 << 16))
+def test_point_and_points_are_randrange_draws(q, n, count, seed):
+    ref = random.Random(derive_seed(seed, "draws"))
+    want = tuple(tuple(ref.randrange(q) for _ in range(n)) for _ in range(count))
+    batch, single = Rng(seed, "draws"), Rng(seed, "draws")
+    assert batch.points(n, q, count) == want
+    assert tuple(single.point(n, q) for _ in range(count)) == want
+    assert batch._random.getstate() == single._random.getstate() == ref.getstate()
+
+
+def test_draws_fail_only_when_something_is_drawn():
+    r = Rng(5, "empty")
+    assert r.point(0, 0) == () and r.points(0, 0, 3) == ((), (), ()) and r.points(2, 0, 0) == ()
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(0)
+    for bad in (lambda: r.point(1, 0), lambda: r.point(2, -3), lambda: r.points(1, 0, 1)):
+        with pytest.raises(ValueError):
+            bad()
