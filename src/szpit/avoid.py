@@ -459,8 +459,8 @@ def build_avoid_class(h: BoolFunc, sched: AvoidSchedule) -> DefinableClass:
 
     rows, mask = h.rows, (1 << width) - 1
 
-    def params_of(x: str) -> int:
-        return rows[int(x[::-1] or "0", 2)] & mask  # x[0] is h's input bit 0
+    def params_of(x: int) -> int:
+        return rows[x] & mask
 
     cls = DefinableClass(
         decoder=None, template=_member_gates(sched), params_of=params_of,

@@ -2,7 +2,7 @@
 
 A bit string of width w is an int in [0, 2^w) whose bit j (0-based) is
 position j of the string, so ``int_to_bit_str`` writes it as 0/1
-characters with bit 0 first; that is the one text form, and traces use it.
+characters with bit 0 first: the one text form, for traces and verdicts.
 A ``BoolFunc`` is table-backed: all 2^in_bits rows are materialized, each
 as one int of out_bits bits, which is the right trade at desk scale, keeps
 amplification walks cheap and stays small for wide outputs.  An input
@@ -39,7 +39,8 @@ def int_to_bit_str(v: int, width: int) -> str:
     0 or less gives ``""``."""
     if width <= 0:
         return ""
-    return format(v & ((1 << width) - 1), f"0{width}b")[::-1]
+    # The bit set at width keeps the low bits' leading zeros in bin's text.
+    return bin(v & ((1 << width) - 1) | 1 << width)[:2:-1]
 
 
 @dataclass(frozen=True)

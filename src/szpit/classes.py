@@ -11,9 +11,8 @@ These are the stock decoders used by the CLI and the test suites:
                 slice, fall back to the constant-0 circuit.
 
 The first three are template classes: one circuit with a param gate per
-coefficient, whose k-th description bit (from 1) is the value of pk.  As
-for every template class, ``params_of`` packs those bits into one int R,
-bit k - 1 as pk, which the evaluator reads directly.
+coefficient, and no ``params_of``, so the description x is itself the
+packed params R: bit k - 1 of x, character k - 1 of its text, is pk.
 Decoder surjectivity onto an intended class is a trust assumption; nothing
 here can verify it for the all-circuits encoding.
 """
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
+from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, circuit
 from .errors import CircuitValidationError, PreconditionError
 from .hitting import DefinableClass, zero_circuit
@@ -33,11 +33,6 @@ def _sum_chain(gates: List[Gate], terms: List[int]) -> int:
         gates.append(Gate.add(acc, t))
         acc = len(gates) - 1
     return acc
-
-
-def _bits(x: str) -> int:
-    """The description's bits packed into params R: bit k - 1 of R is x[k - 1]."""
-    return int(x[::-1], 2)
 
 
 def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:
@@ -54,10 +49,7 @@ def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:
                 acc = len(gates) - 1
         terms.append(acc)
     _sum_chain(gates, terms)
-    return DefinableClass(
-        decoder=None, template=circuit(gates), params_of=_bits,
-        n=n, d=max(d, 1), s=s, m=m,
-    )
+    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=max(d, 1), s=s, m=m)
 
 
 def linear_class(n: int, s: int = 0) -> DefinableClass:
@@ -71,10 +63,7 @@ def linear_class(n: int, s: int = 0) -> DefinableClass:
         gates.append(Gate.mul(len(gates) - 1, j))
         terms.append(len(gates) - 1)
     _sum_chain(gates, terms)
-    return DefinableClass(
-        decoder=None, template=circuit(gates), params_of=_bits,
-        n=n, d=1, s=s, m=n,
-    )
+    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=1, s=s, m=n)
 
 
 def monomial_class(n: int, s: int = 0) -> DefinableClass:
@@ -85,10 +74,7 @@ def monomial_class(n: int, s: int = 0) -> DefinableClass:
     for j in range(n):
         gates.append(Gate.mul(acc, j))
         acc = len(gates) - 1
-    return DefinableClass(
-        decoder=None, template=circuit(gates), params_of=_bits,
-        n=n, d=1, s=s, m=1,
-    )
+    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=1, s=s, m=1)
 
 
 # -- all-circuits binary decoder --------------------------------------------
@@ -153,9 +139,9 @@ def _decode_gates(x: str, n: int) -> Circuit:
 def all_circuits_class(n: int, d: int, s: int, m: int) -> DefinableClass:
     """Ckt(n, d, s) presented through the compact binary gate encoding."""
 
-    def decoder(x: str) -> Circuit:
-        try:
-            return _decode_gates(x, n)
+    def decoder(x: int) -> Circuit:
+        try:  # the gate records read the text of x, bit 0 first
+            return _decode_gates(int_to_bit_str(x, m), n)
         except CircuitValidationError:
             return zero_circuit(n)
 

@@ -2,7 +2,7 @@
 
 A class is given by a decoding function, or by one template circuit and
 a map from each description to the template's params, packed as bits into
-one int: bitstrings of length m map to circuits with at most n variables,
+one int: descriptions in [0, 2^m) map to circuits with at most n variables,
 maximum individual syntactic degree at most d, and representation size at
 most s.  Members violating that contract are silently replaced by the
 trivial constant-0 circuit, which keeps every description meaningful.
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional, Tuple
 
+from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_digits, plug_params
 from .circuit import representation_size
 from .codec import SZContext, all_codes, decode_code
@@ -107,32 +108,33 @@ def zero_circuit(n: int = 0) -> Circuit:
 class DefinableClass:
     """A decoder-presented class of at most 2^m algebraic circuits.
 
-    :meth:`decode` gives the member at description x as ``(circuit, R)``
-    with packed params R, evaluated by ``eval_gates(circuit, point, R)``.
-    A template class gives ``template`` and ``params_of``, which maps x to
-    packed bits R, an int whose bit k - 1 is the value of pk; any other
-    value raises :class:`PreconditionError`.  Its members share one gate
-    layout and each writes one digit per param use, so variable count,
-    degree and size are checked once per class, against the all-zero
-    member, and a member is decoded in O(1); ``s = 0`` means that member's
-    size.  An R outside ``[0, 2^n_params)`` gives the constant-0 member.
-    A decoder class gives ``decoder`` (x -> circuit); its members are
-    ``(circuit, 0)``, each fully checked.  Members outside Ckt(n, d, s)
-    are replaced by the constant-0 circuit; surjectivity of caller-supplied
-    decoders onto their intended class is a trust assumption that cannot be
-    verified here.
+    :meth:`decode` gives the member at description x, an int in [0, 2^m),
+    as ``(circuit, R)`` with packed params R, evaluated by
+    ``eval_gates(circuit, point, R)``.  A template class gives ``template``
+    and ``params_of``, which maps x to packed bits R, an int whose bit
+    k - 1 is the value of pk (any other value raises
+    :class:`PreconditionError`); without ``params_of``, R is x.  Its
+    members share one gate layout and each writes one digit per param
+    use, so variable count, degree and size are checked once per class,
+    against the all-zero member, and a member is decoded in O(1); ``s = 0``
+    means that member's size.  An R outside ``[0, 2^n_params)`` gives the
+    constant-0 member.  A decoder class gives ``decoder`` (x -> circuit);
+    its members are ``(circuit, 0)``, each fully checked.  Members outside
+    Ckt(n, d, s) are replaced by the constant-0 circuit; surjectivity of
+    caller-supplied decoders onto their intended class is a trust
+    assumption that cannot be verified here.
     """
 
-    decoder: Optional[Callable[[str], Circuit]]
+    decoder: Optional[Callable[[int], Circuit]]
     n: int
     d: int
     s: int
     m: int
     # Membership sampler for classes too large to enumerate: maps an Rng to
     # a description.  Verification then degrades to seeded spot-checking.
-    sampler: Optional[Callable[["Rng"], str]] = None
+    sampler: Optional[Callable[["Rng"], int]] = None
     template: Optional[Circuit] = None
-    params_of: Optional[Callable[[str], int]] = None
+    params_of: Optional[Callable[[int], int]] = None
 
     def __post_init__(self):
         if (self.decoder is None) == (self.template is None):
@@ -157,16 +159,23 @@ class DefinableClass:
         if self._template_fits:  # every member evaluates t: compile it once
             keep(t)
 
-    def descriptions(self) -> Iterator[str]:
-        for bits in product("01", repeat=self.m):
-            yield "".join(bits)
+    def descriptions(self) -> Iterator[int]:
+        """Every x in [0, 2^m), in lexicographic order of the text: bit
+        m - 1, the last character, changes fastest."""
+        x, top = 0, 1 << self.m >> 1
+        for _ in range(1 << self.m):
+            yield x
+            bit = top
+            while x & bit:  # carry from bit m - 1 towards bit 0
+                x, bit = x ^ bit, bit >> 1
+            x |= bit
 
-    def decode(self, x: str) -> Tuple[Circuit, int]:
+    def decode(self, x: int) -> Tuple[Circuit, int]:
         """The member at description x, as ``(circuit, R)``."""
-        if len(x) != self.m or x.strip("01"):
-            raise PreconditionError(f"description {x!r} is not a bitstring of length {self.m}")
+        if x.__class__ is not int or not 0 <= x < 1 << self.m:
+            raise PreconditionError(f"description {x!r} is not an int in [0, 2^{self.m})")
         if self.template is not None:
-            params = self.params_of(x)
+            params = x if self.params_of is None else self.params_of(x)
             if params.__class__ is not int:
                 raise PreconditionError(
                     f"params_of({x!r}) gave {params!r}, not packed bits as an int"
@@ -189,7 +198,7 @@ class DefinableClass:
             return False
         return analyze_degrees(c).max_individual <= self.d
 
-    def member(self, x: str) -> Circuit:
+    def member(self, x: int) -> Circuit:
         """The member at description x as one circuit, params plugged."""
         ckt, R = self.decode(x)
         if not ckt.n_params:
@@ -202,7 +211,8 @@ class HSVerdict:
     """Outcome of hitting-set verification.
 
     ``hits`` is the positive verdict; otherwise ``x`` names a member that H
-    misses and ``witness`` is a point where that member is nonzero.
+    misses, as its description's text (character j is bit j), and
+    ``witness`` is a point where that member is nonzero.
     ``exhaustive`` is False when only sampled descriptions were checked, in
     which case a Hits verdict is reported evidence, not a proof.
     """
@@ -281,12 +291,13 @@ def verify_hitting_set(
 ) -> HSVerdict:
     """Decide whether H hits every non-vanishing member of the slice.
 
-    Descriptions are enumerated in lexicographic order, so the returned
-    Misses pair is deterministic for a fixed seed.  The witness search
-    tries H's points first, so H misses a member iff its witness is not in
-    H.  Because q >= 2dn is required, the witness search is a complete
-    test of non-vanishing at desk scale and the witness accompanying a
-    miss lies in S_q^n.
+    Descriptions are enumerated in lexicographic order of their text, so
+    the returned Misses pair is deterministic for a fixed seed.  Member x
+    draws on the stream labelled "<index>:<text of x>", after trying H's
+    points, so H misses a member iff its witness is not in H.  Because
+    q >= 2dn is required, the witness search is a complete test of
+    non-vanishing at desk scale and the witness accompanying a miss lies
+    in S_q^n.
     """
     if h.n != cls.n:
         raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
@@ -304,16 +315,17 @@ def verify_hitting_set(
         raise class_cap_error(cls.m, class_cap)
     for idx, x in enumerate(descriptions):
         ckt, params = cls.decode(x)
+        text = int_to_bit_str(x, cls.m)
         try:
             witness = find_small_witness(
                 ckt, cls.n, cls.d, h.q,
-                budget=witness_budget, rng=rng.split(f"{idx}:{x}"), cap=cap, params=params,
+                budget=witness_budget, rng=rng.split(f"{idx}:{text}"), cap=cap, params=params,
                 first=h,
             )
         except ZeroOnCubeError:
             continue  # vanishing member: hit vacuously
         if witness not in h.points:
-            return HSVerdict(hits=False, x=x, witness=witness, exhaustive=exhaustive)
+            return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
     return HSVerdict(hits=True, exhaustive=exhaustive)
 
 

@@ -31,7 +31,6 @@ class Rng:
     """
 
     def __init__(self, seed: int, *labels: str):
-        self.seed = seed
         self.labels = labels
         self._path_hash = _path_hash(seed, labels)
 
@@ -49,7 +48,6 @@ class Rng:
 
     def split(self, label: str) -> "Rng":
         child = Rng.__new__(Rng)
-        child.seed = self.seed
         child.labels = (*self.labels, label)
         child._parent_hash = self._path_hash  # only ever copied, never updated
         return child

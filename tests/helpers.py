@@ -15,6 +15,8 @@ from szpit.hitting import DefinableClass
 from szpit.rng import Rng
 from szpit.unipoly import UniPoly
 
+from oracles import bits_to_int
+
 
 def count_degree_passes(monkeypatch) -> List[Circuit]:
     """Record every uncached degree analysis; returns the growing list.
@@ -50,15 +52,15 @@ def eval_many(
         yield eval_gates(c, p, 0, bitlen_guard)
 
 
-def members(cls: DefinableClass) -> Iterator[Tuple[str, Circuit]]:
+def members(cls: DefinableClass) -> Iterator[Tuple[int, Circuit]]:
     """Every description of the class with its member, params plugged."""
     for x in cls.descriptions():
         yield x, cls.member(x)
 
 
-def random_bits(rng: Rng, m: int) -> str:
-    """A uniform bit string of length m, one draw of randrange(2) a bit."""
-    return "".join("01"[rng.randrange(2)] for _ in range(m))
+def random_bits(rng: Rng, m: int) -> int:
+    """A uniform description of length m: bit j is the j-th draw of randrange(2)."""
+    return sum(rng.randrange(2) << j for j in range(m))
 
 
 def g_map(
@@ -68,12 +70,13 @@ def g_map(
     codes: Iterable[RootCode],
     q: int,
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Batch-decode candidate root codes against member x at reference a.
+    """Batch-decode candidate root codes against the member whose
+    description has text x (character j is bit j) at reference a.
 
     When the member vanishes at a, every component decodes to the all-zero
     point, so the output is the all-zero tuple (the don't-care value).
     """
-    ctx = SZContext(cls.member(x), cls.n, cls.d, q, a)
+    ctx = SZContext(cls.member(bits_to_int(map(int, x))), cls.n, cls.d, q, a)
     return tuple(decode_code(ctx, code) for code in codes)
 
 

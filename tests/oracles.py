@@ -346,13 +346,14 @@ def verify_witness_first(
         raise class_cap_error(cls.m, class_cap)
     for idx, x in enumerate(descriptions):
         ckt, params = cls.decode(x)
+        text = "".join("01"[x >> j & 1] for j in range(cls.m))
         try:
             witness = find_small_witness(
                 ckt, cls.n, cls.d, h.q,
-                budget=witness_budget, rng=rng.split(f"{idx}:{x}"), cap=cap, params=params,
+                budget=witness_budget, rng=rng.split(f"{idx}:{text}"), cap=cap, params=params,
             )
         except ZeroOnCubeError:
             continue
         if all(eval_gates(ckt, p, params) == 0 for p in h.points):
-            return HSVerdict(hits=False, x=x, witness=witness, exhaustive=exhaustive)
+            return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
     return HSVerdict(hits=True, exhaustive=exhaustive)

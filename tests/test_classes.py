@@ -4,13 +4,15 @@ from itertools import product
 
 from szpit.circuit import analyze_degrees
 from szpit.classes import (
+    _decode_gates,
     all_circuits_class,
     linear_class,
     monomial_class,
     multilinear_class,
 )
+from szpit.errors import CircuitValidationError
 from szpit.evaluator import eval_gates
-from szpit.hitting import search_hitting_set, verify_hitting_set
+from szpit.hitting import DefinableClass, search_hitting_set, verify_hitting_set, zero_circuit
 
 from helpers import members
 
@@ -20,7 +22,7 @@ def test_multilinear_members_evaluate_like_their_bits():
     for x, member in members(cls):
         for z in product(range(3), repeat=2):
             want = sum(
-                int(x[mask]) * (z[0] ** (mask & 1)) * (z[1] ** (mask >> 1 & 1))
+                (x >> mask & 1) * (z[0] ** (mask & 1)) * (z[1] ** (mask >> 1 & 1))
                 for mask in range(4)
             )
             assert eval_gates(member, z) == want
@@ -29,12 +31,12 @@ def test_multilinear_members_evaluate_like_their_bits():
 def test_linear_and_monomial_shapes():
     lin = linear_class(3)
     assert lin.m == 3
-    member, params = lin.decode("101")
+    member, params = lin.decode(0b101)
     assert eval_gates(member, (5, 7, 11), params) == 5 + 11
     mono = monomial_class(3)
-    member, params = mono.decode("1")
+    member, params = mono.decode(1)
     assert eval_gates(member, (2, 3, 4), params) == 24
-    member, params = mono.decode("0")
+    member, params = mono.decode(0)
     assert eval_gates(member, (2, 3, 4), params) == 0
 
 
@@ -45,6 +47,21 @@ def test_all_circuits_decoder_is_total():
         assert rep.max_individual <= 2
         assert member.n_vars == 2
         eval_gates(member, (1, 2))  # must evaluate without error
+
+
+def test_all_circuits_decoder_reads_the_text_of_x():
+    # Every x decodes to the member of its text, character j being bit j:
+    # the gate records read the text, so its leading zeros matter too.
+    for m in range(11):
+        cls = all_circuits_class(2, 2, 400, m)
+        for x in range(1 << m):
+            text = "".join("01"[x >> j & 1] for j in range(m))
+            try:
+                ckt = _decode_gates(text, 2)
+            except CircuitValidationError:
+                ckt = zero_circuit(2)
+            by_text = DefinableClass(decoder=lambda _: ckt, n=2, d=2, s=400, m=0)
+            assert cls.decode(x) == by_text.decode(0)
 
 
 def test_all_circuits_class_is_searchable():

@@ -208,6 +208,22 @@ def test_hs_search_and_verify(capsys, tmp_path):
     assert code == 1 and out.startswith("Misses")
 
 
+def test_hs_verify_json_names_the_missed_all_circuits_member(capsys, tmp_path):
+    # The report is byte-identical at a fixed seed: x is the description
+    # as text, and the witness is drawn from the stream that x labels.
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0,0\n")
+    code, out, _ = run(
+        capsys, "--json", "hs-verify", "--class", "builtin:all", "--n", "2", "--d", "2",
+        "--s", "400", "--m", "10", "--q", "8", "--seed", "1", str(bad),
+    )
+    assert code == 1
+    assert out == (
+        '{"command": "hs-verify", "hits": false, "nonroot": [5, 6], '
+        '"schema": 1, "x": "0000000010"}\n'
+    )
+
+
 def test_hs_commands_pass_the_exhaustion_cap(capsys, tmp_path):
     # The linear class's zero member vanishes, so one witness draw misses
     # and the 16-point cube must be scanned; a cap of 1 forbids the scan.
@@ -342,7 +358,7 @@ def test_plugin_class_with_tuple_params_exits_65(capsys, tmp_path, monkeypatch):
         "from szpit.classes import linear_class\n"
         "def factory(n, d, s, m):\n"
         "    cls = linear_class(n)\n"
-        "    cls.params_of = lambda x: tuple(map(int, x))\n"
+        "    cls.params_of = lambda x: (x & 1, x >> 1)\n"
         "    return cls\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
@@ -351,7 +367,7 @@ def test_plugin_class_with_tuple_params_exits_65(capsys, tmp_path, monkeypatch):
         "--d", "1", "--q", "8", "--r", "13", "--seed", "7",
     )
     assert code == EX_DATAERR
-    assert err.startswith("error: params_of('00') gave (0, 0)")
+    assert err.startswith("error: params_of(0) gave (0, 0)")
 
 
 def test_internal_guard_exit_code(capsys, tmp_path):

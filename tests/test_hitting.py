@@ -1,10 +1,12 @@
 """Hitting sets: witnesses, verification, search, the non-range criterion."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from szpit.circuit import Gate, circuit
-from szpit.classes import linear_class, monomial_class, multilinear_class
+from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
 from szpit.config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
 from szpit.errors import (
@@ -33,7 +35,7 @@ from szpit.hitting import (
 from szpit.rng import Rng
 
 from helpers import g_map, random_bits
-from oracles import nonrange_by_tuples, verify_witness_first
+from oracles import bits_to_int, nonrange_by_tuples, verify_witness_first
 
 
 def product_circuit():
@@ -136,23 +138,51 @@ def test_class_decoder_fallback_to_zero():
     # Decoder output outside Ckt(n, d, s) is replaced by the zero circuit.
     big = circuit([Gate.var(1), Gate.mul(0, 0), Gate.mul(1, 1)])  # degree 4
     cls = DefinableClass(decoder=lambda x: big, n=1, d=2, s=4096, m=1)
-    member, params = cls.decode("0")
+    member, params = cls.decode(0)
     assert all(eval_gates(member, (u,), params) == 0 for u in range(4))
 
 
-@pytest.mark.parametrize("m, x", [(3, "0a1"), (3, "01 "), (3, " 01"), (3, "2"), (0, "0")])
+def test_descriptions_are_the_texts_in_lexicographic_order():
+    # Character j of the text is bit j of x, so bit m - 1 changes fastest.
+    for m in range(13):
+        cls = DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m)
+        want = [bits_to_int(map(int, text)) for text in product("01", repeat=m)]
+        assert list(cls.descriptions()) == want
+
+
+def params_template(k):
+    """x1 * x2 * p1 * ... * pk."""
+    gates = [Gate.var(1), Gate.var(2), Gate.mul(0, 1)]
+    for j in range(1, k + 1):
+        gates += [Gate.param(j), Gate.mul(len(gates) - 1, len(gates))]
+    return circuit(gates)
+
+
+# A description is an int in [0, 2^m): text, a bool, a float, or an int
+# out of range is refused, at m = 0 every x but 0.
+@pytest.mark.parametrize("m, x", [
+    (3, "0a1"), (3, "01 "), (3, " 01"), (3, "2"), (0, "0"), (2, "01"),
+    (3, True), (3, 1.0), (3, -1), (3, 8), (0, 1), (0, -1),
+])
 def test_decode_refuses_a_description_that_is_not_a_bitstring(m, x):
-    cls = DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m)
-    want = f"description {x!r} is not a bitstring of length {m}"
-    with pytest.raises(PreconditionError) as err:
-        cls.decode(x)
-    assert str(err.value) == want
+    want = f"description {x!r} is not an int in [0, 2^{m})"
+    for cls in (
+        DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m),
+        DefinableClass(decoder=None, template=params_template(m), n=2, d=1, s=0, m=m),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            cls.decode(x)
+        assert str(err.value) == want
 
 
-@pytest.mark.parametrize("m, x", [(3, "010"), (3, "111"), (0, "")])
-def test_decode_takes_every_bitstring_of_length_m(m, x):
+@pytest.mark.parametrize("m, text", [(3, "010"), (3, "111"), (3, "000"), (0, "")])
+def test_decode_takes_every_bitstring_of_length_m(m, text):
+    x = bits_to_int(map(int, text))  # 0 to 2^m - 1
     cls = DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m)
     assert cls.decode(x) == (product_circuit(), 0)
+    # With no params_of, a template class's packed params are x itself.
+    cls = DefinableClass(decoder=None, template=params_template(m), n=2, d=1, s=0, m=m)
+    assert cls.decode(x) == (cls.template, x)
 
 
 def test_search_finds_verified_hitting_set():
@@ -311,6 +341,29 @@ def test_verify_spot_checking_beyond_cap():
         verify_hitting_set(no_sampler, h, class_cap=64)
 
 
+def sampled_product_class(m):
+    """x1 * x2 at every one of 2^m descriptions, spot-checked by sampling."""
+    return DefinableClass(
+        decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=m,
+        sampler=lambda rng: random_bits(rng, m),
+    )
+
+
+# Misses of H = ((0, 0),), whose witness is drawn from the member's own
+# stream, labelled "<index>:<x as text>": each witness pins that label.
+@pytest.mark.parametrize("cls, q, seed, class_cap, x, witness, exhaustive", [
+    (multilinear_class(2), 4, 0, DEFAULT_CLASS_CAP, "0001", (1, 3), True),
+    (multilinear_class(2), 4, 5, DEFAULT_CLASS_CAP, "0001", (3, 1), True),
+    (all_circuits_class(2, 2, 400, 10), 8, 0, DEFAULT_CLASS_CAP, "0000000010", (6, 3), True),
+    (all_circuits_class(2, 2, 400, 10), 8, 1, DEFAULT_CLASS_CAP, "0000000010", (5, 6), True),
+    (sampled_product_class(40), 4, 2, 64, "1101001001110101011101100111110001000111", (3, 1), False),
+])
+def test_verify_pins_the_witness_stream_of_a_miss(cls, q, seed, class_cap, x, witness, exhaustive):
+    h = HittingSet(((0, 0),), 2, q)
+    verdict = verify_hitting_set(cls, h, seed=seed, class_cap=class_cap)
+    assert verdict == HSVerdict(hits=False, x=x, witness=witness, exhaustive=exhaustive)
+
+
 def test_nonrange_degenerate_empty_sequence():
     # r = 0: the image of the empty-tuple map is {()}, so the empty H is
     # always inside it.
@@ -319,12 +372,12 @@ def test_nonrange_degenerate_empty_sequence():
     assert nonrange_is_hitting(cls, h) is False
 
 
-def _small_decoder(x: str):
+def _small_decoder(x: int):
     """Four shapes at n = 2, d = 1: a product, a sum plus 1, x1 - x1 (a
     nonzero circuit of the zero polynomial), and x1^2 (degree 2, so the
     class replaces it by the constant-0 member)."""
     g = [Gate.var(1), Gate.var(2)]
-    shape = int(x, 2) % 4
+    shape = x % 4
     if shape == 0:
         g.append(Gate.mul(0, 1))
     elif shape == 1:
@@ -359,6 +412,6 @@ def test_verify_matches_the_witness_first_order(case, dq, r, budget, seed, data)
     verdict = verify_hitting_set(cls, h, **kw)
     assert verdict == verify_witness_first(cls, h, **kw)
     if not verdict.hits:
-        ckt, params = cls.decode(verdict.x)
+        ckt, params = cls.decode(bits_to_int(map(int, verdict.x)))
         assert eval_gates(ckt, verdict.witness, params) != 0
         assert verdict.witness not in h.points
