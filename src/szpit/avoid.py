@@ -47,12 +47,7 @@ from .boolfunc import (
     int_to_bit_str,
 )
 from .circuit import Circuit, Gate, circuit
-from .config import (
-    DEFAULT_CLASS_CAP,
-    DEFAULT_EXHAUSTION_CAP,
-    DEFAULT_SEARCH_BUDGET,
-    DEFAULT_WITNESS_BUDGET,
-)
+from .config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -521,8 +516,6 @@ def avoid_via_hitting(
     hs_solver=None,
     seed: int = 0,
     schedule: str = "auto",
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    witness_budget: int = DEFAULT_WITNESS_BUDGET,
 ) -> AvoidResult:
     """Solve the instance through the hitting-set reduction, with a full
     audit trace; every stage error carries its stage name."""
@@ -547,7 +540,7 @@ def avoid_via_hitting(
     ).hexdigest()
 
     with _stage("schedule"):
-        if schedule in ("auto", "desk"):
+        if schedule == "auto":
             sched = desk_schedule(m)
         elif schedule == "paper":
             sched = paper_schedule(m)
@@ -569,10 +562,7 @@ def avoid_via_hitting(
 
     with _stage("hitting-set"):
         if hs_solver is None:
-            h_set = search_hitting_set(
-                cls, sched.q, sched.r, seed=seed, budget=search_budget,
-                witness_budget=witness_budget,
-            )
+            h_set = search_hitting_set(cls, sched.q, sched.r, seed=seed)
         else:
             h_set = hs_solver(cls)
     trace["hitting_set"] = [list(p) for p in h_set.points]

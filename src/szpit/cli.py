@@ -26,7 +26,7 @@ from .avoid import (
 from .boolfunc import parse_bool_circuit
 from .circuit import analyze_degrees, parse_circuit, plug_params, serialize_circuit
 from .codec import SZContext, decode_code, encode_root, parse_code, serialize_code
-from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
+from .config import DEFAULT_BITLEN_GUARD, DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
 from .errors import BitLengthGuardError, StageError, SzpitError
 from .evaluator import eval_arithmetic
 from .hitting import (
@@ -188,8 +188,10 @@ def _cmd_hs_search(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    _emit(args, {"points": [list(p) for p in h.points], "r": h.r, "size": h.size},
-          text.rstrip("\n"))
+    payload = {"points": [list(p) for p in h.points], "r": h.r, "size": h.size}
+    if 2**cls.m > DEFAULT_CLASS_CAP:  # H was verified on sampled members only
+        payload["exhaustive"] = False
+    _emit(args, payload, text.rstrip("\n"))
     return 0
 
 
@@ -198,11 +200,13 @@ def _cmd_hs_verify(args) -> int:
     h = parse_hitting_set(_read(args.file), args.n, args.q)
     verdict = verify_hitting_set(cls, h, seed=args.seed or 0,
                                  witness_budget=args.budget, cap=args.exhaustion_cap)
+    sampled = {} if verdict.exhaustive else {"exhaustive": False}
     if verdict.hits:
-        _emit(args, {"hits": True}, "Hits")
+        _emit(args, {"hits": True, **sampled}, "Hits (sampled)" if sampled else "Hits")
         return 0
     plain = f"Misses x={verdict.x} nonroot={','.join(map(str, verdict.witness))}"
-    _emit(args, {"hits": False, "x": verdict.x, "nonroot": list(verdict.witness)}, plain)
+    _emit(args, {"hits": False, "x": verdict.x, "nonroot": list(verdict.witness), **sampled},
+          plain)
     return 1
 
 
@@ -211,7 +215,9 @@ def _cmd_avoid(args) -> int:
     if path.endswith(".bc"):
         if args.a is None or args.b is None:
             raise SzpitError("--a and --b are required for circuit instances")
-        inst = instance_from_bool_circuit(parse_bool_circuit(_read(path)), args.a, args.b)
+        inst = instance_from_bool_circuit(
+            parse_bool_circuit(_read(path)), args.a, args.b, cap=args.exhaustion_cap
+        )
     else:
         inst = instance_from_tsv(_read(path), b=args.b)
     if args.via == "brute":
@@ -353,12 +359,20 @@ def _join_int_lists(argv: list) -> list:
     return joined + ["--"] + bare if bare else joined
 
 
+# The subcommands that evaluate under --bitlen-guard; the others refuse a
+# guard they would not apply.
+_GUARDED = frozenset(("eval", "coeffs", "roots", "encode", "decode", "pit"))
+
+
 def main(argv: Optional[list] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(_join_int_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0
+    if args.bitlen_guard != DEFAULT_BITLEN_GUARD and args.command not in _GUARDED:
+        print(f"error: --bitlen-guard does not apply to {args.command}", file=sys.stderr)
+        return EX_USAGE
     try:
         return args.fn(args)
     except (SzpitError, OSError, ValueError) as e:

@@ -116,7 +116,6 @@ class SZContext:
         d: int,
         q: int,
         nonroot: Iterable[int],
-        q_cap: int = DEFAULT_Q_CAP,
         bitlen_guard: int = DEFAULT_BITLEN_GUARD,
     ):
         require_parameter_free(ckt, "the codec")
@@ -126,8 +125,8 @@ class SZContext:
             raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
         if q < 1:
             raise PreconditionError("q must be positive")
-        if q > q_cap:
-            raise CapExceededError(f"q={q} exceeds the cap {q_cap}")
+        if q > DEFAULT_Q_CAP:
+            raise CapExceededError(f"q={q} exceeds the cap {DEFAULT_Q_CAP}")
         report = analyze_degrees(ckt)
         if d < max(1, report.max_individual):
             raise PreconditionError(
@@ -166,7 +165,7 @@ class SZContext:
             return hit
         restricted = restrict(self.circuit, k, fixed)
         poly = extract_unipoly(restricted, self.d, self.bitlen_guard)
-        roots = roots_in_cube(poly, self.q, q_cap=self.q, bitlen_guard=self.bitlen_guard)
+        roots = roots_in_cube(poly, self.q, self.bitlen_guard)
         if len(self._roots_cache) >= _ROOTS_CACHE_ENTRIES:
             del self._roots_cache[next(iter(self._roots_cache))]  # the oldest
         self._roots_cache[key] = roots
@@ -289,23 +288,17 @@ def count_roots_brute(
     n: int,
     q: int,
     cap: int = DEFAULT_EXHAUSTION_CAP,
-    bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> int:
     """|{b in S_q^n : P(b) = 0}| by exhaustive evaluation."""
-    return sum(1 for _ in _scan_roots(ckt, n, q, cap, bitlen_guard, "root counting"))
+    return sum(1 for _ in _scan_roots(ckt, n, q, cap, "root counting"))
 
 
-def cube_roots(
-    ckt: Circuit,
-    n: int,
-    q: int,
-    cap: int = DEFAULT_EXHAUSTION_CAP,
-) -> List[Tuple[int, ...]]:
+def cube_roots(ckt: Circuit, n: int, q: int) -> List[Tuple[int, ...]]:
     """The full root set Z_{P,q} in lexicographic order (test-scale only)."""
-    return list(_scan_roots(ckt, n, q, cap, DEFAULT_BITLEN_GUARD, "root listing"))
+    return list(_scan_roots(ckt, n, q, DEFAULT_EXHAUSTION_CAP, "root listing"))
 
 
-def _scan_roots(ckt: Circuit, n: int, q: int, cap: int, bitlen_guard: int, what: str):
+def _scan_roots(ckt: Circuit, n: int, q: int, cap: int, what: str):
     """The roots on S_q^n in lexicographic order, as a lazy scan whose
     preconditions are checked before it is returned."""
     require_parameter_free(ckt, what)
@@ -314,4 +307,4 @@ def _scan_roots(ckt: Circuit, n: int, q: int, cap: int, bitlen_guard: int, what:
     if q**n > cap:
         raise CapExceededError(f"q^n = {q ** n} exceeds the cap {cap}")
     points = product(range(q), repeat=n)
-    return (p for p in points if eval_gates(ckt, p, 0, bitlen_guard) == 0)
+    return (p for p in points if eval_gates(ckt, p) == 0)

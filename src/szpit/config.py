@@ -1,8 +1,9 @@
 """Library-wide caps and defaults.
 
-All exhaustive operations take an explicit cap argument defaulting to the
-values here, so pathological inputs fail cleanly instead of running for
-hours.  The bit-length guard bounds every intermediate integer produced by
+Every exhaustive operation is bounded by a cap here, so pathological
+inputs fail cleanly instead of running for hours; an operation whose cap
+some caller sets takes it as an argument defaulting to the value here.
+The bit-length guard bounds every intermediate integer produced by
 circuit evaluation; growth is only guaranteed polynomial under the unary
 degree bound, and the guard converts anything else into a clean error.
 """

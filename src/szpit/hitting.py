@@ -29,7 +29,6 @@ from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_di
 from .circuit import representation_size
 from .codec import SZContext, all_codes, decode_code
 from .config import (
-    DEFAULT_BITLEN_GUARD,
     DEFAULT_CLASS_CAP,
     DEFAULT_EXHAUSTION_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -225,20 +224,18 @@ class HSVerdict:
 
 def find_small_witness(
     ckt: Circuit,
-    n: int,
-    d: int,
     q: int,
     budget: int = DEFAULT_WITNESS_BUDGET,
     rng: Optional[Rng] = None,
     cap: int = DEFAULT_EXHAUSTION_CAP,
-    bitlen_guard: int = DEFAULT_BITLEN_GUARD,
     params: int = 0,
     first: Optional[HittingSet] = None,
 ) -> Tuple[int, ...]:
-    """Find a point of S_q^n where the member ``(ckt, params)``, as given by
-    :meth:`DefinableClass.decode`, evaluates nonzero.
+    """Find a point of S_q^n, n = ``ckt.n_vars``, where the member ``(ckt,
+    params)``, as given by :meth:`DefinableClass.decode`, evaluates nonzero.
 
-    Requires q >= 2dn, which guarantees that a non-vanishing circuit is
+    Requires q >= max(1, 2dn), with d the circuit's maximum individual
+    syntactic degree, which guarantees that a non-vanishing circuit is
     nonzero on at least half the cube, so seeded uniform sampling finds a
     witness quickly.  The points of ``first`` (same n and q) are tried in
     order before any draw, so a drawn witness is never one of them.  When
@@ -246,27 +243,24 @@ def find_small_witness(
     cap; an empty scan proves the circuit vanishes on the whole cube (and
     hence, at this q, everywhere).
     """
-    if n != ckt.n_vars:
-        raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
-    true_d = analyze_degrees(ckt).max_individual
-    if d < true_d:
-        raise PreconditionError(f"declared degree {d} below actual {true_d}")
-    if q < 2 * d * n:
-        raise PreconditionError(f"q={q} < 2dn = {2 * d * n}")
+    n = ckt.n_vars
+    d = analyze_degrees(ckt).max_individual
+    if q < max(1, 2 * d * n):
+        raise PreconditionError(f"q={q} is below max(1, 2dn), with 2dn = {2 * d * n}")
     if first is not None:
         if (first.n, first.q) != (n, q):
             raise DimensionMismatchError(f"first has n={first.n}, q={first.q}; want n={n}, q={q}")
         for w in first.points:
-            if eval_gates(ckt, w, params, bitlen_guard) != 0:
+            if eval_gates(ckt, w, params) != 0:
                 return w
     rng = rng or Rng(0, "witness")
     for _ in range(budget):
         w = rng.point(n, q)
-        if eval_gates(ckt, w, params, bitlen_guard) != 0:
+        if eval_gates(ckt, w, params) != 0:
             return w
     if q**n <= cap:
         for w in product(range(q), repeat=n):
-            if eval_gates(ckt, w, params, bitlen_guard) != 0:
+            if eval_gates(ckt, w, params) != 0:
                 return w
         raise ZeroOnCubeError(trials=budget, points=q**n)
     raise WitnessBudgetError(trials=budget)
@@ -318,9 +312,7 @@ def verify_hitting_set(
         text = int_to_bit_str(x, cls.m)
         try:
             witness = find_small_witness(
-                ckt, cls.n, cls.d, h.q,
-                budget=witness_budget, rng=rng.split(f"{idx}:{text}"), cap=cap, params=params,
-                first=h,
+                ckt, h.q, witness_budget, rng.split(f"{idx}:{text}"), cap, params, first=h
             )
         except ZeroOnCubeError:
             continue  # vanishing member: hit vacuously
@@ -335,8 +327,6 @@ def search_hitting_set(
     r: int,
     seed: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    witness_budget: int = DEFAULT_WITNESS_BUDGET,
-    class_cap: int = DEFAULT_CLASS_CAP,
     cap: int = DEFAULT_EXHAUSTION_CAP,
 ) -> HittingSet:
     """Sample uniform H from (S_q^n)^r and verify, up to ``budget`` draws.
@@ -354,10 +344,7 @@ def search_hitting_set(
     last_miss = None
     for attempt in range(budget):
         h = HittingSet(rng.split(f"draw{attempt}").points(cls.n, q, r), cls.n, q)
-        verdict = verify_hitting_set(
-            cls, h, seed=seed, witness_budget=witness_budget,
-            class_cap=class_cap, cap=cap,
-        )
+        verdict = verify_hitting_set(cls, h, seed=seed, cap=cap)
         if verdict.hits:
             return h
         last_miss = verdict.x

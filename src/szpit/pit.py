@@ -144,14 +144,13 @@ def equiv_test(
     trials: int = 40,
     seed: int = 0,
     hitting_set: Optional[HittingSet] = None,
-    cap: int = DEFAULT_EXHAUSTION_CAP,
 ) -> PitVerdict:
     """PIT on the difference circuit f - g, bounded by its one degree pass
     (method "hs" needs no bound).  Its maximum individual degree is max(f's,
     g's, 1): the halves' constant keys are disjoint, and ``const -1`` adds one."""
     diff = difference_circuit(f, g)
     if method == "cube":
-        return pit_cube_brute(diff, cap=cap)
+        return pit_cube_brute(diff)
     if method == "random":
         return pit_random(diff, trials=trials, seed=seed)
     if method == "hs":

@@ -58,9 +58,6 @@ class Rng:
     def randint(self, lo: int, hi: int) -> int:
         return self._random.randint(lo, hi)
 
-    def choice(self, seq):
-        return seq[self._random.randrange(len(seq))]
-
     def point(self, n: int, q: int) -> tuple:
         """A uniform point of S_q^n, each coordinate as ``randrange(q)`` draws it."""
         if n and q < 1:

@@ -209,15 +209,9 @@ def enumerate_roots(
     return tuple(roots)
 
 
-def roots_in_cube(
-    p: UniPoly,
-    q: int,
-    q_cap: int = DEFAULT_Q_CAP,
-    bitlen_guard: int = DEFAULT_BITLEN_GUARD,
-) -> Tuple[int, ...]:
-    """All distinct roots of p in S_q, ascending, without markers or padding."""
-    if q > q_cap:
-        raise CapExceededError(f"q={q} exceeds the cap {q_cap}")
+def roots_in_cube(p: UniPoly, q: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> Tuple[int, ...]:
+    """All distinct roots of p in S_q, ascending, without markers or padding;
+    its caller, :class:`szpit.codec.SZContext`, has checked q against the cap."""
     return tuple(_scan_roots(p, q, bitlen_guard))
 
 

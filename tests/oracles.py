@@ -349,7 +349,7 @@ def verify_witness_first(
         text = "".join("01"[x >> j & 1] for j in range(cls.m))
         try:
             witness = find_small_witness(
-                ckt, cls.n, cls.d, h.q,
+                ckt, h.q,
                 budget=witness_budget, rng=rng.split(f"{idx}:{text}"), cap=cap, params=params,
             )
         except ZeroOnCubeError:

@@ -65,7 +65,7 @@ def test_criterion_1_root_count_bound():
             # The witness cube must satisfy q >= 2dn; the count bound is
             # then checked at the stated q, whose premise (a non-root
             # exists in Z^n) the witness certifies.
-            find_small_witness(c, n, d, max(q, 2 * d * n), rng=r.split("w"))
+            find_small_witness(c, max(q, 2 * d * n), rng=r.split("w"))
         except ZeroOnCubeError:
             continue
         checked += 1
@@ -89,7 +89,7 @@ def test_criterion_2_roundtrip_and_surjectivity():
         d = max(1, analyze_degrees(c).max_individual)
         q = r.randint(2, 8)
         try:
-            a = find_small_witness(c, n, d, max(q, 2 * d * n), rng=r.split("w"))
+            a = find_small_witness(c, max(q, 2 * d * n), rng=r.split("w"))
         except ZeroOnCubeError:
             continue
         checked += 1

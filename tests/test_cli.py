@@ -11,6 +11,7 @@ import pytest
 import szpit
 from szpit.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from szpit.circuit import serialize_circuit
+from szpit.config import DEFAULT_BITLEN_GUARD
 from szpit.errors import BitLengthGuardError, OracleError, StageError
 
 from helpers import shifted_power_plus_x2
@@ -236,6 +237,76 @@ def test_hs_commands_pass_the_exhaustion_cap(capsys, tmp_path):
         code, _, err = run(capsys, "--exhaustion-cap", "1", *argv)
         assert code == EX_DATAERR and "cube not scannable" in err
         code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+
+def test_sampled_hs_reports_are_labelled(capsys, tmp_path, monkeypatch):
+    # Past the class cap a class is checked on its sampler's draws only, so
+    # a Hits verdict is evidence: the plain text and the JSON both say so.
+    plugin = tmp_path / "sampledclasses.py"
+    plugin.write_text(
+        "from szpit.circuit import Gate, circuit\n"
+        "from szpit.hitting import DefinableClass\n"
+        "def factory(n, d, s, m):\n"
+        "    product = circuit([Gate.var(1), Gate.var(2), Gate.mul(0, 1)])\n"
+        "    return DefinableClass(decoder=lambda x: product, n=2, d=1, s=4096, m=m,\n"
+        "                          sampler=lambda rng: rng.randrange(1 << m))\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    hs_file = tmp_path / "h.txt"
+    hs_file.write_text("1,1\n")
+    sampled = ["--class", "plugin:sampledclasses:factory", "--n", "2", "--d", "1",
+               "--q", "4", "--m", "20"]
+    verify = ["hs-verify", *sampled, str(hs_file)]
+    code, out, _ = run(capsys, *verify)
+    assert code == 0 and out == "Hits (sampled)\n"
+    code, out, _ = run(capsys, "--json", *verify)
+    assert code == 0
+    assert out == '{"command": "hs-verify", "exhaustive": false, "hits": true, "schema": 1}\n'
+    code, out, _ = run(capsys, "--json", "hs-search", *sampled, "--r", "27", "--seed", "1")
+    assert code == 0 and json.loads(out)["exhaustive"] is False
+    # At m = 4 the same class is enumerated: the reports carry no label.
+    exhaustive = [*sampled[:-1], "4"]
+    code, out, _ = run(capsys, "hs-verify", *exhaustive, str(hs_file))
+    assert code == 0 and out == "Hits\n"
+    code, out, _ = run(capsys, "--json", "hs-verify", *exhaustive, str(hs_file))
+    assert out == '{"command": "hs-verify", "hits": true, "schema": 1}\n'
+    code, out, _ = run(capsys, "--json", "hs-search", *exhaustive, "--r", "11", "--seed", "1")
+    assert code == 0 and "exhaustive" not in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "{prod}"],
+    ["degrees", "{prod}"],
+    ["hs-search", "--class", "builtin:linear", "--n", "2", "--d", "1", "--q", "4",
+     "--r", "9", "--seed", "1"],
+    ["hs-verify", "--class", "builtin:linear", "--n", "2", "--d", "1", "--q", "4", "{hs}"],
+    ["avoid", "--instance", "{tsv}", "--b", "4", "--seed", "3"],
+    ["selftest"],
+], ids=["parse", "degrees", "hs-search", "hs-verify", "avoid", "selftest"])
+def test_a_bitlen_guard_that_would_go_unused_is_a_usage_error(capsys, tmp_path, prod_ac, argv):
+    tsv = tmp_path / "f.tsv"
+    tsv.write_text("1\t3\n2\t3\n")
+    hs = tmp_path / "h.txt"
+    hs.write_text("1,1\n1,2\n")
+    argv = [arg.format(prod=prod_ac, tsv=tsv, hs=hs) for arg in argv]
+    code, out, err = run(capsys, "--bitlen-guard", "1", *argv)
+    assert code == EX_USAGE and out == ""
+    assert err == f"error: --bitlen-guard does not apply to {argv[0]}\n"
+    if argv[0] != "selftest":  # the default value is no guard to refuse
+        code, _, _ = run(capsys, "--bitlen-guard", str(DEFAULT_BITLEN_GUARD), *argv)
+        assert code == 0
+
+
+def test_avoid_bool_circuit_tabulates_under_the_exhaustion_cap(capsys):
+    # Both routes tabulate a = 4 rows, so a cap of 2 refuses both.
+    stretch = str(Path(__file__).parent / "golden" / "stretch.bc")
+    instance = ["avoid", "--instance", stretch, "--a", "4", "--b", "8"]
+    for via in (["--seed", "1"], ["--via", "brute"]):
+        code, out, err = run(capsys, "--exhaustion-cap", "2", *instance, *via)
+        assert code == EX_DATAERR and out == ""
+        assert err == "error: a=4 exceeds the cap 2\n"
+        code, _, _ = run(capsys, "--exhaustion-cap", "4", *instance, *via)
         assert code == 0
 
 

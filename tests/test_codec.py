@@ -117,7 +117,7 @@ def test_roundtrip_and_surjectivity_exhaustive():
         c = times_line_factors(c, r.randint(1, n), line_roots)
         d = max(1, analyze_degrees(c).max_individual)
         try:
-            a = find_small_witness(c, n, d, max(q, 2 * d * n), rng=r.split("w"))
+            a = find_small_witness(c, max(q, 2 * d * n), rng=r.split("w"))
         except Exception:
             continue
         checked += 1
@@ -208,7 +208,7 @@ def test_counting_corollary():
         d = max(1, analyze_degrees(c).max_individual)
         q = r.randint(2, 8)
         try:
-            find_small_witness(c, n, d, max(q, 2 * d * n), rng=r.split("w"))
+            find_small_witness(c, max(q, 2 * d * n), rng=r.split("w"))
         except Exception:
             continue  # vanishing circuit: the bound's premise fails
         checked += 1

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szpit.circuit import Gate, circuit
+from szpit.circuit import Gate, circuit, pad_vars
 from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
 from szpit.config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
@@ -47,38 +47,56 @@ def singleton_class(ckt, n, d, s=4096):
 
 
 def test_find_small_witness_product():
-    w = find_small_witness(product_circuit(), 2, 1, 4, rng=Rng(3, "w"))
+    w = find_small_witness(product_circuit(), 4, rng=Rng(3, "w"))
     assert w[0] in (1, 2, 3) and w[1] in (1, 2, 3)
 
 
 def test_find_small_witness_zero_circuit():
     with pytest.raises(ZeroOnCubeError) as exc:
-        find_small_witness(zero_circuit(1), 1, 1, 4, budget=10, rng=Rng(3, "w"))
+        find_small_witness(zero_circuit(1), 4, budget=10, rng=Rng(3, "w"))
     assert exc.value.trials == 10
 
 
 def test_find_small_witness_constant_one():
     c = circuit([Gate.var(1), Gate.const(0), Gate.mul(0, 1), Gate.const(1), Gate.add(2, 3)])
-    assert find_small_witness(c, 1, 1, 4, rng=Rng(3, "w")) is not None
+    assert find_small_witness(c, 4, rng=Rng(3, "w")) is not None
 
 
 def test_find_small_witness_requires_large_q():
     with pytest.raises(PreconditionError):
-        find_small_witness(product_circuit(), 2, 1, 3)
+        find_small_witness(product_circuit(), 3)
+
+
+def test_find_small_witness_reads_n_and_d_from_the_circuit():
+    # x1 * x1 * x2 has individual degree 2 in two variables: 2dn = 8.
+    square_times = circuit([Gate.var(1), Gate.var(2), Gate.mul(0, 0), Gate.mul(2, 1)])
+    w = find_small_witness(square_times, 8, rng=Rng(3, "w"))
+    assert len(w) == 2 and all(0 <= v < 8 for v in w)
+    assert eval_gates(square_times, w) != 0
+    with pytest.raises(PreconditionError, match="2dn = 8"):
+        find_small_witness(square_times, 7)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_find_small_witness_refuses_q_0_before_any_draw(n):
+    # A constant member has d = 0, so 2dn = 0; q = 0 is still refused as a
+    # precondition, before a draw could raise ValueError on the empty S_0.
+    with pytest.raises(PreconditionError, match="q=0"):
+        find_small_witness(pad_vars(circuit([Gate.const(1)]), n), 0, rng=Rng(3, "w"))
 
 
 def test_find_small_witness_tries_first_in_order_before_any_draw():
     h = HittingSet(((0, 1), (2, 3), (1, 1)), 2, 4)
     rng = Rng(3, "w")
-    assert find_small_witness(product_circuit(), 2, 1, 4, budget=0, rng=rng, cap=0, first=h) == (2, 3)
+    assert find_small_witness(product_circuit(), 4, budget=0, rng=rng, cap=0, first=h) == (2, 3)
     assert "_random" not in vars(rng)  # the stream was never drawn from
 
 
 def test_find_small_witness_draws_only_after_first_zeroes():
     # Every point of first is a root, so the witness is the stream's.
     h = HittingSet(((0, 1), (3, 0)), 2, 4)
-    got = find_small_witness(product_circuit(), 2, 1, 4, rng=Rng(3, "w"), first=h)
-    assert got == find_small_witness(product_circuit(), 2, 1, 4, rng=Rng(3, "w"))
+    got = find_small_witness(product_circuit(), 4, rng=Rng(3, "w"), first=h)
+    assert got == find_small_witness(product_circuit(), 4, rng=Rng(3, "w"))
     assert got not in h.points
 
 
@@ -86,7 +104,7 @@ def test_find_small_witness_draws_only_after_first_zeroes():
 def test_find_small_witness_refuses_a_first_of_other_n_or_q(n, q):
     first = HittingSet(((1,) * n,), n, q)
     with pytest.raises(DimensionMismatchError):
-        find_small_witness(product_circuit(), 2, 1, 4, first=first)
+        find_small_witness(product_circuit(), 4, first=first)
 
 
 def test_g_map_decodes_componentwise():
