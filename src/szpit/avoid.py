@@ -66,7 +66,6 @@ class AvoidInstance:
     a: int
     b: int
     table: Tuple[int, ...]
-    blob: str = ""  # opaque parameter tag, carried into traces
 
     def __post_init__(self):
         if not (self.a >= 1 and self.b >= 2 * self.a):
@@ -511,15 +510,11 @@ class _stage:
             raise StageError(self.name, exc) from exc
 
 
-def avoid_via_hitting(
-    inst: AvoidInstance,
-    hs_solver=None,
-    seed: int = 0,
-    schedule: str = "auto",
-) -> AvoidResult:
+def avoid_via_hitting(inst: AvoidInstance, hs_solver=None, seed: int = 0) -> AvoidResult:
     """Solve the instance through the hitting-set reduction, with a full
     audit trace; every stage error carries its stage name."""
-    trace: dict = {"a": inst.a, "b": inst.b, "blob": inst.blob}
+    # "blob" is always empty; it stays because the golden trace hashes cover it.
+    trace: dict = {"a": inst.a, "b": inst.b, "blob": ""}
 
     if hs_solver is None:
         # The search refuses the avoid class, which has no membership
@@ -540,20 +535,12 @@ def avoid_via_hitting(
     ).hexdigest()
 
     with _stage("schedule"):
-        if schedule == "auto":
-            sched = desk_schedule(m)
-        elif schedule == "paper":
-            sched = paper_schedule(m)
-            sched.check()  # reports the violated inequalities at small m
-        else:
-            raise PreconditionError(f"unknown schedule {schedule!r}")
+        sched = desk_schedule(m)
     trace["schedule"] = sched.to_json()
     trace["class_size"] = 1 << m
 
-    t = sched.t_prime - m
+    t = sched.t_prime - m  # t' = 2w(m + 2w + 1) > m, so t >= 1
     with _stage("amplify"):
-        if t < 1:
-            raise PreconditionError("t' <= m leaves nothing to stretch")
         h = amplify(g, t)
 
     with _stage("build-class"):

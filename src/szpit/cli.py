@@ -26,7 +26,13 @@ from .avoid import (
 from .boolfunc import parse_bool_circuit
 from .circuit import analyze_degrees, parse_circuit, plug_params, serialize_circuit
 from .codec import SZContext, decode_code, encode_root, parse_code, serialize_code
-from .config import DEFAULT_BITLEN_GUARD, DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
+from .config import (
+    DEFAULT_BITLEN_GUARD,
+    DEFAULT_CLASS_CAP,
+    DEFAULT_EXHAUSTION_CAP,
+    DEFAULT_SEARCH_BUDGET,
+    DEFAULT_WITNESS_BUDGET,
+)
 from .errors import BitLengthGuardError, StageError, SzpitError
 from .evaluator import eval_arithmetic
 from .hitting import (
@@ -226,7 +232,7 @@ def _cmd_avoid(args) -> int:
         return 0
     if args.seed is None:
         raise SzpitError("--seed is required for --via hitting")
-    result = avoid_via_hitting(inst, seed=args.seed, schedule=args.schedule)
+    result = avoid_via_hitting(inst, seed=args.seed)
     _emit(args, {"value": result.value, "via": "hitting", "trace": result.trace},
           str(result.value))
     return 0
@@ -310,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         if name == "hs-search":
             p.add_argument("--r", type=int, required=True)
-            p.add_argument("--budget", type=int, default=64)
+            p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
             p.add_argument("-o", "--out", default=None)
             p.set_defaults(fn=_cmd_hs_search)
         else:
-            p.add_argument("--budget", type=int, default=64,
+            p.add_argument("--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
                            help="witness sampling budget per member")
             p.add_argument("file", help="hitting set, one point per line")
             p.set_defaults(fn=_cmd_hs_verify)
@@ -325,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--schedule", choices=("auto", "paper"), default="auto")
     p.set_defaults(fn=_cmd_avoid)
 
     p = sub.add_parser("selftest", help="run the desk-scale invariant suites")
@@ -359,9 +364,12 @@ def _join_int_lists(argv: list) -> list:
     return joined + ["--"] + bare if bare else joined
 
 
-# The subcommands that evaluate under --bitlen-guard; the others refuse a
-# guard they would not apply.
-_GUARDED = frozenset(("eval", "coeffs", "roots", "encode", "decode", "pit"))
+# For each global option, the subcommands that apply it; the others refuse
+# a value other than the default, which they would ignore.
+_APPLIED_BY = {
+    "--bitlen-guard": ("eval", "coeffs", "roots", "encode", "decode", "pit"),
+    "--exhaustion-cap": ("degrees", "eval", "roots", "pit", "hs-search", "hs-verify", "avoid"),
+}
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -370,9 +378,11 @@ def main(argv: Optional[list] = None) -> int:
         args = ap.parse_args(_join_int_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0
-    if args.bitlen_guard != DEFAULT_BITLEN_GUARD and args.command not in _GUARDED:
-        print(f"error: --bitlen-guard does not apply to {args.command}", file=sys.stderr)
-        return EX_USAGE
+    for option, commands in _APPLIED_BY.items():
+        dest = option[2:].replace("-", "_")
+        if args.command not in commands and getattr(args, dest) != ap.get_default(dest):
+            print(f"error: {option} does not apply to {args.command}", file=sys.stderr)
+            return EX_USAGE
     try:
         return args.fn(args)
     except (SzpitError, OSError, ValueError) as e:

@@ -100,13 +100,35 @@ def parse_code(text: str) -> RootCode:
         raise PreconditionError(f"bad code {text!r}, want k:i:c1,c2,...") from e
 
 
+class _RestrictionRoots(dict):
+    """(k, fixed) -> the distinct S_q-roots of P with all coordinates but the
+    k-th fixed, ``fixed`` giving the other n-1 in order.  A miss builds the
+    restriction as a univariate circuit, whose coefficient vector drives the
+    root scan as in the correctness argument, and evicts the oldest if full."""
+
+    __slots__ = ("circuit", "d", "q", "bitlen_guard")
+
+    def __init__(self, ckt: Circuit, d: int, q: int, bitlen_guard: int):
+        super().__init__()
+        self.circuit, self.d, self.q, self.bitlen_guard = ckt, d, q, bitlen_guard
+
+    def __missing__(self, key: Tuple[int, Tuple[int, ...]]) -> Tuple[int, ...]:
+        poly = extract_unipoly(restrict(self.circuit, *key), self.d, self.bitlen_guard)
+        roots = roots_in_cube(poly, self.q, self.bitlen_guard)
+        if len(self) >= _ROOTS_CACHE_ENTRIES:
+            del self[next(iter(self))]  # the oldest
+        self[key] = roots
+        return roots
+
+
 class SZContext:
     """Everything fixed by one encoding scheme: P, its (n, d, q), and a.
 
     The reference point may have entries of arbitrary magnitude.  Whether it
     actually is a non-root is checked once and recorded as ``nonroot_ok``;
     a failing check is not an error because both maps have default outputs
-    for that case.
+    for that case.  ``_roots_cache`` holds the roots of each restriction the
+    maps have met, so a restriction met again costs one dict lookup.
     """
 
     def __init__(
@@ -143,33 +165,13 @@ class SZContext:
         self.bitlen_guard = bitlen_guard
         keep(ckt, bitlen_guard)  # encode and decode evaluate P many times
         self.nonroot_ok = eval_gates(ckt, nonroot, 0, bitlen_guard) != 0
-        self._roots_cache: dict = {}
+        self._roots_cache = _RestrictionRoots(ckt, d, q, bitlen_guard)
 
     def default_code(self) -> RootCode:
         return _code(1, 1, (0,) * (self.n - 1))
 
     def default_point(self) -> Tuple[int, ...]:
         return (0,) * self.n
-
-    def _restriction_roots(self, k: int, fixed: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Distinct S_q-roots of P with all coordinates but the k-th fixed.
-
-        ``fixed`` supplies the other n-1 coordinates in order.  The
-        restriction is materialized as a univariate circuit (constants
-        plugged in place of the fixed variables) and its coefficient vector
-        drives the root scan, mirroring the correctness argument.
-        """
-        key = (k, fixed)
-        hit = self._roots_cache.get(key)
-        if hit is not None:
-            return hit
-        restricted = restrict(self.circuit, k, fixed)
-        poly = extract_unipoly(restricted, self.d, self.bitlen_guard)
-        roots = roots_in_cube(poly, self.q, self.bitlen_guard)
-        if len(self._roots_cache) >= _ROOTS_CACHE_ENTRIES:
-            del self._roots_cache[next(iter(self._roots_cache))]  # the oldest
-        self._roots_cache[key] = roots
-        return roots
 
     def in_cube(self, point: Iterable[int]) -> bool:
         point = tuple(point)
@@ -221,8 +223,7 @@ def encode_root(ctx: SZContext, b: Iterable[int]) -> RootCode:
         if eval_gates(c, b[:j] + a[j:], 0, guard) == 0:
             k = j
             break
-    fixed = b[: k - 1] + a[k:]
-    roots = ctx._restriction_roots(k, fixed)
+    roots = ctx._roots_cache[k, b[: k - 1] + a[k:]]
     try:
         rank = roots.index(b[k - 1]) + 1
     except ValueError:  # unreachable for a genuine root; defensive default
@@ -238,8 +239,7 @@ def decode_code(ctx: SZContext, code: RootCode) -> Tuple[int, ...]:
     if not ctx.nonroot_ok:
         return ctx.default_point()
     k, i, rest = code.k, code.i, code.rest
-    fixed = rest[: k - 1] + ctx.nonroot[k:]
-    roots = ctx._restriction_roots(k, fixed)
+    roots = ctx._roots_cache[k, rest[: k - 1] + ctx.nonroot[k:]]
     if len(roots) < i:
         return ctx.default_point()
     r = roots[i - 1]
@@ -283,28 +283,23 @@ def all_codes(n: int, d: int, q: int) -> Iterable[RootCode]:
 
 # -- brute-force oracle ----------------------------------------------------
 
-def count_roots_brute(
-    ckt: Circuit,
-    n: int,
-    q: int,
-    cap: int = DEFAULT_EXHAUSTION_CAP,
-) -> int:
+def count_roots_brute(ckt: Circuit, n: int, q: int) -> int:
     """|{b in S_q^n : P(b) = 0}| by exhaustive evaluation."""
-    return sum(1 for _ in _scan_roots(ckt, n, q, cap, "root counting"))
+    return sum(1 for _ in _scan_roots(ckt, n, q, "root counting"))
 
 
 def cube_roots(ckt: Circuit, n: int, q: int) -> List[Tuple[int, ...]]:
     """The full root set Z_{P,q} in lexicographic order (test-scale only)."""
-    return list(_scan_roots(ckt, n, q, DEFAULT_EXHAUSTION_CAP, "root listing"))
+    return list(_scan_roots(ckt, n, q, "root listing"))
 
 
-def _scan_roots(ckt: Circuit, n: int, q: int, cap: int, what: str):
+def _scan_roots(ckt: Circuit, n: int, q: int, what: str):
     """The roots on S_q^n in lexicographic order, as a lazy scan whose
     preconditions are checked before it is returned."""
     require_parameter_free(ckt, what)
     if n != ckt.n_vars:
         raise DimensionMismatchError(f"n={n} but circuit has {ckt.n_vars} variables")
-    if q**n > cap:
-        raise CapExceededError(f"q^n = {q ** n} exceeds the cap {cap}")
+    if q**n > DEFAULT_EXHAUSTION_CAP:
+        raise CapExceededError(f"q^n = {q ** n} exceeds the cap {DEFAULT_EXHAUSTION_CAP}")
     points = product(range(q), repeat=n)
     return (p for p in points if eval_gates(ckt, p) == 0)

@@ -1,8 +1,9 @@
 """Polynomial identity testing three ways.
 
 All three testers decide "is the polynomial computed by this circuit
-identically zero?" against the cube {0..q-1}^n of side q = 2nd, where d
-bounds the maximum individual syntactic degree:
+identically zero?" against the cube {0..q-1}^n of side q = max(1, 2nd),
+where d is the maximum individual syntactic degree from the circuit's one
+degree pass (no caller declares d or q):
 
   pit_cube_brute        exhaustive scan, the ground truth at desk scale
                         (zero on this cube implies zero everywhere);
@@ -12,9 +13,6 @@ bounds the maximum individual syntactic degree:
   pit_with_hitting_set  scan a caller-supplied hitting set H; sound only
                         when H was verified for a class containing the
                         circuit, which is the caller's responsibility.
-
-q is always derived as 2nd internally; callers may enlarge d (and hence q)
-but can never shrink it.
 """
 
 from __future__ import annotations
@@ -55,16 +53,10 @@ class PitVerdict:
         return out
 
 
-def _prepare(ckt: Circuit, d: Optional[int]) -> Tuple[int, int, int]:
-    """Check ckt is parameter-free and fix (n, d, q), q = 2nd (at least 1),
-    with d from ckt's own degree pass unless a larger d is declared."""
+def _prepare(ckt: Circuit) -> Tuple[int, int]:
+    """Check ckt is parameter-free and fix (n, q), q = max(1, 2nd)."""
     require_parameter_free(ckt, "identity testing")
-    true_d = analyze_degrees(ckt).max_individual
-    if d is None:
-        d = true_d
-    elif d < true_d:
-        raise PreconditionError(f"declared degree {d} below actual {true_d}")
-    return ckt.n_vars, d, max(1, 2 * ckt.n_vars * d)
+    return ckt.n_vars, max(1, 2 * ckt.n_vars * analyze_degrees(ckt).max_individual)
 
 
 def _scan(ckt: Circuit, points: Iterable, bitlen_guard: int, zero: PitVerdict) -> PitVerdict:
@@ -77,12 +69,11 @@ def _scan(ckt: Circuit, points: Iterable, bitlen_guard: int, zero: PitVerdict) -
 
 def pit_cube_brute(
     ckt: Circuit,
-    d: Optional[int] = None,
     cap: int = DEFAULT_EXHAUSTION_CAP,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> PitVerdict:
     """Scan the whole cube; the first lexicographic non-root wins."""
-    n, _, q = _prepare(ckt, d)
+    n, q = _prepare(ckt)
     if q**n > cap:
         raise CapExceededError(f"cube size {q ** n} exceeds the cap {cap}")
     return _scan(ckt, product(range(q), repeat=n), bitlen_guard, PitVerdict(ZERO_ON_CUBE))
@@ -92,13 +83,12 @@ def pit_random(
     ckt: Circuit,
     trials: int,
     seed: int,
-    d: Optional[int] = None,
     bitlen_guard: int = DEFAULT_BITLEN_GUARD,
 ) -> PitVerdict:
     """Sample the cube uniformly; NonZero answers are never wrong."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    n, _, q = _prepare(ckt, d)
+    n, q = _prepare(ckt)
     rng = Rng(seed, "pit")
     zero = PitVerdict(PROBABLY_ZERO, trials=trials, provenance="random")
     return _scan(ckt, (rng.point(n, q) for _ in range(trials)), bitlen_guard, zero)

@@ -59,21 +59,14 @@ class Rng:
         return self._random.randint(lo, hi)
 
     def point(self, n: int, q: int) -> tuple:
-        """A uniform point of S_q^n, each coordinate as ``randrange(q)`` draws it."""
-        if n and q < 1:
-            raise ValueError(f"empty range for a coordinate: q = {q}")
-        getrandbits = self._random.getrandbits
-        k = q.bit_length()
-        coords = []
-        for _ in range(n):
-            v = getrandbits(k)
-            while v >= q:  # randrange's rejection step, on the same getrandbits(|q|)
-                v = getrandbits(k)
-            coords.append(v)
-        return tuple(coords)
+        """A uniform point of S_q^n: the one point of ``points(n, q, 1)``."""
+        return self.points(n, q, 1)[0]
 
     def points(self, n: int, q: int, count: int) -> tuple:
-        """``count`` calls of ``point`` in one batch: the same points and state."""
+        """``count`` uniform points of S_q^n in one batch.  Each coordinate is
+        drawn as ``randrange(q)`` draws it, with getrandbits(|q|) again while
+        the value is >= q, so the values and the generator state are those
+        of n * count ``randrange(q)`` calls."""
         need = n * count
         if need and q < 1:
             raise ValueError(f"empty range for a coordinate: q = {q}")

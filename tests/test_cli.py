@@ -11,7 +11,7 @@ import pytest
 import szpit
 from szpit.cli import EX_DATAERR, EX_SOFTWARE, EX_USAGE, main
 from szpit.circuit import serialize_circuit
-from szpit.config import DEFAULT_BITLEN_GUARD
+from szpit.config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from szpit.errors import BitLengthGuardError, OracleError, StageError
 
 from helpers import shifted_power_plus_x2
@@ -296,6 +296,38 @@ def test_a_bitlen_guard_that_would_go_unused_is_a_usage_error(capsys, tmp_path, 
     if argv[0] != "selftest":  # the default value is no guard to refuse
         code, _, _ = run(capsys, "--bitlen-guard", str(DEFAULT_BITLEN_GUARD), *argv)
         assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "{prod}"],
+    ["coeffs", "{square}", "--d", "2"],
+    ["encode", "{prod}", "--nonroot", "1,1", "--q", "2", "--d", "1", "--point", "0,1"],
+    ["decode", "{prod}", "--nonroot", "1,1", "--q", "2", "--d", "1", "--code", "1:1:1"],
+    ["selftest"],
+], ids=["parse", "coeffs", "encode", "decode", "selftest"])
+def test_an_exhaustion_cap_that_would_go_unused_is_a_usage_error(
+    capsys, tmp_path, prod_ac, argv
+):
+    square = tmp_path / "square.ac"
+    square.write_text("g0 = var x1\ng1 = mul g0 g0\noutput g1\n")
+    argv = [arg.format(prod=prod_ac, square=square) for arg in argv]
+    code, out, err = run(capsys, "--exhaustion-cap", "1", *argv)
+    assert code == EX_USAGE and out == ""
+    assert err == f"error: --exhaustion-cap does not apply to {argv[0]}\n"
+    if argv[0] != "selftest":  # the default value is no cap to refuse
+        code, _, _ = run(capsys, "--exhaustion-cap", str(DEFAULT_EXHAUSTION_CAP), *argv)
+        assert code == 0
+
+
+def test_avoid_offers_no_schedule_choice(capsys, tmp_path):
+    # The pipeline always runs desk_schedule; the asymptotic one fails at
+    # every m the class cap admits, so it is no option.
+    path = tmp_path / "f.tsv"
+    path.write_text("1\t3\n2\t3\n")
+    code, out, err = run(capsys, "avoid", "--instance", str(path), "--b", "4", "--seed", "3",
+                         "--schedule", "paper")
+    assert code == EX_USAGE and out == ""
+    assert "unrecognized arguments: --schedule paper" in err
 
 
 def test_avoid_bool_circuit_tabulates_under_the_exhaustion_cap(capsys):

@@ -225,8 +225,9 @@ def test_count_examples():
 
 
 def test_count_cap():
+    # 3000^2 = 9,000,000 points exceed the exhaustion cap of 2^22.
     with pytest.raises(CapExceededError):
-        count_roots_brute(product_circuit(), 2, 3000, cap=1000)
+        count_roots_brute(product_circuit(), 2, 3000)
 
 
 def test_pack_extremes():

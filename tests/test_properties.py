@@ -1116,9 +1116,9 @@ def test_equiv_takes_its_bound_from_the_difference_circuit(seed, n, same, pit_se
     assume(f is not None and g is not None)
     d = max(analyze_degrees(f).max_individual, analyze_degrees(g).max_individual, 1)
     assert analyze_degrees(difference_circuit(f, g)).max_individual == d
-    assert equiv_test(f, g, method="cube") == pit_cube_brute(difference_circuit(f, g), d=d)
+    assert equiv_test(f, g, method="cube") == pit_cube_brute(difference_circuit(f, g))
     assert equiv_test(f, g, method="random", seed=pit_seed) == pit_random(
-        difference_circuit(f, g), trials=40, seed=pit_seed, d=d
+        difference_circuit(f, g), trials=40, seed=pit_seed
     )
 
 
