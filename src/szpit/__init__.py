@@ -42,7 +42,7 @@ from .hitting import (
     verify_hitting_set,
 )
 from .pit import PitVerdict, equiv_test, pit_cube_brute, pit_random, pit_with_hitting_set
-from .unipoly import UniPoly, coef, deflate, enumerate_roots, eval_unipoly, extract_unipoly
+from .unipoly import UniPoly, deflate, enumerate_roots, eval_unipoly, extract_unipoly
 from .avoid import (
     AvoidInstance,
     AvoidResult,
@@ -53,10 +53,7 @@ from .avoid import (
     desk_schedule,
     invert_amplified,
     normalize,
-    paper_schedule,
     solve_avoid_brute,
-    triple_decode,
-    triple_encode,
 )
 
 __version__ = "0.1.0"

@@ -177,7 +177,7 @@ def _cmd_pit(args) -> int:
     else:
         if not args.hs_file:
             raise SzpitError("--hs-file is required for --method hs")
-        h = parse_hitting_set(_read(args.hs_file), c.n_vars, args.q or (1 << 62))
+        h = parse_hitting_set(_read(args.hs_file), c.n_vars, args.q)
         verdict = pit_with_hitting_set(c, h, bitlen_guard=args.bitlen_guard)
     plain = verdict.kind + (f" at {verdict.witness}" if verdict.witness else "")
     _emit(args, {"verdict": verdict.to_json()}, plain)
@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hs-file", default=None)
-    p.add_argument("--q", type=int, default=None, help="alphabet bound for --hs-file")
+    p.add_argument("--q", type=int, default=None,
+                   help="alphabet bound for --hs-file; default 1 + its largest coordinate")
     p.set_defaults(fn=_cmd_pit)
 
     for name in ("hs-search", "hs-verify"):
@@ -364,12 +365,24 @@ def _join_int_lists(argv: list) -> list:
     return joined + ["--"] + bare if bare else joined
 
 
-# For each global option, the subcommands that apply it; the others refuse
-# a value other than the default, which they would ignore.
+# For each global option, the (command, mode) pairs that apply it, with mode
+# None for every mode; any other run refuses a value other than the default,
+# which it would ignore.
 _APPLIED_BY = {
-    "--bitlen-guard": ("eval", "coeffs", "roots", "encode", "decode", "pit"),
-    "--exhaustion-cap": ("degrees", "eval", "roots", "pit", "hs-search", "hs-verify", "avoid"),
+    "--bitlen-guard": {(c, None) for c in ("eval", "coeffs", "roots", "encode", "decode", "pit")},
+    "--exhaustion-cap": {(c, None) for c in ("degrees", "eval", "roots", "hs-search", "hs-verify")}
+    | {("pit", "--method cube"), ("avoid", "--via brute"), ("avoid", "--instance *.bc")},
 }
+
+
+def _modes(args) -> tuple:
+    """pit runs in one mode, its method; avoid in two, its route and its instance format."""
+    if args.command == "pit":
+        return (f"--method {args.method}",)
+    if args.command == "avoid":
+        kind = "bc" if args.instance.endswith(".bc") else "tsv"
+        return (f"--via {args.via}", f"--instance *.{kind}")
+    return ()
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -378,10 +391,15 @@ def main(argv: Optional[list] = None) -> int:
         args = ap.parse_args(_join_int_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0
-    for option, commands in _APPLIED_BY.items():
+    modes = _modes(args)
+    runs = {(args.command, mode) for mode in (None, *modes)}
+    for option, applied in _APPLIED_BY.items():
         dest = option[2:].replace("-", "_")
-        if args.command not in commands and getattr(args, dest) != ap.get_default(dest):
-            print(f"error: {option} does not apply to {args.command}", file=sys.stderr)
+        if getattr(args, dest) != ap.get_default(dest) and not applied & runs:
+            # Name the modes only where some mode of the command applies the option.
+            some = any(cmd == args.command for cmd, _ in applied)
+            where = " ".join((args.command, *modes)) if some else args.command
+            print(f"error: {option} does not apply to {where}", file=sys.stderr)
             return EX_USAGE
     try:
         return args.fn(args)

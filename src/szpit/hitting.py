@@ -83,7 +83,8 @@ def serialize_hitting_set(h: HittingSet) -> str:
     return "\n".join(",".join(str(v) for v in p) for p in h.points) + "\n"
 
 
-def parse_hitting_set(text: str, n: int, q: int) -> HittingSet:
+def parse_hitting_set(text: str, n: int, q: Optional[int] = None) -> HittingSet:
+    """Read H's text; q defaults to one more than its largest coordinate."""
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -95,6 +96,8 @@ def parse_hitting_set(text: str, n: int, q: int) -> HittingSet:
             raise PreconditionError(
                 f"line {lineno}: want comma-separated integers, got {line!r}"
             ) from None
+    if q is None:
+        q = 1 + max([0, *(v for p in points for v in p)])
     return HittingSet(tuple(points), n, q)
 
 
@@ -254,8 +257,7 @@ def find_small_witness(
             if eval_gates(ckt, w, params) != 0:
                 return w
     rng = rng or Rng(0, "witness")
-    for _ in range(budget):
-        w = rng.point(n, q)
+    for w in rng.points(n, q, budget):
         if eval_gates(ckt, w, params) != 0:
             return w
     if q**n <= cap:
@@ -343,7 +345,7 @@ def search_hitting_set(
     rng = Rng(seed, "hs-search")
     last_miss = None
     for attempt in range(budget):
-        h = HittingSet(rng.split(f"draw{attempt}").points(cls.n, q, r), cls.n, q)
+        h = HittingSet(tuple(rng.split(f"draw{attempt}").points(cls.n, q, r)), cls.n, q)
         verdict = verify_hitting_set(cls, h, seed=seed, cap=cap)
         if verdict.hits:
             return h

@@ -91,7 +91,7 @@ def pit_random(
     n, q = _prepare(ckt)
     rng = Rng(seed, "pit")
     zero = PitVerdict(PROBABLY_ZERO, trials=trials, provenance="random")
-    return _scan(ckt, (rng.point(n, q) for _ in range(trials)), bitlen_guard, zero)
+    return _scan(ckt, rng.points(n, q, trials), bitlen_guard, zero)
 
 
 def pit_with_hitting_set(

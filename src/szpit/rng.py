@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import chain
+from typing import Iterable, Iterator
+
+# The most points ``Rng.points`` draws from the generator at once.
+BATCH = 16
 
 
 def _path_hash(seed: int, labels):
@@ -58,21 +63,22 @@ class Rng:
     def randint(self, lo: int, hi: int) -> int:
         return self._random.randint(lo, hi)
 
-    def point(self, n: int, q: int) -> tuple:
-        """A uniform point of S_q^n: the one point of ``points(n, q, 1)``."""
-        return self.points(n, q, 1)[0]
-
-    def points(self, n: int, q: int, count: int) -> tuple:
-        """``count`` uniform points of S_q^n in one batch.  Each coordinate is
-        drawn as ``randrange(q)`` draws it, with getrandbits(|q|) again while
-        the value is >= q, so the values and the generator state are those
-        of n * count ``randrange(q)`` calls."""
-        need = n * count
-        if need and q < 1:
+    def points(self, n: int, q: int, count: int) -> Iterator[tuple]:
+        """``count`` uniform points of S_q^n, drawn lazily in batches of at
+        most ``BATCH`` points.  Each coordinate is drawn as ``randrange(q)``
+        draws it, with getrandbits(|q|) again while the value is >= q, so
+        the values, and the generator state once every point is taken, are
+        those of n * count ``randrange(q)`` calls.  An empty range raises
+        here, not at the first point."""
+        if n * count and q < 1:
             raise ValueError(f"empty range for a coordinate: q = {q}")
+        sizes = (min(BATCH, count - start) for start in range(0, count, BATCH))
+        return chain.from_iterable(self._batch(n, q, size) for size in sizes)
+
+    def _batch(self, n: int, q: int, count: int) -> Iterable[tuple]:
         getrandbits = self._random.getrandbits
         k = q.bit_length()
-        coords = []
+        need, coords = n * count, []
         while len(coords) < need:  # rejection keeps order: draw only the missing ones
             coords += [v for v in [getrandbits(k) for _ in range(need - len(coords))] if v < q]
-        return tuple(zip(*[iter(coords)] * n)) if n else ((),) * count
+        return zip(*[iter(coords)] * n) if n else ((),) * count

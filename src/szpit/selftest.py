@@ -7,7 +7,6 @@ this is the field diagnostic.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable, List, Tuple
 
 from .avoid import (
@@ -19,8 +18,6 @@ from .avoid import (
     invert_amplified,
     normalize,
     solve_avoid_brute,
-    triple_decode,
-    triple_encode,
 )
 from .boolfunc import BoolFunc
 from .circuit import Gate, circuit, parse_circuit, serialize_circuit
@@ -142,12 +139,6 @@ def check_largeness() -> None:
     assert largeness_holds(n=2, d=2, q=8, r=13, m=4)
 
 
-def check_triple_codes() -> None:
-    r, n, w = 3, 2, 4
-    for i, j, k in product(range(1, r + 1), range(1, n + 1), range(1, w + 1)):
-        assert triple_decode(triple_encode(i, j, k, r, n, w), r, n, w) == (i, j, k)
-
-
 def check_normalization() -> None:
     rng = Rng(7, "selftest-norm")
     for a in range(1, 9):
@@ -176,7 +167,7 @@ def check_seeded_draws() -> None:
     # Every seeded stream rests on Rng drawing as this Python's randrange does.
     for q in (1, 5, 4097, (1 << 40) + 3):
         rng, ref = Rng(13, f"selftest-draws-{q}"), Rng(13, f"selftest-draws-{q}")._random
-        drawn = [rng.point(2, q), *rng.points(2, q, 20)]
+        drawn = [*rng.points(2, q, 1), *rng.points(2, q, 20)]
         assert drawn == [(ref.randrange(q), ref.randrange(q)) for _ in range(21)]
         assert rng._random.getstate() == ref.getstate()
 
@@ -199,7 +190,6 @@ CHECKS: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("code pack/unpack bijection", check_pack_unpack),
     ("identity testing", check_pit),
     ("hitting-set largeness arithmetic", check_largeness),
-    ("triple-index bijection", check_triple_codes),
     ("normalization guarantee", check_normalization),
     ("amplification inversion soundness", check_inversion),
     ("seeded draws match randrange", check_seeded_draws),

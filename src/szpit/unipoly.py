@@ -76,12 +76,6 @@ def serialize_unipoly(p: UniPoly) -> str:
     return ",".join(str(v) for v in p.coeffs)
 
 
-def coef(p: UniPoly, i: int) -> int:
-    if not 0 <= i <= p.degree_bound:
-        raise PreconditionError(f"coefficient index {i} out of range 0..{p.degree_bound}")
-    return p.coeffs[i]
-
-
 def eval_unipoly(p: UniPoly, u: int, bitlen_guard: int = DEFAULT_BITLEN_GUARD) -> int:
     """Horner evaluation with the same bit-length guard as circuit evaluation."""
     acc = 0

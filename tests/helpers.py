@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 from typing import Iterable, Iterator, List, Tuple
 
+from szpit.avoid import AvoidInstance
 from szpit.boolfunc import BoolCircuit, BoolFunc, boolfunc_from_callable, eval_bool_circuit
 from szpit.circuit import CONST, Circuit, DegreeReport, Gate, analyze_degrees, circuit
 from szpit.codec import RootCode, SZContext, decode_code
@@ -16,6 +17,11 @@ from szpit.rng import Rng
 from szpit.unipoly import UniPoly
 
 from oracles import bits_to_int
+
+
+def instance_to_tsv(inst: AvoidInstance) -> str:
+    """The instance as the 'x<TAB>f(x)' lines that instance_from_tsv reads."""
+    return "\n".join(f"{x}\t{y}" for x, y in enumerate(inst.table, start=1)) + "\n"
 
 
 def count_degree_passes(monkeypatch) -> List[Circuit]:

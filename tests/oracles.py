@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Collection, Dict, List, Optional, Tuple
 
-from szpit.avoid import AvoidSchedule, triple_encode
+from szpit.avoid import AvoidSchedule
 from szpit.boolfunc import BoolFunc, int_to_bit_str
 from szpit.circuit import ADD, CONST, PARAM, VAR, Circuit
 from szpit.codec import SZContext, all_codes, decode_code
@@ -293,6 +293,23 @@ def nonrange_by_tuples(cls: DefinableClass, h: HittingSet, cap: int) -> bool:
                 if tuple(decoded[c] for c in tup) == h.points:
                     return False
     return True
+
+
+def triple_encode(i: int, j: int, k: int, r: int, n: int, w: int) -> int:
+    """Bijection [r] x [n] x [w] -> [r*n*w]: ((i-1)n + (j-1))w + k, the
+    number of the avoid template's param for bit k of coordinate j of
+    point i."""
+    if not (1 <= i <= r and 1 <= j <= n and 1 <= k <= w):
+        raise PreconditionError(f"triple ({i},{j},{k}) outside [{r}]x[{n}]x[{w}]")
+    return ((i - 1) * n + (j - 1)) * w + (k - 1) + 1
+
+
+def triple_decode(idx: int, r: int, n: int, w: int) -> Tuple[int, int, int]:
+    if not 1 <= idx <= r * n * w:
+        raise PreconditionError(f"index {idx} outside [1..{r * n * w}]")
+    v, k = divmod(idx - 1, w)
+    i, j = divmod(v, n)
+    return i + 1, j + 1, k + 1
 
 
 def encode_hitting_set_per_bit(h_set: HittingSet, sched: AvoidSchedule, width: int) -> Bits:

@@ -190,7 +190,7 @@ def test_criterion_6_hitting_set_density_and_largeness():
     draws = 200
     for i in range(draws):
         dr = rng.split(str(i))
-        h = HittingSet(tuple(dr.point(n, q) for _ in range(r_points)), n, q)
+        h = HittingSet(tuple(dr.points(n, q, r_points)), n, q)
         if verify_hitting_set(cls, h).hits:
             hits += 1
     assert hits / draws >= 0.4

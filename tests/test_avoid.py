@@ -8,7 +8,10 @@ import pytest
 
 from szpit.avoid import (
     AvoidInstance,
+    AvoidSchedule,
     ExhaustiveOracle,
+    _member_gates,
+    _schedule_violations,
     amplify,
     avoid_via_hitting,
     build_avoid_class,
@@ -16,17 +19,13 @@ from szpit.avoid import (
     encode_hitting_set_bits,
     instance_from_bool_circuit,
     instance_from_tsv,
-    instance_to_tsv,
     invert_amplified,
     normalize,
-    paper_schedule,
     solution_set,
     solve_avoid_brute,
-    triple_decode,
-    triple_encode,
 )
 from szpit.boolfunc import BoolFunc, boolfunc_from_callable, int_to_bit_str, parse_bool_circuit
-from szpit.circuit import analyze_degrees
+from szpit.circuit import PARAM, analyze_degrees
 from szpit.config import DEFAULT_CLASS_CAP
 from szpit.errors import (
     CapExceededError,
@@ -39,8 +38,8 @@ from szpit.evaluator import eval_gates
 from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
-from helpers import members
-from oracles import amplify_steps, call_per_bit, int_to_bits
+from helpers import instance_to_tsv, members
+from oracles import amplify_steps, call_per_bit, int_to_bits, triple_decode, triple_encode
 
 
 def random_instance(rng, a, b=None):
@@ -343,19 +342,42 @@ def test_desk_schedule_inequalities():
         assert s.d >= 2 * s.r * w
         assert s.r > m + s.n * w
         assert s.t_prime >= s.r * s.n * w
-        assert not s.violations
+        assert not _schedule_violations(s)
+        assert s.to_json() == {"mode": "desk", **vars(s), "violations": []}
 
 
-def test_paper_schedule_reports_violations_at_small_m():
-    # Every m the class cap admits violates the asymptotic choice, which is
-    # why the pipeline runs desk_schedule.
+def asymptotic_schedule(m):
+    """The paper's asymptotic choice n = m, d = m^2, r = 4m|m|, q = 2m^3, t' = m^3."""
+    q = 2 * m**3
+    return AvoidSchedule(m, m, m * m, q, 4 * m * bitlen(m), bitlen(q), t_prime=m**3)
+
+
+def test_avoid_class_refuses_the_asymptotic_schedule_at_small_m():
+    # Every m the class cap admits violates the asymptotic choice, t' >= rn|q|
+    # and d >= 2r|q| among the rest, which is why the pipeline runs
+    # desk_schedule; build_avoid_class refuses such a hand-built schedule.
+    h = amplify(boolfunc_from_callable(lambda v: v, 1, 2), 1)  # refused before it is read
     for m in range(1, 17):
-        s = paper_schedule(m)
-        assert s.violations, m
-        with pytest.raises(PreconditionError):
-            s.check()
+        violations = _schedule_violations(asymptotic_schedule(m))
+        assert any(v.startswith("t' >= r*n*|q| fails") for v in violations), m
+        assert any(v.startswith("d >= 2r|q| fails") for v in violations), m
+        with pytest.raises(PreconditionError, match="^schedule violates: t' >= r"):
+            build_avoid_class(h, asymptotic_schedule(m))
     # The asymptotic choice does satisfy everything once m is large.
-    assert not paper_schedule(4096).violations
+    assert not _schedule_violations(asymptotic_schedule(4096))
+
+
+def test_template_params_are_numbered_in_triple_order():
+    # The template numbers its params as it builds them, in (i, j, k) loop
+    # order, which is the triple index: the k-th param gate met inside the
+    # j-th coordinate of the i-th factor is p_e, e = triple_encode(i, j, k).
+    for m in (0, 3, 7):
+        sched = desk_schedule(m)
+        r, n, w = sched.r, sched.n, sched.w
+        numbers = [g.name for g in _member_gates(sched).gates if g.op == PARAM]
+        want = [triple_encode(i, j, k, r, n, w) for i, j, k in
+                product(range(1, r + 1), range(1, n + 1), range(1, w + 1))]
+        assert numbers == want == list(range(1, r * n * w + 1))
 
 
 def build_small_class(m=2, seed=11):

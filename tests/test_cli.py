@@ -319,6 +319,89 @@ def test_an_exhaustion_cap_that_would_go_unused_is_a_usage_error(
         assert code == 0
 
 
+# pit's --method and avoid's --via and instance format are its modes; these
+# never read the cap.
+MODES_WITHOUT_CAP = {
+    "pit-random": (["pit", "{prod}", "--method", "random", "--seed", "1"],
+                   "pit --method random"),
+    "pit-hs": (["pit", "{prod}", "--method", "hs", "--hs-file", "{hs}"], "pit --method hs"),
+    "avoid-tsv-hitting": (["avoid", "--instance", "{tsv}", "--b", "4", "--seed", "3"],
+                          "avoid --via hitting --instance *.tsv"),
+}
+MODES_WITH_CAP = {
+    "pit-cube": ["pit", "{prod}", "--method", "cube"],
+    "avoid-tsv-brute": ["avoid", "--instance", "{tsv}", "--b", "4", "--via", "brute"],
+    "avoid-bc-hitting": ["avoid", "--instance", "{bc}", "--a", "4", "--b", "8", "--seed", "1"],
+    "avoid-bc-brute": ["avoid", "--instance", "{bc}", "--a", "4", "--b", "8", "--via", "brute"],
+}
+
+
+def mode_argv(tmp_path, prod_ac, argv):
+    tsv = tmp_path / "f.tsv"
+    tsv.write_text("1\t3\n2\t3\n")
+    hs = tmp_path / "h.txt"
+    hs.write_text("1,1\n1,2\n")
+    bc = Path(__file__).parent / "golden" / "stretch.bc"
+    return [arg.format(prod=prod_ac, tsv=tsv, hs=hs, bc=bc) for arg in argv]
+
+
+@pytest.mark.parametrize("argv, where", MODES_WITHOUT_CAP.values(), ids=MODES_WITHOUT_CAP)
+def test_an_exhaustion_cap_that_a_mode_would_not_use_is_a_usage_error(
+    capsys, tmp_path, prod_ac, argv, where
+):
+    argv = mode_argv(tmp_path, prod_ac, argv)
+    code, out, err = run(capsys, "--exhaustion-cap", "1", *argv)
+    assert code == EX_USAGE and out == ""
+    assert err == f"error: --exhaustion-cap does not apply to {where}\n"
+
+
+@pytest.mark.parametrize("argv", [*(a for a, _ in MODES_WITHOUT_CAP.values()),
+                                  *MODES_WITH_CAP.values()],
+                         ids=[*MODES_WITHOUT_CAP, *MODES_WITH_CAP])
+def test_the_default_exhaustion_cap_passes_in_every_mode(capsys, tmp_path, prod_ac, argv):
+    argv = mode_argv(tmp_path, prod_ac, argv)
+    plain = run(capsys, *argv)
+    assert plain[0] in (0, 1) and plain[2] == ""
+    assert run(capsys, "--exhaustion-cap", str(DEFAULT_EXHAUSTION_CAP), *argv) == plain
+
+
+def test_pit_cube_still_applies_the_exhaustion_cap(capsys, prod_ac):
+    code, out, err = run(capsys, "--exhaustion-cap", "1", "pit", prod_ac, "--method", "cube")
+    assert code == 2 and out == ""
+    assert err == "error: cube size 16 exceeds the cap 1\n"
+
+
+def test_pit_hs_without_q_takes_the_file_s_largest_coordinate(capsys, tmp_path, prod_ac):
+    # No hidden bound: q is one more than the largest coordinate, so a
+    # coordinate of 2^62 is read, and a negative one is still refused.
+    hs = tmp_path / "h.txt"
+    hs.write_text("4611686018427387904,1\n")
+    pit = ["pit", prod_ac, "--method", "hs", "--hs-file", str(hs)]
+    code, out, err = run(capsys, *pit)
+    assert code == 1 and out == "NonZero at (4611686018427387904, 1)\n" and err == ""
+    hs.write_text("0,0\n3,-1\n")
+    code, out, err = run(capsys, *pit)
+    assert code == 2 and out == ""
+    assert err == "error: coordinate -1 outside S_4\n"
+    code, _, err = run(capsys, *pit, "--q", "3")
+    assert code == 2 and err == "error: coordinate 3 outside S_3\n"
+
+
+def test_hs_search_on_all_circuits_is_byte_identical(capsys):
+    # The decoder class at m = 10: drawing points lazily, in batches, moves
+    # no point of H and no member's witness, so the report stays as pinned.
+    code, out, err = run(
+        capsys, "--json", "hs-search", "--class", "builtin:all", "--n", "2", "--d", "2",
+        "--s", "400", "--m", "10", "--q", "8", "--r", "19", "--seed", "7",
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        '{"command": "hs-search", "points": [[4, 1], [5, 0], [6, 2], [6, 0], [7, 6], '
+        '[1, 5], [7, 2], [5, 0], [4, 3], [0, 3], [6, 1], [2, 7], [4, 2], [2, 5], [4, 1], '
+        '[6, 0], [4, 3], [1, 5], [2, 6]], "r": 19, "schema": 1, "size": 14}\n'
+    )
+
+
 def test_avoid_offers_no_schedule_choice(capsys, tmp_path):
     # The pipeline always runs desk_schedule; the asymptotic one fails at
     # every m the class cap admits, so it is no option.

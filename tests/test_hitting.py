@@ -281,7 +281,7 @@ def test_nonrange_past_the_largeness_bound_is_hitting():
         rng = Rng(431, f"nonrange-large:{cls.m}")
         outside = 0
         for i in range(draws):
-            h = HittingSet(tuple(rng.point(cls.n, q) for _ in range(r)), cls.n, q)
+            h = HittingSet(tuple(rng.points(cls.n, q, r)), cls.n, q)
             if nonrange_is_hitting(cls, h):
                 outside += 1
                 assert verify_hitting_set(cls, h).hits
@@ -316,7 +316,7 @@ def test_success_density_at_example_parameters():
     hits = 0
     draws = 120
     for i in range(draws):
-        points = tuple(rng.point(2, 8) for _ in range(13))
+        points = tuple(rng.points(2, 8, 13))
         if verify_hitting_set(cls, HittingSet(points, 2, 8)).hits:
             hits += 1
     assert hits / draws >= 0.4

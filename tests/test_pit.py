@@ -286,8 +286,7 @@ def interpreted_random_verdict(diff, trials, seed):
     the points of Rng(seed, "pit") in the cube of side 2nd."""
     q = 2 * diff.n_vars * analyze_degrees(diff).max_individual
     rng = Rng(seed, "pit")
-    for _ in range(trials):
-        point = rng.point(diff.n_vars, q)
+    for point in rng.points(diff.n_vars, q, trials):
         if _interpret(diff, point, 0, DEFAULT_BITLEN_GUARD) != 0:
             return PitVerdict(NONZERO, witness=point, provenance="random")
     return PitVerdict(PROBABLY_ZERO, trials=trials, provenance="random")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szpit.rng import Rng
+from szpit.rng import BATCH, Rng
 
 from helpers import random_bits
 from oracles import derive_seed
@@ -41,7 +41,7 @@ def test_derive_seed_stable():
 # on the first draw must give the same ones.
 PINNED = [
     (lambda: Rng(42, "x"), "y", lambda r: r.randrange(1 << 30), 907013164),
-    (lambda: Rng(3, "hs-verify"), "0:0101", lambda r: r.point(2, 31), (10, 24)),
+    (lambda: Rng(3, "hs-verify"), "0:0101", lambda r: next(r.points(2, 31, 1)), (10, 24)),
 ]
 
 
@@ -74,7 +74,7 @@ def test_split_hashes_its_label_at_its_first_draw_or_split():
 def test_bits_and_point_shapes():
     r = Rng(5, "shapes")
     assert 0 <= random_bits(r, 8) < 1 << 8 and 0 <= random_bits(r, 32) < 1 << 32
-    p = r.point(3, 4)
+    (p,) = r.points(3, 4, 1)
     assert len(p) == 3 and all(0 <= v < 4 for v in p)
 
 
@@ -93,16 +93,34 @@ def test_point_and_points_are_randrange_draws(q, n, count, seed):
     ref = random.Random(derive_seed(seed, "draws"))
     want = tuple(tuple(ref.randrange(q) for _ in range(n)) for _ in range(count))
     batch, single = Rng(seed, "draws"), Rng(seed, "draws")
-    assert batch.points(n, q, count) == want
-    assert tuple(single.point(n, q) for _ in range(count)) == want
+    assert tuple(batch.points(n, q, count)) == want
+    assert tuple(next(single.points(n, q, 1)) for _ in range(count)) == want
     assert batch._random.getstate() == single._random.getstate() == ref.getstate()
 
 
 def test_draws_fail_only_when_something_is_drawn():
     r = Rng(5, "empty")
-    assert r.point(0, 0) == () and r.points(0, 0, 3) == ((), (), ()) and r.points(2, 0, 0) == ()
+    assert tuple(r.points(0, 0, 1)) == ((),) and tuple(r.points(0, 0, 3)) == ((), (), ())
+    assert tuple(r.points(2, 0, 0)) == ()
     with pytest.raises(ValueError):
         random.Random(0).randrange(0)
-    for bad in (lambda: r.point(1, 0), lambda: r.point(2, -3), lambda: r.points(1, 0, 1)):
+    # The call itself raises, before any point is taken.
+    for bad in (lambda: r.points(1, 0, 1), lambda: r.points(2, -3, 1), lambda: r.points(1, 0, 40)):
         with pytest.raises(ValueError):
             bad()
+
+
+@pytest.mark.parametrize("count", [15, 16, 17, 32, 33])
+@pytest.mark.parametrize("q", [5, 1 << 8, (1 << 40) + 3])
+def test_points_across_batch_boundaries(q, count):
+    # Taken in full, the points are n * count randrange draws and leave the
+    # generator where those draws leave it; taken in part, they are a prefix.
+    n = 3
+    ref = random.Random(derive_seed(11, "batches"))
+    want = [tuple(ref.randrange(q) for _ in range(n)) for _ in range(count)]
+    full = Rng(11, "batches")
+    assert list(full.points(n, q, count)) == want
+    assert full._random.getstate() == ref.getstate()
+    for taken in (1, BATCH - 1, BATCH, BATCH + 1, count - 1):
+        part = Rng(11, "batches").points(n, q, count)
+        assert [next(part) for _ in range(min(taken, count))] == want[:taken]

@@ -9,7 +9,6 @@ from szpit.hitting import bitlen
 from szpit.rng import Rng
 from szpit.unipoly import (
     UniPoly,
-    coef,
     deflate,
     enumerate_roots,
     eval_unipoly,
@@ -26,10 +25,8 @@ from helpers import bit_complexity
 
 def test_coef_basic():
     p = unipoly(-1, 0, 1)
-    assert coef(p, 2) == 1
-    assert coef(unipoly(7), 0) == 7
-    with pytest.raises(PreconditionError):
-        coef(unipoly(7), 1)
+    assert p.coeffs[2] == 1 and p.degree_bound == 2
+    assert unipoly(7).coeffs == (7,) and unipoly(7).degree_bound == 0
 
 
 def test_eval_horner():
