@@ -21,7 +21,9 @@ algebraic semantics can never be confused::
     output g2 g5        # multi-output: one gate id per output bit
 
 Gate kinds: var, const 0|1, and, or, xor, not.  Evaluated at the int x,
-var xk reads bit k - 1 of x, and output j is bit j of the result.
+var xk reads bit k - 1 of x, and output j is bit j of the result.  The
+text is read, never written, through the .ac statement reader, so its
+comments, indents, dense gate ids and located errors are those of .ac.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+from .circuit import _check_naming, _literal, _statements
 from .errors import CircuitSyntaxError, CircuitValidationError, DimensionMismatchError
 
 
@@ -84,6 +87,7 @@ _B_GATE_RE = re.compile(
     r")$"
 )
 _B_OUTPUT_RE = re.compile(r"^output(?P<ids>( g\d+)+)$")
+_B_ID_RE = re.compile(r"g(?P<id>\d+)")
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,7 @@ class BoolCircuit:
                 names.add(g.name)
             elif g.op != "const":
                 raise CircuitValidationError(f"gate {i}: unknown gate kind {g.op!r}")
-        if names != set(range(1, self.n_vars + 1)):
-            raise CircuitValidationError("gap in variable naming")
+        _check_naming(names, set(), self.n_vars, 0)
         for o in self.outputs:
             if not 0 <= o < len(self.gates):
                 raise CircuitValidationError(f"output references missing gate g{o}")
@@ -130,59 +133,27 @@ def bool_circuit(gates, outputs) -> BoolCircuit:
 
 
 def parse_bool_circuit(text: str) -> BoolCircuit:
+    """Read the .bc format through the .ac statement reader, so comments,
+    indents, gate ids, the output line and every located error are as in
+    :func:`szpit.circuit.parse_circuit`."""
     gates: List[BoolGate] = []
-    outputs = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if outputs is not None:
-            raise CircuitSyntaxError("statement after output line", lineno, 1)
-        m = _B_OUTPUT_RE.match(line)
-        if m:
-            outputs = tuple(int(tok[1:]) for tok in m.group("ids").split())
-            continue
-        m = _B_GATE_RE.match(line)
-        if m is None:
-            raise CircuitSyntaxError(f"cannot parse statement {line!r}", lineno, 1)
-        gate_id = int(m.group("id"))
-        if gate_id != len(gates):
-            raise CircuitSyntaxError(f"bad gate id g{gate_id}", lineno, 2)
-        if m.group("var") is not None:
-            gates.append(BoolGate("var", name=int(m.group("var"))))
+    for m, lineno, at in _statements(text, _B_GATE_RE, _B_OUTPUT_RE):
+        if m.re is _B_OUTPUT_RE:
+            ids = _B_ID_RE.finditer(m.string, m.start("ids"))
+            outputs = [_literal(t, "id", lineno, at) for t in ids]
+        elif m.group("var") is not None:
+            gates.append(BoolGate("var", name=_literal(m, "var", lineno, at)))
         elif m.group("const") is not None:
             gates.append(BoolGate("const", value=int(m.group("const"))))
-        elif m.group("neg") is not None:
-            ref = int(m.group("neg"))
-            if ref >= gate_id:
-                raise CircuitSyntaxError(f"forward reference in g{gate_id}", lineno, 1)
-            gates.append(BoolGate("not", lhs=ref))
         else:
-            lhs, rhs = int(m.group("lhs")), int(m.group("rhs"))
-            if lhs >= gate_id or rhs >= gate_id:
-                raise CircuitSyntaxError(f"forward reference in g{gate_id}", lineno, 1)
-            gates.append(BoolGate(m.group("binop"), lhs=lhs, rhs=rhs))
-    if outputs is None:
-        raise CircuitSyntaxError("missing output line", 0, 0)
+            refs = [_literal(m, k, lineno, at) for k in ("lhs", "rhs", "neg") if m.group(k)]
+            if max(refs) >= len(gates):
+                raise CircuitSyntaxError(f"forward reference in g{len(gates)}", lineno, at + 1)
+            gates.append(BoolGate(m.group("binop") or "not", 0, 0, *refs))
     try:
         return bool_circuit(gates, outputs)
     except CircuitValidationError as e:
         raise CircuitSyntaxError(str(e), 0, 0) from e
-
-
-def serialize_bool_circuit(c: BoolCircuit) -> str:
-    lines = []
-    for i, g in enumerate(c.gates):
-        if g.op == "var":
-            lines.append(f"g{i} = var x{g.name}")
-        elif g.op == "const":
-            lines.append(f"g{i} = const {g.value}")
-        elif g.op == "not":
-            lines.append(f"g{i} = not g{g.lhs}")
-        else:
-            lines.append(f"g{i} = {g.op} g{g.lhs} g{g.rhs}")
-    lines.append("output " + " ".join(f"g{o}" for o in c.outputs))
-    return "\n".join(lines) + "\n"
 
 
 def eval_bool_circuit(c: BoolCircuit, x: int) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .config import DEFAULT_EXHAUSTION_CAP
 from .errors import CapExceededError, CircuitSyntaxError, CircuitValidationError, PreconditionError
@@ -188,12 +188,17 @@ def _gate_names(gates: Tuple[Gate, ...]) -> Tuple[set, set]:
     return var_names, param_names
 
 
+def _names_are_1_to(names: set, n: int) -> bool:
+    # n distinct names from 1 to n are 1..n; set(range(1, n + 1)) could fill memory.
+    return len(names) == n and (not n or min(names) == 1 and max(names) == n)
+
+
 def _check_naming(var_names: set, param_names: set, n_vars: int, n_params: int) -> None:
-    if var_names != set(range(1, n_vars + 1)):
+    if not _names_are_1_to(var_names, n_vars):
         raise CircuitValidationError(
             f"gap in variable naming: saw {sorted(var_names)}, n_vars={n_vars}"
         )
-    if param_names != set(range(1, n_params + 1)):
+    if not _names_are_1_to(param_names, n_params):
         raise CircuitValidationError(
             f"gap in parameter naming: saw {sorted(param_names)}, n_params={n_params}"
         )
@@ -378,42 +383,23 @@ def _line_gates(text: str) -> list:
     """The reference line parser: comments, blank lines and surrounding
     whitespace allowed, every syntax error located by line and column."""
     gates: list = []
-    output_id: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        at = len(raw) - len(raw.lstrip())  # columns count from the line's start
-        if output_id is not None:
-            raise CircuitSyntaxError("statement after output line", lineno, at + 1)
-        m = _OUTPUT_RE.match(line)
-        if m:
+    for m, lineno, at in _statements(text, _GATE_RE, _OUTPUT_RE):
+        if m.re is _OUTPUT_RE:
             output_id = _literal(m, "id", lineno, at)
-            continue
-        m = _GATE_RE.match(line)
-        if m is None:
-            col = at + _first_mismatch_col(line)
-            raise CircuitSyntaxError(f"cannot parse statement {line!r}", lineno, col)
-        gate_id = _literal(m, "id", lineno, at)
-        if gate_id != len(gates):
-            kind = "duplicate" if gate_id < len(gates) else "out-of-order"
-            raise CircuitSyntaxError(f"{kind} gate id g{gate_id}", lineno, at + 2)
-        if m.group("var") is not None:
+        elif m.group("var") is not None:
             gates.append(Gate.var(_literal(m, "var", lineno, at)))
         elif m.group("param") is not None:
             gates.append(Gate.param(_literal(m, "param", lineno, at)))
         elif m.group("const") is not None:
             gates.append(Gate.const(_literal(m, "const", lineno, at)))
         else:
+            gate_id = len(gates)
             lhs, rhs = _literal(m, "lhs", lineno, at), _literal(m, "rhs", lineno, at)
             if lhs >= gate_id or rhs >= gate_id:
                 raise CircuitSyntaxError(
                     f"forward or self reference in g{gate_id}", lineno, at + 1
                 )
-            op = m.group("binop")
-            gates.append(Gate.add(lhs, rhs) if op == ADD else Gate.mul(lhs, rhs))
-    if output_id is None:
-        raise CircuitSyntaxError("missing output line", 0, 0)
+            gates.append(Gate.add(lhs, rhs) if m.group("binop") == ADD else Gate.mul(lhs, rhs))
     if not gates:
         raise CircuitSyntaxError("no gates before output line", 0, 0)
     if output_id != len(gates) - 1:
@@ -421,6 +407,38 @@ def _line_gates(text: str) -> list:
             f"output must name the final gate g{len(gates) - 1}, got g{output_id}", 0, 0
         )
     return gates
+
+
+def _statements(text: str, gate_re: re.Pattern, output_re: re.Pattern) -> Iterator[tuple]:
+    """Each statement of an .ac or .bc text as ``(match, lineno, at)``, with
+    ``at`` the line's indent, read lazily so the caller's errors keep line
+    order.  Shared checks, each error located: comments, blank lines, gate
+    ids 0, 1, 2, ... (the ``id`` group) and one output line, the last."""
+    count = 0
+    done = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        at = len(raw) - len(raw.lstrip())  # columns count from the line's start
+        if done:
+            raise CircuitSyntaxError("statement after output line", lineno, at + 1)
+        m = output_re.match(line)
+        if m is not None:
+            done = True
+        else:
+            m = gate_re.match(line)
+            if m is None:
+                col = at + _first_mismatch_col(line)
+                raise CircuitSyntaxError(f"cannot parse statement {line!r}", lineno, col)
+            gate_id = _literal(m, "id", lineno, at)
+            if gate_id != count:
+                kind = "duplicate" if gate_id < count else "out-of-order"
+                raise CircuitSyntaxError(f"{kind} gate id g{gate_id}", lineno, at + 2)
+            count += 1
+        yield m, lineno, at
+    if not done:
+        raise CircuitSyntaxError("missing output line", 0, 0)
 
 
 def _literal(m: re.Match, group: str, lineno: int, at: int) -> int:

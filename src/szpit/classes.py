@@ -24,7 +24,7 @@ from typing import List
 from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, circuit
 from .errors import CircuitValidationError, PreconditionError
-from .hitting import DefinableClass, zero_circuit
+from .hitting import DefinableClass
 
 
 def _sum_chain(gates: List[Gate], terms: List[int]) -> int:
@@ -139,13 +139,11 @@ def _decode_gates(x: str, n: int) -> Circuit:
 def all_circuits_class(n: int, d: int, s: int, m: int) -> DefinableClass:
     """Ckt(n, d, s) presented through the compact binary gate encoding."""
 
-    def decoder(x: int) -> Circuit:
-        try:  # the gate records read the text of x, bit 0 first
-            return _decode_gates(int_to_bit_str(x, m), n)
-        except CircuitValidationError:
-            return zero_circuit(n)
-
-    return DefinableClass(decoder=decoder, n=n, d=d, s=s, m=m)
+    # The gate records read the text of x, bit 0 first.  A description with
+    # no decodable gate raises, and DefinableClass.decode gives the zero member.
+    return DefinableClass(
+        decoder=lambda x: _decode_gates(int_to_bit_str(x, m), n), n=n, d=d, s=s, m=m
+    )
 
 
 BUILTIN_CLASSES = {

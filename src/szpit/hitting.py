@@ -102,8 +102,8 @@ def parse_hitting_set(text: str, n: int, q: Optional[int] = None) -> HittingSet:
 
 
 def zero_circuit(n: int = 0) -> Circuit:
-    """The trivial constant-0 circuit, padded to n variables."""
-    return pad_vars(circuit([Gate.const(0)]), n)
+    """The trivial constant-0 circuit in n variables."""
+    return circuit([*map(Gate.var, range(1, n + 1)), Gate.const(0)])
 
 
 @dataclass
@@ -122,9 +122,9 @@ class DefinableClass:
     means that member's size.  An R outside ``[0, 2^n_params)`` gives the
     constant-0 member.  A decoder class gives ``decoder`` (x -> circuit);
     its members are ``(circuit, 0)``, each fully checked.  Members outside
-    Ckt(n, d, s) are replaced by the constant-0 circuit; surjectivity of
-    caller-supplied decoders onto their intended class is a trust
-    assumption that cannot be verified here.
+    Ckt(n, d, s), and those whose decoder raises a SzpitError, are the
+    class's one constant-0 circuit; surjectivity of caller-supplied
+    decoders onto their intended class is a trust assumption.
     """
 
     decoder: Optional[Callable[[int], Circuit]]

@@ -116,6 +116,22 @@ def shifted_power_plus_x2(e):
     return circuit(gates + [Gate.add(e + 2, 1)])
 
 
+def serialize_bool_circuit(c: BoolCircuit) -> str:
+    """The .bc text of c, as parse_bool_circuit reads it."""
+    lines = []
+    for i, g in enumerate(c.gates):
+        if g.op == "var":
+            lines.append(f"g{i} = var x{g.name}")
+        elif g.op == "const":
+            lines.append(f"g{i} = const {g.value}")
+        elif g.op == "not":
+            lines.append(f"g{i} = not g{g.lhs}")
+        else:
+            lines.append(f"g{i} = {g.op} g{g.lhs} g{g.rhs}")
+    lines.append("output " + " ".join(f"g{o}" for o in c.outputs))
+    return "\n".join(lines) + "\n"
+
+
 def boolfunc_from_circuit(c: BoolCircuit) -> BoolFunc:
     """The function a Boolean circuit computes, tabulated."""
     return boolfunc_from_callable(lambda x: eval_bool_circuit(c, x), c.n_vars, len(c.outputs))

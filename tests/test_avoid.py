@@ -1,7 +1,9 @@
 """Range avoidance: normalization, amplification, inversion, reduction."""
 
+import dataclasses
 import hashlib
 import importlib
+import re
 from itertools import product
 
 import pytest
@@ -31,6 +33,7 @@ from szpit.errors import (
     CapExceededError,
     DimensionMismatchError,
     InversionFailedError,
+    OracleError,
     PreconditionError,
     StageError,
 )
@@ -291,6 +294,52 @@ def test_invert_refuses_a_walk_witness_with_a_non_bit():
             invert_amplified(fixed_g_m2(), 2, y, LyingOracle())
 
 
+class LyingOracle(ExhaustiveOracle):
+    """The exhaustive oracle with one answer replaced."""
+
+    def __init__(self, walk=None, preimage=None):
+        super().__init__()
+        self.walk, self.lie = walk, preimage
+
+    def longest_walk(self, g, y, t):
+        return self.walk if self.walk else super().longest_walk(g, y, t)
+
+    def preimage(self, g, target):
+        return self.lie if self.lie is not None else super().preimage(g, target)
+
+
+# Rows 5, 6, 3, 0; y = 0b00101 at t = 3 has y_0 = 5 = g(0), and y's tail
+# bits 3 and 4 are 0, so the honest walk's next value is 0 = g(3).
+@pytest.mark.parametrize("walk, message", [
+    ((1, [0b101], []), "walk witness has the wrong shape"),  # k + 1 values wanted
+    ((0, [0b101], [0]), "walk witness has the wrong shape"),  # k witnesses wanted
+    ((0, [0b100], []), "walk witness has the wrong shape"),  # y_0 is not y's low bits
+    ((1, [0b101, 0b001], [1]), "walk witness fails re-verification at step 0"),  # g(1) = 6
+    ((1, [0b101, 0b100], [0]), "walk witness fails re-verification at step 0"),  # y_1 != w_0
+    ((2, [0b101, 0b000, 0b001], [0, 3]), "walk witness fails re-verification at step 1"),
+])
+def test_invert_re_verifies_the_walk_witness(walk, message):
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        invert_amplified(fixed_g_m2(), 3, 0b00101, LyingOracle(walk=walk))
+    # The honest walk passes every check.
+    assert LyingOracle().longest_walk(fixed_g_m2(), 0b00101, 3) == (2, [5, 0, 3], [0, 3])
+
+
+def test_invert_re_verifies_the_preimage_witness():
+    # y = 1 is no row of g, so at t = 1 the walk stops at y_0 = 1; a
+    # preimage w = 0 is refused, since g(0) = 5.
+    g = fixed_g_m2()
+    assert invert_amplified(g, 1, 1, LyingOracle()) == 1
+    with pytest.raises(OracleError, match="^preimage witness fails re-verification$"):
+        invert_amplified(g, 1, 1, LyingOracle(preimage=0))
+
+
+@pytest.mark.parametrize("g", [BoolFunc(2, 2, (0, 1, 2, 3)), BoolFunc(1, 3, (0, 7))])
+def test_invert_refuses_a_g_that_does_not_stretch_by_one_bit(g):
+    with pytest.raises(DimensionMismatchError, match="^g must stretch by one bit$"):
+        invert_amplified(g, 2, 0)
+
+
 def test_exhaustive_oracle_walk_is_length_maximal():
     g = fixed_g_m2()
     h = amplify(g, 3)
@@ -365,6 +414,33 @@ def test_avoid_class_refuses_the_asymptotic_schedule_at_small_m():
             build_avoid_class(h, asymptotic_schedule(m))
     # The asymptotic choice does satisfy everything once m is large.
     assert not _schedule_violations(asymptotic_schedule(4096))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda s: {"q": s.q // 2}, "q >= 2dn fails: 2047 < 2592"),
+    (lambda s: {"r": s.m + s.n * s.w}, "r > m + n|q| fails: 26 <= 26"),
+])
+def test_avoid_class_refuses_a_schedule_naming_each_failed_inequality(change, message):
+    # desk_schedule(2) is m = 2, n = 2, d = 648, q = 4095 (w = 12), r = 27.
+    sched = desk_schedule(2)
+    bad = dataclasses.replace(sched, **change(sched))
+    assert _schedule_violations(bad) == (message,)
+    h = amplify(boolfunc_from_callable(lambda v: v, 2, 3), sched.t_prime - 2)
+    with pytest.raises(PreconditionError, match=f"^schedule violates: {re.escape(message)}$"):
+        build_avoid_class(h, bad)
+
+
+def test_avoid_class_refuses_an_h_of_the_wrong_shape():
+    sched = desk_schedule(2)
+    width = sched.r * sched.n * sched.w
+    g = boolfunc_from_callable(lambda v: v, 2, 3)
+    build_avoid_class(amplify(g, width - 2), sched)  # h's rows are exactly r*n*w bits
+    with pytest.raises(PreconditionError) as exc:
+        build_avoid_class(amplify(g, width - 3), sched)
+    assert str(exc.value) == f"t' >= r*n*|q| fails: {width - 1} < {width}"
+    wide = amplify(boolfunc_from_callable(lambda v: v, 3, 4), width - 3)
+    with pytest.raises(DimensionMismatchError, match="^h has 3 input bits, want 2$"):
+        build_avoid_class(wide, sched)
 
 
 def test_template_params_are_numbered_in_triple_order():

@@ -1,18 +1,21 @@
 """Bit strings as ints, and the .bc Boolean circuit format."""
 
+import sys
+
 import pytest
 
 from szpit.boolfunc import (
     BoolFunc,
+    BoolGate,
+    bool_circuit,
     boolfunc_from_callable,
     eval_bool_circuit,
     int_to_bit_str,
     parse_bool_circuit,
-    serialize_bool_circuit,
 )
-from szpit.errors import CircuitSyntaxError, DimensionMismatchError
+from szpit.errors import CircuitSyntaxError, CircuitValidationError, DimensionMismatchError
 
-from helpers import boolfunc_from_circuit
+from helpers import boolfunc_from_circuit, serialize_bool_circuit
 from oracles import bits_to_int, int_to_bits
 
 XOR_NOT_TEXT = """\
@@ -140,3 +143,79 @@ def test_boolfunc_call_refuses_an_input_outside_its_domain(x):
     assert f(1) == 2
     with pytest.raises(DimensionMismatchError, match=r"input .* outside \[0, 2\^1\)"):
         f(x)
+
+
+def bc_located(text):
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_bool_circuit(text)
+    return str(exc.value), exc.value.line, exc.value.col
+
+
+@pytest.mark.parametrize("text, message", [
+    ("output g0\n", "empty gate list"),
+    ("g0 = var x2\noutput g0\n", "gap in variable naming: saw [2], n_vars=2"),
+    ("g0 = var x1\ng1 = var x3\noutput g1\n", "gap in variable naming: saw [1, 3], n_vars=3"),
+    ("g0 = var x1\noutput g0 g1\n", "output references missing gate g1"),
+    ("g0 = var x1\n", "missing output line"),
+], ids=["empty", "var-gap", "var-gap-inside", "missing-output-gate", "no-output-line"])
+def test_bc_refusals_without_a_line(text, message):
+    # What BoolCircuit refuses comes back from the parser unlocated.
+    assert bc_located(text) == (message, 0, 0)
+
+
+@pytest.mark.parametrize("gates, outputs, message", [
+    ([], [], "empty gate list"),
+    ([BoolGate("var", name=1), BoolGate("and", lhs=0, rhs=1)], [1], "gate 1: bad operand reference"),
+    ([BoolGate("var", name=1), BoolGate("not", lhs=-1)], [1], "gate 1: bad operand reference"),
+    ([BoolGate("var", name=1), BoolGate("nand", lhs=0, rhs=0)], [1], "gate 1: unknown gate kind 'nand'"),
+    ([BoolGate("var", name=0)], [0], "gap in variable naming: saw [0], n_vars=0"),
+    ([BoolGate("var", name=1)], [1], "output references missing gate g1"),
+])
+def test_bool_circuit_refusals(gates, outputs, message):
+    # Operands and kinds the grammar cannot spell are refused on construction.
+    with pytest.raises(CircuitValidationError) as exc:
+        bool_circuit(gates, outputs)
+    assert str(exc.value) == message
+
+
+# One digit past the interpreter's int/str conversion limit.
+TOO_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("indent", ["", " \t "], ids=["flush", "indented"])
+@pytest.mark.parametrize("row, line, col", [
+    (f"g1 = var x{TOO_LONG}", 2, len("g1 = var x") + 1),
+    (f"g1 = and g0 g{TOO_LONG}", 2, len("g1 = and g0 g") + 1),
+    (f"g1 = not g{TOO_LONG}", 2, len("g1 = not g") + 1),
+    (f"g{TOO_LONG} = var x1", 2, 2),
+    (f"output g0 g{TOO_LONG}", 2, len("output g0 g") + 1),
+], ids=["var-index", "operand", "not-operand", "gate-id", "output-id"])
+def test_bc_integer_past_the_digit_limit_is_located(row, line, col, indent):
+    text = f"{indent}g0 = var x1\n{indent}{row}\n" + ("" if "output" in row else "output g0\n")
+    message, *where = bc_located(text)
+    assert "conversion limit" in message
+    assert where == [line, len(indent) + col]
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("g0 = var x1\ng0 = var x1\noutput g0\n", "duplicate gate id g0", 2, 2),
+    ("g0 = var x1\ng2 = var x1\noutput g0\n", "out-of-order gate id g2", 2, 2),
+    ("g0 = nand g0\noutput g0\n", "cannot parse statement 'g0 = nand g0'", 1, len("g0 = nand") + 1),
+    ("g0 = var x1\ng1 = not g1\noutput g1\n", "forward reference in g1", 2, 1),
+    ("g0 = var x1\ng1 = or g0 g2\noutput g1\n", "forward reference in g1", 2, 1),
+    ("g0 = var x1\noutput g0\ng1 = var x1\n", "statement after output line", 3, 1),
+], ids=["duplicate-id", "out-of-order-id", "unknown-kind", "not-forward", "or-forward", "after-output"])
+def test_bc_syntax_error_columns_count_the_indent(text, message, line, col):
+    # The .bc reader shares the .ac statement reader, columns included.
+    assert bc_located(text) == (f"line {line}, col {col}: {message}", line, col)
+    indent = "\t  "
+    indented = "".join(indent + row for row in text.splitlines(keepends=True))
+    want = f"line {line}, col {len(indent) + col}: {message}"
+    assert bc_located(indented) == (want, line, len(indent) + col)
+
+
+def test_bc_reads_comments_blanks_and_indents_as_ac_does():
+    text = "# a header\n  g0 = var x1  # first\n\n\tg1 = var x2\n  g2 = xor g0 g1\noutput g2 g0 # two bits\n"
+    c = parse_bool_circuit(text)
+    assert c.outputs == (2, 0)
+    assert [eval_bool_circuit(c, x) for x in range(4)] == [0b00, 0b11, 0b01, 0b10]

@@ -4,10 +4,12 @@ import copy
 import pickle
 import sys
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
 
+from szpit.boolfunc import parse_bool_circuit
 from szpit.circuit import (
     Circuit,
     Gate,
@@ -427,3 +429,18 @@ def test_a_failed_serialization_keeps_no_text():
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
     assert c._text is None
+
+
+@pytest.mark.parametrize("parse", [parse_circuit, parse_bool_circuit])
+def test_a_large_variable_index_is_refused_without_filling_memory(parse):
+    # The naming check counts the names: a set of range(1, n + 1) holds
+    # tens of MB at n = 10^6, and one 12-digit index would fill memory.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitSyntaxError) as exc:
+            parse(f"g0 = var x1\ng1 = var x{10**6}\noutput g1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "gap in variable naming: saw [1, 1000000], n_vars=1000000"
+    assert peak < 1 << 20

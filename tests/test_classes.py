@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import pytest
+
 from szpit.circuit import analyze_degrees
 from szpit.classes import (
     _decode_gates,
@@ -62,6 +64,19 @@ def test_all_circuits_decoder_reads_the_text_of_x():
                 ckt = zero_circuit(2)
             by_text = DefinableClass(decoder=lambda _: ckt, n=2, d=2, s=400, m=0)
             assert cls.decode(x) == by_text.decode(0)
+
+
+def test_all_circuits_undecodable_descriptions_share_the_class_zero_member():
+    # At m = 2 no text holds a whole gate record ("00" and "01" run out of
+    # bits, "10" and "11" name operands before any gate), so every
+    # description gives the one constant-0 member the class keeps.
+    cls = all_circuits_class(2, 2, 400, 2)
+    for text in ("00", "01", "10", "11"):
+        with pytest.raises(CircuitValidationError, match="^no decodable gates$"):
+            _decode_gates(text, 2)
+    zero = cls.decode(0)[0]
+    assert zero == zero_circuit(2)
+    assert all(cls.decode(x) == (zero, 0) and cls.decode(x)[0] is zero for x in range(4))
 
 
 def test_all_circuits_class_is_searchable():

@@ -6,10 +6,12 @@ import json
 import pathlib
 
 from szpit.avoid import AvoidInstance, avoid_via_hitting
-from szpit.boolfunc import parse_bool_circuit, serialize_bool_circuit
+from szpit.boolfunc import parse_bool_circuit
 from szpit.circuit import analyze_degrees, parse_circuit, serialize_circuit
 from szpit.cli import main
 from szpit.rng import Rng
+
+from helpers import serialize_bool_circuit
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

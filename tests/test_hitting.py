@@ -234,6 +234,50 @@ def test_search_budget_error_reports_draws():
     assert exc.value.draws == 0
 
 
+def test_search_names_the_member_its_last_draw_missed():
+    # Seed 16's first H misses the member x1 (text "01") of the multilinear
+    # class at n = 1, so one draw ends in SearchBudgetError naming it.
+    cls = multilinear_class(1, d=1)
+    first = HittingSet(tuple(Rng(16, "hs-search").split("draw0").points(1, 2, 6)), 1, 2)
+    assert verify_hitting_set(cls, first, seed=16) == HSVerdict(False, "01", (1,))
+    with pytest.raises(SearchBudgetError) as exc:
+        search_hitting_set(cls, q=2, r=6, seed=16, budget=1)
+    assert (exc.value.draws, exc.value.last_miss) == (1, "01")
+    assert search_hitting_set(cls, q=2, r=6, seed=16, budget=2).r == 6
+
+
+def test_hitting_set_refusals_name_n_and_q():
+    cls = multilinear_class(2, d=2)  # 2dn = 8
+    with pytest.raises(DimensionMismatchError, match="^hitting set dimension 3 != class dimension 2$"):
+        verify_hitting_set(cls, HittingSet(((0, 0, 0),), 3, 8))
+    with pytest.raises(PreconditionError, match="^q=7 < 2dn = 8$"):
+        verify_hitting_set(cls, HittingSet(((0, 0),), 2, 7))
+    with pytest.raises(PreconditionError, match="^q=7 < 2dn = 8$"):
+        search_hitting_set(cls, q=7, r=20, seed=7)
+
+
+def test_a_decoder_that_raises_gives_the_class_zero_member():
+    # Any SzpitError from the decoder gives the one constant-0 member the
+    # class keeps; a decoder's other exceptions are bugs and propagate.
+    errors = [PreconditionError("refused"), DimensionMismatchError("refused"), ValueError("a bug")]
+
+    def decoder(x):
+        raise errors[x]
+
+    cls = DefinableClass(decoder=decoder, n=2, d=1, s=4096, m=2)
+    zero, params = cls.decode(0)
+    assert (zero, params) == (zero_circuit(2), 0)
+    assert cls.decode(1)[0] is zero
+    with pytest.raises(ValueError, match="a bug"):
+        cls.decode(2)
+
+
+def test_zero_circuit_is_n_variables_then_const_0():
+    assert zero_circuit().gates == (Gate.const(0),)
+    assert zero_circuit(3).gates == (*map(Gate.var, (1, 2, 3)), Gate.const(0))
+    assert zero_circuit(3) == pad_vars(circuit([Gate.const(0)]), 3)
+
+
 def test_nonrange_implies_hitting_micro():
     # n=2, d=1, q=4, r=1, m in {1, 2}: exhaustively check the implication.
     for cls in (monomial_class(2), linear_class(2)):
