@@ -79,15 +79,15 @@ def boolfunc_from_callable(fn: Callable[[int], int], in_bits: int, out_bits: int
 # -- Boolean circuits ------------------------------------------------------
 
 _B_GATE_RE = re.compile(
-    r"^g(?P<id>\d+) = (?:"
-    r"var x(?P<var>\d+)"
+    r"^g(?P<id>[0-9]+) = (?:"
+    r"var x(?P<var>[0-9]+)"
     r"|const (?P<const>[01])"
-    r"|(?P<binop>and|or|xor) g(?P<lhs>\d+) g(?P<rhs>\d+)"
-    r"|not g(?P<neg>\d+)"
+    r"|(?P<binop>and|or|xor) g(?P<lhs>[0-9]+) g(?P<rhs>[0-9]+)"
+    r"|not g(?P<neg>[0-9]+)"
     r")$"
 )
-_B_OUTPUT_RE = re.compile(r"^output(?P<ids>( g\d+)+)$")
-_B_ID_RE = re.compile(r"g(?P<id>\d+)")
+_B_OUTPUT_RE = re.compile(r"^output(?P<ids>( g[0-9]+)+)$")
+_B_ID_RE = re.compile(r"g(?P<id>[0-9]+)")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ through :func:`plug_params`, which replaces each parameter gate by a
 const gate.
 
 Text format (one statement per line, ``#`` starts a comment, gate ids must
-be 0, 1, 2, ... in order, files use extension ``.ac``)::
+be 0, 1, 2, ... in order, numbers are ASCII digits, files use extension
+``.ac``)::
 
     g0 = var x1
     g1 = param p1
@@ -291,28 +292,20 @@ def _degree_pass(c: Circuit, cap: int) -> DegreeReport:
 
 # -- text format ---------------------------------------------------------
 
-_GATE_RE = re.compile(
-    r"^g(?P<id>\d+) = (?:"
-    r"var x(?P<var>\d+)"
-    r"|param p(?P<param>\d+)"
-    r"|const (?P<const>-?\d+)"
-    r"|(?P<binop>add|mul) g(?P<lhs>\d+) g(?P<rhs>\d+)"
-    r")$"
+# One gate statement, ASCII digits only; findall yields its groups in order.
+_GATE = (
+    r"g(?P<id>[0-9]+) = (?:"
+    r"var x(?P<var>[0-9]+)"
+    r"|param p(?P<param>[0-9]+)"
+    r"|const (?P<const>-?[0-9]+)"
+    r"|(?P<binop>add|mul) g(?P<lhs>[0-9]+) g(?P<rhs>[0-9]+)"
+    r")"
 )
-_OUTPUT_RE = re.compile(r"^output g(?P<id>\d+)$")
-
-
+_GATE_RE = re.compile(f"^{_GATE}$")
+_OUTPUT_RE = re.compile(r"^output g(?P<id>[0-9]+)$")
 # The canonical form of the whole text: every line a gate, "\n"-terminated,
-# single spaces, ASCII digits, then one output line.
-_CANONICAL_ROW_RE = re.compile(
-    r"^g([0-9]+) = (?:"
-    r"var x([0-9]+)"
-    r"|param p([0-9]+)"
-    r"|const (-?[0-9]+)"
-    r"|(add|mul) g([0-9]+) g([0-9]+)"
-    r")\n",
-    re.MULTILINE,
-)
+# single spaces, then one output line.
+_CANONICAL_ROW_RE = re.compile(f"^{_GATE}\n", re.MULTILINE)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -453,7 +446,7 @@ def _literal(m: re.Match, group: str, lineno: int, at: int) -> int:
 
 def _first_mismatch_col(line: str) -> int:
     # Best-effort column: first char where the line stops looking like a statement.
-    probe = re.match(r"g\d+ = \w*", line)
+    probe = re.match(r"g[0-9]+ = \w*", line)
     return (probe.end() + 1) if probe else 1
 
 

@@ -10,16 +10,18 @@ These are the stock decoders used by the CLI and the test suites:
                 descriptions that fail to decode, or decode outside the
                 slice, fall back to the constant-0 circuit.
 
-The first three are template classes: one circuit with a param gate per
-coefficient, and no ``params_of``, so the description x is itself the
-packed params R: bit k - 1 of x, character k - 1 of its text, is pk.
+The first three are template classes of one layout, written by
+``_monomial_sum_class``: the var gates, then per monomial k the gate
+``param pk`` and one mul per variable in it, then the add chain.  They
+have no ``params_of``, so the description x is itself the packed params
+R: bit k - 1 of x, character k - 1 of its text, switches monomial k.
 Decoder surjectivity onto an intended class is a trust assumption; nothing
 here can verify it for the all-circuits encoding.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, circuit
@@ -27,54 +29,39 @@ from .errors import CircuitValidationError, PreconditionError
 from .hitting import DefinableClass
 
 
-def _sum_chain(gates: List[Gate], terms: List[int]) -> int:
+def _monomial_sum_class(n: int, masks: Sequence[int], d: int, s: int) -> DefinableClass:
+    """The template class summing pk times monomial k, the product of the
+    z_j whose bit j - 1 is set in masks[k - 1]."""
+    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
+    terms = []
+    for k, mask in enumerate(masks, start=1):
+        gates.append(Gate.param(k))
+        for j in range(n):
+            if mask >> j & 1:
+                gates.append(Gate.mul(len(gates) - 1, j))
+        terms.append(len(gates) - 1)
     acc = terms[0]
     for t in terms[1:]:
         gates.append(Gate.add(acc, t))
         acc = len(gates) - 1
-    return acc
+    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=d, s=s, m=len(masks))
 
 
 def multilinear_class(n: int, d: int = 1, s: int = 0) -> DefinableClass:
     """All 2^(2^n) multilinear 0/1-coefficient polynomials in n variables."""
-    m = 1 << n
-    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
-    terms = []
-    for mask in range(m):
-        gates.append(Gate.param(mask + 1))
-        acc = len(gates) - 1
-        for j in range(n):
-            if mask >> j & 1:
-                gates.append(Gate.mul(acc, j))
-                acc = len(gates) - 1
-        terms.append(acc)
-    _sum_chain(gates, terms)
-    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=max(d, 1), s=s, m=m)
+    return _monomial_sum_class(n, range(1 << n), max(d, 1), s)
 
 
 def linear_class(n: int, s: int = 0) -> DefinableClass:
     """The 2^n sums of a subset of the variables (degree 1)."""
     if n < 1:  # no terms to sum; DefinableClass refuses it with this text
         raise PreconditionError("class parameters must satisfy n,d,s >= 1 and m >= 0")
-    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
-    terms = []
-    for j in range(n):
-        gates.append(Gate.param(j + 1))
-        gates.append(Gate.mul(len(gates) - 1, j))
-        terms.append(len(gates) - 1)
-    _sum_chain(gates, terms)
-    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=1, s=s, m=n)
+    return _monomial_sum_class(n, [1 << j for j in range(n)], 1, s)
 
 
 def monomial_class(n: int, s: int = 0) -> DefinableClass:
     """{0, z_1 * z_2 * ... * z_n}, description length 1."""
-    gates: List[Gate] = [Gate.var(j) for j in range(1, n + 1)]
-    gates.append(Gate.param(1))
-    acc = len(gates) - 1
-    for j in range(n):
-        gates.append(Gate.mul(acc, j))
-        acc = len(gates) - 1
-    return DefinableClass(decoder=None, template=circuit(gates), n=n, d=1, s=s, m=1)
+    return _monomial_sum_class(n, [(1 << n) - 1], 1, s)
 
 
 # -- all-circuits binary decoder --------------------------------------------

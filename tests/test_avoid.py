@@ -74,6 +74,37 @@ def test_tsv_reader_names_the_line_of_a_bad_number(text):
         instance_from_tsv(text)
 
 
+def test_tsv_reader_skips_a_comment_only_line_and_counts_it():
+    assert instance_from_tsv("# f on [2]\n1\t3\n  # x = 2 next\n2\t3\n", b=4).table == (3, 3)
+    with pytest.raises(PreconditionError) as exc:
+        instance_from_tsv("# nothing but a comment\n")
+    assert str(exc.value) == "need b >= 2a >= 2, got a=0, b=0"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\t2\t3\n", "line 1: want 'x<TAB>f(x)', got '1\\t2\\t3'"),
+    ("1\t2\n# x = 1 again\n1\t3\n", "line 3: duplicate row for x=1"),
+    ("1\t2\n3\t4\n", "table must cover x = 1..a densely"),
+], ids=["three-columns", "duplicate-x", "gap"])
+def test_tsv_reader_refusals(text, message):
+    with pytest.raises(PreconditionError) as exc:
+        instance_from_tsv(text)
+    assert str(exc.value) == message
+
+
+def test_instance_refusals_name_the_shape():
+    with pytest.raises(DimensionMismatchError) as exc:
+        AvoidInstance(2, 4, (1,))
+    assert str(exc.value) == "table has 1 rows, want 2"
+    one_input = parse_bool_circuit("g0 = var x1\noutput g0\n")
+    with pytest.raises(DimensionMismatchError) as exc:
+        instance_from_bool_circuit(one_input, 8, 16)
+    assert str(exc.value) == "circuit has 1 inputs, want 3"
+    with pytest.raises(CapExceededError) as exc:
+        solve_avoid_brute(AvoidInstance(2, 4, (1, 1)), cap=1)
+    assert str(exc.value) == "a=2 exceeds the cap 1"
+
+
 def test_instance_from_bool_circuit():
     # f(x) = x on [4], as the identity on 2 bits.
     c = parse_bool_circuit("g0 = var x1\ng1 = var x2\noutput g0 g1\n")

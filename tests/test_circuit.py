@@ -15,6 +15,7 @@ from szpit.circuit import (
     Gate,
     analyze_degrees,
     circuit,
+    pad_vars,
     param_digits,
     parse_circuit,
     plug_params,
@@ -108,6 +109,18 @@ def test_syntax_error_columns_count_the_indent(text, line, col):
     indent = "\t  "
     indented = "".join(indent + row for row in text.splitlines(keepends=True))
     assert located(indented) == (line, len(indent) + col)
+
+
+def test_parse_refuses_an_output_line_before_any_gate():
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_circuit("output g0\n")
+    assert (str(exc.value), exc.value.line, exc.value.col) == ("no gates before output line", 0, 0)
+
+
+def test_pad_vars_refuses_fewer_variables():
+    with pytest.raises(CircuitValidationError) as exc:
+        pad_vars(product_circuit(), 1)
+    assert str(exc.value) == "circuit has 2 > 1 variables"
 
 
 def test_parse_output_must_be_last_gate():
@@ -444,3 +457,26 @@ def test_a_large_variable_index_is_refused_without_filling_memory(parse):
         tracemalloc.stop()
     assert str(exc.value) == "gap in variable naming: saw [1, 1000000], n_vars=1000000"
     assert peak < 1 << 20
+
+
+# Decimal digits outside ASCII, which int() reads: Arabic-Indic and fullwidth.
+SCRIPTS = {"arabic-indic": 0x0660, "fullwidth": 0xFF10}
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
+@pytest.mark.parametrize("template, line, col", [
+    ("g{0} = var x1\noutput g0\n", 1, 1),
+    ("g0 = var x{1}\noutput g0\n", 1, len("g0 = var") + 1),
+    ("g0 = param p{1}\noutput g0\n", 1, len("g0 = param") + 1),
+    ("g0 = const -{7}\noutput g0\n", 1, len("g0 = const") + 1),
+    ("g0 = var x1\ng1 = mul g0 g{0}\noutput g1\n", 2, len("g1 = mul") + 1),
+    ("g0 = var x1\noutput g{0}\n", 2, 1),
+], ids=["gate-id", "var-index", "param-index", "const", "operand", "output-id"])
+def test_numbers_are_ascii_digits(template, line, col, script):
+    # {d} is the digit d: in ASCII the text parses, in another script the
+    # line is refused where it stops looking like a statement.
+    parse_circuit(template.format(*"0123456789"))
+    text = template.format(*(chr(script + d) for d in range(10)))
+    with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:
+        parse_circuit(text)
+    assert (exc.value.line, exc.value.col) == (line, col)

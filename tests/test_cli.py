@@ -663,3 +663,22 @@ def test_error_exit_codes(capsys, tmp_path, monkeypatch, prod_ac, argv, patch, c
     got, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert got == code
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["pit", "{prod}", "--method", "hs"], 2, "--hs-file is required for --method hs"),
+    (["avoid", "--instance", "{bc}", "--b", "8"], EX_DATAERR,
+     "--a and --b are required for circuit instances"),
+    (["avoid", "--instance", "{tsv}", "--b", "4"], EX_DATAERR,
+     "--seed is required for --via hitting"),
+    (HS_SEARCH + ["plugin:no_such_module:f"], EX_DATAERR,
+     "cannot load class 'plugin:no_such_module:f': No module named 'no_such_module'"),
+], ids=["pit-hs-without-file", "bc-without-a", "hitting-without-seed", "plugin-unloadable"])
+def test_missing_inputs_are_named_on_stderr(capsys, tmp_path, prod_ac, argv, code, message):
+    bc = tmp_path / "f.bc"
+    bc.write_text("g0 = var x1\ng1 = var x2\noutput g0 g1\n")
+    tsv = tmp_path / "f.tsv"
+    tsv.write_text("1\t3\n2\t3\n")
+    paths = {"prod": prod_ac, "bc": str(bc), "tsv": str(tsv)}
+    got, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out, err) == (code, "", f"error: {message}\n")

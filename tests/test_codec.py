@@ -22,6 +22,7 @@ from szpit.codec import (
     serialize_code,
     unpack_code,
 )
+from szpit.config import DEFAULT_Q_CAP
 from szpit.errors import (
     BitLengthGuardError,
     CapExceededError,
@@ -426,3 +427,30 @@ def test_context_resolves_plugged_parameters():
     assert set(roots) == {(1, 4), (2, 2), (4, 1)}
     for b in roots:
         assert decode_code(ctx, encode_root(ctx, b)) == b
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: RootCode(0, 1, (0,)).validate(2, 1, 3), PreconditionError, "k=0 outside [1..2]"),
+    (lambda: RootCode(1, 2, (0,)).validate(2, 1, 3), PreconditionError, "i=2 outside [1..1]"),
+    (lambda: RootCode(1, 1, ()).validate(2, 1, 3), DimensionMismatchError,
+     "rest has length 0, want 1"),
+    (lambda: RootCode(1, 1, (3,)).validate(2, 1, 3), PreconditionError, "rest entry 3 outside S_3"),
+    (lambda: parse_code("1:2"), PreconditionError, "bad code '1:2', want k:i:c1,c2,..."),
+    (lambda: SZContext(product_circuit(), 0, 1, 2, ()), PreconditionError,
+     "the codec needs dimension n >= 1"),
+    (lambda: SZContext(product_circuit(), 3, 1, 2, (1, 1, 1)), DimensionMismatchError,
+     "n=3 but circuit has 2 variables"),
+    (lambda: SZContext(product_circuit(), 2, 1, 0, (1, 1)), PreconditionError,
+     "q must be positive"),
+    (lambda: SZContext(product_circuit(), 2, 1, DEFAULT_Q_CAP + 1, (1, 1)), CapExceededError,
+     f"q={DEFAULT_Q_CAP + 1} exceeds the cap {DEFAULT_Q_CAP}"),
+    (lambda: codec_mod.restrict(product_circuit(), 1, (5, 6)), DimensionMismatchError,
+     "2 fixed values for 2 variables"),
+    (lambda: encode_root(ctx_product(), (0,)), DimensionMismatchError,
+     "point has length 1, want 2"),
+], ids=["k", "i", "rest-length", "rest-entry", "parse-code", "n-below-1", "n-not-n-vars",
+        "q-below-1", "q-past-cap", "restrict-length", "encode-length"])
+def test_codec_refusals_name_the_bad_value(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

@@ -256,6 +256,11 @@ def test_hitting_set_refusals_name_n_and_q():
         search_hitting_set(cls, q=7, r=20, seed=7)
 
 
+def test_a_hitting_set_point_of_the_wrong_length_is_refused():
+    with pytest.raises(DimensionMismatchError, match=r"^point \(0,\) has length != 2$"):
+        HittingSet(((0, 0), (0,)), 2, 3)
+
+
 def test_a_decoder_that_raises_gives_the_class_zero_member():
     # Any SzpitError from the decoder gives the one constant-0 member the
     # class keeps; a decoder's other exceptions are bugs and propagate.

@@ -142,6 +142,13 @@ def test_equiv_with_hitting_set():
         equiv_test(lhs, rhs, method="hs")
 
 
+def test_pit_refusals_name_the_bad_argument():
+    with pytest.raises(PreconditionError, match=r"^trials must be >= 1$"):
+        pit_random(product_circuit(), trials=0, seed=1)
+    with pytest.raises(PreconditionError, match=r"^unknown method 'bogus'$"):
+        equiv_test(product_circuit(), product_circuit(), method="bogus")
+
+
 @pytest.mark.parametrize("method, passes", [("cube", 1), ("random", 1), ("hs", 0)])
 def test_equiv_runs_at_most_one_degree_pass_per_verdict(monkeypatch, method, passes):
     # The bound comes from the difference circuit's own pass; the hitting

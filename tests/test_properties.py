@@ -213,8 +213,8 @@ def _double_space(draw, lines):
     return lines[:i] + [lines[i][:j] + draw(st.sampled_from(["  ", " \t"])) + lines[i][j:]] + lines[i + 1:]
 
 
-# Arabic-Indic, Devanagari and fullwidth digits: int() reads them, and so
-# does the line parser's \d.
+# Arabic-Indic, Devanagari and fullwidth digits: int() reads them, and the
+# grammar, in ASCII digits, refuses them.
 DIGIT_SETS = ("\u0660", "\u0966", "\uff10")
 
 
@@ -347,6 +347,22 @@ def test_parser_fast_path_matches_the_line_parser(case):
     assert circuit_mod._canonical_gates(canonical) == list(c.gates)
     assert parse_circuit(canonical) == c
     assert parsed(parse_circuit, text) == parsed(line_parse, text)
+
+
+NON_ASCII_DIGITS = st.characters(categories=["Nd"]).filter(lambda ch: not ch.isascii())
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2), st.data())
+def test_a_non_ascii_digit_is_refused_on_its_line(seed, n_vars, extra, n_params, data):
+    c = random_circuit(Rng(seed, "digits"), n_vars=n_vars, extra_gates=extra, p_const=0.3,
+                       n_params=n_params)
+    text = serialize_circuit(c)
+    j = data.draw(st.sampled_from([m.start() for m in re.finditer("[0-9]", text)]))
+    edited = text[:j] + data.draw(NON_ASCII_DIGITS) + text[j + 1:]
+    with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:
+        parse_circuit(edited)
+    assert exc.value.line == text.count("\n", 0, j) + 1
 
 
 def test_parser_fast_path_reads_the_golden_canonical_text():

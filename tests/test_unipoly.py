@@ -225,3 +225,17 @@ def test_text_form_roundtrip():
     p = unipoly(-1, 0, 1)
     assert parse_unipoly(serialize_unipoly(p)) == p
     assert parse_unipoly("-1,0,1") == p
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: UniPoly(()), "a UniPoly needs at least one coefficient"),
+    (lambda: parse_unipoly("1,x"), "bad coefficient list '1,x'"),
+    (lambda: extract_unipoly(circuit([Gate.var(1)]), -1), "degree bound must be non-negative"),
+    (lambda: enumerate_roots(unipoly(7), 3), "enumerate_roots needs degree bound >= 1"),
+    (lambda: enumerate_roots(unipoly(0, 1), 0), "q must be positive"),
+    (lambda: deflate(unipoly(7), 0), "cannot deflate a degree-bound-0 polynomial"),
+], ids=["no-coefficients", "parse", "extract-negative-d", "roots-d0", "roots-q0", "deflate-d0"])
+def test_unipoly_refusals_name_the_bad_value(make, message):
+    with pytest.raises(PreconditionError) as exc:
+        make()
+    assert str(exc.value) == message
