@@ -46,7 +46,7 @@ from .boolfunc import (
     eval_bool_circuit,
     int_to_bit_str,
 )
-from .circuit import Circuit, Gate, circuit
+from .circuit import Circuit, Gate, _ascii_int, circuit
 from .config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
 from .errors import (
     CapExceededError,
@@ -91,7 +91,7 @@ def instance_from_tsv(text: str, b: Optional[int] = None) -> AvoidInstance:
         if len(parts) != 2:
             raise PreconditionError(f"line {lineno}: want 'x<TAB>f(x)', got {line!r}")
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = map(_ascii_int, parts)
         except ValueError:
             raise PreconditionError(
                 f"line {lineno}: want decimal x and f(x), got {line!r}"
@@ -177,11 +177,12 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
     keeps the tail verbatim, so each round preserves the tail and prepends
     one fresh stretch bit:  h_j(x) = g(h_{j-1}(x)[first m]) : h_{j-1}(x)[rest].
 
-    By doubling: jump table k maps a head's value to the head after 2^k
-    rounds and those rounds' fresh bits, packed newest first into one int.
-    The rows advance together along t's binary digits, so each costs
-    O(log t) steps instead of t, and only the current table is kept.  Row x
-    of h is the int ``tail << m | head``.
+    Row x of h is the int ``tail << m | head``.  With nxt(v) = g(v) mod 2^m
+    and b(v) = g(v) >> m, tail(x) = b(x) 2^(t-1) | tail(nxt x) >> 1, so one
+    node per cycle of nxt is seeded with its cycle's bits repeated to t
+    bits, and the other nodes, cycles first and then in-trees root first,
+    take their successors' tails: O(2^m) big-int steps.  The heads
+    nxt^t(x) are small ints, found by doubling along t's binary digits.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1")
@@ -190,18 +191,43 @@ def amplify(g: BoolFunc, t: int) -> BoolFunc:
     m = g.in_bits
 
     mask = (1 << m) - 1
-    heads = [row & mask for row in g.rows]  # the table for 2^0 rounds
+    nxt = [row & mask for row in g.rows]
     fresh = [row >> m for row in g.rows]
-    head, tail = list(range(1 << m)), [0] * (1 << m)  # every row after 0 rounds
+    # Peel the in-trees: a node joins ``order`` once all its preimages have.
+    indeg = [0] * (1 << m)
+    for v in nxt:
+        indeg[v] += 1
+    order = [v for v in range(1 << m) if not indeg[v]]
+    for v in order:
+        indeg[nxt[v]] -= 1
+        if not indeg[nxt[v]]:
+            order.append(nxt[v])
+    # What is left lies on cycles.  Cycle c_0 .. c_(L-1) gives c_0 the bits
+    # b(c_0) .. b(c_(p-1)), p = min(L, t), repeated to t bits, oldest first.
+    tail, fill = [0] * (1 << m), []
+    for c in range(1 << m):
+        if indeg[c]:
+            cyc, v = [], c
+            while indeg[v]:
+                indeg[v] = 0
+                cyc.append(v)
+                v = nxt[v]
+            p = min(len(cyc), t)
+            span = p * -(-t // p)
+            pattern = int("".join([str(fresh[v]) for v in cyc[:p]]), 2)
+            tail[c] = pattern * ((1 << span) - 1) // ((1 << p) - 1) >> (span - t)
+            fill += cyc[:0:-1]
+    top = (0, 1 << (t - 1))
+    for v in fill + order[::-1]:
+        tail[v] = top[fresh[v]] | tail[nxt[v]] >> 1
+
+    heads, head = nxt, range(1 << m)  # the table for 2^0 rounds; every row after 0
     for k in range(t.bit_length()):
-        if k:  # the table for 2^k rounds from the one for 2^(k-1)
-            span = 1 << (k - 1)
-            fresh = [fresh[nxt] | fresh[h] << span for h, nxt in enumerate(heads)]
-            heads = [heads[nxt] for nxt in heads]
+        if k:
+            heads = [heads[v] for v in heads]
         if t >> k & 1:
-            tail = [fresh[hd] | tl << (1 << k) for hd, tl in zip(head, tail)]
-            head = [heads[hd] for hd in head]
-    return BoolFunc(m, m + t, tuple(tl << m | hd for hd, tl in zip(head, tail)))
+            head = [heads[v] for v in head]
+    return BoolFunc(m, m + t, tuple([tl << m | hd for hd, tl in zip(head, tail)]))
 
 
 # -- inversion -------------------------------------------------------------
@@ -331,6 +357,7 @@ def _schedule_violations(s: AvoidSchedule) -> Tuple[str, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=8)
 def desk_schedule(m: int) -> AvoidSchedule:
     """Smallest parameter tuple satisfying every proof inequality at n = 2.
 

@@ -444,9 +444,18 @@ def _literal(m: re.Match, group: str, lineno: int, at: int) -> int:
         raise CircuitSyntaxError(msg, lineno, at + m.start(group) + 1) from None
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for an ASCII token without ``_``; int() would also
+    read other scripts' digits and ``_`` separators, which no writer emits."""
+    if token.isascii() and "_" not in token:
+        return int(token)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+
+
 def _first_mismatch_col(line: str) -> int:
-    # Best-effort column: first char where the line stops looking like a statement.
-    probe = re.match(r"g[0-9]+ = \w*", line)
+    # Best-effort column: a digit of another script, else the first char
+    # where the line stops looking like a statement.
+    probe = re.match(r".*?(?=(?![0-9])\d)|g[0-9]+ = \w*", line)
     return (probe.end() + 1) if probe else 1
 
 

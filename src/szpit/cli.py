@@ -24,7 +24,7 @@ from .avoid import (
     solve_avoid_brute,
 )
 from .boolfunc import parse_bool_circuit
-from .circuit import analyze_degrees, parse_circuit, plug_params, serialize_circuit
+from .circuit import _ascii_int, analyze_degrees, parse_circuit, plug_params, serialize_circuit
 from .codec import SZContext, decode_code, encode_root, parse_code, serialize_code
 from .config import (
     DEFAULT_BITLEN_GUARD,
@@ -56,7 +56,7 @@ SCHEMA = 1
 def _ints(text: str) -> tuple:
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    return tuple(map(_ascii_int, text.split(",")))
 
 
 def _emit(args, payload: dict, plain: str) -> None:

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Tuple
 
-from .circuit import (
-    VAR,
-    Circuit,
-    Gate,
-    analyze_degrees,
-    circuit,
-    require_parameter_free,
-)
+from .circuit import VAR, Circuit, Gate, _ascii_int, analyze_degrees, circuit, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP, DEFAULT_Q_CAP
 from .errors import (
     CapExceededError,
@@ -94,8 +87,8 @@ def serialize_code(code: RootCode) -> str:
 def parse_code(text: str) -> RootCode:
     try:
         k_s, i_s, rest_s = text.strip().split(":")
-        rest = tuple(int(v) for v in rest_s.split(",")) if rest_s else ()
-        return RootCode(int(k_s), int(i_s), rest)
+        rest = tuple(map(_ascii_int, rest_s.split(","))) if rest_s else ()
+        return RootCode(_ascii_int(k_s), _ascii_int(i_s), rest)
     except ValueError as e:
         raise PreconditionError(f"bad code {text!r}, want k:i:c1,c2,...") from e
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_digits, plug_params
-from .circuit import representation_size
+from .circuit import _ascii_int, representation_size
 from .codec import SZContext, all_codes, decode_code
 from .config import (
     DEFAULT_CLASS_CAP,
@@ -91,7 +91,7 @@ def parse_hitting_set(text: str, n: int, q: Optional[int] = None) -> HittingSet:
         if not line:
             continue
         try:
-            points.append(tuple(int(tok) for tok in line.split(",")))
+            points.append(tuple(map(_ascii_int, line.split(","))))
         except ValueError:
             raise PreconditionError(
                 f"line {lineno}: want comma-separated integers, got {line!r}"
@@ -290,10 +290,10 @@ def verify_hitting_set(
     Descriptions are enumerated in lexicographic order of their text, so
     the returned Misses pair is deterministic for a fixed seed.  Member x
     draws on the stream labelled "<index>:<text of x>", after trying H's
-    points, so H misses a member iff its witness is not in H.  Because
-    q >= 2dn is required, the witness search is a complete test of
-    non-vanishing at desk scale and the witness accompanying a miss lies
-    in S_q^n.
+    points, so H misses a member iff its witness is not in H; the label is
+    formatted only for a member that draws.  Because q >= 2dn is required,
+    the witness search is a complete test of non-vanishing at desk scale
+    and the witness accompanying a miss lies in S_q^n.
     """
     if h.n != cls.n:
         raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
@@ -311,14 +311,13 @@ def verify_hitting_set(
         raise class_cap_error(cls.m, class_cap)
     for idx, x in enumerate(descriptions):
         ckt, params = cls.decode(x)
-        text = int_to_bit_str(x, cls.m)
+        child = rng.split(lambda: f"{idx}:{int_to_bit_str(x, cls.m)}")
         try:
-            witness = find_small_witness(
-                ckt, h.q, witness_budget, rng.split(f"{idx}:{text}"), cap, params, first=h
-            )
+            witness = find_small_witness(ckt, h.q, witness_budget, child, cap, params, first=h)
         except ZeroOnCubeError:
             continue  # vanishing member: hit vacuously
         if witness not in h.points:
+            text = int_to_bit_str(x, cls.m)  # formatted only for the verdict
             return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
     return HSVerdict(hits=True, exhaustive=exhaustive)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Union
 
 # The most points ``Rng.points`` draws from the generator at once.
 BATCH = 16
@@ -32,7 +32,8 @@ class Rng:
     It keeps the hash state of its path, so a split hashes only its own
     label.  A child keeps its parent's state and hashes its label at its
     first draw or split, and a stream seeds its generator at its first
-    draw.
+    draw.  A label given to :meth:`split` as a zero-argument callable is
+    called then, so a child that never draws never formats its label.
     """
 
     def __init__(self, seed: int, *labels: str):
@@ -42,6 +43,8 @@ class Rng:
     def __getattr__(self, name: str):
         # Reached only while the attribute is not yet in the instance dict.
         if name == "_path_hash":
+            if callable(self.labels[-1]):
+                self.labels = (*self.labels[:-1], self.labels[-1]())
             value = self._parent_hash.copy()
             value.update(b"/" + self.labels[-1].encode())
         elif name == "_random":
@@ -51,7 +54,8 @@ class Rng:
         setattr(self, name, value)
         return value
 
-    def split(self, label: str) -> "Rng":
+    def split(self, label: Union[str, Callable[[], str]]) -> "Rng":
+        """The child at ``label``: a str, or a callable that returns one."""
         child = Rng.__new__(Rng)
         child.labels = (*self.labels, label)
         child._parent_hash = self._path_hash  # only ever copied, never updated

@@ -19,6 +19,15 @@ from szpit.unipoly import UniPoly
 from oracles import bits_to_int
 
 
+# Decimal digits outside ASCII, which int() reads: Arabic-Indic and fullwidth.
+SCRIPTS = {"arabic-indic": 0x0660, "fullwidth": 0xFF10}
+
+
+def in_script(text: str, zero: int) -> str:
+    """text with each ASCII digit d written as chr(zero + d)."""
+    return text.translate({0x30 + d: zero + d for d in range(10)})
+
+
 def instance_to_tsv(inst: AvoidInstance) -> str:
     """The instance as the 'x<TAB>f(x)' lines that instance_from_tsv reads."""
     return "\n".join(f"{x}\t{y}" for x, y in enumerate(inst.table, start=1)) + "\n"

@@ -244,6 +244,27 @@ def amplify_steps(g: BoolFunc, x: Bits, t: int) -> List[Bits]:
     return states
 
 
+def amplify_by_doubling(g: BoolFunc, t: int) -> BoolFunc:
+    """amplify's full table by doubling: jump table k maps a head to the
+    head after 2^k rounds and those rounds' fresh bits, packed newest first
+    into one int, and the rows advance together along t's binary digits,
+    O(2^m log t) big-int steps.  Row x is the int ``tail << m | head``."""
+    m = g.in_bits
+    mask = (1 << m) - 1
+    heads = [row & mask for row in g.rows]  # the table for 2^0 rounds
+    fresh = [row >> m for row in g.rows]
+    head, tail = list(range(1 << m)), [0] * (1 << m)  # every row after 0 rounds
+    for k in range(t.bit_length()):
+        if k:  # the table for 2^k rounds from the one for 2^(k-1)
+            span = 1 << (k - 1)
+            fresh = [fresh[nxt] | fresh[h] << span for h, nxt in enumerate(heads)]
+            heads = [heads[nxt] for nxt in heads]
+        if t >> k & 1:
+            tail = [fresh[hd] | tl << (1 << k) for hd, tl in zip(head, tail)]
+            head = [heads[hd] for hd in head]
+    return BoolFunc(m, m + t, tuple(tl << m | hd for hd, tl in zip(head, tail)))
+
+
 def longest_walk_per_bit(g: BoolFunc, y: Bits, t: int) -> Tuple[int, List[Bits], List[Bits]]:
     """The walk query on bit tuples: the longest chain y_0 .. y_k, k <= t-1,
     with y_0 = y[:m+1] and y_{j+1} = w_j + (y[m+j+1],) for a g-preimage

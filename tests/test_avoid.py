@@ -41,7 +41,7 @@ from szpit.evaluator import eval_gates
 from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
-from helpers import instance_to_tsv, members
+from helpers import SCRIPTS, in_script, instance_to_tsv, members
 from oracles import amplify_steps, call_per_bit, int_to_bits, triple_decode, triple_encode
 
 
@@ -740,3 +740,15 @@ def test_amplify_matches_the_round_by_round_definition():
                 h = amplify(g, t)
                 for x in range(1 << m):
                     assert int_to_bits(h(x), m + t) == amplify_steps(g, int_to_bits(x, m), t)[-1]
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
+def test_tsv_reader_reads_ascii_integers_only(script):
+    # Signs and spaces read as int() reads them; another script's digits,
+    # or a "_" separator, are refused as any other bad number is.
+    assert instance_from_tsv(" +1 \t 3\n2\t+4\n", b=10).table == (3, 4)
+    for text, lineno in ((in_script("1\t3\n2\t10\n", script), 1), ("1\t3\n2\t1_0\n", 2)):
+        line = text.splitlines()[lineno - 1]
+        with pytest.raises(PreconditionError) as exc:
+            instance_from_tsv(text, b=10)
+        assert str(exc.value) == f"line {lineno}: want decimal x and f(x), got {line!r}"

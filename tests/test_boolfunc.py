@@ -227,15 +227,15 @@ SCRIPTS = {"arabic-indic": 0x0660, "fullwidth": 0xFF10}
 
 @pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
 @pytest.mark.parametrize("template, line, col", [
-    ("g{0} = var x1\noutput g0\n", 1, 1),
-    ("g0 = var x{1}\noutput g0\n", 1, len("g0 = var") + 1),
-    ("g0 = var x1\ng1 = and g0 g{0}\noutput g1\n", 2, len("g1 = and") + 1),
-    ("g0 = var x1\ng1 = not g{0}\noutput g1\n", 2, len("g1 = not") + 1),
-    ("g0 = var x1\noutput g0 g{0}\n", 2, 1),
+    ("g{0} = var x1\noutput g0\n", 1, len("g") + 1),
+    ("g0 = var x{1}\noutput g0\n", 1, len("g0 = var x") + 1),
+    ("g0 = var x1\ng1 = and g0 g{0}\noutput g1\n", 2, len("g1 = and g0 g") + 1),
+    ("g0 = var x1\ng1 = not g{0}\noutput g1\n", 2, len("g1 = not g") + 1),
+    ("g0 = var x1\noutput g0 g{0}\n", 2, len("output g0 g") + 1),
 ], ids=["gate-id", "var-index", "operand", "not-operand", "output-id"])
 def test_bc_numbers_are_ascii_digits(template, line, col, script):
-    # As in .ac: {d} is the digit d, which parses in ASCII and is refused,
-    # located, in another script.
+    # As in .ac: {d} is the digit d, which parses in ASCII and is refused
+    # at that digit in another script.
     parse_bool_circuit(template.format(*"0123456789"))
     text = template.format(*(chr(script + d) for d in range(10)))
     message, *where = bc_located(text)

@@ -465,16 +465,16 @@ SCRIPTS = {"arabic-indic": 0x0660, "fullwidth": 0xFF10}
 
 @pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
 @pytest.mark.parametrize("template, line, col", [
-    ("g{0} = var x1\noutput g0\n", 1, 1),
-    ("g0 = var x{1}\noutput g0\n", 1, len("g0 = var") + 1),
-    ("g0 = param p{1}\noutput g0\n", 1, len("g0 = param") + 1),
-    ("g0 = const -{7}\noutput g0\n", 1, len("g0 = const") + 1),
-    ("g0 = var x1\ng1 = mul g0 g{0}\noutput g1\n", 2, len("g1 = mul") + 1),
-    ("g0 = var x1\noutput g{0}\n", 2, 1),
+    ("g{0} = var x1\noutput g0\n", 1, len("g") + 1),
+    ("g0 = var x{1}\noutput g0\n", 1, len("g0 = var x") + 1),
+    ("g0 = param p{1}\noutput g0\n", 1, len("g0 = param p") + 1),
+    ("g0 = const -{7}\noutput g0\n", 1, len("g0 = const -") + 1),
+    ("g0 = var x1\ng1 = mul g0 g{0}\noutput g1\n", 2, len("g1 = mul g0 g") + 1),
+    ("g0 = var x1\noutput g{0}\n", 2, len("output g") + 1),
 ], ids=["gate-id", "var-index", "param-index", "const", "operand", "output-id"])
 def test_numbers_are_ascii_digits(template, line, col, script):
     # {d} is the digit d: in ASCII the text parses, in another script the
-    # line is refused where it stops looking like a statement.
+    # line is refused at that digit.
     parse_circuit(template.format(*"0123456789"))
     text = template.format(*(chr(script + d) for d in range(10)))
     with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:

@@ -14,7 +14,7 @@ from szpit.circuit import serialize_circuit
 from szpit.config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from szpit.errors import BitLengthGuardError, OracleError, StageError
 
-from helpers import shifted_power_plus_x2
+from helpers import SCRIPTS, in_script, shifted_power_plus_x2
 
 PRODUCT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
 CONST0 = "g0 = const 0\noutput g0\n"
@@ -152,6 +152,28 @@ def test_negative_lists_parse_after_a_space_as_after_equals(capsys, tmp_path, pr
         assert code == EX_DATAERR and err.strip() == want
     else:
         assert code == 0 and out.strip() == want
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
+@pytest.mark.parametrize("option", sorted(NEGATIVE_LISTS))
+def test_list_options_read_ascii_integers_only(capsys, tmp_path, prod_ac, option, script):
+    # Each list option reads " -3, +5 " as int() does, and refuses another
+    # script's digits, or a "_" separator, as it refuses "three".
+    affine = tmp_path / "affine.ac"
+    affine.write_text(
+        "g0 = var x1\ng1 = param p1\ng2 = mul g0 g1\ng3 = param p2\ng4 = add g2 g3\noutput g4\n"
+    )
+    argv, want = NEGATIVE_LISTS[option]
+    argv = [arg.format(prod=prod_ac, affine=affine) for arg in argv]
+    at = argv.index(option) + 1
+    value = argv[at]
+    spaced = argv[:at] + [" " + value.replace(",", ", +") + " "] + argv[at + 1:]
+    assert run(capsys, *spaced) == run(capsys, *argv)
+    for bad in (in_script(value, script), value.replace(",", "_0,")):
+        code, out, err = run(capsys, *argv[:at], bad, *argv[at + 1:])
+        first = bad.split(",")[0]
+        assert (code, out) == (EX_DATAERR, "")
+        assert err.strip() == f"error: invalid literal for int() with base 10: {first!r}"
 
 
 def test_an_option_missing_its_list_is_still_a_usage_error(capsys, prod_ac):

@@ -35,7 +35,7 @@ from szpit.hitting import find_small_witness
 from szpit.rng import Rng
 
 from genckt import random_circuit_bounded
-from helpers import shifted_power_plus_x2, times_line_factors
+from helpers import SCRIPTS, in_script, shifted_power_plus_x2, times_line_factors
 from oracles import brute_roots
 
 codec_mod = importlib.import_module("szpit.codec")
@@ -308,6 +308,17 @@ def test_code_text_roundtrip():
     assert serialize_code(code) == "2:1:1,0"
     # n = 1: empty rest
     assert parse_code("1:3:") == RootCode(1, 3, ())
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
+def test_code_reader_reads_ascii_integers_only(script):
+    # Signs and spaces read as int() reads them; another script's digits,
+    # or a "_" separator, are refused as any other bad number is.
+    assert parse_code(" +2: 1 :1, 0 ") == RootCode(2, 1, (1, 0))
+    for text in (in_script("2:1:1,0", script), "2:1:1,1_0", "1_2:1:0"):
+        with pytest.raises(PreconditionError) as exc:
+            parse_code(text)
+        assert str(exc.value) == f"bad code {text!r}, want k:i:c1,c2,..."
 
 
 def test_context_rejects_degree_mismatch():

@@ -101,3 +101,20 @@ def test_ladder_a_4096_value_and_trace_are_pinned():
     assert len(result.trace["y"]) == 888
     digest = hashlib.sha256(repr((result.value, sorted(result.trace.items()))).encode())
     assert (result.value, digest.hexdigest()) == (LADDER_12_VALUE, LADDER_12_DIGEST)
+
+
+# The 2^14 rung (table from Rng(1013, "ladder14"), solve seed 14).  Its
+# stretch t = 922 is below 2^14, so h has rows whose walk from x can end
+# before it reaches a cycle of the head map.
+LADDER_14_VALUE = 11623
+LADDER_14_DIGEST = "6272e2790d53f823486344aa5387d6c1acf5adb4cfc33fd958fedc48103f55de"
+
+
+def test_ladder_a_16384_value_and_trace_are_pinned():
+    r = Rng(1013, "ladder14")
+    a = 1 << 14
+    inst = AvoidInstance(a, 2 * a, tuple(r.randint(1, 2 * a) for _ in range(a)))
+    result = avoid_via_hitting(inst, seed=14)
+    assert len(result.trace["y"]) == 936
+    digest = hashlib.sha256(repr((result.value, sorted(result.trace.items()))).encode())
+    assert (result.value, digest.hexdigest()) == (LADDER_14_VALUE, LADDER_14_DIGEST)

@@ -34,7 +34,7 @@ from szpit.hitting import (
 )
 from szpit.rng import Rng
 
-from helpers import g_map, random_bits
+from helpers import SCRIPTS, g_map, in_script, random_bits
 from oracles import bits_to_int, nonrange_by_tuples, verify_witness_first
 
 
@@ -376,6 +376,17 @@ def test_hitting_set_text_roundtrip():
     text = serialize_hitting_set(h)
     assert text == "1,2\n3,0\n"
     assert parse_hitting_set(text, 2, 4) == h
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
+def test_hitting_set_reader_reads_ascii_integers_only(script):
+    # Signs and spaces read as int() reads them; another script's digits,
+    # or a "_" separator, are refused as any other bad number is.
+    assert parse_hitting_set(" +1 , 2\n", 2, 4).points == ((1, 2),)
+    for line in (in_script("1,2", script), "1_0,2"):
+        with pytest.raises(PreconditionError) as exc:
+            parse_hitting_set(f"0,0\n{line}\n", 2, 16)
+        assert str(exc.value) == f"line 2: want comma-separated integers, got {line!r}"
 
 
 def test_hitting_set_reader_names_the_line_of_a_bad_number():

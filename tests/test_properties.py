@@ -78,6 +78,7 @@ from szpit.unipoly import UniPoly, enumerate_roots, eval_unipoly, extract_unipol
 from genckt import random_circuit, random_circuit_bounded
 from helpers import times_line_factors
 from oracles import (
+    amplify_by_doubling,
     amplify_steps,
     bits_to_int,
     degree_oracle,
@@ -1174,6 +1175,53 @@ def test_amplify_matches_the_round_by_round_oracle(m, t, data):
     h = amplify(g, t)
     for x in data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4)):
         assert int_to_bits(h(x), m + t) == amplify_steps(g, int_to_bits(x, m), t)[-1]
+
+
+def _cycles_of_growing_length(size: int) -> list:
+    # Nodes in blocks of 1, 2, 3, ... (the last one cut short), each a cycle.
+    nxt, start, length = [], 0, 1
+    while start < size:
+        end = min(start + length, size)
+        nxt += [*range(start + 1, end), start]
+        start, length = end, length + 1
+    return nxt
+
+
+def _relabel(nxt: list, perm: list) -> list:
+    # The same functional graph with node v renamed perm[v].
+    out = [0] * len(nxt)
+    for v, w in enumerate(nxt):
+        out[perm[v]] = perm[w]
+    return out
+
+
+def _head_maps(m: int):
+    """nxt on [2^m]: drawn freely; a permutation (no in-trees); one chain
+    0 -> 1 -> ... -> 2^m - 1 into a self-loop, of depth 2^m - 1; or cycles
+    of growing lengths.  The last two with their nodes renamed."""
+    size = 1 << m
+    chain = [min(v + 1, size - 1) for v in range(size)]
+    shapes = st.sampled_from([chain, _cycles_of_growing_length(size)])
+    return st.one_of(
+        st.lists(st.integers(0, size - 1), min_size=size, max_size=size),
+        st.permutations(range(size)),
+        st.builds(_relabel, shapes, st.permutations(range(size))),
+    )
+
+
+@PROPERTY
+@given(st.integers(0, 8), st.data())
+def test_amplify_matches_the_doubling_oracle_on_every_row(m, data):
+    # The cycle-seeded table against the doubling one, row for row.  The
+    # stretches: 1, the chain's depth and its neighbours, 2^k and its
+    # neighbours, and any length up to past the avoid schedules'.
+    nxt = data.draw(_head_maps(m))
+    fresh = data.draw(st.integers(0, (1 << (1 << m)) - 1))
+    g = BoolFunc(m, m + 1, tuple(v | (fresh >> x & 1) << m for x, v in enumerate(nxt)))
+    depth = (1 << m) - 1
+    near = [1, depth - 1, depth, depth + 1, *((1 << k) + e for k in range(11) for e in (-1, 0, 1))]
+    t = data.draw(st.one_of(st.sampled_from([t for t in near if t >= 1]), st.integers(1, 1100)))
+    assert amplify(g, t).rows == amplify_by_doubling(g, t).rows
 
 
 @PROPERTY

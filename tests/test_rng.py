@@ -71,6 +71,25 @@ def test_split_hashes_its_label_at_its_first_draw_or_split():
         assert [stream.randrange(1 << 40) for _ in range(3)] == [want.randrange(1 << 40) for _ in range(3)]
 
 
+@pytest.mark.parametrize("parent, label, draw, want", PINNED)
+def test_a_callable_label_is_formatted_at_the_first_draw(parent, label, draw, want):
+    # The child of a callable label draws the stream of the label it
+    # returns, and calls it once, at its first hash; a child that never
+    # draws never calls it.
+    calls = []
+
+    def late():
+        calls.append(label)
+        return label
+
+    parent().split(late)  # never draws
+    child = parent().split(late)
+    assert calls == []
+    assert draw(child) == want
+    child.split("more").randrange(2)
+    assert calls == [label] and child.labels[-1] == label
+
+
 def test_bits_and_point_shapes():
     r = Rng(5, "shapes")
     assert 0 <= random_bits(r, 8) < 1 << 8 and 0 <= random_bits(r, 32) < 1 << 32

@@ -20,7 +20,7 @@ from szpit.unipoly import (
 )
 
 from genckt import random_circuit_bounded
-from helpers import bit_complexity
+from helpers import SCRIPTS, bit_complexity, in_script
 
 
 def test_coef_basic():
@@ -225,6 +225,17 @@ def test_text_form_roundtrip():
     p = unipoly(-1, 0, 1)
     assert parse_unipoly(serialize_unipoly(p)) == p
     assert parse_unipoly("-1,0,1") == p
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS)
+def test_unipoly_reader_reads_ascii_integers_only(script):
+    # Signs and spaces read as int() reads them; another script's digits,
+    # or a "_" separator, are refused as any other bad number is.
+    assert parse_unipoly(" -1, +0 ,1 ") == unipoly(-1, 0, 1)
+    for text in (in_script("-1,0,1", script), "1_0,1"):
+        with pytest.raises(PreconditionError) as exc:
+            parse_unipoly(text)
+        assert str(exc.value) == f"bad coefficient list {text!r}"
 
 
 @pytest.mark.parametrize("make, message", [
