@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,7 +47,7 @@ from .boolfunc import (
     eval_bool_circuit,
     int_to_bit_str,
 )
-from .circuit import Circuit, Gate, _ascii_int, circuit
+from .circuit import _SPACE, Circuit, Gate, _ascii_int, circuit
 from .config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
 from .errors import (
     CapExceededError,
@@ -84,10 +85,10 @@ def instance_from_tsv(text: str, b: Optional[int] = None) -> AvoidInstance:
     """Parse 'x<TAB>f(x)' lines (1-based decimals); b defaults to 2a."""
     rows: Dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue
-        parts = line.split()
+        parts = re.split(f"[{_SPACE}]+", line)
         if len(parts) != 2:
             raise PreconditionError(f"line {lineno}: want 'x<TAB>f(x)', got {line!r}")
         try:

@@ -306,6 +306,7 @@ _OUTPUT_RE = re.compile(r"^output g(?P<id>[0-9]+)$")
 # The canonical form of the whole text: every line a gate, "\n"-terminated,
 # single spaces, then one output line.
 _CANONICAL_ROW_RE = re.compile(f"^{_GATE}\n", re.MULTILINE)
+_SPACE = " \t\n\r\x0b\x0c"  # what the readers strip and split: ASCII whitespace only
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -410,10 +411,10 @@ def _statements(text: str, gate_re: re.Pattern, output_re: re.Pattern) -> Iterat
     count = 0
     done = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue
-        at = len(raw) - len(raw.lstrip())  # columns count from the line's start
+        at = len(raw) - len(raw.lstrip(_SPACE))  # columns count from the line's start
         if done:
             raise CircuitSyntaxError("statement after output line", lineno, at + 1)
         m = output_re.match(line)
@@ -453,9 +454,9 @@ def _ascii_int(token: str) -> int:
 
 
 def _first_mismatch_col(line: str) -> int:
-    # Best-effort column: a digit of another script, else the first char
-    # where the line stops looking like a statement.
-    probe = re.match(r".*?(?=(?![0-9])\d)|g[0-9]+ = \w*", line)
+    # Best-effort column: the first char outside printable ASCII, else the
+    # first char where the line stops looking like a statement.
+    probe = re.match(r".*?(?=[^ -~])|g[0-9]+ = \w*", line)
     return (probe.end() + 1) if probe else 1
 
 

@@ -53,10 +53,15 @@ EX_SOFTWARE = 70
 SCHEMA = 1
 
 
+def _int(text: str) -> int:  # argparse's "invalid int value" message names it
+    return _ascii_int(text)
+
+
+_int.__name__ = "int"
+
+
 def _ints(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(map(_ascii_int, text.split(",")))
+    return tuple(map(_ascii_int, text.split(","))) if text else ()
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -252,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hitting sets, range avoidance.",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable report")
-    ap.add_argument("--exhaustion-cap", type=int, default=DEFAULT_EXHAUSTION_CAP)
-    ap.add_argument("--bitlen-guard", type=int, default=DEFAULT_BITLEN_GUARD)
+    ap.add_argument("--exhaustion-cap", type=_int, default=DEFAULT_EXHAUSTION_CAP)
+    ap.add_argument("--bitlen-guard", type=_int, default=DEFAULT_BITLEN_GUARD)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate a .ac file, print canonical form")
@@ -268,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--vars", default="", help="comma-separated variable values")
     p.add_argument("--params", default="", help="comma-separated parameter values")
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--degree-bound", type=_int, default=None)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("coeffs", help="univariate coefficient extraction")
     p.add_argument("file")
-    p.add_argument("--d", type=int, required=True, help="degree bound (unary semantics)")
+    p.add_argument("--d", type=_int, required=True, help="degree bound (unary semantics)")
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("roots", help="roots of a dense polynomial in S_q")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("coeffs", help="comma-separated coefficients, lowest degree first")
     p.set_defaults(fn=_cmd_roots)
 
@@ -285,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a root code")
         p.add_argument("file")
         p.add_argument("--nonroot", required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--q", type=_int, required=True)
+        p.add_argument("--d", type=_int, required=True)
         if name == "encode":
             p.add_argument("--point", required=True)
             p.set_defaults(fn=_cmd_encode)
@@ -297,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pit", help="polynomial identity test")
     p.add_argument("file")
     p.add_argument("--method", choices=("cube", "random", "hs"), default="cube")
-    p.add_argument("--trials", type=int, default=40)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_int, default=40)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--hs-file", default=None)
-    p.add_argument("--q", type=int, default=None,
+    p.add_argument("--q", type=_int, default=None,
                    help="alphabet bound for --hs-file; default 1 + its largest coordinate")
     p.set_defaults(fn=_cmd_pit)
 
@@ -309,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="cls", required=True,
                        help="builtin:<name> (multilinear|linear|monomial|all; "
                        "--m is only honored by 'all') or plugin:<module>:<factory>")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--s", type=int, default=0)
-        p.add_argument("--m", type=int, default=0)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--n", type=_int, required=True)
+        p.add_argument("--d", type=_int, required=True)
+        p.add_argument("--s", type=_int, default=0)
+        p.add_argument("--m", type=_int, default=0)
+        p.add_argument("--q", type=_int, required=True)
+        p.add_argument("--seed", type=_int, default=None)
         if name == "hs-search":
-            p.add_argument("--r", type=int, required=True)
-            p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+            p.add_argument("--r", type=_int, required=True)
+            p.add_argument("--budget", type=_int, default=DEFAULT_SEARCH_BUDGET)
             p.add_argument("-o", "--out", default=None)
             p.set_defaults(fn=_cmd_hs_search)
         else:
-            p.add_argument("--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
+            p.add_argument("--budget", type=_int, default=DEFAULT_WITNESS_BUDGET,
                            help="witness sampling budget per member")
             p.add_argument("file", help="hitting set, one point per line")
             p.set_defaults(fn=_cmd_hs_verify)
@@ -329,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avoid", help="range avoidance")
     p.add_argument("--instance", required=True, help="truth table .tsv or circuit .bc")
     p.add_argument("--via", choices=("hitting", "brute"), default="hitting")
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--a", type=_int, default=None)
+    p.add_argument("--b", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.set_defaults(fn=_cmd_avoid)
 
     p = sub.add_parser("selftest", help="run the desk-scale invariant suites")

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Tuple
 
-from .circuit import VAR, Circuit, Gate, _ascii_int, analyze_degrees, circuit, require_parameter_free
+from .circuit import VAR, _SPACE, Circuit, Gate, _ascii_int, analyze_degrees, circuit
+from .circuit import require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP, DEFAULT_Q_CAP
 from .errors import (
     CapExceededError,
@@ -86,7 +87,7 @@ def serialize_code(code: RootCode) -> str:
 
 def parse_code(text: str) -> RootCode:
     try:
-        k_s, i_s, rest_s = text.strip().split(":")
+        k_s, i_s, rest_s = text.strip(_SPACE).split(":")
         rest = tuple(map(_ascii_int, rest_s.split(","))) if rest_s else ()
         return RootCode(_ascii_int(k_s), _ascii_int(i_s), rest)
     except ValueError as e:

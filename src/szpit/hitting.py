@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_digits, plug_params
-from .circuit import _ascii_int, representation_size
+from .circuit import _SPACE, _ascii_int, representation_size
 from .codec import SZContext, all_codes, decode_code
 from .config import (
     DEFAULT_CLASS_CAP,
@@ -87,7 +87,7 @@ def parse_hitting_set(text: str, n: int, q: Optional[int] = None) -> HittingSet:
     """Read H's text; q defaults to one more than its largest coordinate."""
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line:
             continue
         try:
@@ -293,7 +293,9 @@ def verify_hitting_set(
     points, so H misses a member iff its witness is not in H; the label is
     formatted only for a member that draws.  Because q >= 2dn is required,
     the witness search is a complete test of non-vanishing at desk scale
-    and the witness accompanying a miss lies in S_q^n.
+    and the witness accompanying a miss lies in S_q^n.  A member the class
+    owns (the template at some R, or the zero member) is verified once per
+    call: a repeat has the same circuit and R, hence the same verdict.
     """
     if h.n != cls.n:
         raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
@@ -309,16 +311,21 @@ def verify_hitting_set(
         descriptions = (cls.sampler(sample_rng) for _ in range(class_cap))
     else:
         raise class_cap_error(cls.m, class_cap)
+    settled = set()  # R of each template member already hit or vanishing; -1 the zero member
     for idx, x in enumerate(descriptions):
         ckt, params = cls.decode(x)
+        key = params if ckt is cls.template else -1 if ckt is cls._zero else None
+        if key is not None and key in settled:
+            continue
         child = rng.split(lambda: f"{idx}:{int_to_bit_str(x, cls.m)}")
         try:
             witness = find_small_witness(ckt, h.q, witness_budget, child, cap, params, first=h)
+            if witness not in h.points:
+                text = int_to_bit_str(x, cls.m)  # formatted only for the verdict
+                return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
         except ZeroOnCubeError:
-            continue  # vanishing member: hit vacuously
-        if witness not in h.points:
-            text = int_to_bit_str(x, cls.m)  # formatted only for the verdict
-            return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
+            pass  # vanishing member: hit vacuously
+        settled.add(key)
     return HSVerdict(hits=True, exhaustive=exhaustive)
 
 

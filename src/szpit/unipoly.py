@@ -30,7 +30,7 @@ from itertools import islice
 from operator import add
 from typing import Iterator, Tuple
 
-from .circuit import ADD, CONST, VAR, Circuit, _ascii_int, require_parameter_free
+from .circuit import ADD, CONST, VAR, _SPACE, Circuit, _ascii_int, require_parameter_free
 from .config import DEFAULT_BITLEN_GUARD, DEFAULT_Q_CAP
 from .errors import (
     BitLengthGuardError,
@@ -67,7 +67,7 @@ def unipoly(*coeffs: int) -> UniPoly:
 def parse_unipoly(text: str) -> UniPoly:
     """Comma-separated decimal coefficients, lowest degree first."""
     try:
-        return UniPoly(tuple(map(_ascii_int, text.strip().split(","))))
+        return UniPoly(tuple(map(_ascii_int, text.strip(_SPACE).split(","))))
     except ValueError as e:
         raise PreconditionError(f"bad coefficient list {text!r}") from e
 

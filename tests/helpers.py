@@ -22,6 +22,11 @@ from oracles import bits_to_int
 # Decimal digits outside ASCII, which int() reads: Arabic-Indic and fullwidth.
 SCRIPTS = {"arabic-indic": 0x0660, "fullwidth": 0xFF10}
 
+# Spaces that str.strip() and str.split() take and no writer emits: three
+# outside ASCII, and the ASCII unit separator, which C's isspace() and
+# string.whitespace leave out.
+SPACES = {"no-break": "\u00a0", "em": "\u2003", "ideographic": "\u3000", "unit-separator": "\x1f"}
+
 
 def in_script(text: str, zero: int) -> str:
     """text with each ASCII digit d written as chr(zero + d)."""

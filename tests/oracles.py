@@ -395,3 +395,41 @@ def verify_witness_first(
         if all(eval_gates(ckt, p, params) == 0 for p in h.points):
             return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
     return HSVerdict(hits=True, exhaustive=exhaustive)
+
+
+def verify_every_member(
+    cls: DefinableClass,
+    h: HittingSet,
+    seed: int = 0,
+    witness_budget: int = DEFAULT_WITNESS_BUDGET,
+    class_cap: int = DEFAULT_CLASS_CAP,
+    cap: int = DEFAULT_EXHAUSTION_CAP,
+) -> HSVerdict:
+    """verify_hitting_set without its skip: every description runs the
+    witness search, H's points first, on its own stream, even when an
+    earlier description gave the same member."""
+    if h.n != cls.n:
+        raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
+    if h.q < 2 * cls.d * cls.n:
+        raise PreconditionError(f"q={h.q} < 2dn = {2 * cls.d * cls.n}")
+    exhaustive = 2**cls.m <= class_cap
+    rng = Rng(seed, "hs-verify")
+    if exhaustive:
+        descriptions = cls.descriptions()
+    elif cls.sampler is not None:
+        sample_rng = rng.split("sample")
+        descriptions = (cls.sampler(sample_rng) for _ in range(class_cap))
+    else:
+        raise class_cap_error(cls.m, class_cap)
+    for idx, x in enumerate(descriptions):
+        ckt, params = cls.decode(x)
+        text = "".join("01"[x >> j & 1] for j in range(cls.m))
+        try:
+            witness = find_small_witness(
+                ckt, h.q, witness_budget, rng.split(f"{idx}:{text}"), cap, params, first=h
+            )
+        except ZeroOnCubeError:
+            continue
+        if witness not in h.points:
+            return HSVerdict(hits=False, x=text, witness=witness, exhaustive=exhaustive)
+    return HSVerdict(hits=True, exhaustive=exhaustive)

@@ -41,7 +41,7 @@ from szpit.evaluator import eval_gates
 from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
-from helpers import SCRIPTS, in_script, instance_to_tsv, members
+from helpers import SCRIPTS, SPACES, in_script, instance_to_tsv, members
 from oracles import amplify_steps, call_per_bit, int_to_bits, triple_decode, triple_encode
 
 
@@ -752,3 +752,18 @@ def test_tsv_reader_reads_ascii_integers_only(script):
         with pytest.raises(PreconditionError) as exc:
             instance_from_tsv(text, b=10)
         assert str(exc.value) == f"line {lineno}: want decimal x and f(x), got {line!r}"
+
+
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_tsv_reader_splits_and_strips_ascii_whitespace_only(space):
+    # Runs of ASCII whitespace separate and surround the two columns; any
+    # other space is part of a column, refused as any other bad column is.
+    assert instance_from_tsv(" 1 \t 3\r\n\t2 \t4 # f(2)\n", b=10).table == (3, 4)
+    for text, lineno, want in (
+        (f"1\t3\n2{space}4\n", 2, "want 'x<TAB>f(x)'"),
+        (f"{space}1\t3\n2\t4\n", 1, "want decimal x and f(x)"),
+        (f"1\t3{space}\n2\t4\n", 1, "want decimal x and f(x)"),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            instance_from_tsv(text, b=10)
+        assert str(exc.value) == f"line {lineno}: {want}, got {text.splitlines()[lineno - 1]!r}"

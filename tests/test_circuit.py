@@ -28,7 +28,7 @@ from szpit.errors import CapExceededError, CircuitSyntaxError, CircuitValidation
 from szpit.rng import Rng
 
 from genckt import random_circuit
-from helpers import count_degree_passes
+from helpers import SPACES, count_degree_passes
 from oracles import degree_oracle, naive_eval
 
 PRODUCT_TEXT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
@@ -480,3 +480,20 @@ def test_numbers_are_ascii_digits(template, line, col, script):
     with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:
         parse_circuit(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("read", (parse_circuit, parse_bool_circuit), ids=("ac", "bc"))
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_statements_strip_ascii_whitespace_only(read, space):
+    # Indents, trailing blanks and CRLF line ends are ASCII whitespace;
+    # another space is part of the statement, refused at that space.
+    read(" \tg0 = var x1 \t# x1\r\n\v\noutput g0 \r\n")
+    for text, line, col in (
+        (f"{space}g0 = var x1\noutput g0\n", 1, 1),
+        (f"  g0 = var x1{space}\noutput g0\n", 1, len("  g0 = var x1") + 1),
+        (f"g0 = var x1\noutput g0{space}\n", 2, len("output g0") + 1),
+        (f"g0 = var x1\n{space}\noutput g0\n", 2, 1),
+    ):
+        with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:
+            read(text)
+        assert (exc.value.line, exc.value.col) == (line, col)

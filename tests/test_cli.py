@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -704,3 +705,59 @@ def test_missing_inputs_are_named_on_stderr(capsys, tmp_path, prod_ac, argv, cod
     paths = {"prod": prod_ac, "bc": str(bc), "tsv": str(tsv)}
     got, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
+def each_option(prefix, values, tail=()):
+    """One argv per option of ``values``, with that option's value "{v}"."""
+    return [([*prefix, *chain.from_iterable((o, "{v}" if o == k else v) for o, v in values.items()),
+              *tail], values[k]) for k in values]
+
+
+# Every type=int option, by family, each in a run that reads it, with a
+# value it accepts: the value stands as "{v}", and "{ac}", "{uni}",
+# "{tsv}", "{bc}", "{hs}" and "{hs1}" are input files.
+INT_OPTIONS = {
+    "global": [(["--exhaustion-cap", "{v}", "degrees", "{ac}"], "4096"),
+               (["--bitlen-guard", "{v}", "eval", "{ac}", "--vars", "3,5"], "64")],
+    "eval": each_option(["eval", "{ac}", "--vars", "3,5"], {"--degree-bound": "2"}),
+    "coeffs": each_option(["coeffs", "{uni}"], {"--d": "3"}),
+    "roots": each_option(["roots"], {"--q": "3"}, tail=["--", "-1,0,1"]),
+    "codec": each_option(["encode", "{uni}", "--nonroot", "0", "--point", "1"], {"--q": "4", "--d": "2"})
+    + each_option(["decode", "{uni}", "--nonroot", "0", "--code", "1:1:"], {"--q": "4", "--d": "2"}),
+    "pit": each_option(["pit", "{ac}", "--method", "random"], {"--trials": "5", "--seed": "-1"})
+    + each_option(["pit", "{ac}", "--method", "hs", "--hs-file", "{hs}"], {"--q": "4"}),
+    "hs-search": each_option(["hs-search", "--class", "builtin:monomial"], {
+        "--n": "1", "--d": "1", "--s": "0", "--m": "0", "--q": "2", "--seed": "3", "--r": "4",
+        "--budget": "8"}),
+    "hs-verify": each_option(["hs-verify", "--class", "builtin:monomial", "{hs1}"], {
+        "--n": "1", "--d": "1", "--s": "0", "--m": "0", "--q": "2", "--seed": "3", "--budget": "8"}),
+    "avoid": each_option(["avoid", "--instance", "{bc}", "--via", "brute"], {"--a": "2", "--b": "4"})
+    + each_option(["avoid", "--instance", "{tsv}"], {"--seed": "3"}),
+}
+
+
+@pytest.mark.parametrize("family", INT_OPTIONS)
+def test_int_options_read_ascii_integers_only(capsys, tmp_path, family):
+    # A value reads as int() reads it, signs and surrounding spaces included;
+    # another script's digits, or a "_" separator, are refused as "three"
+    # is: a usage error naming the option.
+    files = {"ac": PRODUCT, "uni": "g0 = var x1\ng1 = mul g0 g0\noutput g1\n",
+             "tsv": "1\t3\n2\t3\n", "bc": "g0 = var x1\noutput g0 g0\n", "hs": "1,1\n", "hs1": "1\n"}
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths["bc"] = paths["bc"].rename(tmp_path / "f.bc")
+    for argv, value in INT_OPTIONS[family]:
+        option = argv[argv.index("{v}") - 1]
+
+        def fill(v, argv=argv):
+            return [a.format(v=v, **paths) for a in argv]
+
+        code, out, err = run(capsys, *fill(value))
+        assert code != EX_USAGE, (argv, err)
+        signed = value if value[0] == "-" else "+" + value
+        assert run(capsys, *fill(f" {signed} ")) == (code, out, err)
+        for bad in (*(in_script(value, script) for script in SCRIPTS.values()), "1_0"):
+            code, out, err = run(capsys, *fill(bad))
+            assert (code, out) == (EX_USAGE, "")
+            assert err.splitlines()[-1].endswith(f"error: argument {option}: invalid int value: {bad!r}")

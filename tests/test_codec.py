@@ -35,7 +35,7 @@ from szpit.hitting import find_small_witness
 from szpit.rng import Rng
 
 from genckt import random_circuit_bounded
-from helpers import SCRIPTS, in_script, shifted_power_plus_x2, times_line_factors
+from helpers import SCRIPTS, SPACES, in_script, shifted_power_plus_x2, times_line_factors
 from oracles import brute_roots
 
 codec_mod = importlib.import_module("szpit.codec")
@@ -465,3 +465,12 @@ def test_codec_refusals_name_the_bad_value(make, error, message):
     with pytest.raises(error) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_code_reader_strips_ascii_whitespace_only(space):
+    assert parse_code(" \t1:0:2, 3\r\n") == RootCode(1, 0, (2, 3))
+    for text in (f"{space}1:0:2", f"1:0:2{space}", f"1:{space}0:"):
+        with pytest.raises(PreconditionError) as exc:
+            parse_code(text)
+        assert str(exc.value) == f"bad code {text!r}, want k:i:c1,c2,..."

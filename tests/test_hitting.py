@@ -1,10 +1,13 @@
 """Hitting sets: witnesses, verification, search, the non-range criterion."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import szpit.hitting as hitting_mod
+from szpit.avoid import AvoidInstance, amplify, build_avoid_class, desk_schedule, normalize
 from szpit.circuit import Gate, circuit, pad_vars
 from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
@@ -34,8 +37,8 @@ from szpit.hitting import (
 )
 from szpit.rng import Rng
 
-from helpers import SCRIPTS, g_map, in_script, random_bits
-from oracles import bits_to_int, nonrange_by_tuples, verify_witness_first
+from helpers import SCRIPTS, SPACES, g_map, in_script, random_bits
+from oracles import bits_to_int, nonrange_by_tuples, verify_every_member, verify_witness_first
 
 
 def product_circuit():
@@ -493,3 +496,126 @@ def test_verify_matches_the_witness_first_order(case, dq, r, budget, seed, data)
         ckt, params = cls.decode(bits_to_int(map(int, verdict.x)))
         assert eval_gates(ckt, verdict.witness, params) != 0
         assert verdict.witness not in h.points
+
+
+@lru_cache(maxsize=None)
+def avoid_class_of(table):
+    """The avoid class that avoid_via_hitting builds for f = table, b = 2a."""
+    g, _ = normalize(AvoidInstance(len(table), 2 * len(table), table))
+    sched = desk_schedule(g.in_bits)
+    return build_avoid_class(amplify(g, sched.t_prime - g.in_bits), sched), sched
+
+
+def avoid_member_zeros(cls, sched, x):
+    """The points of S_q^2 where avoid member x vanishes: the r points its
+    params spell, w bits a coordinate, less those with a coordinate q."""
+    _, R = cls.decode(x)
+    w, n = sched.w, sched.n
+    spelled = [tuple(R >> (i * n + j) * w & (1 << w) - 1 for j in range(n)) for i in range(sched.r)]
+    return [p for p in spelled if max(p) < sched.q]
+
+
+def draw_avoid_case(data):
+    # a <= 16, so up to 16 members, many of which share a row of h.
+    a = data.draw(st.integers(1, 16), label="a")
+    table = tuple(data.draw(st.lists(st.integers(1, 2 * a), min_size=a, max_size=a), label="f"))
+    cls, sched = avoid_class_of(table)
+    # Some of member x's own zeros, so H often misses x, and some draws.
+    x = data.draw(st.integers(0, (1 << cls.m) - 1), label="x")
+    zeros = avoid_member_zeros(cls, sched, x)
+    own = data.draw(st.lists(st.sampled_from(zeros), max_size=3) if zeros else st.just([]))
+    coord = st.integers(0, sched.q - 1)
+    drawn = data.draw(st.lists(st.tuples(coord, coord), max_size=2), label="drawn")
+    return cls, HittingSet(tuple(own + drawn), cls.n, sched.q), DEFAULT_CLASS_CAP
+
+
+def draw_template_case(data):
+    # A multilinear template whose params_of takes the 2^m descriptions onto
+    # at most 3 values of R; an R past the template's params is the zero member.
+    n = data.draw(st.integers(1, 2), label="n")
+    m = data.draw(st.integers(0, 6), label="m")
+    template = multilinear_class(n).template
+    values = data.draw(st.lists(st.integers(-1, (1 << template.n_params) + 1), min_size=1, max_size=3))
+    picks = data.draw(st.lists(st.sampled_from(values), min_size=1 << m, max_size=1 << m))
+    cls = DefinableClass(decoder=None, n=n, d=1, s=0, m=m, template=template,
+                         params_of=picks.__getitem__, sampler=lambda rng: random_bits(rng, m))
+    class_cap = data.draw(st.sampled_from((DEFAULT_CLASS_CAP, 4)), label="class_cap")
+    return cls, draw_points(data, cls), class_cap
+
+
+def draw_all_circuits_case(data):
+    # Ckt(n, d, 400) at m <= 8: most short descriptions decode to no
+    # circuit and give the zero member.
+    n, d = data.draw(st.integers(1, 2), label="n"), data.draw(st.integers(1, 2), label="d")
+    cls = all_circuits_class(n, d, 400, data.draw(st.integers(0, 8), label="m"))
+    return cls, draw_points(data, cls), DEFAULT_CLASS_CAP
+
+
+def draw_points(data, cls):
+    q = 2 * cls.d * cls.n + data.draw(st.integers(0, 2), label="dq")
+    coord = st.integers(0, q - 1)
+    points = data.draw(st.lists(st.tuples(*[coord] * cls.n), max_size=3), label="points")
+    return HittingSet(tuple(points), cls.n, q)
+
+
+@pytest.mark.parametrize("draw_case", (draw_avoid_case, draw_template_case, draw_all_circuits_case))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_verify_once_per_member_matches_verifying_every_description(draw_case, seed, data):
+    # A member the class owns is verified once per call; a repeat of it
+    # has the same circuit and R, so the verdict, the member a Misses
+    # verdict names and its witness are those of verifying every one.
+    cls, h, class_cap = draw_case(data)
+    kw = dict(seed=seed, class_cap=class_cap)
+    verdict = verify_hitting_set(cls, h, **kw)
+    assert verdict == verify_every_member(cls, h, **kw)
+    if not verdict.hits:
+        ckt, params = cls.decode(bits_to_int(map(int, verdict.x)))
+        assert eval_gates(ckt, verdict.witness, params) != 0 and verdict.witness not in h.points
+
+
+def count_witness_searches(monkeypatch):
+    """The (circuit, R) of each find_small_witness call verify_hitting_set makes."""
+    calls = []
+
+    def counting(ckt, q, budget, rng, cap, params, first):
+        calls.append((ckt, params))
+        return find_small_witness(ckt, q, budget, rng, cap, params, first)
+
+    monkeypatch.setattr(hitting_mod, "find_small_witness", counting)
+    return calls
+
+
+@pytest.mark.parametrize("values", ((3,), (0, 2), (1, 2, 3), (3, 0, 1, 2)))
+def test_a_template_member_is_searched_once_per_distinct_r(monkeypatch, values):
+    # 32 descriptions onto k values of R in p1 + p2*x1; H = {(1,)} hits
+    # every R but 0, which vanishes, so no Misses verdict ends the loop.
+    cls = DefinableClass(decoder=None, n=1, d=1, s=0, m=5, template=multilinear_class(1).template,
+                         params_of=lambda x: values[x % len(values)])
+    calls = count_witness_searches(monkeypatch)
+    assert verify_hitting_set(cls, HittingSet(((1,),), 1, 2)) == HSVerdict(hits=True)
+    assert sorted(params for _, params in calls) == sorted(values)
+
+
+def test_the_zero_member_is_proven_vanishing_once_per_call(monkeypatch):
+    cls = all_circuits_class(2, 2, 400, 8)
+    zeros = sum(cls.decode(x)[0] is cls._zero for x in cls.descriptions())
+    h = search_hitting_set(cls, 8, 17, seed=7)
+    calls = count_witness_searches(monkeypatch)
+    for call in (1, 2):
+        assert verify_hitting_set(cls, h).hits
+        assert sum(ckt is cls._zero for ckt, _ in calls) == call
+    assert zeros > 100
+    # Each other member is searched once: a decoder's circuits are fresh, so
+    # none is skipped, and the zero member's one search raised ZeroOnCubeError.
+    assert len(calls) == 2 * (256 - zeros + 1)
+
+
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_hitting_set_reader_strips_ascii_whitespace_only(space):
+    # A line of other spaces is no blank line, and they do not surround a point.
+    assert parse_hitting_set(" 1,2\t\r\n \f\n\v0, 3 \n", 2, 4).points == ((1, 2), (0, 3))
+    for line in (f"{space}1,2{space}", f"1,2{space}", space):
+        with pytest.raises(PreconditionError) as exc:
+            parse_hitting_set(f"0,0\n{line}\n", 2, 4)
+        assert str(exc.value) == f"line 2: want comma-separated integers, got {line!r}"

@@ -20,7 +20,7 @@ from szpit.unipoly import (
 )
 
 from genckt import random_circuit_bounded
-from helpers import SCRIPTS, bit_complexity, in_script
+from helpers import SCRIPTS, SPACES, bit_complexity, in_script
 
 
 def test_coef_basic():
@@ -250,3 +250,12 @@ def test_unipoly_refusals_name_the_bad_value(make, message):
     with pytest.raises(PreconditionError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_unipoly_reader_strips_ascii_whitespace_only(space):
+    assert parse_unipoly(" \t-1, 0 ,1\r\n").coeffs == (-1, 0, 1)
+    for text in (f"{space}-1,0,1", f"-1,0,1{space}", f"-1,{space}0,1"):
+        with pytest.raises(PreconditionError) as exc:
+            parse_unipoly(text)
+        assert str(exc.value) == f"bad coefficient list {text!r}"
