@@ -84,7 +84,7 @@ class AvoidInstance:
 def instance_from_tsv(text: str, b: Optional[int] = None) -> AvoidInstance:
     """Parse 'x<TAB>f(x)' lines (1-based decimals); b defaults to 2a."""
     rows: Dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue

@@ -85,23 +85,23 @@ class Gate:
         return _gate(MUL, 0, 0, lhs, rhs)
 
 
-_new = object.__new__
-_set_op, _set_name, _set_value, _set_lhs, _set_rhs = (
-    Gate.__dict__[f].__set__ for f in ("op", "name", "value", "lhs", "rhs")
-)
+class _GateBuilder:
+    """Gate's mutable twin.  CPython lets ``__class__`` change only between
+    identical slot layouts, so a filled twin becomes a true frozen Gate."""
+
+    __slots__ = Gate.__slots__
 
 
 def _gate(op: str, name: int, value: int, lhs: int, rhs: int) -> Gate:
-    """``Gate(op, name, value, lhs, rhs)`` in about a third of the time: the
-    frozen ``__init__`` assigns through ``object.__setattr__``, while this
-    fills the five slots through their descriptors.  Every constructor in
-    the library goes through here."""
-    g = _new(Gate)
-    _set_op(g, op)
-    _set_name(g, name)
-    _set_value(g, value)
-    _set_lhs(g, lhs)
-    _set_rhs(g, rhs)
+    """``Gate(op, name, value, lhs, rhs)`` at under half the frozen
+    ``__init__``'s cost: plain stores into a _GateBuilder, then the swap."""
+    g = _GateBuilder()
+    g.op = op
+    g.name = name
+    g.value = value
+    g.lhs = lhs
+    g.rhs = rhs
+    g.__class__ = Gate
     return g
 
 
@@ -147,7 +147,7 @@ def _assemble(gates: Tuple[Gate, ...], n_vars: int, n_params: int) -> Circuit:
     """The circuit of an already checked gate tuple, built unchecked: for
     ``circuit`` after its own pass, and for callers whose gates come from
     valid circuits."""
-    c = _new(Circuit)
+    c = object.__new__(Circuit)
     c.__dict__.update(gates=gates, n_vars=n_vars, n_params=n_params)
     return c
 
@@ -410,7 +410,7 @@ def _statements(text: str, gate_re: re.Pattern, output_re: re.Pattern) -> Iterat
     ids 0, 1, 2, ... (the ``id`` group) and one output line, the last."""
     count = 0
     done = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue

@@ -66,18 +66,18 @@ class RootCode:
                 raise PreconditionError(f"rest entry {v} outside S_{q}")
 
 
-_new = object.__new__
-_set_k, _set_i, _set_rest = (RootCode.__dict__[f].__set__ for f in ("k", "i", "rest"))
+class _CodeBuilder:
+    """RootCode's mutable twin; the swap is sound as for ``circuit._GateBuilder``."""
+
+    __slots__ = RootCode.__slots__
 
 
 def _code(k: int, i: int, rest: Tuple[int, ...]) -> RootCode:
-    """``RootCode(k, i, rest)`` without the frozen ``__init__``'s
-    ``object.__setattr__`` per field: the three slots are filled through
-    their descriptors, as ``circuit._gate`` does for gates."""
-    c = _new(RootCode)
-    _set_k(c, k)
-    _set_i(c, i)
-    _set_rest(c, rest)
+    """``RootCode(k, i, rest)`` without ``object.__setattr__`` per field:
+    plain stores into a :class:`_CodeBuilder`, then the class swap."""
+    c = _CodeBuilder()
+    c.k, c.i, c.rest = k, i, rest
+    c.__class__ = RootCode
     return c
 
 

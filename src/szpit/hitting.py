@@ -86,7 +86,7 @@ def serialize_hitting_set(h: HittingSet) -> str:
 def parse_hitting_set(text: str, n: int, q: Optional[int] = None) -> HittingSet:
     """Read H's text; q defaults to one more than its largest coordinate."""
     points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip(_SPACE)
         if not line:
             continue

@@ -7,6 +7,9 @@ this is the field diagnostic.
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from typing import Callable, List, Tuple
 
 from .avoid import (
@@ -47,6 +50,28 @@ def _product_circuit():
 def check_roundtrip_text() -> None:
     c = _product_circuit()
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+def check_frozen_records() -> None:
+    # Gates and root codes are filled as mutable twins and then given their
+    # frozen class, a swap CPython allows only between identical layouts;
+    # on this Python each must be an exact, frozen instance equal to the
+    # one the dataclass __init__ builds.
+    want = [Gate("var", 1), Gate("param", 1), Gate("const", value=-3),
+            Gate("add", lhs=0, rhs=1), Gate("mul", lhs=3, rhs=2)]
+    made = [Gate.var(1), Gate.param(1), Gate.const(-3), Gate.add(0, 1), Gate.mul(3, 2)]
+    parsed = parse_circuit(serialize_circuit(circuit(want))).gates
+    ctx = SZContext(_product_circuit(), 2, 1, 3, (1, 1))
+    code = (encode_root(ctx, (0, 2)), RootCode(1, 1, (2,)))
+    for x, ref in [*zip(made, want), *zip(parsed, want), code]:
+        assert type(x) is type(ref) and x == ref and hash(x) == hash(ref)
+        assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
+        for f in x.__slots__:
+            try:
+                setattr(x, f, None)
+            except FrozenInstanceError:
+                continue
+            raise AssertionError(f"{x!r}.{f} is writable")
 
 
 def check_kept_template() -> None:
@@ -181,6 +206,7 @@ def check_avoid_end_to_end() -> None:
 
 CHECKS: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("circuit text round-trip", check_roundtrip_text),
+    ("frozen gates and root codes", check_frozen_records),
     ("kept template evaluation", check_kept_template),
     ("coefficient extraction", check_extraction),
     ("univariate root list completeness", check_fta_half),

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
+import pickle
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, List, Tuple
+
+import pytest
 
 from szpit.avoid import AvoidInstance
 from szpit.boolfunc import BoolCircuit, BoolFunc, boolfunc_from_callable, eval_bool_circuit
@@ -26,6 +31,30 @@ SCRIPTS = {"arabic-indic": 0x0660, "fullwidth": 0xFF10}
 # outside ASCII, and the ASCII unit separator, which C's isspace() and
 # string.whitespace leave out.
 SPACES = {"no-break": "\u00a0", "em": "\u2003", "ideographic": "\u3000", "unit-separator": "\x1f"}
+
+# Every str.splitlines() line break but "\n" and "\r\n", by name: a lone CR,
+# VT, FF, the file, group and record separators, NEL, and the Unicode line
+# and paragraph separators.  The text readers end lines at "\n" only.
+LINE_BREAKS = {
+    "cr": "\r", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+    "nel": "\x85", "ls": "\u2028", "ps": "\u2029",
+}
+
+
+def assert_exact_frozen(x, want) -> None:
+    """x is an instance of exactly want's class, equal to want with the
+    same hash; each field refuses assignment and deletion; and pickle, at
+    every protocol, and deepcopy give back an equal instance of that class."""
+    assert type(x) is type(want)
+    assert x == want and hash(x) == hash(want)
+    for f in want.__slots__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, f, getattr(x, f))
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, f)
+    backs = [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in (*backs, copy.deepcopy(x)):
+        assert type(back) is type(want) and back == want
 
 
 def in_script(text: str, zero: int) -> str:

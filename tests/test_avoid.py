@@ -41,7 +41,7 @@ from szpit.evaluator import eval_gates
 from szpit.hitting import HittingSet, bitlen, search_hitting_set
 from szpit.rng import Rng
 
-from helpers import SCRIPTS, SPACES, in_script, instance_to_tsv, members
+from helpers import LINE_BREAKS, SCRIPTS, SPACES, in_script, instance_to_tsv, members
 from oracles import amplify_steps, call_per_bit, int_to_bits, triple_decode, triple_encode
 
 
@@ -752,6 +752,16 @@ def test_tsv_reader_reads_ascii_integers_only(script):
         with pytest.raises(PreconditionError) as exc:
             instance_from_tsv(text, b=10)
         assert str(exc.value) == f"line {lineno}: want decimal x and f(x), got {line!r}"
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS.values(), ids=LINE_BREAKS)
+def test_tsv_reader_ends_lines_at_newline_only(brk):
+    # Two rows joined by another line break are one line of more than two
+    # columns, refused.
+    line = f"2\t4{brk}3\t1"
+    with pytest.raises(PreconditionError) as exc:
+        instance_from_tsv(f"1\t3\n{line}\n", b=10)
+    assert str(exc.value) == f"line 2: want 'x<TAB>f(x)', got {line!r}"
 
 
 @pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)

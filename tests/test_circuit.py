@@ -1,6 +1,7 @@
 """Circuit IR: text format, validation, degree analysis."""
 
 import copy
+import importlib
 import pickle
 import sys
 import time
@@ -28,8 +29,10 @@ from szpit.errors import CapExceededError, CircuitSyntaxError, CircuitValidation
 from szpit.rng import Rng
 
 from genckt import random_circuit
-from helpers import SPACES, count_degree_passes
+from helpers import LINE_BREAKS, SPACES, assert_exact_frozen, count_degree_passes
 from oracles import degree_oracle, naive_eval
+
+circuit_mod = importlib.import_module("szpit.circuit")
 
 PRODUCT_TEXT = "g0 = var x1\ng1 = var x2\ng2 = mul g0 g1\noutput g2\n"
 
@@ -142,6 +145,29 @@ def test_gates_stay_frozen_slotted_dataclasses():
         with pytest.raises(FrozenInstanceError):
             g.lhs = 5
     assert Gate.add(0, 1) != Gate.mul(0, 1) and Gate.var(1) != Gate.param(1)
+
+
+GATE_BUILDS = {
+    "var": (lambda: Gate.var(2), Gate("var", name=2)),
+    "param": (lambda: Gate.param(3), Gate("param", name=3)),
+    "const": (lambda: Gate.const(-7), Gate("const", value=-7)),
+    "add": (lambda: Gate.add(0, 1), Gate("add", lhs=0, rhs=1)),
+    "mul": (lambda: Gate.mul(4, 2), Gate("mul", lhs=4, rhs=2)),
+    "_gate": (lambda: circuit_mod._gate("mul", 0, 0, 1, 0), Gate("mul", lhs=1, rhs=0)),
+}
+
+
+@pytest.mark.parametrize("build, want", GATE_BUILDS.values(), ids=GATE_BUILDS)
+def test_each_gate_constructor_builds_an_exact_frozen_gate(build, want):
+    # Built as a mutable twin, then given the class Gate: the result is a
+    # true frozen Gate, alike to the dataclass __init__'s in every respect.
+    assert_exact_frozen(build(), want)
+
+
+def test_gate_builder_has_the_gate_slots():
+    # The class swap needs identical slot layouts; a field added to Gate
+    # alone fails here rather than as a TypeError inside a parse.
+    assert circuit_mod._GateBuilder.__slots__ == Gate.__slots__
 
 
 def test_parse_shares_equal_const_and_var_gates():
@@ -480,6 +506,16 @@ def test_numbers_are_ascii_digits(template, line, col, script):
     with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:
         parse_circuit(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("read", (parse_circuit, parse_bool_circuit), ids=("ac", "bc"))
+@pytest.mark.parametrize("brk", LINE_BREAKS.values(), ids=LINE_BREAKS)
+def test_statements_end_lines_at_newline_only(read, brk):
+    # Only "\n" ends a line; another line break joins two statements into
+    # one, which is refused at that break.
+    with pytest.raises(CircuitSyntaxError, match="cannot parse statement") as exc:
+        read(f"g0 = var x1{brk}output g0\n")
+    assert (exc.value.line, exc.value.col) == (1, len("g0 = var x1") + 1)
 
 
 @pytest.mark.parametrize("read", (parse_circuit, parse_bool_circuit), ids=("ac", "bc"))

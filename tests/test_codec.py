@@ -35,7 +35,9 @@ from szpit.hitting import find_small_witness
 from szpit.rng import Rng
 
 from genckt import random_circuit_bounded
-from helpers import SCRIPTS, SPACES, in_script, shifted_power_plus_x2, times_line_factors
+from helpers import (
+    SCRIPTS, SPACES, assert_exact_frozen, in_script, shifted_power_plus_x2, times_line_factors,
+)
 from oracles import brute_roots
 
 codec_mod = importlib.import_module("szpit.codec")
@@ -257,6 +259,26 @@ def test_slot_filled_codes_are_codes():
         with pytest.raises(FrozenInstanceError):
             code.k = 2
     assert not hasattr(RootCode(1, 1, ()), "__dict__")
+
+
+CODE_BUILDS = {
+    "_code": (lambda: codec_mod._code(2, 3, (0, 5)), RootCode(2, 3, (0, 5))),
+    "unpack_code": (lambda: unpack_code(40, 3, 2, 4), RootCode(2, 1, (3, 1))),
+    "encode_root": (
+        lambda: encode_root(SZContext(product_circuit(), 2, 1, 3, (1, 1)), (0, 2)),
+        RootCode(1, 1, (2,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("build, want", CODE_BUILDS.values(), ids=CODE_BUILDS)
+def test_each_code_builder_makes_an_exact_frozen_code(build, want):
+    assert_exact_frozen(build(), want)
+
+
+def test_code_builder_has_the_root_code_slots():
+    # As for gates: the class swap needs identical slot layouts.
+    assert codec_mod._CodeBuilder.__slots__ == RootCode.__slots__
 
 
 def test_codes_survive_pickle_and_deepcopy():

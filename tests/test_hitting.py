@@ -37,7 +37,7 @@ from szpit.hitting import (
 )
 from szpit.rng import Rng
 
-from helpers import SCRIPTS, SPACES, g_map, in_script, random_bits
+from helpers import LINE_BREAKS, SCRIPTS, SPACES, g_map, in_script, random_bits
 from oracles import bits_to_int, nonrange_by_tuples, verify_every_member, verify_witness_first
 
 
@@ -609,6 +609,15 @@ def test_the_zero_member_is_proven_vanishing_once_per_call(monkeypatch):
     # Each other member is searched once: a decoder's circuits are fresh, so
     # none is skipped, and the zero member's one search raised ZeroOnCubeError.
     assert len(calls) == 2 * (256 - zeros + 1)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS.values(), ids=LINE_BREAKS)
+def test_hitting_set_reader_ends_lines_at_newline_only(brk):
+    # Two points joined by another line break are one line, refused.
+    line = f"1,2{brk}3,0"
+    with pytest.raises(PreconditionError) as exc:
+        parse_hitting_set(f"0,0\n{line}\n", 2, 4)
+    assert str(exc.value) == f"line 2: want comma-separated integers, got {line!r}"
 
 
 @pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)

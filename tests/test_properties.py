@@ -4,9 +4,10 @@ oracles; the parser's one-pass read against its line parser on edited
 texts; univariate extraction against evaluation and against the monomial
 expansion; the root scans against the guarded brute scan; the root codec's
 round trip and surjectivity; the agreement of the three PIT testers; amplify
-against its round-by-round definition; the seeds of split streams; and the
-bit helpers and the packed hitting-set encoding against their per-bit
-definitions."""
+against its round-by-round definition; the seeds of split streams; the
+gates that parsing, differences and padding build against the dataclass's
+own; and the bit helpers and the packed hitting-set encoding against their
+per-bit definitions."""
 
 import pytest
 
@@ -36,6 +37,7 @@ from szpit.circuit import (
     Gate,
     analyze_degrees,
     circuit,
+    pad_vars,
     parse_circuit,
     plug_params,
     representation_size,
@@ -297,7 +299,11 @@ def _junk(draw, lines):
     return lines[:i] + [draw(st.sampled_from(["junk", "g = var x1", "g0 var x1"]))] + lines[i:]
 
 
-# Every splitlines separator but "\n" ends a line for the line parser only.
+# Only "\n" ends a line, for the line parser as for the fast path.  Every
+# other splitlines separator stays in its line: before "\n" a "\r" is
+# stripped as ASCII whitespace, so "\r\n" ends a line as ever; "\r", "\v"
+# and "\f" are stripped at either end of a statement; and inside one, or
+# anywhere for the non-ASCII separators, the statement is refused there.
 SEPARATORS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
 
 
@@ -348,6 +354,36 @@ def test_parser_fast_path_matches_the_line_parser(case):
     assert circuit_mod._canonical_gates(canonical) == list(c.gates)
     assert parse_circuit(canonical) == c
     assert parsed(parse_circuit, text) == parsed(line_parse, text)
+
+
+def _moved(g: Gate, offset: int) -> Gate:
+    # g placed after offset other gates, built by the dataclass __init__.
+    if g.op in ("add", "mul"):
+        return Gate(g.op, lhs=g.lhs + offset, rhs=g.rhs + offset)
+    return Gate(g.op, g.name, g.value)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 12))
+def test_built_gates_are_exact_gates_moved_by_their_offset(seed, n, extra):
+    # The canonical parse, the difference circuit and padding build their
+    # gates as mutable twins given the class Gate; each is an exact Gate,
+    # equal, hash included, to its source gate moved by the known offset.
+    c = random_circuit(Rng(seed, "builders"), n_vars=n, extra_gates=extra, p_const=0.3)
+    t = len(c.gates)
+    same = [_moved(g, 0) for g in c.gates]
+    tail = [Gate("const", value=-1), Gate("mul", lhs=2 * t, rhs=2 * t - 1),
+            Gate("add", lhs=t - 1, rhs=2 * t + 1)]
+    cases = (
+        (parse_circuit(serialize_circuit(c)).gates, same),
+        (difference_circuit(c, c).gates, same + [_moved(g, t) for g in c.gates] + tail),
+        (pad_vars(c, n + 2).gates, [Gate("var", n + 1), Gate("var", n + 2)]
+         + [_moved(g, 2) for g in c.gates]),
+    )
+    for got, want in cases:
+        assert len(got) == len(want)
+        for g, h in zip(got, want):
+            assert type(g) is Gate and g == h and hash(g) == hash(h)
 
 
 NON_ASCII_DIGITS = st.characters(categories=["Nd"]).filter(lambda ch: not ch.isascii())
