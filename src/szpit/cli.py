@@ -73,7 +73,7 @@ def _emit(args, payload: dict, plain: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # each line end as written
         return fh.read()
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from .boolfunc import int_to_bit_str
 from .circuit import Circuit, Gate, analyze_degrees, circuit, pad_vars, param_digits, plug_params
-from .circuit import _SPACE, _ascii_int, representation_size
+from .circuit import _SPACE, _ascii_int, representation_size, serialize_circuit
 from .codec import SZContext, all_codes, decode_code
 from .config import (
     DEFAULT_CLASS_CAP,
@@ -121,10 +121,10 @@ class DefinableClass:
     against the all-zero member, and a member is decoded in O(1); ``s = 0``
     means that member's size.  An R outside ``[0, 2^n_params)`` gives the
     constant-0 member.  A decoder class gives ``decoder`` (x -> circuit);
-    its members are ``(circuit, 0)``, each fully checked.  Members outside
-    Ckt(n, d, s), and those whose decoder raises a SzpitError, are the
-    class's one constant-0 circuit; surjectivity of caller-supplied
-    decoders onto their intended class is a trust assumption.
+    its members are ``(circuit, 0)``, each fully checked and its text kept.
+    Members outside Ckt(n, d, s), and those whose decoder raises a
+    SzpitError, are the class's one constant-0 circuit; surjectivity of
+    caller-supplied decoders onto their intended class is a trust assumption.
     """
 
     decoder: Optional[Callable[[int], Circuit]]
@@ -293,9 +293,9 @@ def verify_hitting_set(
     points, so H misses a member iff its witness is not in H; the label is
     formatted only for a member that draws.  Because q >= 2dn is required,
     the witness search is a complete test of non-vanishing at desk scale
-    and the witness accompanying a miss lies in S_q^n.  A member the class
-    owns (the template at some R, or the zero member) is verified once per
-    call: a repeat has the same circuit and R, hence the same verdict.
+    and the witness accompanying a miss lies in S_q^n.  A repeat of a
+    settled member's canonical text (equal gates) and R is skipped; one
+    kept text is held per distinct settled member, at most the class cap.
     """
     if h.n != cls.n:
         raise DimensionMismatchError(f"hitting set dimension {h.n} != class dimension {cls.n}")
@@ -311,11 +311,11 @@ def verify_hitting_set(
         descriptions = (cls.sampler(sample_rng) for _ in range(class_cap))
     else:
         raise class_cap_error(cls.m, class_cap)
-    settled = set()  # R of each template member already hit or vanishing; -1 the zero member
+    settled = set()  # (canonical text, R) of each member already hit or vanishing
     for idx, x in enumerate(descriptions):
         ckt, params = cls.decode(x)
-        key = params if ckt is cls.template else -1 if ckt is cls._zero else None
-        if key is not None and key in settled:
+        key = serialize_circuit(ckt), params
+        if key in settled:
             continue
         child = rng.split(lambda: f"{idx}:{int_to_bit_str(x, cls.m)}")
         try:

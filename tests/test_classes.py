@@ -175,3 +175,11 @@ def test_all_circuits_decoder_stops_at_an_operand_past_the_gates_read():
     for tail in ("10" "10", "11" "01", "10" "10" "000"):
         assert _decode_gates("000" + tail, 2) == one_var
     assert _decode_gates("000" + "10" "00", 2) == circuit([Gate.var(1), Gate.add(0, 0)])
+
+
+def test_all_circuits_decoder_stops_at_a_variable_index_past_n():
+    # n = 3 reads 2-bit variable indices, so index 3 names no variable and
+    # ends the read there.
+    with pytest.raises(CircuitValidationError, match="^no decodable gates$"):
+        _decode_gates("00" "11", 3)
+    assert _decode_gates("00" "01" "00" "11", 3) == circuit([Gate.var(1)])

@@ -474,6 +474,33 @@ def test_reader_errors_name_the_line_and_exit_65(capsys, tmp_path):
         assert code == EX_DATAERR and err.startswith(f"error: line {line}: want ")
 
 
+def test_a_lone_cr_in_a_file_is_refused_as_parse_circuit_refuses_it(capsys, tmp_path):
+    # Files are read byte-exact: a CR is no line end, so the two statements
+    # share line 1.
+    path = tmp_path / "cr.ac"
+    path.write_bytes(b"g0 = var x1\routput g0\n")
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == EX_DATAERR and out == ""
+    assert err == "error: line 1, col 12: cannot parse statement 'g0 = var x1\\routput g0'\n"
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("f.ac", PRODUCT, ["parse", "{}"]),
+    ("f.tsv", "1\t3\n2\t3\n", ["--json", "avoid", "--instance", "{}", "--b", "4", "--seed", "3"]),
+    ("h.txt", "1,2\n0,3\n", ["pit", "PROD", "--method", "hs", "--hs-file", "{}"]),
+])
+def test_crlf_files_give_the_output_of_lf_files(capsys, tmp_path, prod_ac, name, text, argv):
+    # A CR before the newline is stripped with the line's other whitespace.
+    reports = []
+    for end in (b"\n", b"\r\n"):
+        path = tmp_path / name
+        path.write_bytes(text.encode().replace(b"\n", end))
+        reports.append(run(capsys, *(
+            str(path) if a == "{}" else prod_ac if a == "PROD" else a for a in argv
+        )))
+    assert reports[0] == reports[1] and reports[0][0] in (0, 1) and reports[0][1]
+
+
 def test_avoid_bool_circuit(capsys, tmp_path):
     path = tmp_path / "f.bc"
     path.write_text("g0 = var x1\ng1 = var x2\noutput g0 g1\n")

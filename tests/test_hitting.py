@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import szpit.hitting as hitting_mod
 from szpit.avoid import AvoidInstance, amplify, build_avoid_class, desk_schedule, normalize
-from szpit.circuit import Gate, circuit, pad_vars
+from szpit.circuit import Gate, circuit, pad_vars, serialize_circuit
 from szpit.classes import all_circuits_class, linear_class, monomial_class, multilinear_class
 from szpit.codec import RootCode
 from szpit.config import DEFAULT_CLASS_CAP, DEFAULT_EXHAUSTION_CAP
@@ -598,17 +598,44 @@ def test_a_template_member_is_searched_once_per_distinct_r(monkeypatch, values):
 
 
 def test_the_zero_member_is_proven_vanishing_once_per_call(monkeypatch):
+    # Each distinct circuit, the constant-0 one included, is searched once
+    # per call, whichever description or object gives it.
     cls = all_circuits_class(2, 2, 400, 8)
-    zeros = sum(cls.decode(x)[0] is cls._zero for x in cls.descriptions())
+    zero_text = serialize_circuit(cls._zero)
+    texts = [serialize_circuit(cls.decode(x)[0]) for x in cls.descriptions()]
     h = search_hitting_set(cls, 8, 17, seed=7)
     calls = count_witness_searches(monkeypatch)
     for call in (1, 2):
         assert verify_hitting_set(cls, h).hits
-        assert sum(ckt is cls._zero for ckt, _ in calls) == call
-    assert zeros > 100
-    # Each other member is searched once: a decoder's circuits are fresh, so
-    # none is skipped, and the zero member's one search raised ZeroOnCubeError.
-    assert len(calls) == 2 * (256 - zeros + 1)
+        searched = [serialize_circuit(ckt) for ckt, _ in calls]
+        assert searched.count(zero_text) == call
+        assert sorted(searched) == sorted(list(set(texts)) * call)
+    assert texts.count(zero_text) > 100 and len(set(texts)) < 256 - 100
+
+
+def test_a_decoder_giving_one_circuit_for_every_x_is_searched_once(monkeypatch):
+    # A fresh object per description, but one text: one search settles all 16.
+    cls = DefinableClass(decoder=lambda x: product_circuit(), n=2, d=1, s=4096, m=4)
+    assert cls.decode(0)[0] is not cls.decode(1)[0]
+    h = HittingSet(((1, 1),), 2, 4)
+    calls = count_witness_searches(monkeypatch)
+    assert verify_hitting_set(cls, h) == HSVerdict(hits=True) == verify_every_member(cls, h)
+    assert len(calls) == 1
+
+
+CLASS_KINDS = {"decoder": dict(decoder=lambda x: product_circuit()),
+               "template": dict(decoder=None, template=product_circuit())}
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [(kind, bad) for kind in CLASS_KINDS for bad in (dict(n=0), dict(d=0), dict(m=-1))]
+    + [("decoder", dict(s=0))],  # a template's s = 0 means its all-zero member's size
+)
+def test_a_class_refuses_parameters_below_their_floor(kind, bad):
+    with pytest.raises(PreconditionError) as exc:
+        DefinableClass(**{**dict(n=2, d=1, s=4096, m=0), **CLASS_KINDS[kind], **bad})
+    assert str(exc.value) == "class parameters must satisfy n,d,s >= 1 and m >= 0"
 
 
 @pytest.mark.parametrize("brk", LINE_BREAKS.values(), ids=LINE_BREAKS)
