@@ -210,27 +210,51 @@ class DegreeReport:
     """Syntactic degrees of a circuit's output gate.
 
     ``individual`` maps input names ("x1", "p2", or "g<k>" for the constant
-    gate at index k) to individual syntactic degrees.
+    gate at index k) to individual syntactic degrees; a :func:`_degree_pass`
+    report computes it on first access, by the reference pass under its cap.
     """
 
     total: int
     individual: Dict[str, int] = field(hash=False)
     max_individual: int
 
+    def __getattr__(self, name: str):  # reached while "individual" is not yet set
+        if name != "individual":
+            raise AttributeError(name)
+        object.__setattr__(self, name, _per_input_pass(*self._source, False)[1])
+        return self.individual
+
 
 def analyze_degrees(c: Circuit, cap: int = DEFAULT_EXHAUSTION_CAP) -> DegreeReport:
     """The library's one degree analysis, computed once per Circuit object
     and kept on it (so a class template is analysed once); callers must not
     mutate the report.  ``cap`` bounds the work of that first computation
-    (see :func:`_degree_pass`); a report already kept is returned whatever
-    the cap."""
+    (see :func:`_degree_pass`) and of the report's ``individual``; a report
+    already kept is returned whatever the cap."""
     if c._degrees is None:
         object.__setattr__(c, "_degrees", _degree_pass(c, cap))
     return c._degrees
 
 
 def _degree_pass(c: Circuit, cap: int) -> DegreeReport:
-    """Apply the inductive degree rules bottom-up in one pass.
+    """Tables keyed only by var and param gates and by const gates of two
+    uses or more (or none: the output), and per gate a bound K on the degree
+    of any single-use const beneath it: 1 at such a const, the max at add,
+    the sum at mul, or the max when an operand is a const, whose key occurs
+    in no other operand.  When K <= max(table maximum, 1) the report is
+    exact; otherwise the reference runs and its report is returned."""
+    total, table, bound = _per_input_pass(c.gates, cap, True)
+    top = max(table.values(), default=0)
+    if bound <= top or bound <= 1:
+        rep = object.__new__(DegreeReport)
+        rep.__dict__.update(total=total, max_individual=top or bound, _source=(c.gates, cap))
+        return rep
+    table = _per_input_pass(c.gates, cap, False)[1]
+    return DegreeReport(total, table, max(table.values()))
+
+
+def _per_input_pass(gates: Tuple[Gate, ...], cap: int, bound_lone: bool) -> Tuple[int, dict, int]:
+    """The output's total degree, per-input table and K (see :func:`_degree_pass`).
 
     input -> 1, add -> max, mul -> sum, per input and in total.  Each gate
     merges its smaller operand's sparse dict into its larger one's.  When
@@ -238,9 +262,9 @@ def _degree_pass(c: Circuit, cap: int) -> DegreeReport:
     place, so a chain runs in linear time; otherwise it merges into a copy.
     Heavy sharing can still make the copies quadratic, so past ``cap``
     dict entries copied or merged in all the pass raises
-    :class:`CapExceededError`.
+    :class:`CapExceededError`.  Without ``bound_lone`` (the reference) every
+    const is keyed, so the table is exact.
     """
-    gates = c.gates
     uses = [0] * len(gates)
     for g in gates:
         if g.op in _BINARY_KINDS:
@@ -248,16 +272,11 @@ def _degree_pass(c: Circuit, cap: int) -> DegreeReport:
             uses[g.rhs] += 1
     totals = [1] * len(gates)
     per_input: list = [None] * len(gates)
+    lone = [0] * len(gates)
     work = 0
     for i, g in enumerate(gates):
         op = g.op
-        if op == VAR:
-            per_input[i] = {f"x{g.name}": 1}
-        elif op == PARAM:
-            per_input[i] = {f"p{g.name}": 1}
-        elif op == CONST:
-            per_input[i] = {f"g{i}": 1}
-        else:
+        if op in _BINARY_KINDS:
             big, small = g.lhs, g.rhs
             a, b = per_input[big], per_input[small]
             if len(a) < len(b):
@@ -272,22 +291,32 @@ def _degree_pass(c: Circuit, cap: int) -> DegreeReport:
                 raise CapExceededError(
                     f"gate {i}: degree analysis exceeds the cap of {cap} dict entries"
                 )
+            t, s, k, m = totals[big], totals[small], lone[big], lone[small]
             if op == ADD:
-                totals[i] = max(totals[big], totals[small])
-                for u, d in b.items():
-                    if d > merged.get(u, 0):
-                        merged[u] = d
+                totals[i] = t if t >= s else s
+                lone[i] = k if k >= m else m
+                if b:
+                    for u, d in b.items():
+                        if d > merged.get(u, 0):
+                            merged[u] = d
             else:
-                totals[i] = totals[big] + totals[small]
-                for u, d in b.items():
-                    merged[u] = merged.get(u, 0) + d
+                totals[i] = t + s
+                # A const's key occurs in no other operand, so K takes the max.
+                lone[i] = max(k, m) if k and m and CONST in (gates[big].op, gates[small].op) else k + m
+                if b:
+                    for u, d in b.items():
+                        merged[u] = merged.get(u, 0) + d
             per_input[i] = merged
-    individual = per_input[-1]
-    return DegreeReport(
-        total=totals[-1],
-        individual=individual,
-        max_individual=max(individual.values(), default=0),
-    )
+        elif op == VAR:
+            per_input[i] = {f"x{g.name}": 1}
+        elif op == PARAM:
+            per_input[i] = {f"p{g.name}": 1}
+        elif bound_lone and uses[i] == 1:
+            per_input[i] = {}
+            lone[i] = 1
+        else:
+            per_input[i] = {f"g{i}": 1}
+    return totals[-1], per_input[-1], lone[-1]
 
 
 # -- text format ---------------------------------------------------------

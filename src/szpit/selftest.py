@@ -23,7 +23,7 @@ from .avoid import (
     solve_avoid_brute,
 )
 from .boolfunc import BoolFunc
-from .circuit import Gate, circuit, parse_circuit, serialize_circuit
+from .circuit import Gate, _per_input_pass, analyze_degrees, circuit, parse_circuit, serialize_circuit
 from .codec import (
     RootCode,
     SZContext,
@@ -35,7 +35,7 @@ from .codec import (
     pack_code,
     unpack_code,
 )
-from .config import DEFAULT_BITLEN_GUARD
+from .config import DEFAULT_BITLEN_GUARD, DEFAULT_EXHAUSTION_CAP
 from .evaluator import _interpret, eval_gates, keep
 from .hitting import largeness_holds
 from .pit import ZERO_ON_CUBE, equiv_test, pit_cube_brute
@@ -84,6 +84,16 @@ def check_kept_template() -> None:
     R = (1 << t.n_params) // 3
     for x in ((2, 5), (-3, 7), (0, 0)):
         assert eval_gates(t, x, R) == _interpret(t, x, R, DEFAULT_BITLEN_GUARD)
+
+
+def check_degree_bound() -> None:
+    # The bounded degree pass against the reference; at (1 + 1)(1 + 1) it falls back to it.
+    x, one = Gate.var(1), Gate.const(1)
+    for gates in ([one, Gate.mul(0, 0)], [one, x, Gate.add(0, 1), Gate.mul(2, 2)], [one],
+                  [one, one, Gate.add(0, 1), one, one, Gate.add(3, 4), Gate.mul(2, 5)]):
+        total, table, _ = _per_input_pass(tuple(gates), DEFAULT_EXHAUSTION_CAP, False)
+        rep = analyze_degrees(circuit(gates))
+        assert (rep.total, rep.max_individual) == (total, max(table.values()))
 
 
 def check_extraction() -> None:
@@ -208,6 +218,7 @@ CHECKS: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("circuit text round-trip", check_roundtrip_text),
     ("frozen gates and root codes", check_frozen_records),
     ("kept template evaluation", check_kept_template),
+    ("degree bound against the per-input pass", check_degree_bound),
     ("coefficient extraction", check_extraction),
     ("univariate root list completeness", check_fta_half),
     ("synthetic-division identity", check_deflation),

@@ -26,11 +26,13 @@ def random_circuit(
     parameters.
 
     Starts from one var gate per variable and one param gate per parameter
-    (so the naming has no gaps) and appends ``extra_gates`` random gates;
-    the last gate is the output.
+    (so the naming has no gaps), or one const gate when both are 0, and
+    appends ``extra_gates`` random gates; the last gate is the output.
     """
     gates = [Gate.var(j) for j in range(1, n_vars + 1)]
     gates += [Gate.param(k) for k in range(1, n_params + 1)]
+    if not gates:  # no inputs: a const first, so every later gate has operands
+        gates.append(Gate.const(_random_const(rng, const_bits)))
     for _ in range(max(1, extra_gates)):
         roll = rng.randrange(100)
         if roll < int(p_const * 100):

@@ -6,6 +6,7 @@ import pickle
 import sys
 import time
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -315,16 +316,38 @@ def test_degrees_of_a_long_add_chain_in_linear_time():
 
 
 def test_degree_pass_work_cap_on_shared_gates():
-    # x_{k+1} = x_k + (k + 1) with a side gate x_k * x_k: every link has
-    # three uses, so the pass copies its growing dict at each of them and
-    # merges it into the side gate's copy, quadratic work that the cap
-    # stops (8k links copy or merge about 96 M entries).
+    # x_{k+1} = x_k + y_k, a fresh variable y_k, with a side gate x_k * x_k:
+    # every link has three uses, so the pass copies its growing table at
+    # each of them and merges it into the side gate's copy, quadratic work
+    # that the cap stops (8k links copy or merge about 96 M entries).
+    gates = [Gate.var(1)]
+    for k in range(8_000):
+        x = len(gates) - 1
+        gates += [Gate.mul(x, x), Gate.var(k + 2), Gate.add(x, len(gates) + 1)]
+    # A sum of 20k variables that 400 gates read: each copies its
+    # 20k-entry table and merges one entry, so the copies alone pass the cap.
+    wide = [Gate.var(1)]
+    for k in range(2, 20_001):
+        wide += [Gate.var(k), Gate.add(len(wide) - 1, len(wide))]
+    total = len(wide) - 1
+    wide += [Gate.add(total, 0)] * 400
+    for c in (circuit(gates), circuit(wide)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"cap of {DEFAULT_EXHAUSTION_CAP} dict entries"):
+            analyze_degrees(c)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_only_the_reference_pass_keys_single_use_consts_under_the_cap():
+    # The same two shapes with single-use consts where the variables were:
+    # x_{k+1} = x_k + (k + 1), and a sum of 20k consts that 400 gates read,
+    # each adding a const of its own.  The bounded pass keys none of them,
+    # so it is linear here; the reference behind ``individual`` keys every
+    # const and is still stopped by the cap it was given.
     gates = [Gate.var(1)]
     for k in range(8_000):
         x = len(gates) - 1
         gates += [Gate.mul(x, x), Gate.const(k + 1), Gate.add(x, len(gates) + 1)]
-    # A sum of 20k consts that 400 gates read: each copies its 20k-entry
-    # dict and merges one entry, so the copies alone pass the cap.
     wide = [Gate.const(0)]
     for k in range(1, 20_000):
         wide += [Gate.const(k), Gate.add(len(wide) - 1, len(wide))]
@@ -333,9 +356,64 @@ def test_degree_pass_work_cap_on_shared_gates():
         wide += [Gate.const(k), Gate.add(total, len(wide))]
     for c in (circuit(gates), circuit(wide)):
         start = time.perf_counter()
+        rep = analyze_degrees(c)
+        assert (rep.total, rep.max_individual) == (1, 1)
         with pytest.raises(CapExceededError, match=f"cap of {DEFAULT_EXHAUSTION_CAP} dict entries"):
-            analyze_degrees(c)
+            rep.individual
         assert time.perf_counter() - start < 1.0
+
+
+def _spy_table_passes(monkeypatch) -> list:
+    """Record the ``bound_lone`` flag of every table pass; False is the reference."""
+    flags = []
+    real = circuit_mod._per_input_pass
+
+    def spying(gates, cap, bound_lone):
+        flags.append(bound_lone)
+        return real(gates, cap, bound_lone)
+
+    monkeypatch.setattr(circuit_mod, "_per_input_pass", spying)
+    return flags
+
+
+@pytest.mark.parametrize("gates, individual, falls_back", [
+    # The const is shared, so it is keyed: c * c has degree 2 in it.
+    ([Gate.const(3), Gate.mul(0, 0)], {"g0": 2}, False),
+    # v = c + x1, then v * v: the single-use c reaches degree 2 through v's
+    # two uses, so K = 2, no more than x1's 2.
+    ([Gate.var(1), Gate.const(4), Gate.add(1, 0), Gate.mul(2, 2)], {"x1": 2, "g1": 2}, False),
+    # A lone const is the output, which has no use, so it is keyed.
+    ([Gate.const(5)], {"g0": 1}, False),
+    # (c1 + c2)(c3 + c4): K = 2 against an empty table, so the reference
+    # runs, and finds every const at degree 1.
+    ([Gate.const(1), Gate.const(2), Gate.add(0, 1), Gate.const(3), Gate.const(4),
+      Gate.add(3, 4), Gate.mul(2, 5)], {"g0": 1, "g1": 1, "g3": 1, "g4": 1}, True),
+], ids=["shared-const-squared", "single-use-const-squared", "lone-const", "const-only-product"])
+def test_bounded_degree_pass_rules(monkeypatch, gates, individual, falls_back):
+    flags = _spy_table_passes(monkeypatch)
+    rep = analyze_degrees(circuit(gates))
+    assert flags == ([True, False] if falls_back else [True])
+    assert rep.max_individual == max(individual.values())
+    assert rep.total == degree_oracle(circuit(gates))[0]
+    # ``individual`` is the reference's, run once, on first access.
+    assert rep.individual == individual and rep.individual is rep.individual
+    assert flags == [True, False]
+
+
+def test_a_bounded_report_holds_gates_not_its_circuit():
+    c = circuit([Gate.var(1), Gate.const(2), Gate.mul(0, 1), Gate.const(3), Gate.add(2, 3)])
+    rep = analyze_degrees(c)
+    want = {"x1": 1, "g1": 1, "g3": 1}
+    # No circuit -> report -> circuit cycle: dropping c frees it at once.
+    kept = weakref.ref(c)
+    del c
+    assert kept() is None
+    # Copies taken before and after the first access compute or keep the
+    # same ``individual``.
+    before = (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep))
+    assert (rep.total, rep.max_individual, rep.individual) == (2, 1, want)
+    for back in (*before, pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert back == rep and back.individual == want and hash(back) == hash(rep)
 
 
 def test_formula_degree_bounded_by_gate_count():

@@ -617,23 +617,39 @@ def test_internal_guard_exit_code(capsys, tmp_path):
 
 
 def test_exhaustion_cap_reaches_the_degree_pass(capsys, tmp_path):
-    # x_{k+1} = x_k + (k + 1) with a side gate x_k * x_k: over 100 links
-    # the degree pass copies or merges about 15k dict entries.
-    lines = ["g0 = var x1"]
-    x = 0
-    for k in range(100):
-        i = len(lines)
-        lines += [f"g{i} = mul g{x} g{x}", f"g{i + 1} = const {k + 1}", f"g{i + 2} = add g{x} g{i + 1}"]
-        x = i + 2
-    path = tmp_path / "chain.ac"
-    path.write_text("\n".join(lines) + f"\noutput g{x}\n")
-    for argv in (["degrees", str(path)], ["eval", str(path), "--vars", "2"]):
+    # x_{k+1} = x_k + y_k, a fresh variable y_k, with a side gate x_k * x_k:
+    # over 100 links the degree pass copies or merges about 15k dict entries.
+    def chain(name, leaf):
+        lines = ["g0 = var x1"]
+        x = 0
+        for k in range(100):
+            i = len(lines)
+            lines += [f"g{i} = mul g{x} g{x}", f"g{i + 1} = {leaf(k)}", f"g{i + 2} = add g{x} g{i + 1}"]
+            x = i + 2
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + f"\noutput g{x}\n")
+        return str(path)
+
+    path = chain("vars.ac", lambda k: f"var x{k + 2}")
+    values = ",".join(map(str, [2, *range(1, 101)]))  # x1 = 2, y_k = k + 1
+    for argv in (["degrees", path], ["eval", path, "--vars", values]):
         code, _, err = run(capsys, "--exhaustion-cap", "1000", *argv)
         assert code == EX_DATAERR
         assert "degree analysis exceeds the cap of 1000 dict entries" in err
-    code, out, _ = run(capsys, "degrees", str(path))
+    code, out, _ = run(capsys, "degrees", path)
+    assert code == 0 and out.startswith("total=1 max_individual=1 x1=1 x10=1 ")
+    code, out, _ = run(capsys, "eval", path, "--vars", values)
+    assert code == 0 and out.strip() == str(2 + 100 * 101 // 2)
+    # With a single-use const y_k = k + 1 instead, eval's pass keys no
+    # const and stays under the cap; degrees still prints ``individual``,
+    # whose reference pass keys every const and is refused.
+    path = chain("consts.ac", lambda k: f"const {k + 1}")
+    code, _, err = run(capsys, "--exhaustion-cap", "1000", "degrees", path)
+    assert code == EX_DATAERR
+    assert "degree analysis exceeds the cap of 1000 dict entries" in err
+    code, out, _ = run(capsys, "degrees", path)
     assert code == 0 and out.startswith("total=1 max_individual=1 ")
-    code, out, _ = run(capsys, "eval", str(path), "--vars", "2")
+    code, out, _ = run(capsys, "--exhaustion-cap", "1000", "eval", path, "--vars", "2")
     assert code == 0 and out.strip() == str(2 + 100 * 101 // 2)
 
 

@@ -562,9 +562,10 @@ def draw_points(data, cls):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32), data=st.data())
 def test_verify_once_per_member_matches_verifying_every_description(draw_case, seed, data):
-    # A member the class owns is verified once per call; a repeat of it
-    # has the same circuit and R, so the verdict, the member a Misses
-    # verdict names and its witness are those of verifying every one.
+    # Each distinct member is verified once per call: a repeat, decoder
+    # members included, has the same canonical text and R and is skipped,
+    # so the verdict, the member a Misses verdict names and its witness
+    # are those of verifying every one.
     cls, h, class_cap = draw_case(data)
     kw = dict(seed=seed, class_cap=class_cap)
     verdict = verify_hitting_set(cls, h, **kw)

@@ -145,6 +145,30 @@ def test_degrees_match_the_oracle(c):
 
 
 @PROPERTY
+@given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 2), st.integers(1, 12), st.data())
+def test_bounded_degree_pass_matches_the_oracle(seed, n, n_params, extra, data):
+    # Single-use consts get no key, only the bound K; whether K decides or
+    # the per-input reference runs, the report is the oracle's.  Cutting
+    # the circuit at a drawn gate makes that gate the output, often one
+    # that reads constants only.  Half the draws then append
+    # (a + c1)(b + c2) with fresh consts for drawn gates a and b: K sums
+    # there, to 2 or more, so the reference runs whenever no keyed input
+    # reaches K.
+    c = random_circuit(Rng(seed, "bounded-degrees"), n, extra, p_const=0.4, n_params=n_params)
+    gates = list(c.gates[:data.draw(st.integers(1, len(c.gates)))])
+    if data.draw(st.booleans()):
+        a, b = (data.draw(st.integers(0, len(gates) - 1)) for _ in range(2))
+        t = len(gates)
+        gates += [Gate.const(3), Gate.add(a, t), Gate.const(-2), Gate.add(b, t + 2),
+                  Gate.mul(t + 1, t + 3)]
+    c = circuit(gates)
+    total, individual = degree_oracle(c)
+    rep = analyze_degrees(c)
+    assert (rep.total, rep.max_individual) == (total, max(individual.values()))
+    assert rep.individual == {u: d for u, d in individual.items() if d > 0}
+
+
+@PROPERTY
 @given(circuits())
 def test_text_format_roundtrips(c):
     assert parse_circuit(serialize_circuit(c)) == c
